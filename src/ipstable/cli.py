@@ -1,8 +1,4 @@
-"""Command-line surface: generate instances, cluster, verify, and benchmark.
-
-Exit codes: 0 ok, 1 stability check failed, 2 usage or malformed input,
-3 step cap exceeded (the clustering is still written).
-"""
+"""Command-line surface: generate instances, cluster, verify, and benchmark."""
 
 from __future__ import annotations
 
@@ -11,6 +7,7 @@ import json
 import math
 import sys
 import time
+import traceback
 from pathlib import Path
 
 from .clustering import Clustering, verify_stability
@@ -33,6 +30,14 @@ EXIT_OK = 0
 EXIT_UNSTABLE = 1
 EXIT_USAGE = 2
 EXIT_CAP = 3
+EXIT_INTERNAL = 4
+
+EXIT_CODES = """exit codes:
+  0  ok
+  1  stability check failed (verify with --alpha)
+  2  usage error or malformed input
+  3  step cap exceeded (the clustering is still written)
+  4  internal error (a bug; the traceback is on stderr)"""
 
 ALGORITHMS = ("natural", "mergesplit", "fast", "dp", "median", "max")
 _SEEDED = ("mergesplit", "fast")
@@ -91,6 +96,11 @@ _OBJECTIVE_OF_ALG = {
 }
 
 
+def _check_k(k: int, n: int) -> None:
+    if not 2 <= k <= n:
+        raise CliError(f"need 2 <= k <= n, got k={k}, n={n}")
+
+
 def _run_algorithm(space: MetricSpace, args):
     n = space.n
     alg = args.alg
@@ -105,6 +115,8 @@ def _run_algorithm(space: MetricSpace, args):
 
     if alg == "natural":
         alpha_target = args.alpha if args.alpha is not None else 2.0 * math.log2(n)
+        if not alpha_target >= 1:
+            raise CliError(f"--alpha must be at least 1, got {alpha_target}")
         cfg = LsConfig(alpha=alpha_target, max_steps=args.max_steps, seed=seed)
         clustering, trace = natural_local_search(space, args.k, cfg)
         counts, status = trace.counts, trace.status
@@ -136,8 +148,7 @@ def _run_algorithm(space: MetricSpace, args):
 
 def cmd_cluster(args) -> int:
     space = _load_instance(args.instance, args.format, args.norm)
-    if not 2 <= args.k <= space.n:
-        raise CliError(f"need 2 <= k <= n, got k={args.k}, n={space.n}")
+    _check_k(args.k, space.n)
     queries_before = space.query_counter
     t0 = time.perf_counter()
     clustering, counts, status, alpha_target = _run_algorithm(space, args)
@@ -174,7 +185,7 @@ def cmd_verify(args) -> int:
     space = _load_instance(args.instance, args.format, args.norm)
     try:
         clustering = Clustering.from_json(Path(args.clustering).read_text())
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError, KeyError, TypeError) as exc:
         raise CliError(f"malformed clustering file: {exc}") from exc
     if clustering.n != space.n:
         raise CliError(f"assignment length {clustering.n} does not match instance n={space.n}")
@@ -186,14 +197,18 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    for alg in args.alg:
+        if alg not in ALGORITHMS:
+            raise CliError(f"unknown algorithm {alg!r}")
+    for n in args.n:
+        for k in args.k:
+            _check_k(k, n)
     rows = ["n,k,alg,seed,queries,steps,time_s"]
     for alg in args.alg:
-        if alg not in ("fast", "mergesplit", "natural", "median", "max", "dp"):
-            raise CliError(f"unknown algorithm {alg!r}")
         for n in args.n:
             for k in args.k:
                 for seed in args.seeds:
-                    spec = GenSpec(kind="euclidean_mixture", n=n, k=max(k, 1), dim=4, seed=seed)
+                    spec = GenSpec(kind="euclidean_mixture", n=n, k=k, dim=4, seed=seed)
                     space = generate(spec).space
                     before = space.query_counter
                     t0 = time.perf_counter()
@@ -214,7 +229,10 @@ def cmd_bench(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="ipstable", description=__doc__)
+    parser = argparse.ArgumentParser(
+        prog="ipstable", description=__doc__, epilog=EXIT_CODES,
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("gen", help="generate a synthetic instance")
@@ -269,6 +287,10 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
+    except Exception:
+        traceback.print_exc()
+        print("error: internal error", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

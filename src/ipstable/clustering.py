@@ -34,7 +34,12 @@ class Clustering:
     __slots__ = ("assignment", "k", "_members")
 
     def __init__(self, assignment, k: int | None = None):
-        arr = np.asarray(assignment, dtype=np.intp).copy()
+        raw = np.asarray(assignment)
+        if raw.dtype.kind not in "iub":
+            values = raw.astype(np.float64)
+            if not (np.isfinite(values).all() and np.array_equal(values, np.trunc(values))):
+                raise ValueError("cluster ids must be integers")
+        arr = raw.astype(np.intp)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("assignment must be a non-empty 1-D array")
         if k is None:

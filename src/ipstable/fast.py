@@ -127,10 +127,10 @@ def calc_average(
         counts = rng.multinomial(t, mu)
         denom = w[None, :] + ds_chunk[:, None]
         bad = denom == 0
-        if bad.any():
+        if bad.any() and counts[bad].any():
             # zero denominators carry zero sampling mass outside the
             # all-coincident branch; they must never be sampled
-            assert not counts[bad].any()
+            raise RuntimeError("sampled a zero-denominator cell")
         block = space.peek_block(S[sl], C)
         g = np.divide(block, denom, out=np.zeros_like(block), where=~bad)
         est[sl] = (avg_star + ds_chunk) * scale * (counts * g).sum(axis=1)

@@ -60,6 +60,8 @@ class MetricSpace:
             pts = np.asarray(coords, dtype=np.float64)
             if pts.ndim != 2:
                 raise ValueError("coords must be a 2-D array (n, dim)")
+            if not np.isfinite(pts).all():
+                raise ValueError("coordinates contain non-finite values")
             if norm not in ("l2", "l1"):
                 raise ValueError(f"unknown norm {norm!r}")
             pts = pts.copy()

@@ -34,6 +34,13 @@ __all__ = [
 BRUTE_FORCE_LIMIT = 10
 
 
+def _ratio(diam: float, sep: float) -> float:
+    """diam / sep with 0/0 -> 0 and x/0 -> inf."""
+    if sep == 0.0:
+        return 0.0 if diam == 0.0 else math.inf
+    return diam / sep
+
+
 def beta(space: MetricSpace, C) -> float:
     """diameter(C) / min distance from C to X \\ C; 0 for C = X, 0/0 -> 0."""
     C = np.asarray(C, dtype=np.intp)
@@ -46,9 +53,7 @@ def beta(space: MetricSpace, C) -> float:
     outside = np.nonzero(~inside)[0]
     diam = float(space.block(C, C).max()) if len(C) > 1 else 0.0
     sep = float(space.block(C, outside).min())
-    if sep == 0.0:
-        return 0.0 if diam == 0.0 else math.inf
-    return diam / sep
+    return _ratio(diam, sep)
 
 
 def beta_clustering(space: MetricSpace, clustering: Clustering) -> float:
@@ -56,47 +61,64 @@ def beta_clustering(space: MetricSpace, clustering: Clustering) -> float:
 
 
 def mst(space: MetricSpace) -> list[tuple[int, int, float]]:
-    """Minimum spanning tree edges; ties resolved by (weight, min endpoint, max endpoint)."""
+    """Minimum spanning tree edges ``(min, max, w)``, sorted by (w, min, max).
+
+    Dense Prim over ``space.full()``: O(n^2) time, n^2 queries.  Edges are
+    compared by the strict order (weight, min endpoint, max endpoint), so the
+    tree is the unique minimum of that order, the one Kruskal picks by the
+    same key, also when weights tie.  The weight of {a, b} is d(min, max).
+    """
     n = space.n
     if n == 1:
         return []
     D = space.full()
-    iu, ju = np.triu_indices(n, k=1)
-    w = D[iu, ju]
-    order = np.lexsort((ju, iu, w))
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    in_tree = np.zeros(n, dtype=bool)
+    best_w = np.full(n, np.inf)  # per outside point: lightest edge into the tree (inf inside)
+    best_u = np.zeros(n, dtype=np.intp)  # its tree endpoint
     edges = []
-    for e in order:
-        a, b = int(iu[e]), int(ju[e])
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-            edges.append((a, b, float(w[e])))
-            if len(edges) == n - 1:
-                break
+    u = 0
+    for _ in range(n - 1):
+        in_tree[u] = True
+        best_w[u] = np.inf
+        w = D[u].copy()
+        w[:u] = D[:u, u]
+        # for a fixed outside point, equal weights tie-break on the smaller tree endpoint
+        better = ~in_tree & ((w < best_w) | ((w == best_w) & (u < best_u)))
+        best_w[better] = w[better]
+        best_u[better] = u
+        ties = np.flatnonzero(best_w == best_w.min())
+        if len(ties) > 1:
+            lo = np.minimum(best_u[ties], ties)
+            hi = np.maximum(best_u[ties], ties)
+            ties = ties[np.lexsort((hi, lo))]
+        u = int(ties[0])
+        a, b = sorted((int(best_u[u]), u))
+        edges.append((a, b, float(best_w[u])))
+    edges.sort(key=lambda e: (e[2], e[0], e[1]))
     return edges
 
 
 @dataclass
 class TreeNode:
-    """Node of the recursive max-edge split tree; ``points`` is the represented set."""
+    """Node of the recursive max-edge split tree; ``points`` is the represented set.
+
+    ``weight`` is the length of the MST edge whose deletion splits the node
+    into ``left`` and ``right`` (None for a leaf).  It is the separation of
+    both children: by the MST cut property, the lightest MST edge leaving a
+    child is also its minimum distance to the rest of the space.
+    """
 
     points: np.ndarray
     left: Optional["TreeNode"] = None
     right: Optional["TreeNode"] = None
+    weight: Optional[float] = None
 
     @property
     def is_leaf(self) -> bool:
         return self.left is None
 
     def nodes(self) -> list["TreeNode"]:
+        """Every node of the subtree, each parent before its children."""
         out, stack = [], [self]
         while stack:
             u = stack.pop()
@@ -107,41 +129,65 @@ class TreeNode:
 
 
 def create_tree(space: MetricSpace, mst_edges) -> TreeNode:
-    """Recursively delete the longest remaining MST edge; children are the
-    two components.  Ties go to the edge with the smallest (min, max) endpoints."""
-    root = TreeNode(np.arange(space.n))
-    stack = [(root, list(mst_edges))]
-    while stack:
-        node, edges = stack.pop()
-        if len(node.points) == 1:
-            continue
-        cut = max(range(len(edges)), key=lambda e: (edges[e][2], -edges[e][0], -edges[e][1]))
-        adj = {int(p): [] for p in node.points}
-        for idx, (a, b, _) in enumerate(edges):
-            if idx != cut:
-                adj[a].append(b)
-                adj[b].append(a)
-        seen = {edges[cut][0]}
-        frontier = [edges[cut][0]]
-        while frontier:
-            x = frontier.pop()
-            for y in adj[x]:
-                if y not in seen:
-                    seen.add(y)
-                    frontier.append(y)
-        side_a = np.array(sorted(seen), dtype=np.intp)
-        side_b = np.array(sorted(set(int(p) for p in node.points) - seen), dtype=np.intp)
-        node.left = TreeNode(side_a)
-        node.right = TreeNode(side_b)
-        edges_a = [e for i, e in enumerate(edges) if i != cut and e[0] in seen]
-        edges_b = [e for i, e in enumerate(edges) if i != cut and e[0] not in seen]
-        stack.append((node.left, edges_a))
-        stack.append((node.right, edges_b))
-    return root
+    """Split tree of the MST: each node is split by deleting its longest MST
+    edge (ties go to the smallest (min, max) endpoints); ``left`` is the side
+    of the edge's min endpoint.
+
+    Built bottom-up as the single-linkage dendrogram: one union-find pass
+    merges components along the edges in ascending order of the cut key.
+    """
+    n = space.n
+    if len(mst_edges) != n - 1:
+        raise ValueError(f"a spanning tree of {n} points has {n - 1} edges, got {len(mst_edges)}")
+    root_of = list(range(n))
+    node = [TreeNode(np.array([p], dtype=np.intp)) for p in range(n)]  # by component root
+
+    def find(x):
+        while root_of[x] != x:
+            root_of[x] = root_of[root_of[x]]
+            x = root_of[x]
+        return x
+
+    for a, b, w in sorted(mst_edges, key=lambda e: (e[2], -e[0], -e[1])):
+        ra, rb = find(a), find(b)
+        if ra == rb:
+            raise ValueError("MST edges contain a cycle")
+        left, right = node[ra], node[rb]
+        points = np.sort(np.concatenate((left.points, right.points)), kind="stable")
+        root_of[ra] = rb
+        node[rb] = TreeNode(points, left, right, w)
+    return node[find(0)]
+
+
+def _bottom_up_betas(space: MetricSpace, tree: TreeNode) -> list[tuple[TreeNode, float]]:
+    """Every node of a :func:`create_tree` tree with its beta, children first.
+
+    sep(child) is the parent's cut weight, and diam(u) is the max of the
+    children's diameters and the largest distance across them.  The
+    cross blocks cover each pair once: n(n-1)/2 queries for the tree, with
+    the smaller side on the rows.
+    """
+    nodes = tree.nodes()
+    sep = {id(tree): None}
+    for u in nodes:
+        if not u.is_leaf:
+            sep[id(u.left)] = sep[id(u.right)] = u.weight
+    diam: dict[int, float] = {}
+    out = []
+    for u in reversed(nodes):
+        if u.is_leaf:
+            d = 0.0
+        else:
+            small, large = sorted((u.left.points, u.right.points), key=len)
+            d = max(diam[id(u.left)], diam[id(u.right)], float(space.block(small, large).max()))
+        diam[id(u)] = d
+        s = sep[id(u)]
+        out.append((u, 0.0 if s is None else _ratio(d, s)))
+    return out
 
 
 def dp_min_beta(space: MetricSpace, tree: TreeNode, k: int) -> Clustering:
-    """Minimum-beta k-clustering among those induced by the tree.
+    """Minimum-beta k-clustering among those induced by a :func:`create_tree` tree.
 
     DP over (node, parts): a node is either kept whole (one cluster, its own
     beta) or split along its children; candidate scores combine by max.
@@ -149,14 +195,10 @@ def dp_min_beta(space: MetricSpace, tree: TreeNode, k: int) -> Clustering:
     """
     if not 1 <= k <= space.n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={space.n}")
-    nodes = tree.nodes()
-    node_beta = {id(u): beta(space, u.points) for u in nodes}
-    # bottom-up order: children before parents
-    order = sorted(nodes, key=lambda u: len(u.points))
     table: dict[int, list] = {}  # id(node) -> [None | (beta, i_right)] indexed by parts-1
-    for u in order:
+    for u, node_beta in _bottom_up_betas(space, tree):
         row = [None] * k
-        row[0] = (node_beta[id(u)], 0)
+        row[0] = (node_beta, 0)
         if not u.is_leaf:
             right, left = table[id(u.right)], table[id(u.left)]
             for parts in range(2, k + 1):

@@ -3,7 +3,8 @@ import math
 
 import pytest
 
-from ipstable.cli import EXIT_CAP, EXIT_OK, EXIT_UNSTABLE, EXIT_USAGE, main
+from ipstable import cli
+from ipstable.cli import EXIT_CAP, EXIT_INTERNAL, EXIT_OK, EXIT_UNSTABLE, EXIT_USAGE, main
 from ipstable.clustering import Clustering
 
 
@@ -158,6 +159,28 @@ class TestCluster:
         assert code == EXIT_USAGE
 
 
+    def test_non_finite_points_rejected(self, tmp_path, capsys):
+        inst = tmp_path / "pts.csv"
+        inst.write_text("x0,x1\n0,0\nnan,1\n3,4\n")
+        code, _, err = run(
+            ["cluster", "--in", str(inst), "--k", "2", "--alg", "dp",
+             "--out", str(tmp_path / "x")],
+            capsys,
+        )
+        assert code == EXIT_USAGE
+        assert "non-finite" in err
+        assert not (tmp_path / "x").exists()
+
+    def test_natural_alpha_below_one_rejected(self, planted_dir, tmp_path, capsys):
+        code, _, err = run(
+            ["cluster", "--in", str(planted_dir / "points.csv"), "--k", "3",
+             "--alg", "natural", "--alpha", "0.5", "--out", str(tmp_path / "x")],
+            capsys,
+        )
+        assert code == EXIT_USAGE
+        assert "--alpha" in err
+
+
 class TestVerify:
     def test_round_trip_exact_alpha(self, planted_dir, tmp_path, capsys):
         out = tmp_path / "run"
@@ -213,6 +236,17 @@ class TestVerify:
         assert code == EXIT_USAGE
 
 
+    def test_fractional_ids_rejected(self, planted_dir, tmp_path, capsys):
+        cl = tmp_path / "cl.json"
+        cl.write_text(json.dumps({"k": 3, "assignment": [0, 1, 2] + [1.5] * 27}))
+        code, _, err = run(
+            ["verify", "--in", str(planted_dir / "points.csv"), "--clustering", str(cl)],
+            capsys,
+        )
+        assert code == EXIT_USAGE
+        assert "integers" in err
+
+
 class TestBench:
     def test_empty_grid_has_header(self, capsys):
         code, stdout, _ = run(["bench", "--alg", "natural", "--n", "--seeds", "1"], capsys)
@@ -226,3 +260,39 @@ class TestBench:
         _, second, _ = run(argv, capsys)
         assert first == second
         assert len(first.strip().splitlines()) == 5
+
+    @pytest.mark.parametrize("n, k", [(1, 10), (25, 26), (25, 1)])
+    def test_k_outside_range_rejected(self, n, k, capsys):
+        code, stdout, err = run(["bench", "--alg", "natural", "--n", str(n), "--k", str(k)], capsys)
+        assert code == EXIT_USAGE
+        assert "need 2 <= k <= n" in err
+        assert stdout == ""
+
+    def test_unknown_algorithm_rejected(self, capsys):
+        code, _, err = run(["bench", "--alg", "nope", "--n", "10", "--k", "2"], capsys)
+        assert code == EXIT_USAGE
+        assert "unknown algorithm" in err
+
+
+class TestExitCodes:
+    def test_internal_error_has_its_own_code(self, planted_dir, tmp_path, capsys, monkeypatch):
+        def broken(space, k):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "stable_cluster", broken)
+        code, _, err = run(
+            ["cluster", "--in", str(planted_dir / "points.csv"), "--k", "3",
+             "--alg", "dp", "--out", str(tmp_path / "x")],
+            capsys,
+        )
+        assert code == EXIT_INTERNAL
+        assert code not in (EXIT_OK, EXIT_UNSTABLE, EXIT_USAGE, EXIT_CAP)
+        assert "RuntimeError: boom" in err and "internal error" in err
+
+    def test_help_lists_every_exit_code(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        text = capsys.readouterr().out
+        for code in (EXIT_OK, EXIT_UNSTABLE, EXIT_USAGE, EXIT_CAP, EXIT_INTERNAL):
+            assert f"  {code}  " in text

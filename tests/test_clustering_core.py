@@ -22,6 +22,14 @@ class TestClusteringType:
         with pytest.raises(ValueError):
             Clustering([0, 0, 2], 3)
 
+    @pytest.mark.parametrize("ids", [[0, 1.5, 0], [0, 1, math.nan], [0, 1, math.inf]])
+    def test_rejects_non_integral_ids(self, ids):
+        with pytest.raises(ValueError, match="integers"):
+            Clustering(ids)
+
+    def test_accepts_integral_floats(self):
+        assert Clustering([0.0, 1.0, 0.0], 2) == Clustering([0, 1, 0], 2)
+
     def test_members_agree_with_assignment(self):
         cl = Clustering([0, 1, 0, 2, 1], 3)
         assert [sorted(m) for m in cl.members()] == [[0, 2], [1, 4], [3]]

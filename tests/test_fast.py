@@ -74,6 +74,20 @@ class TestCalcAverage:
             trials += 220
         assert bad / trials <= 0.01
 
+    def test_sampled_zero_denominator_raises(self, rng):
+        # S holds the central point, so one cell has w = d_s = 0; a sampler
+        # that puts mass there must stop rather than divide by zero
+        class EveryCell:
+            def integers(self, *args, **kwargs):
+                return rng.integers(*args, **kwargs)
+
+            def multinomial(self, t, mu):
+                return np.ones(mu.shape, dtype=np.int64)
+
+        sp = line_space([0, 1, 5])
+        with pytest.raises(RuntimeError, match="zero-denominator"):
+            calc_average(sp, [0, 1], [0, 1], 0.5, EveryCell())
+
     def test_query_contract(self, rng):
         sp = random_space(50, seed=2)
         C, S = np.arange(30), np.arange(30, 50)

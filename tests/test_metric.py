@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -58,6 +60,11 @@ class TestValidation:
         mat = np.array([[0.0, -1.0], [-1.0, 0.0]])
         with pytest.raises(ValueError):
             MetricSpace.from_matrix(mat)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_coords(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            MetricSpace.from_points(np.array([[0.0, 1.0], [bad, 2.0]]))
 
     def test_accepts_valid_with_rounding_slack(self):
         sp = random_space(30, seed=5)

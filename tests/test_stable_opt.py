@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from ipstable.clustering import Clustering, verify_stability
-from ipstable.metric import GenSpec, generate
+from ipstable.metric import GenSpec, MetricSpace, generate
 from ipstable.stable_opt import (
+    _bottom_up_betas,
     beta,
     beta_clustering,
     brute_force_min_beta,
@@ -65,6 +66,42 @@ def _prim_mst_weight(D):
     return total
 
 
+def _kruskal(space):
+    """Reference: Kruskal over edges sorted by (w, min, max), w = d(min, max)."""
+    n = space.n
+    D = space.peek_block(np.arange(n), np.arange(n))
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    edges = []
+    for w, a, b in sorted((float(D[a, b]), a, b) for a in range(n) for b in range(a + 1, n)):
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[ra] = rb
+            edges.append((a, b, w))
+    return edges
+
+
+def _tied_and_random_spaces():
+    rng = np.random.default_rng(11)
+    for seed in range(8):
+        # integer coordinates and weights tie often, zeros included
+        yield line_space(rng.integers(0, 5, size=int(rng.integers(2, 25))))
+        yield MetricSpace.from_points(rng.integers(0, 3, size=(20, 2)), norm="l1")
+        yield random_matrix_space(int(rng.integers(2, 30)), seed=seed)
+        yield random_space(int(rng.integers(2, 30)), seed=seed, dim=4)
+        m = rng.integers(1, 3, size=(12, 12)).astype(float)
+        m = np.minimum(m, m.T)  # weights 1 and 2 always satisfy the triangle inequality
+        np.fill_diagonal(m, 0.0)
+        yield MetricSpace.from_matrix(m)
+    yield line_space([0, 0, 3])  # zero separation next to a positive diameter
+    yield line_space([2, 2, 2])  # every distance zero
+
+
 class TestMst:
     def test_single_point(self):
         assert mst(line_space([0])) == []
@@ -80,8 +117,57 @@ class TestMst:
             ours = sum(w for _, _, w in mst(sp))
             assert ours == pytest.approx(_prim_mst_weight(D), rel=1e-9)
 
+    def test_matches_kruskal_reference(self):
+        for sp in _tied_and_random_spaces():
+            assert mst(sp) == _kruskal(sp)
+
+    def test_weight_read_from_upper_triangle(self):
+        # tables are accepted with asymmetry up to a relative 1e-9
+        D = random_matrix_space(20, seed=3).full()
+        sp = MetricSpace.from_matrix(np.triu(D) * (1 + 1e-12) + np.tril(D))
+        assert mst(sp) == _kruskal(sp)
+
+
+def _top_down_tree(points, edges):
+    """Reference split tree as nested tuples (points, left, right): delete the
+    edge with the largest (w, -min, -max) key; left holds its min endpoint."""
+    if len(points) == 1:
+        return (points,)
+    cut = max(edges, key=lambda e: (e[2], -e[0], -e[1]))
+    rest = [e for e in edges if e != cut]
+    side = {cut[0]}
+    grown = True
+    while grown:
+        grown = False
+        for a, b, _ in rest:
+            if (a in side) != (b in side):
+                side |= {a, b}
+                grown = True
+    left = sorted(side)
+    right = sorted(set(points) - side)
+    return (
+        points,
+        _top_down_tree(left, [e for e in rest if e[0] in side]),
+        _top_down_tree(right, [e for e in rest if e[0] not in side]),
+    )
+
+
+def _as_tuples(node):
+    points = [int(p) for p in node.points]
+    if node.is_leaf:
+        return (points,)
+    return (points, _as_tuples(node.left), _as_tuples(node.right))
+
 
 class TestCreateTree:
+    def test_matches_top_down_reference(self):
+        # tied weights make the (min, max) tie-break and the left/right
+        # orientation matter; the DP's tie-break depends on both
+        for sp in _tied_and_random_spaces():
+            edges = mst(sp)
+            tree = create_tree(sp, edges)
+            assert _as_tuples(tree) == _top_down_tree(list(range(sp.n)), edges)
+
     def test_single_point_leaf(self):
         sp = line_space([0])
         tree = create_tree(sp, mst(sp))
@@ -104,6 +190,33 @@ class TestCreateTree:
                     assert union == sorted(node.points)
             leaves = [n for n in tree.nodes() if n.is_leaf]
             assert len(leaves) == 18
+
+
+class TestNodeBetas:
+    def test_equal_to_beta_on_every_node(self):
+        for sp in _tied_and_random_spaces():
+            tree = create_tree(sp, mst(sp))
+            pairs = _bottom_up_betas(sp, tree)
+            assert len(pairs) == 2 * sp.n - 1
+            for node, value in pairs:
+                assert value == beta(sp, node.points)
+
+    def test_children_before_parents(self):
+        sp = random_space(20, seed=4)
+        seen = set()
+        for node, _ in _bottom_up_betas(sp, create_tree(sp, mst(sp))):
+            if not node.is_leaf:
+                assert id(node.left) in seen and id(node.right) in seen
+            seen.add(id(node))
+
+    def test_weight_is_children_separation(self):
+        sp = random_matrix_space(15, seed=2)
+        D = sp.peek_block(np.arange(15), np.arange(15))
+        for node in create_tree(sp, mst(sp)).nodes():
+            if node.is_leaf:
+                assert node.weight is None
+                continue
+            assert node.weight == D[np.ix_(node.left.points, node.right.points)].min()
 
 
 class TestDpMinBeta:
@@ -166,6 +279,14 @@ class TestStableCluster:
         sp = random_space(6, seed=2)
         out = stable_cluster(sp, 6)
         assert out.sizes().tolist() == [1] * 6
+
+    def test_query_count(self):
+        # n^2 for the MST, n(n-1)/2 for the cross blocks of the split tree
+        for sp in (random_space(40, seed=1), random_matrix_space(40, seed=1), line_space([0, 0, 1, 1, 2])):
+            n = sp.n
+            before = sp.query_counter
+            stable_cluster(sp, 2)
+            assert sp.query_counter - before == n * n + n * (n - 1) // 2
 
     def test_recovers_planted(self):
         out = generate(GenSpec("planted_separated", n=30, k=3, separation=0.1, seed=4))
