@@ -3,14 +3,13 @@
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 import time
 import traceback
 from pathlib import Path
 
-from .clustering import Clustering, verify_stability
+from .clustering import Clustering, strict_json, verify_stability
 from .fast import fast_ls
 from .local_search import CAP_EXCEEDED, LsConfig, max_ip_local_search, natural_local_search
 from .median_ip import MedianConfig, median_ip_cluster
@@ -172,12 +171,13 @@ def cmd_cluster(args) -> int:
     }
     if args.alg == "dp":
         run_report["beta_achieved"] = beta_clustering(space, clustering)
+    report_text = strict_json(run_report, indent=2)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "clustering.json").write_text(clustering.to_json())
-    (out / "report.json").write_text(json.dumps(run_report, indent=2))
-    print(json.dumps(run_report, indent=2))
+    (out / "report.json").write_text(report_text)
+    print(report_text)
     return EXIT_CAP if status == CAP_EXCEEDED else EXIT_OK
 
 

@@ -10,6 +10,7 @@ exclude-self convention as avg.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -127,7 +128,26 @@ class StabilityReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict())
+        return strict_json(self.to_dict())
+
+
+def _encode_inf(obj):
+    if isinstance(obj, float) and obj == math.inf:
+        return "inf"
+    if isinstance(obj, dict):
+        return {key: _encode_inf(val) for key, val in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_encode_inf(val) for val in obj]
+    return obj
+
+
+def strict_json(obj, **kwargs) -> str:
+    """Standard JSON text with +inf floats written as the string ``"inf"``.
+
+    Any other non-finite float (NaN, -inf) raises ``ValueError``, so no
+    emitted file carries the non-standard ``Infinity`` / ``NaN`` tokens.
+    """
+    return json.dumps(_encode_inf(obj), allow_nan=False, **kwargs)
 
 
 def _check_nonempty(S):

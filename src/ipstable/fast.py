@@ -78,7 +78,7 @@ def calc_central_point(space: MetricSpace, C, delta: float, rng: np.random.Gener
         return int(C[0])
     t = max(1, math.ceil(math.log2(1.0 / delta)))
     cand = rng.integers(0, len(C), size=t)
-    avgs = [space.row(int(C[i]), C).mean() for i in cand]
+    avgs = space.block(C[cand], C).mean(axis=1)
     return int(C[cand[int(np.argmin(avgs))]])
 
 
@@ -224,7 +224,7 @@ class EpochState:
     recompute_set: set = field(default_factory=set)
     point_heaps: list = field(default_factory=list)  # per point: (est, cid, version)
     main_heap: list = field(default_factory=list)    # (key, seq, point)
-    main_seq: np.ndarray = None
+    main_seq: list = field(default_factory=list)     # per point: seq of its live main entry
     next_cid: int = 0
     swap_steps: int = 0
     recompute_steps: int = 0
@@ -283,7 +283,7 @@ class EpochState:
         fm = self.foreign_min(p)
         if fm is None:
             return
-        heapq.heappush(self.main_heap, (fm[0] / own_est, int(self.main_seq[p]), p))
+        heapq.heappush(self.main_heap, (fm[0] / own_est, self.main_seq[p], p))
 
     def find_violator(self):
         """Scan the main heap for a point whose cached envy exceeds alpha/2.
@@ -359,7 +359,7 @@ def epoch(
     k = clustering.k
     st = EpochState(n=n, k=k, eps=EPOCH_EPS, alpha=16.0 * math.log2(max(n, 2)))
     st.assign = clustering.assignment.copy()
-    st.main_seq = np.zeros(n, dtype=np.int64)
+    st.main_seq = [0] * n
     st.point_heaps = [[] for _ in range(n)]
     for cid, m in enumerate(clustering.members()):
         st.members[cid] = set(int(x) for x in m)
@@ -392,8 +392,9 @@ def epoch(
             st.version[cid] = st.version.get(cid, 0) + 1
             if audit is not None:
                 audit.after_recompute(space, st, cid)
-            for p in range(n):
-                st.push_point_entry(p, cid)
+            ver = st.version[cid]
+            for h, val in zip(st.point_heaps, st.est[cid].tolist()):
+                heapq.heappush(h, (val, cid, ver))
             for p in range(n):
                 st.push_main_entry(p)
 

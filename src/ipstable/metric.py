@@ -31,13 +31,19 @@ TRIANGLE_RTOL = 1e-9
 _TRIANGLE_EXHAUSTIVE_LIMIT = 64
 _TRIANGLE_SAMPLED_TRIPLES = 100_000
 
+# Coordinate blocks are reduced in row chunks whose (rows, cols, dim)
+# difference buffer holds at most this many float64 elements (512 KiB).
+_BLOCK_CHUNK_ELEMS = 1 << 16
+
 
 class MetricSpace:
     """Immutable point set with a distance oracle and a query counter.
 
     Backed either by an explicit symmetric distance table or by a coordinate
-    array with an L2/L1 norm.  The instance is safe to share across threads;
-    the query counter is updated under a lock.
+    array with an L2/L1 norm.  Every distance read goes through one block
+    kernel; for coordinates it computes the block in bounded row chunks, so
+    its temporaries stay small whatever the block size.  The instance is
+    safe to share across threads; the query counter is updated under a lock.
     """
 
     def __init__(self, *, matrix=None, coords=None, norm="l2", validate=True):
@@ -113,7 +119,7 @@ class MetricSpace:
         if not (0 <= i < self.n and 0 <= j < self.n):
             raise IndexError(f"point index out of range: ({i}, {j}) with n={self.n}")
         self.charge(1)
-        return self._eval_one(i, j)
+        return float(self._eval_block(np.array([i], dtype=np.intp), np.array([j], dtype=np.intp))[0, 0])
 
     def row(self, i: int, idx=None) -> np.ndarray:
         """Distances from point i to idx (default: all points); one query each."""
@@ -122,16 +128,14 @@ class MetricSpace:
         else:
             idx = np.asarray(idx, dtype=np.intp)
         self.charge(len(idx))
-        return self._eval_row(i, idx)
+        return self._eval_block(np.array([i], dtype=np.intp), idx)[0]
 
     def block(self, rows, cols) -> np.ndarray:
         """|rows| x |cols| distance block; charges |rows|*|cols| queries."""
         rows = np.asarray(rows, dtype=np.intp)
         cols = np.asarray(cols, dtype=np.intp)
         self.charge(len(rows) * len(cols))
-        if self._matrix is not None:
-            return self._matrix[np.ix_(rows, cols)]
-        return np.stack([self._eval_row(int(i), cols) for i in rows]) if len(rows) else np.zeros((0, len(cols)))
+        return self._eval_block(rows, cols)
 
     def full(self) -> np.ndarray:
         """The complete n x n table; charges n^2 queries."""
@@ -146,29 +150,32 @@ class MetricSpace:
         distinct values here, so the counter reflects the sampling algorithm
         rather than the deduplicated physical reads.
         """
-        rows = np.asarray(rows, dtype=np.intp)
-        cols = np.asarray(cols, dtype=np.intp)
+        return self._eval_block(np.asarray(rows, dtype=np.intp), np.asarray(cols, dtype=np.intp))
+
+    def _eval_block(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """Uncharged |rows| x |cols| block for intp index arrays.
+
+        Each coordinate cell is the norm of ``coords[col] - coords[row]``,
+        reduced over the last axis as for a single row, so a cell's value
+        does not depend on the block it is read in.
+        """
         if self._matrix is not None:
             return self._matrix[np.ix_(rows, cols)]
-        if len(rows) == 0:
-            return np.zeros((0, len(cols)))
-        return np.stack([self._eval_row(int(i), cols) for i in rows])
-
-    def _eval_one(self, i, j):
-        if self._matrix is not None:
-            return float(self._matrix[i, j])
-        diff = self._coords[i] - self._coords[j]
+        targets = self._coords[cols]
+        out = np.empty((len(rows), len(cols)))
+        step = max(1, min(len(rows), _BLOCK_CHUNK_ELEMS // max(1, targets.size)))
+        buf = np.empty((step, *targets.shape))
+        for lo in range(0, len(rows), step):
+            diff = buf[: min(step, len(rows) - lo)]
+            np.subtract(targets, self._coords[rows[lo : lo + step], None], out=diff)
+            if self.norm == "l2":
+                np.multiply(diff, diff, out=diff)
+            else:
+                np.abs(diff, out=diff)
+            diff.sum(axis=2, out=out[lo : lo + len(diff)])
         if self.norm == "l2":
-            return float(np.sqrt(np.dot(diff, diff)))
-        return float(np.abs(diff).sum())
-
-    def _eval_row(self, i, idx):
-        if self._matrix is not None:
-            return self._matrix[i, idx].copy()
-        diff = self._coords[idx] - self._coords[i]
-        if self.norm == "l2":
-            return np.sqrt((diff * diff).sum(axis=1))
-        return np.abs(diff).sum(axis=1)
+            np.sqrt(out, out=out)
+        return out
 
 
 def _validate_table(mat: np.ndarray) -> None:

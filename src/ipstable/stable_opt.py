@@ -163,26 +163,28 @@ def _bottom_up_betas(space: MetricSpace, tree: TreeNode) -> list[tuple[TreeNode,
     """Every node of a :func:`create_tree` tree with its beta, children first.
 
     sep(child) is the parent's cut weight, and diam(u) is the max of the
-    children's diameters and the largest distance across them.  The
-    cross blocks cover each pair once: n(n-1)/2 queries for the tree, with
-    the smaller side on the rows.
+    children's diameters and the largest distance across them.  beta(root)
+    is 0 by convention, so the root's diameter is never needed and its cross
+    block is not read.  The other cross blocks cover each pair not split at
+    the root once, with the smaller side on the rows:
+    n(n-1)/2 - |left(root)| * |right(root)| queries for the tree.
     """
-    nodes = tree.nodes()
-    sep = {id(tree): None}
+    nodes = tree.nodes()  # the root first
+    sep = {}
     for u in nodes:
         if not u.is_leaf:
             sep[id(u.left)] = sep[id(u.right)] = u.weight
     diam: dict[int, float] = {}
     out = []
-    for u in reversed(nodes):
+    for u in reversed(nodes[1:]):
         if u.is_leaf:
             d = 0.0
         else:
             small, large = sorted((u.left.points, u.right.points), key=len)
             d = max(diam[id(u.left)], diam[id(u.right)], float(space.block(small, large).max()))
         diam[id(u)] = d
-        s = sep[id(u)]
-        out.append((u, 0.0 if s is None else _ratio(d, s)))
+        out.append((u, _ratio(d, sep[id(u)])))
+    out.append((tree, 0.0))
     return out
 
 
@@ -191,29 +193,25 @@ def dp_min_beta(space: MetricSpace, tree: TreeNode, k: int) -> Clustering:
 
     DP over (node, parts): a node is either kept whole (one cluster, its own
     beta) or split along its children; candidate scores combine by max.
-    Ties break toward the smallest right-child part count.
+    Ties break toward the smallest right-child part count.  A node with s
+    points holds only parts 1..min(k, s), and each split visits only the
+    right-child counts both children can hold.
     """
     if not 1 <= k <= space.n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={space.n}")
-    table: dict[int, list] = {}  # id(node) -> [None | (beta, i_right)] indexed by parts-1
+    table: dict[int, list] = {}  # id(node) -> [(beta, i_right)] indexed by parts-1
     for u, node_beta in _bottom_up_betas(space, tree):
-        row = [None] * k
-        row[0] = (node_beta, 0)
+        row = [(node_beta, 0)]
         if not u.is_leaf:
             right, left = table[id(u.right)], table[id(u.left)]
-            for parts in range(2, k + 1):
+            for parts in range(2, min(k, len(u.points)) + 1):
                 best = None
-                for i in range(1, parts):
-                    r, l = right[i - 1], left[parts - i - 1]
-                    if r is None or l is None:
-                        continue
-                    score = max(r[0], l[0])
+                for i in range(max(1, parts - len(left)), min(parts - 1, len(right)) + 1):
+                    score = max(right[i - 1][0], left[parts - i - 1][0])
                     if best is None or score < best[0]:
                         best = (score, i)
-                row[parts - 1] = best
+                row.append(best)
         table[id(u)] = row
-    if table[id(tree)][k - 1] is None:
-        raise AssertionError("tree with n leaves must admit every 1 <= k <= n")
 
     clusters: list[np.ndarray] = []
     stack = [(tree, k)]

@@ -296,3 +296,65 @@ class TestExitCodes:
         text = capsys.readouterr().out
         for code in (EXIT_OK, EXIT_UNSTABLE, EXIT_USAGE, EXIT_CAP, EXIT_INTERNAL):
             assert f"  {code}  " in text
+
+
+def _strict_loads(text):
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+class TestStrictJson:
+    @pytest.fixture
+    def envious_dir(self, tmp_path, capsys):
+        # round-robin start: points 0 and 2 sit on cluster 1's location, so
+        # their envy is x/0 = inf; one step moves only one of them
+        inst = tmp_path / "line.csv"
+        inst.write_text("x0\n0\n0\n0\n0\n10\n0\n10\n")
+        out = tmp_path / "run"
+        code, stdout, _ = run(
+            ["cluster", "--in", str(inst), "--k", "2", "--alg", "natural",
+             "--max-steps", "1", "--out", str(out), "--no-time"],
+            capsys,
+        )
+        assert code == EXIT_CAP
+        return inst, out, stdout
+
+    def test_infinite_alpha_in_run_report(self, envious_dir):
+        _, out, stdout = envious_dir
+        for text in (stdout, (out / "report.json").read_text()):
+            report = _strict_loads(text)
+            assert report["alpha_achieved"] == "inf"
+            assert report["alpha_target"] == pytest.approx(2 * math.log2(7))
+
+    def test_infinite_alpha_in_verify_output(self, envious_dir, capsys):
+        inst, out, _ = envious_dir
+        for extra, want in (([], EXIT_OK), (["--alpha", "10"], EXIT_UNSTABLE)):
+            code, stdout, _ = run(
+                ["verify", "--in", str(inst), "--clustering", str(out / "clustering.json")] + extra,
+                capsys,
+            )
+            assert code == want
+            report = _strict_loads(stdout)
+            assert report["alpha_achieved"] == "inf"
+            assert "inf" in report["per_point"]
+
+    def test_nan_is_an_internal_error(self, planted_dir, tmp_path, capsys, monkeypatch):
+        real = cli.verify_stability
+
+        def nan_report(*args):
+            report = real(*args)
+            report.alpha_achieved = math.nan
+            return report
+
+        monkeypatch.setattr(cli, "verify_stability", nan_report)
+        out = tmp_path / "run"
+        code, stdout, err = run(
+            ["cluster", "--in", str(planted_dir / "points.csv"), "--k", "3",
+             "--alg", "dp", "--out", str(out)],
+            capsys,
+        )
+        assert code == EXIT_INTERNAL
+        assert "NaN" not in stdout
+        assert not (out / "report.json").exists()

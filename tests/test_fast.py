@@ -16,10 +16,10 @@ from ipstable.fast import (
     sample_count,
 )
 from ipstable.merge_split import kcenter_init
-from ipstable.metric import rng_from_seed
+from ipstable.metric import MetricSpace, rng_from_seed
 from ipstable.potential import phi_avg, phi_avg_clustering
 
-from conftest import line_space, merge_heavy_instance, perturbed_planted, random_space
+from conftest import line_space, merge_heavy_instance, perturbed_planted, random_matrix_space, random_space
 
 
 def exact_avg(space, C, S):
@@ -48,6 +48,28 @@ class TestCalcCentralPoint:
         )
         sigma = math.sqrt(delta * (1 - delta) / 1000)
         assert failures / 1000 <= delta + 3 * sigma
+
+
+    def test_matches_row_loop_reference(self):
+        # one block read over all candidates: same point, same charge, same draws
+        def by_rows(space, C, delta, rng):
+            t = max(1, math.ceil(math.log2(1.0 / delta)))
+            cand = rng.integers(0, len(C), size=t)
+            avgs = [space.row(int(C[i]), C).mean() for i in cand]
+            return int(C[cand[int(np.argmin(avgs))]])
+
+        spaces = [random_space(90, seed=2, dim=d) for d in (1, 4, 9)] + [random_matrix_space(90, seed=2)]
+        for sp in spaces:
+            for size in (2, 17, 90):
+                C = np.sort(np.random.default_rng(size).choice(90, size=size, replace=False))
+                got_rng, ref_rng = rng_from_seed(size), rng_from_seed(size)
+                q0 = sp.query_counter
+                got = calc_central_point(sp, C, 1.0 / 90**2, got_rng)
+                q1 = sp.query_counter
+                ref = by_rows(sp, C, 1.0 / 90**2, ref_rng)
+                assert got == ref
+                assert q1 - q0 == sp.query_counter - q1
+                assert got_rng.random() == ref_rng.random()
 
 
 class TestCalcAverage:
@@ -364,3 +386,31 @@ class TestFastLs:
         out1, _ = fast_ls(sp1, 5, seed=7)
         out2, _ = fast_ls(sp2, 5, seed=7)
         assert out1 == out2
+
+
+def _as_matrix(space):
+    """The same metric rebuilt as a table; its entries equal the coordinate reads."""
+    return MetricSpace.from_matrix(space.peek_block(np.arange(space.n), np.arange(space.n)), validate=False)
+
+
+class TestBackingIndependence:
+    def test_fast_ls_same_on_table(self):
+        for seed, dim in ((0, 1), (1, 4), (2, 9)):
+            coords = random_space(90, seed=seed, k=5, dim=dim)
+            table = _as_matrix(coords)
+            out_c, trace_c = fast_ls(coords, 5, seed=seed)
+            out_t, trace_t = fast_ls(table, 5, seed=seed)
+            assert out_c == out_t
+            assert trace_c.counts == trace_t.counts
+            assert coords.query_counter == table.query_counter
+
+    def test_epoch_same_on_table(self):
+        coords, _, bad = perturbed_planted(80, 4, 0.01, seed=3, moves=10)
+        table = _as_matrix(coords)
+        res_c = epoch(coords, bad, rng_from_seed(5))
+        res_t = epoch(table, bad, rng_from_seed(5))
+        assert res_c.clustering == res_t.clustering
+        assert res_c.status == res_t.status
+        assert res_c.counts == res_t.counts
+        assert res_c.counts["swap"] >= 1
+        assert coords.query_counter == table.query_counter

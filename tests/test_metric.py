@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from ipstable import metric
 from ipstable.metric import GenSpec, MetricSpace, generate, load_matrix_csv, save_matrix_csv
 from ipstable.stable_opt import beta_clustering
 
@@ -43,6 +44,94 @@ class TestDistance:
     def test_l1_norm(self):
         sp = MetricSpace.from_points(np.array([[0.0, 0.0], [3.0, 4.0]]), norm="l1")
         assert sp.distance(0, 1) == pytest.approx(7.0)
+
+
+def _row_reference(space, i, idx):
+    """Distances from i to idx as one row reduction (the pre-kernel code path)."""
+    diff = space.coords[idx] - space.coords[i]
+    if space.norm == "l2":
+        return np.sqrt((diff * diff).sum(axis=1))
+    return np.abs(diff).sum(axis=1)
+
+
+def _block_reference(space, rows, cols):
+    out = np.empty((len(rows), len(cols)))
+    for r, i in enumerate(rows):
+        out[r] = _row_reference(space, i, np.asarray(cols, dtype=np.intp))
+    return out
+
+
+def _coord_space(n, dim, norm, seed):
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** rng.integers(-3, 4, size=dim)  # mixed magnitudes stress the summation order
+    return MetricSpace.from_points(rng.normal(size=(n, dim)) * scale, norm=norm)
+
+
+class TestBlockKernel:
+    @pytest.mark.parametrize("norm", ["l2", "l1"])
+    @pytest.mark.parametrize("dim", [1, 4, 8, 9, 33])
+    def test_accessors_equal_row_reference(self, norm, dim):
+        sp = _coord_space(70, dim, norm, seed=dim)
+        rng = np.random.default_rng(dim + 100)
+        rows = rng.integers(0, 70, size=23)
+        cols = rng.integers(0, 70, size=41)
+        want = _block_reference(sp, rows, cols)
+        assert np.array_equal(sp.block(rows, cols), want)
+        assert np.array_equal(sp.peek_block(rows, cols), want)
+        assert np.array_equal(sp.full(), _block_reference(sp, range(70), np.arange(70)))
+        assert np.array_equal(sp.row(5, cols), _row_reference(sp, 5, cols))
+        assert np.array_equal(sp.row(5), _row_reference(sp, 5, np.arange(70)))
+        assert all(sp.distance(int(i), int(j)) == want[r, c] for r, i in enumerate(rows) for c, j in enumerate(cols))
+
+    @pytest.mark.parametrize("norm", ["l2", "l1"])
+    def test_empty_and_duplicate_indices(self, norm):
+        sp = _coord_space(30, 4, norm, seed=1)
+        empty = np.array([], dtype=np.intp)
+        some = np.array([3, 3, 0, 29, 3])
+        for rows, cols in ((empty, some), (some, empty), (empty, empty), (some, some)):
+            got = sp.peek_block(rows, cols)
+            assert got.shape == (len(rows), len(cols))
+            assert np.array_equal(got, _block_reference(sp, rows, cols))
+            assert np.array_equal(sp.block(rows, cols), got)
+        assert sp.row(2, empty).shape == (0,)
+
+    @pytest.mark.parametrize("norm", ["l2", "l1"])
+    @pytest.mark.parametrize("chunk", [1, 3 * 7 * 9, 4 * 7 * 9 - 1])
+    def test_rows_not_a_multiple_of_the_chunk(self, monkeypatch, norm, chunk):
+        # 7 columns in 9 dimensions: 1-row or 3-row chunks over 10 rows
+        monkeypatch.setattr(metric, "_BLOCK_CHUNK_ELEMS", chunk)
+        sp = _coord_space(40, 9, norm, seed=chunk)
+        rows = np.arange(10) * 3
+        cols = np.array([1, 5, 5, 8, 13, 21, 34])
+        want = _block_reference(sp, rows, cols)
+        assert np.array_equal(sp.peek_block(rows, cols), want)
+        assert np.array_equal(sp.block(rows, cols), want)
+        assert np.array_equal(sp.full(), _block_reference(sp, range(40), np.arange(40)))
+
+    def test_matrix_blocks_index_the_table(self):
+        sp = random_matrix_space(25, seed=4)
+        table = sp.full()
+        rows, cols = np.array([4, 0, 4, 24]), np.array([7, 7, 1])
+        assert np.array_equal(sp.block(rows, cols), table[np.ix_(rows, cols)])
+        assert np.array_equal(sp.peek_block(rows, cols), table[np.ix_(rows, cols)])
+        assert np.array_equal(sp.row(9, cols), table[9, cols])
+        assert sp.peek_block(np.array([], dtype=np.intp), cols).shape == (0, 3)
+
+    @pytest.mark.parametrize("make", [lambda: _coord_space(20, 9, "l2", 0), lambda: random_matrix_space(20, 0)])
+    def test_query_charges(self, make):
+        sp = make()
+        start = sp.query_counter
+        sp.block(np.arange(6), np.arange(7))
+        assert sp.query_counter == start + 42
+        sp.peek_block(np.arange(6), np.arange(7))
+        assert sp.query_counter == start + 42
+        sp.full()
+        assert sp.query_counter == start + 42 + 400
+        sp.row(3, [1, 1, 2])
+        sp.row(3)
+        assert sp.query_counter == start + 42 + 400 + 3 + 20
+        sp.block([], np.arange(7))
+        assert sp.query_counter == start + 42 + 400 + 3 + 20
 
 
 class TestValidation:

@@ -260,6 +260,41 @@ class TestDpMinBeta:
             )
             assert beta_clustering(sp, got) == pytest.approx(best, rel=1e-12)
 
+    def test_matches_dp_over_every_part_count(self):
+        # reference: the DP that fills all k part counts for every node and
+        # skips the infeasible (None) entries inside the loop
+        def dp_all_counts(sp, tree, k):
+            table = {}
+            for u, node_beta in _bottom_up_betas(sp, tree):
+                row = [None] * k
+                row[0] = (node_beta, 0)
+                if not u.is_leaf:
+                    right, left = table[id(u.right)], table[id(u.left)]
+                    for parts in range(2, k + 1):
+                        best = None
+                        for i in range(1, parts):
+                            r, l = right[i - 1], left[parts - i - 1]
+                            if r is None or l is None:
+                                continue
+                            if best is None or max(r[0], l[0]) < best[0]:
+                                best = (max(r[0], l[0]), i)
+                        row[parts - 1] = best
+                table[id(u)] = row
+            clusters, stack = [], [(tree, k)]
+            while stack:
+                u, parts = stack.pop()
+                if parts == 1:
+                    clusters.append(u.points)
+                    continue
+                i = table[id(u)][parts - 1][1]
+                stack += [(u.right, i), (u.left, parts - i)]
+            return Clustering.from_members(clusters)
+
+        for sp in _tied_and_random_spaces():
+            tree = create_tree(sp, mst(sp))
+            for k in range(1, min(6, sp.n) + 1):
+                assert dp_min_beta(sp, tree, k) == dp_all_counts(sp, tree, k)
+
     def test_matches_brute_force_when_separated(self):
         hits = 0
         for seed in range(60):
@@ -282,11 +317,14 @@ class TestStableCluster:
 
     def test_query_count(self):
         # n^2 for the MST, n(n-1)/2 for the cross blocks of the split tree
+        # less the root's, which beta(root) = 0 never needs
         for sp in (random_space(40, seed=1), random_matrix_space(40, seed=1), line_space([0, 0, 1, 1, 2])):
             n = sp.n
+            root = create_tree(sp, mst(sp))
+            root_block = len(root.left.points) * len(root.right.points)
             before = sp.query_counter
             stable_cluster(sp, 2)
-            assert sp.query_counter - before == n * n + n * (n - 1) // 2
+            assert sp.query_counter - before == n * n + n * (n - 1) // 2 - root_block
 
     def test_recovers_planted(self):
         out = generate(GenSpec("planted_separated", n=30, k=3, separation=0.1, seed=4))
