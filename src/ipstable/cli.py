@@ -116,7 +116,7 @@ def _run_algorithm(space: MetricSpace, args):
         alpha_target = args.alpha if args.alpha is not None else 2.0 * math.log2(n)
         if not alpha_target >= 1:
             raise CliError(f"--alpha must be at least 1, got {alpha_target}")
-        cfg = LsConfig(alpha=alpha_target, max_steps=args.max_steps, seed=seed)
+        cfg = LsConfig(alpha=alpha_target, max_steps=args.max_steps)
         clustering, trace = natural_local_search(space, args.k, cfg)
         counts, status = trace.counts, trace.status
     elif alg == "mergesplit":
@@ -137,7 +137,7 @@ def _run_algorithm(space: MetricSpace, args):
         counts, status = trace.counts, trace.status
     elif alg == "max":
         alpha_target = 1.0
-        cfg = LsConfig(max_steps=args.max_steps, seed=seed)
+        cfg = LsConfig(max_steps=args.max_steps)
         clustering, trace = max_ip_local_search(space, args.k, cfg)
         counts, status = trace.counts, trace.status
     else:
@@ -146,6 +146,8 @@ def _run_algorithm(space: MetricSpace, args):
 
 
 def cmd_cluster(args) -> int:
+    if args.max_steps < 1:
+        raise CliError(f"--max-steps must be at least 1, got {args.max_steps}")
     space = _load_instance(args.instance, args.format, args.norm)
     _check_k(args.k, space.n)
     queries_before = space.query_counter
@@ -182,10 +184,12 @@ def cmd_cluster(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.alpha is not None and not args.alpha >= 0:
+        raise CliError(f"--alpha must be at least 0, got {args.alpha}")
     space = _load_instance(args.instance, args.format, args.norm)
     try:
         clustering = Clustering.from_json(Path(args.clustering).read_text())
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, OverflowError) as exc:
         raise CliError(f"malformed clustering file: {exc}") from exc
     if clustering.n != space.n:
         raise CliError(f"assignment length {clustering.n} does not match instance n={space.n}")

@@ -45,10 +45,10 @@ class Clustering:
             raise ValueError("assignment must be a non-empty 1-D array")
         if k is None:
             k = int(arr.max()) + 1
-        counts = np.bincount(arr, minlength=k)
         if arr.min() < 0 or arr.max() >= k:
             raise ValueError("cluster ids must lie in 0..k-1")
-        if np.any(counts == 0):
+        # k > n leaves a cluster empty; checked first so a huge k allocates nothing
+        if k > arr.size or np.any(np.bincount(arr, minlength=k) == 0):
             raise ValueError("every cluster must be non-empty")
         arr.flags.writeable = False
         self.assignment = arr
@@ -178,7 +178,6 @@ def max_dist(space: MetricSpace, p: int, S) -> float:
 
 def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     """Envy ratio with the conventions 0/0 = 0 and x/0 = +inf for x > 0."""
-    num, den = np.broadcast_arrays(num, den)
     zero_den = den == 0
     return np.where(
         zero_den,
@@ -187,43 +186,146 @@ def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     )
 
 
-def _objective_table(space: MetricSpace, clustering: Clustering, objective: str):
-    """(own_excl, foreign) where own_excl[p] = f(p, C(p)\\{p}) and
-    foreign[p, c] = f(p, C_c) for every cluster c (own column filled too)."""
-    n, k = clustering.n, clustering.k
-    D = space.full()
-    members = clustering.members()
-    sizes = clustering.sizes()
-    own = clustering.assignment
-    foreign = np.empty((n, k))
-    own_excl = np.zeros(n)
+class _ObjectiveTable:
+    """f(p, C) for every point p and cluster C under one objective, kept exact
+    while a search moves points, merges clusters and splits them.
 
-    if objective == "avg":
-        for c in range(k):
-            foreign[:, c] = D[:, members[c]].sum(axis=1) / sizes[c]
-        sums_own = foreign[np.arange(n), own] * sizes[own]
-        multi = sizes[own] > 1
-        own_excl[multi] = sums_own[multi] / (sizes[own] - 1)[multi]
-    elif objective == "max":
-        for c in range(k):
-            foreign[:, c] = D[:, members[c]].max(axis=1)
+    Built from one ``space.full()`` read.  Columns are the clusters in
+    creation order: ``merge`` and ``split`` delete the dead columns and append
+    the new ones, so every tie-break by column index is a tie-break by age.
+    For avg the table holds distance sums (f = sums / size) and a move updates
+    them incrementally; for max and median it holds f itself and a move
+    rebuilds the two columns it touches.  Member arrays keep insertion order
+    (a moved point is appended, a merge concatenates), which is the order the
+    randomized split permutes.
+    """
+
+    def __init__(self, space: MetricSpace, clustering: Clustering, objective: str):
+        if objective not in OBJECTIVES:
+            raise ValueError(f"unknown objective {objective!r}")
+        self.objective = objective
+        self.D = space.full()
+        self.n = clustering.n
+        self.assign = clustering.assignment.copy()
+        self.members = list(clustering.members())
+        self.sizes = clustering.sizes().astype(np.int64)
+        self.table = np.empty((self.n, clustering.k))
+        self._own_median = np.zeros(self.n)  # median(p, C(p)\{p}); median only
+        for c in range(clustering.k):
+            self._fill(c)
+
+    @property
+    def k(self) -> int:
+        return len(self.members)
+
+    def _fill(self, c: int) -> None:
+        """Compute column c from the distance table."""
+        m = self.members[c]
+        block = self.D[:, m]
+        if self.objective == "avg":
+            self.table[:, c] = block.sum(axis=1)
+        elif self.objective == "max":
+            self.table[:, c] = block.max(axis=1)
+        else:
+            kth = (len(m) + 1) // 2 - 1
+            self.table[:, c] = np.partition(block, kth, axis=1)[:, kth]
+            # removing the self-zero shifts the 1-indexed rank up by one
+            kth_own = len(m) // 2
+            self._own_median[m] = np.partition(block[m], kth_own, axis=1)[:, kth_own]
+
+    def move(self, p: int, dst: int) -> None:
+        """Move point p into column dst."""
+        src = self.assign[p]
+        self.assign[p] = dst
+        self.sizes[src] -= 1
+        self.sizes[dst] += 1
+        self.members[src] = self.members[src][self.members[src] != p]
+        self.members[dst] = np.append(self.members[dst], p)
+        if self.objective == "avg":
+            row = self.D[p]
+            self.table[:, src] -= row
+            self.table[:, dst] += row
+        else:
+            self._fill(src)
+            self._fill(dst)
+
+    def _replace(self, dead, parts) -> int:
+        """Delete the ``dead`` columns, whose points are exactly those of
+        ``parts``, and append one unfilled column per part; returns the first."""
+        keep = np.setdiff1d(np.arange(self.k), dead)
+        col_of = np.full(self.k, -1, dtype=np.intp)
+        col_of[keep] = np.arange(len(keep))
+        self.assign = col_of[self.assign]
+        self.members = [self.members[c] for c in keep] + list(parts)
+        self.sizes = np.append(self.sizes[keep], [len(m) for m in parts])
+        self.table = np.concatenate([self.table[:, keep], np.empty((self.n, len(parts)))], axis=1)
+        for c in range(len(keep), self.k):
+            self.assign[self.members[c]] = c
+        return len(keep)
+
+    def merge(self, a: int, b: int) -> None:
+        """Replace columns a and b by one column for their union, appended last."""
+        merged = np.concatenate([self.members[a], self.members[b]])
+        sums = self.table[:, a] + self.table[:, b] if self.objective == "avg" else None
+        c = self._replace((a, b), [merged])
+        if sums is not None:
+            self.table[:, c] = sums
+        else:
+            self._fill(c)
+
+    def split(self, c: int, half_a: np.ndarray, half_b: np.ndarray) -> None:
+        """Replace column c by two columns, ``half_a`` then ``half_b``, appended last."""
+        first = self._replace((c,), [half_a, half_b])
+        self._fill(first)
+        self._fill(first + 1)
+
+    def values(self) -> np.ndarray:
+        """f(p, C_c) for every point and column, own column included (a new array)."""
+        if self.objective == "avg":
+            return self.table / self.sizes
+        return self.table.copy()
+
+    def own_excl(self) -> np.ndarray:
+        """f(p, C(p)\\{p}); 0 where the own cluster is a singleton."""
+        rows = np.arange(self.n)
+        own_sizes = self.sizes[self.assign]
+        multi = own_sizes > 1
+        if self.objective == "avg":
+            out = np.zeros(self.n)
+            out[multi] = self.table[rows[multi], self.assign[multi]] / (own_sizes[multi] - 1)
+            return out
         # the self-distance 0 never determines a max over >= 2 points
-        own_excl = foreign[np.arange(n), own]
-        own_excl = np.where(sizes[own] > 1, own_excl, 0.0)
-    elif objective == "median":
-        for c in range(k):
-            block = D[:, members[c]]
-            m = sizes[c]
-            kth = (m + 1) // 2 - 1
-            foreign[:, c] = np.partition(block, kth, axis=1)[:, kth]
-            mine = members[c]
-            if m > 1:
-                # removing the self-zero shifts the 1-indexed rank up by one
-                kth_own = (m - 1 + 1) // 2 - 1 + 1
-                own_excl[mine] = np.partition(block[mine], kth_own, axis=1)[:, kth_own]
-    else:
-        raise ValueError(f"unknown objective {objective!r}")
-    return own_excl, foreign
+        out = self.table[rows, self.assign] if self.objective == "max" else self._own_median.copy()
+        out[~multi] = 0.0
+        return out
+
+    def most_envious(self) -> tuple[int, int, float]:
+        """(point, column, ratio) of the largest envy ratio over foreign columns.
+
+        Ties go to the smallest point, then the smallest column; points of
+        singleton clusters have ratio 0, as their own_excl is 0.
+        """
+        rows = np.arange(self.n)
+        foreign = self.values()
+        foreign[rows, self.assign] = np.inf
+        best = np.argmin(foreign, axis=1)
+        ratio = _ratio(self.own_excl(), foreign[rows, best])
+        p = int(np.argmax(ratio))
+        return p, int(best[p]), float(ratio[p])
+
+    def phi_of(self, c: int) -> float:
+        """avg only: log2|C| / |C| times the sum of d over ordered pairs of column c."""
+        m = self.members[c]
+        if len(m) <= 1:
+            return 0.0
+        return math.log2(len(m)) / len(m) * float(self.table[m, c].sum())
+
+    def phi(self) -> float:
+        """avg only: the clustering potential, summed over columns in order."""
+        return sum(self.phi_of(c) for c in range(self.k))
+
+    def clustering(self) -> Clustering:
+        return Clustering(self.assign.copy(), self.k)
 
 
 def verify_stability(
@@ -241,8 +343,8 @@ def verify_stability(
         per_point = np.zeros(n)
         return StabilityReport(objective, 0.0, None, per_point, alpha)
 
-    own_excl, foreign = _objective_table(space, clustering, objective)
-    ratios = _ratio(own_excl[:, None], foreign)
+    table = _ObjectiveTable(space, clustering, objective)
+    ratios = _ratio(table.own_excl()[:, None], table.values())
     ratios[np.arange(n), own] = -np.inf  # mask the own column
     singleton = clustering.sizes()[own] == 1
     ratios[singleton, :] = -np.inf  # singleton clusters contribute ratio 0

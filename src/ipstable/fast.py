@@ -326,8 +326,7 @@ class EpochState:
         }
 
     def clustering(self) -> Clustering:
-        remap = {cid: i for i, cid in enumerate(sorted(self.members))}
-        dense = np.array([remap[c] for c in self.assign], dtype=np.intp)
+        _, dense = np.unique(self.assign, return_inverse=True)  # live cids in sorted order
         return Clustering(dense, len(self.members))
 
 
@@ -481,7 +480,7 @@ def fast_ls(space: MetricSpace, k: int, seed: int = 0) -> tuple[Clustering, LsTr
     if not 2 <= k <= n:
         raise ValueError(f"need 2 <= k <= n, got k={k}, n={n}")
     rng = rng_from_seed(seed)
-    current = kcenter_init(space, k, seed)
+    current = kcenter_init(space, k)
     trace = LsTrace(status=CONVERGED)
     counts = {"swap": 0, "recompute": 0, "merge_split": 0, "epoch": 0}
     statuses = []

@@ -18,12 +18,14 @@ from typing import Optional
 
 import numpy as np
 
-from .clustering import Clustering
+from .clustering import Clustering, _ObjectiveTable
 from .metric import MetricSpace
 from .potential import MaxIpSignature, edge_order, signature_from_order
 
 __all__ = ["LsConfig", "LsTrace", "StepRecord", "natural_local_search", "max_ip_local_search"]
 
+# Multiplies the right-hand side of the avg envy comparison so exactly-tied
+# averages do not ping-pong under floating rounding.
 DEFAULT_SLACK = 1.0 + 1e-12
 DEFAULT_MAX_STEPS = 10**6
 
@@ -35,16 +37,12 @@ CAP_EXCEEDED = "cap_exceeded"
 class LsConfig:
     """Knobs shared by the swap-based searches.
 
-    ``alpha=None`` resolves to 2*log2(n) at run time.  ``slack`` multiplies
-    the right-hand side of the envy comparison so exactly-tied averages do
-    not ping-pong under floating rounding.
+    ``alpha=None`` resolves to 2*log2(n) at run time.
     """
 
     alpha: Optional[float] = None
     max_steps: int = DEFAULT_MAX_STEPS
     init: str = "arbitrary_round_robin"
-    seed: int = 0
-    slack: float = DEFAULT_SLACK
     initial: Optional[Clustering] = None
 
     def __post_init__(self):
@@ -84,68 +82,8 @@ def _initial_clustering(space: MetricSpace, k: int, config: LsConfig) -> Cluster
     if config.init == "kcenter":
         from .merge_split import kcenter_init
 
-        return kcenter_init(space, k, config.seed)
+        return kcenter_init(space, k)
     return Clustering(np.arange(space.n) % k, k)
-
-
-class _AvgState:
-    """Exact per-(point, cluster) distance sums, updated incrementally on swaps."""
-
-    def __init__(self, space: MetricSpace, clustering: Clustering):
-        self.D = space.full()
-        self.n, self.k = clustering.n, clustering.k
-        self.assign = clustering.assignment.copy()
-        self.sizes = clustering.sizes().astype(np.int64)
-        ind = np.zeros((self.n, self.k))
-        ind[np.arange(self.n), self.assign] = 1.0
-        self.sums = self.D @ ind  # sums[p, c] = sum of d(p, q) over q in c
-
-    def move(self, p: int, src: int, dst: int) -> None:
-        row = self.D[p]
-        self.sums[:, src] -= row
-        self.sums[:, dst] += row
-        self.sizes[src] -= 1
-        self.sizes[dst] += 1
-        self.assign[p] = dst
-
-    def own_excl(self) -> np.ndarray:
-        """avg(p, C(p)\\{p}); 0 where the own cluster is a singleton."""
-        own_sizes = self.sizes[self.assign]
-        own_sums = self.sums[np.arange(self.n), self.assign]
-        out = np.zeros(self.n)
-        multi = own_sizes > 1
-        out[multi] = own_sums[multi] / (own_sizes[multi] - 1)
-        return out
-
-    def foreign_avg(self) -> np.ndarray:
-        """avg(p, c) for every cluster, own column included."""
-        return self.sums / self.sizes
-
-    def phi(self) -> float:
-        """Clustering potential from the maintained sums (exact)."""
-        total = 0.0
-        for c in range(self.k):
-            m = self.sizes[c]
-            if m > 1:
-                total += math.log2(m) / m * float(self.sums[self.assign == c, c].sum())
-        return total
-
-    def clustering(self) -> Clustering:
-        return Clustering(self.assign.copy(), self.k)
-
-
-def _most_envious(num: np.ndarray, table: np.ndarray, assign: np.ndarray, sizes: np.ndarray):
-    """Max-envy (point, cluster, ratio); ties by smallest point then cluster id."""
-    n = num.shape[0]
-    masked = table.copy()
-    masked[np.arange(n), assign] = np.inf
-    best_c = np.argmin(masked, axis=1)
-    den = masked[np.arange(n), best_c]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(den == 0, np.where(num > 0, np.inf, 0.0), num / np.where(den == 0, 1.0, den))
-    ratio[sizes[assign] == 1] = 0.0
-    p = int(np.argmax(ratio))
-    return p, int(best_c[p]), float(ratio[p])
 
 
 def natural_local_search(space: MetricSpace, k: int, config: LsConfig) -> tuple[Clustering, LsTrace]:
@@ -154,54 +92,23 @@ def natural_local_search(space: MetricSpace, k: int, config: LsConfig) -> tuple[
     if not 2 <= k <= n:
         raise ValueError(f"need 2 <= k <= n, got k={k}, n={n}")
     alpha = config.alpha if config.alpha is not None else 2.0 * math.log2(n)
-    state = _AvgState(space, _initial_clustering(space, k, config))
+    table = _ObjectiveTable(space, _initial_clustering(space, k, config), "avg")
     trace = LsTrace(status=CONVERGED)
+    phi = table.phi()
 
     for _ in range(config.max_steps):
-        p, target, ratio = _most_envious(state.own_excl(), state.foreign_avg(), state.assign, state.sizes)
-        if not ratio > alpha * config.slack:
+        p, target, ratio = table.most_envious()
+        if not ratio > alpha * DEFAULT_SLACK:
             break
-        rec = StepRecord(p, int(state.assign[p]), target, phi_before=state.phi())
-        state.move(p, rec.source, target)
-        rec.phi_after = state.phi()
+        rec = StepRecord(p, int(table.assign[p]), target, phi_before=phi)
+        table.move(p, target)
+        phi = rec.phi_after = table.phi()
         trace.steps.append(rec)
     else:
         trace.status = CAP_EXCEEDED
 
     trace.counts = {"swap": len(trace.steps)}
-    return state.clustering(), trace
-
-
-class _MaxState:
-    """Exact per-(point, cluster) max distances; affected columns rebuilt on swaps."""
-
-    def __init__(self, space: MetricSpace, clustering: Clustering):
-        self.D = space.full()
-        self.n, self.k = clustering.n, clustering.k
-        self.assign = clustering.assignment.copy()
-        self.sizes = clustering.sizes().astype(np.int64)
-        self.maxes = np.empty((self.n, self.k))
-        for c in range(self.k):
-            self._rebuild(c)
-
-    def _rebuild(self, c: int) -> None:
-        self.maxes[:, c] = self.D[:, self.assign == c].max(axis=1)
-
-    def move(self, p: int, src: int, dst: int) -> None:
-        self.assign[p] = dst
-        self.sizes[src] -= 1
-        self.sizes[dst] += 1
-        self._rebuild(src)
-        self._rebuild(dst)
-
-    def own_excl(self) -> np.ndarray:
-        # a self-distance of 0 never determines the max over >= 2 points
-        out = self.maxes[np.arange(self.n), self.assign].copy()
-        out[self.sizes[self.assign] == 1] = 0.0
-        return out
-
-    def clustering(self) -> Clustering:
-        return Clustering(self.assign.copy(), self.k)
+    return table.clustering(), trace
 
 
 def max_ip_local_search(space: MetricSpace, k: int, config: LsConfig) -> tuple[Clustering, LsTrace]:
@@ -209,21 +116,21 @@ def max_ip_local_search(space: MetricSpace, k: int, config: LsConfig) -> tuple[C
     n = space.n
     if not 2 <= k <= n:
         raise ValueError(f"need 2 <= k <= n, got k={k}, n={n}")
-    state = _MaxState(space, _initial_clustering(space, k, config))
+    table = _ObjectiveTable(space, _initial_clustering(space, k, config), "max")
     iu, ju = edge_order(space)
     trace = LsTrace(status=CONVERGED)
 
     for _ in range(config.max_steps):
-        p, target, ratio = _most_envious(state.own_excl(), state.maxes, state.assign, state.sizes)
+        p, target, ratio = table.most_envious()
         if not ratio > 1.0:
             break
-        rec = StepRecord(p, int(state.assign[p]), target)
-        rec.sig_before = signature_from_order(iu, ju, state.assign)
-        state.move(p, rec.source, target)
-        rec.sig_after = signature_from_order(iu, ju, state.assign)
+        rec = StepRecord(p, int(table.assign[p]), target)
+        rec.sig_before = signature_from_order(iu, ju, table.assign)
+        table.move(p, target)
+        rec.sig_after = signature_from_order(iu, ju, table.assign)
         trace.steps.append(rec)
     else:
         trace.status = CAP_EXCEEDED
 
     trace.counts = {"swap": len(trace.steps)}
-    return state.clustering(), trace
+    return table.clustering(), trace

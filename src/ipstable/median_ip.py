@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clustering import Clustering
+from .clustering import Clustering, _ObjectiveTable
 from .local_search import CAP_EXCEEDED, CONVERGED, LsTrace
 from .merge_split import MsStep, SplitResult, kcenter_init
 from .metric import MetricSpace
@@ -36,11 +36,13 @@ class MedianConfig:
     c: float = 2.0
     alpha_base: float = 10.25
     max_steps: int = 10**6
-    seed: int = 0
+    seed: int = 0  # unused: the search and its k-center start are deterministic
 
     def __post_init__(self):
         if self.c <= 1:
             raise ValueError("c must exceed 1")
+        if self.max_steps < 1:
+            raise ValueError("max_steps must be at least 1")
 
     @property
     def sqrt_alpha(self) -> float:
@@ -110,90 +112,38 @@ def median_split(space: MetricSpace, clustering: Clustering) -> SplitResult:
     return SplitResult(cid, members, rest, np.array([detach], dtype=np.intp), phi_star, phi_a, 0.0, 1)
 
 
-class _MedState:
-    """Cached per-cluster median columns, own-exclusion medians, and diameters."""
+def _diameter(D: np.ndarray, members: np.ndarray) -> tuple[float, int, int]:
+    """(d, i, j) of a cluster's farthest pair, ties to the smallest indices;
+    (0, p, p) for a singleton {p}."""
+    m = np.sort(members)
+    if len(m) < 2:
+        return 0.0, int(m[0]), int(m[0])
+    i, j, d = _farthest_pair(D[np.ix_(m, m)], m)
+    return d, i, j
 
-    def __init__(self, space: MetricSpace, clustering: Clustering):
-        self.D = space.full()
-        self.n = clustering.n
-        self.assign = clustering.assignment.copy()
-        self.members: dict[int, np.ndarray] = {}
-        self.med: dict[int, np.ndarray] = {}       # median(p, C) over all p, self included
-        self.own_excl: dict[int, np.ndarray] = {}  # members only: median(p, C\{p})
-        self.diam: dict[int, tuple] = {}           # (d, i, j) farthest pair
-        self.next_cid = clustering.k
-        for cid, m in enumerate(clustering.members()):
-            self.members[cid] = np.sort(m)
-            self._rebuild(cid)
 
-    def _rebuild(self, cid: int) -> None:
-        m = self.members[cid]
-        size = len(m)
-        block_all = self.D[:, m]
-        kth = (size + 1) // 2 - 1
-        self.med[cid] = np.partition(block_all, kth, axis=1)[:, kth]
-        own = np.zeros(self.n)
-        if size > 1:
-            # the self-distance 0 ranks first, shifting the target rank by one
-            idx = size // 2
-            own[m] = np.partition(block_all[m], idx, axis=1)[:, idx]
-            i, j, d = _farthest_pair(self.D[np.ix_(m, m)], m)
-            self.diam[cid] = (d, i, j)
-        else:
-            self.diam[cid] = (0.0, int(m[0]), int(m[0]))
-        self.own_excl[cid] = own
+def _refresh_diameters(diam: list, dead, table: _ObjectiveTable) -> None:
+    """Follow a merge or split: drop the dead columns' diameters and add
+    those of the columns the table appended."""
+    for c in sorted(dead, reverse=True):
+        del diam[c]
+    diam.extend(_diameter(table.D, m) for m in table.members[len(diam):])
 
-    def cids(self) -> list[int]:
-        return sorted(self.members)
 
-    def swap(self, p: int, src: int, dst: int) -> None:
-        self.members[src] = self.members[src][self.members[src] != p]
-        self.members[dst] = np.sort(np.append(self.members[dst], p))
-        self.assign[p] = dst
-        self._rebuild(src)
-        self._rebuild(dst)
+def _split_sharpest(table: _ObjectiveTable, diam: list) -> None:
+    """Apply the deterministic one-point split to the widest cluster."""
+    best = max((c for c, m in enumerate(table.members) if len(m) > 1), key=lambda c: (diam[c][0], -c))
+    _, i, j = diam[best]
+    m = np.sort(table.members[best])
+    med_i = _median_of_row(table.D[i, m[m != i]])
+    med_j = _median_of_row(table.D[j, m[m != j]])
+    detach = i if med_i >= med_j else j
+    table.split(best, m[m != detach], np.array([detach], dtype=np.intp))
+    _refresh_diameters(diam, (best,), table)
 
-    def merge(self, a: int, b: int) -> int:
-        cid = self.next_cid
-        self.next_cid += 1
-        self.members[cid] = np.sort(np.concatenate([self.members[a], self.members[b]]))
-        self.assign[self.members[cid]] = cid
-        for old in (a, b):
-            for d in (self.members, self.med, self.own_excl, self.diam):
-                d.pop(old, None)
-        self._rebuild(cid)
-        return cid
 
-    def split_sharpest(self) -> None:
-        """Apply the deterministic one-point split to the widest cluster."""
-        best = max(
-            (c for c in self.members if len(self.members[c]) > 1),
-            key=lambda c: (self.diam[c][0], -c),
-        )
-        _, i, j = self.diam[best]
-        m = self.members[best]
-        med_i = _median_of_row(self.D[i, m[m != i]])
-        med_j = _median_of_row(self.D[j, m[m != j]])
-        detach = i if med_i >= med_j else j
-        rest = m[m != detach]
-        ca, cb = self.next_cid, self.next_cid + 1
-        self.next_cid += 2
-        for d in (self.members, self.med, self.own_excl, self.diam):
-            d.pop(best, None)
-        self.members[ca] = rest
-        self.members[cb] = np.array([detach], dtype=np.intp)
-        self.assign[rest] = ca
-        self.assign[detach] = cb
-        self._rebuild(ca)
-        self._rebuild(cb)
-
-    def surrogate_phi(self) -> float:
-        return sum(math.sqrt(self.diam[c][0]) for c in self.members if len(self.members[c]) > 1)
-
-    def clustering(self) -> Clustering:
-        remap = {cid: i for i, cid in enumerate(self.cids())}
-        dense = np.array([remap[c] for c in self.assign], dtype=np.intp)
-        return Clustering(dense, len(self.members))
+def _surrogate_phi(diam: list) -> float:
+    return sum(math.sqrt(d) for d, _, _ in diam)
 
 
 def median_ip_cluster(
@@ -211,52 +161,40 @@ def median_ip_cluster(
         raise ValueError(f"need 2 <= k <= n, got k={k}, n={n}")
     if initial is not None and (initial.n != n or initial.k != k):
         raise ValueError("initial clustering does not match the space or k")
-    state = _MedState(space, initial if initial is not None else kcenter_init(space, k, config.seed))
+    table = _ObjectiveTable(space, initial if initial is not None else kcenter_init(space, k), "median")
+    diam = [_diameter(table.D, m) for m in table.members]
     tau = config.median_alpha  # violation threshold in (un-rooted) median space
     factor = merge_bound_factor(n)
     trace = LsTrace(status=CONVERGED)
     n_swap = n_ms = 0
+    phi = _surrogate_phi(diam)
 
     for _ in range(config.max_steps):
-        cids = state.cids()
-        med_mat = np.stack([state.med[c] for c in cids], axis=1)
-        col_of = {c: i for i, c in enumerate(cids)}
-        assign_cols = np.array([col_of[c] for c in state.assign], dtype=np.intp)
-        own = np.zeros(n)
-        for c in cids:
-            mm = state.members[c]
-            own[mm] = state.own_excl[c][mm]
-        masked = med_mat.copy()
-        masked[np.arange(n), assign_cols] = np.inf
-        best_col = np.argmin(masked, axis=1)
-        foreign = masked[np.arange(n), best_col]
-        sizes = np.array([len(state.members[c]) for c in cids])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.where(foreign == 0, np.where(own > 0, np.inf, 0.0), own / np.where(foreign == 0, 1.0, foreign))
-        ratio[sizes[assign_cols] == 1] = 0.0
-        p = int(np.argmax(ratio))
-        if not ratio[p] > tau:
+        p, dst, ratio = table.most_envious()
+        if not ratio > tau:
             break
-        src, dst = cids[assign_cols[p]], cids[best_col[p]]
-        phi_before = state.surrogate_phi()
-
-        d_max = max(state.diam[c][0] for c in cids if len(state.members[c]) > 1)
-        gain = math.sqrt(d_max / 2.0) * SQRT_MEDIAN_SCALE
-        med_src = _median_of_row(state.D[p, state.members[src]])
-        med_dst = _median_of_row(state.D[p, state.members[dst]])
+        src = int(table.assign[p])
+        gain = math.sqrt(max(d for d, _, _ in diam) / 2.0) * SQRT_MEDIAN_SCALE
+        med_src = _median_of_row(table.D[p, table.members[src]])
+        med_dst = _median_of_row(table.D[p, table.members[dst]])
         cost = factor * (math.sqrt(med_src) + math.sqrt(med_dst))
         if cost < gain / 2.0:
-            state.merge(src, dst)
-            state.split_sharpest()
-            rec = MsStep("merge_split", p, src, dst, phi_before, state.surrogate_phi(), gain / 2.0)
+            table.merge(src, dst)
+            _refresh_diameters(diam, (src, dst), table)
+            _split_sharpest(table, diam)
+            kind = "merge_split"
             n_ms += 1
         else:
-            state.swap(p, src, dst)
-            rec = MsStep("swap", p, src, dst, phi_before, state.surrogate_phi(), gain / 2.0)
+            table.move(p, dst)
+            diam[src] = _diameter(table.D, table.members[src])
+            diam[dst] = _diameter(table.D, table.members[dst])
+            kind = "swap"
             n_swap += 1
+        rec = MsStep(kind, p, src, dst, phi, _surrogate_phi(diam), gain / 2.0)
+        phi = rec.phi_after
         trace.steps.append(rec)
     else:
         trace.status = CAP_EXCEEDED
 
     trace.counts = {"swap": n_swap, "merge_split": n_ms}
-    return state.clustering(), trace
+    return table.clustering(), trace

@@ -17,8 +17,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .clustering import Clustering
-from .local_search import CAP_EXCEEDED, CONVERGED, DEFAULT_SLACK, LsTrace, _most_envious
+from .clustering import Clustering, _ObjectiveTable
+from .local_search import CAP_EXCEEDED, CONVERGED, DEFAULT_SLACK, LsTrace
 from .metric import MetricSpace, rng_from_seed
 
 __all__ = ["SplitResult", "MsStep", "kcenter_init", "split", "merge_split_ls"]
@@ -57,8 +57,8 @@ class MsStep:
     split_size: int = 0
 
 
-def kcenter_init(space: MetricSpace, k: int, seed: int = 0) -> Clustering:
-    """Gonzalez greedy 2-approximation; deterministic (seed is unused).
+def kcenter_init(space: MetricSpace, k: int) -> Clustering:
+    """Gonzalez greedy 2-approximation; deterministic.
 
     The first center is point 0; each next center is the point farthest from
     the chosen ones (ties to the smallest index); points go to their nearest
@@ -80,73 +80,6 @@ def kcenter_init(space: MetricSpace, k: int, seed: int = 0) -> Clustering:
     for j, c in enumerate(centers):
         assignment[c] = j  # duplicates must not leave a center's cluster empty
     return Clustering(assignment, k)
-
-
-class _MsState:
-    """Cluster membership plus exact per-(point, cluster) distance sums."""
-
-    def __init__(self, space: MetricSpace, clustering: Clustering):
-        self.D = space.full()
-        self.n = clustering.n
-        self.members: dict[int, np.ndarray] = {}
-        self.sums: dict[int, np.ndarray] = {}
-        self.assign = clustering.assignment.copy()
-        for cid, m in enumerate(clustering.members()):
-            self.members[cid] = m.copy()
-            self.sums[cid] = self.D[:, m].sum(axis=1)
-        self.next_cid = clustering.k
-
-    @property
-    def k(self) -> int:
-        return len(self.members)
-
-    def cids(self) -> list[int]:
-        return sorted(self.members)
-
-    def phi_of(self, cid: int) -> float:
-        m = len(self.members[cid])
-        if m <= 1:
-            return 0.0
-        return math.log2(m) / m * float(self.sums[cid][self.members[cid]].sum())
-
-    def phi(self) -> float:
-        return sum(self.phi_of(c) for c in self.members)
-
-    def pair_sum(self, idx: np.ndarray) -> float:
-        return float(self.D[np.ix_(idx, idx)].sum())
-
-    def swap(self, p: int, src: int, dst: int) -> None:
-        row = self.D[p]
-        self.sums[src] = self.sums[src] - row
-        self.sums[dst] = self.sums[dst] + row
-        self.members[src] = self.members[src][self.members[src] != p]
-        self.members[dst] = np.append(self.members[dst], p)
-        self.assign[p] = dst
-
-    def merge(self, a: int, b: int) -> int:
-        cid = self.next_cid
-        self.next_cid += 1
-        self.members[cid] = np.concatenate([self.members[a], self.members[b]])
-        self.sums[cid] = self.sums[a] + self.sums[b]
-        self.assign[self.members[cid]] = cid
-        for old in (a, b):
-            del self.members[old], self.sums[old]
-        return cid
-
-    def replace_with_halves(self, cid: int, half_a: np.ndarray, half_b: np.ndarray) -> tuple[int, int]:
-        ca, cb = self.next_cid, self.next_cid + 1
-        self.next_cid += 2
-        for new_cid, half in ((ca, half_a), (cb, half_b)):
-            self.members[new_cid] = half.copy()
-            self.sums[new_cid] = self.D[:, half].sum(axis=1)
-            self.assign[half] = new_cid
-        del self.members[cid], self.sums[cid]
-        return ca, cb
-
-    def clustering(self) -> Clustering:
-        remap = {cid: i for i, cid in enumerate(self.cids())}
-        dense = np.array([remap[c] for c in self.assign], dtype=np.intp)
-        return Clustering(dense, self.k)
 
 
 def _split_core(
@@ -200,7 +133,6 @@ def merge_split_ls(
     k: int,
     seed: int = 0,
     max_rounds: int = 10**6,
-    on_step: Optional[Callable] = None,
     initial: Optional[Clustering] = None,
 ) -> tuple[Clustering, LsTrace]:
     """Merge-and-split local search; returns a 4*log2(n)-stable clustering for avg.
@@ -212,49 +144,38 @@ def merge_split_ls(
         raise ValueError(f"need 2 <= k <= n, got k={k}, n={n}")
     if initial is not None and (initial.n != n or initial.k != k):
         raise ValueError("initial clustering does not match the space or k")
+    if max_rounds < 1:
+        raise ValueError("max_rounds must be at least 1")
     rng = rng_from_seed(seed)
     alpha = 4.0 * math.log2(n)
-    state = _MsState(space, initial if initial is not None else kcenter_init(space, k, seed))
+    table = _ObjectiveTable(space, initial if initial is not None else kcenter_init(space, k), "avg")
     trace = LsTrace(status=CONVERGED)
     n_swap = n_ms = 0
+    phi = table.phi()
 
     for _ in range(max_rounds):
-        cids = state.cids()
-        sums_mat = np.stack([state.sums[c] for c in cids], axis=1)
-        sizes = np.array([len(state.members[c]) for c in cids], dtype=np.int64)
-        col_of = {c: i for i, c in enumerate(cids)}
-        assign_cols = np.array([col_of[c] for c in state.assign], dtype=np.intp)
-        own_sums = sums_mat[np.arange(n), assign_cols]
-        own_sizes = sizes[assign_cols]
-        own_excl = np.zeros(n)
-        multi = own_sizes > 1
-        own_excl[multi] = own_sums[multi] / (own_sizes[multi] - 1)
-        p, target_col, ratio = _most_envious(own_excl, sums_mat / sizes, assign_cols, sizes)
+        p, dst, ratio = table.most_envious()
         if not ratio > alpha * DEFAULT_SLACK:
             break
 
-        phi_before = state.phi()
-        threshold = phi_before / (4.0 * k * math.log2(n)) / (5.0 * n * math.log2(n))
-        src_cid, dst_cid = cids[assign_cols[p]], cids[target_col]
-        if own_excl[p] >= threshold:
-            state.swap(p, src_cid, dst_cid)
-            rec = MsStep("swap", p, src_cid, dst_cid, phi_before, state.phi(), threshold)
+        threshold = phi / (4.0 * k * math.log2(n)) / (5.0 * n * math.log2(n))
+        src = int(table.assign[p])
+        if table.own_excl()[p] >= threshold:
+            table.move(p, dst)
+            kind, split_size = "swap", 0
             n_swap += 1
         else:
-            state.merge(src_cid, dst_cid)
-            candidates = [(c, state.members[c], state.phi_of(c)) for c in state.cids()]
-            result = _split_core(n, candidates, state.pair_sum, rng, None)
-            state.replace_with_halves(result.cluster_id, result.half_a, result.half_b)
-            rec = MsStep(
-                "merge_split", p, src_cid, dst_cid, phi_before, state.phi(), threshold,
-                split_size=len(result.cluster),
-            )
+            table.merge(src, dst)
+            candidates = [(c, m, table.phi_of(c)) for c, m in enumerate(table.members)]
+            result = _split_core(n, candidates, lambda idx: float(table.D[np.ix_(idx, idx)].sum()), rng, None)
+            table.split(result.cluster_id, result.half_a, result.half_b)
+            kind, split_size = "merge_split", len(result.cluster)
             n_ms += 1
+        rec = MsStep(kind, p, src, dst, phi, table.phi(), threshold, split_size)
+        phi = rec.phi_after
         trace.steps.append(rec)
-        if on_step is not None:
-            on_step(state, rec)
     else:
         trace.status = CAP_EXCEEDED
 
     trace.counts = {"swap": n_swap, "merge_split": n_ms}
-    return state.clustering(), trace
+    return table.clustering(), trace

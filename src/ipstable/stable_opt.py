@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .clustering import Clustering
+from .clustering import Clustering, _ratio as _envy_ratio
 from .metric import MetricSpace
 
 __all__ = [
@@ -35,7 +35,8 @@ BRUTE_FORCE_LIMIT = 10
 
 
 def _ratio(diam: float, sep: float) -> float:
-    """diam / sep with 0/0 -> 0 and x/0 -> inf."""
+    """diam / sep with 0/0 -> 0 and x/0 -> inf; the scalar form of
+    ``clustering._ratio``, free of numpy call overhead on the per-node path."""
     if sep == 0.0:
         return 0.0 if diam == 0.0 else math.inf
     return diam / sep
@@ -285,8 +286,6 @@ def brute_force_min_beta(space: MetricSpace, k: int) -> tuple[Clustering, float]
         cross = in_left ^ in_right
         diam = np.where(same, dpair, 0.0).max(axis=1)
         sep = np.where(cross, dpair, np.inf).min(axis=1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            bc = np.where(sep == 0, np.where(diam == 0, 0.0, np.inf), diam / np.where(sep == 0, 1.0, sep))
-        worst = np.maximum(worst, bc)
+        worst = np.maximum(worst, _envy_ratio(diam, sep))
     best = int(np.argmin(worst))
     return Clustering(parts[best], k), float(worst[best])

@@ -114,12 +114,12 @@ def test_criterion_02_natural_local_search():
         k = int(rng.choice([2, 5, 20]))
         k = min(k, n)
         sp = _mixed_spaces(1, n, seed0=5000 + i, min_n=n)[0]
-        runs.append((sp, k, LsConfig(seed=i)))
+        runs.append((sp, k, LsConfig()))
     for i in range(60):
         k = int(rng.choice([2, 5, 20]))
         n = int(rng.integers(max(4 * k, 12), 501))
         sp, _, bad = perturbed_planted(n, k, separation=10.0 ** -float(rng.integers(2, 6)), seed=i, moves=int(rng.integers(1, 6)))
-        runs.append((sp, k, LsConfig(init="given", initial=bad, seed=i)))
+        runs.append((sp, k, LsConfig(init="given", initial=bad)))
     for sp, k, cfg in runs:
         out, trace = natural_local_search(sp, k, cfg)
         assert trace.status == CONVERGED
@@ -183,7 +183,7 @@ def test_criterion_03_merge_split():
 def _fast_with_epoch_audit(space, k, seed):
     """Algorithm 4's loop with an exact potential audit around every epoch."""
     rng = rng_from_seed(seed)
-    current = kcenter_init(space, k, seed)
+    current = kcenter_init(space, k)
     epochs = 0
     while True:
         epochs += 1
@@ -330,9 +330,9 @@ def test_criterion_08_max_ip():
         if init == "given":
             a = np.random.default_rng(i).integers(0, k, size=n)
             a[:k] = np.arange(k)
-            cfg = LsConfig(init="given", initial=Clustering(a, k), seed=i)
+            cfg = LsConfig(init="given", initial=Clustering(a, k))
         else:
-            cfg = LsConfig(seed=i)
+            cfg = LsConfig()
         out, trace = max_ip_local_search(sp, k, cfg)
         for step in trace.steps:
             assert step.sig_after < step.sig_before

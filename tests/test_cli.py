@@ -1,7 +1,10 @@
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 from ipstable import cli
 from ipstable.cli import EXIT_CAP, EXIT_INTERNAL, EXIT_OK, EXIT_UNSTABLE, EXIT_USAGE, main
@@ -171,6 +174,21 @@ class TestCluster:
         assert "non-finite" in err
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("alg", cli.ALGORITHMS)
+    @pytest.mark.parametrize("steps", ["0", "-3"])
+    def test_step_cap_below_one_rejected(self, alg, steps, tmp_path, capsys):
+        inst = tmp_path / "line.csv"
+        inst.write_text("x0\n0\n1\n2\n10\n11\n12\n30\n")
+        out = tmp_path / "run"
+        code, _, err = run(
+            ["cluster", "--in", str(inst), "--format", "points", "--k", "3", "--alg", alg,
+             "--seed", "1", "--max-steps", steps, "--out", str(out)],
+            capsys,
+        )
+        assert code == EXIT_USAGE
+        assert "--max-steps" in err
+        assert not out.exists()
+
     def test_natural_alpha_below_one_rejected(self, planted_dir, tmp_path, capsys):
         code, _, err = run(
             ["cluster", "--in", str(planted_dir / "points.csv"), "--k", "3",
@@ -245,6 +263,18 @@ class TestVerify:
         )
         assert code == EXIT_USAGE
         assert "integers" in err
+
+    @pytest.mark.parametrize("alpha", ["nan", "-inf", "-1"])
+    def test_bad_alpha_rejected(self, alpha, planted_dir, tmp_path, capsys):
+        cl = tmp_path / "cl.json"
+        cl.write_text(json.dumps({"k": 3, "assignment": [0, 1, 2] * 10}))
+        code, _, err = run(
+            ["verify", "--in", str(planted_dir / "points.csv"), "--clustering", str(cl),
+             f"--alpha={alpha}"],
+            capsys,
+        )
+        assert code == EXIT_USAGE
+        assert "--alpha" in err
 
 
 class TestBench:
@@ -358,3 +388,64 @@ class TestStrictJson:
         assert code == EXIT_INTERNAL
         assert "NaN" not in stdout
         assert not (out / "report.json").exists()
+
+
+def _csv(rows):
+    return "\n".join(",".join(row) for row in rows) + "\n"
+
+
+@st.composite
+def malformed_inputs(draw):
+    """(files, argv) for one malformed points, matrix or clustering input."""
+    n = draw(st.integers(2, 7))
+    xs = draw(st.lists(st.integers(0, 9), min_size=n, max_size=n))
+    points = [["x0", "x1"]] + [[str(x), str((3 * x) % 7)] for x in xs]
+    table = [[str(abs(a - b)) for b in xs] for a in xs]
+    alg = draw(st.sampled_from(cli.ALGORITHMS))
+    kind = draw(st.sampled_from(["points", "matrix", "clustering"]))
+    defect = draw(st.sampled_from(["nan", "bad value", "ragged", "k"]))
+    bad_k = draw(st.sampled_from([-1, 0, 1, n + 1, n + 5, 10**23]))
+    if kind == "clustering":
+        assignment = [i % 2 for i in range(n)]
+        k = 2
+        if defect == "nan":
+            assignment[draw(st.integers(0, n - 1))] = math.nan
+        elif defect == "bad value":
+            assignment[draw(st.integers(0, n - 1))] = draw(st.sampled_from([0.5, -1, 2, 10**23]))
+        elif defect == "ragged":
+            assignment = assignment[:-1] if draw(st.booleans()) else [assignment[:1], assignment[1:]]
+        else:
+            k = bad_k
+        files = {"instance": _csv(points), "clustering": json.dumps({"k": k, "assignment": assignment})}
+        return files, ["verify", "--in", "{instance}", "--format", "points", "--clustering", "{clustering}"]
+    rows = points if kind == "points" else table
+    k = 2
+    r = draw(st.integers(1 if kind == "points" else 0, len(rows) - 1))
+    c = draw(st.integers(0, len(rows[r]) - 1))
+    if defect == "nan":
+        rows[r][c] = draw(st.sampled_from(["nan", "inf", "-inf"]))
+        if kind == "matrix":
+            rows[c][r] = rows[r][c]
+    elif defect == "bad value":
+        rows[r][c] = draw(st.sampled_from(["0.5.1", "1/2", "x"]))
+    elif defect == "ragged":
+        rows[r] = rows[r][:-1] if draw(st.booleans()) else rows[r] + ["1"]
+    else:
+        k = bad_k
+    argv = ["cluster", "--in", "{instance}", "--format", kind, "--k", str(k), "--alg", alg, "--seed", "0"]
+    return {"instance": _csv(rows)}, argv
+
+
+class TestMalformedInputRoundTrip:
+    @given(malformed_inputs())
+    def test_exit_code_is_usage_error(self, case):
+        files, argv = case
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = {}
+            for name, text in files.items():
+                paths[name] = str(Path(tmp) / name)
+                Path(paths[name]).write_text(text)
+            argv = [arg.format(**paths) for arg in argv]
+            if argv[0] == "cluster":
+                argv += ["--out", str(Path(tmp) / "run")]
+            assert main(argv) == EXIT_USAGE

@@ -7,6 +7,8 @@ from hypothesis import given, strategies as st
 
 from ipstable.clustering import (
     Clustering,
+    _ObjectiveTable,
+    _ratio,
     avg_dist,
     max_dist,
     median_dist,
@@ -14,7 +16,7 @@ from ipstable.clustering import (
 )
 from ipstable.metric import MetricSpace
 
-from conftest import line_space, random_space
+from conftest import line_space, random_matrix_space, random_space
 
 
 class TestClusteringType:
@@ -26,6 +28,12 @@ class TestClusteringType:
     def test_rejects_non_integral_ids(self, ids):
         with pytest.raises(ValueError, match="integers"):
             Clustering(ids)
+
+    @pytest.mark.parametrize("k", [3, 10**12, 10**23])
+    def test_rejects_k_above_n(self, k):
+        # k > n leaves a cluster empty; a huge k must not size any array
+        with pytest.raises(ValueError, match="non-empty"):
+            Clustering([0, 1], k)
 
     def test_accepts_integral_floats(self):
         assert Clustering([0.0, 1.0, 0.0], 2) == Clustering([0, 1, 0], 2)
@@ -217,3 +225,145 @@ class TestAveragingFacts:
             p = int(rng.integers(0, 60))
             cross = D[np.ix_(S1, S2)].mean()
             assert cross <= (D[p, S1].mean() + D[p, S2].mean()) * (1 + 1e-9) + 1e-15
+
+
+def _table_spaces():
+    """A tied integer line (many equal distances, coincident points), random
+    coordinates and a shortest-path table."""
+    tied = MetricSpace.from_points(np.random.default_rng(3).integers(0, 5, size=(24, 1)).astype(float))
+    return [tied, random_space(30, seed=4), random_matrix_space(26, seed=5)]
+
+
+def _assert_matches_fresh(space, table):
+    fresh = _ObjectiveTable(space, table.clustering(), table.objective)
+    assert np.array_equal(table.assign, fresh.assign)
+    assert np.array_equal(table.sizes, fresh.sizes)
+    assert [sorted(m.tolist()) for m in table.members] == [m.tolist() for m in fresh.members]
+    if table.objective == "avg":
+        np.testing.assert_allclose(table.table, fresh.table, rtol=1e-9, atol=1e-9)
+        np.testing.assert_allclose(table.own_excl(), fresh.own_excl(), rtol=1e-9, atol=1e-9)
+    else:
+        assert np.array_equal(table.table, fresh.table)
+        assert np.array_equal(table.own_excl(), fresh.own_excl())
+    ratio = table.most_envious()[2]
+    alpha = verify_stability(space, fresh.clustering(), table.objective).alpha_achieved
+    assert ratio == pytest.approx(alpha, rel=1e-9) or ratio == alpha
+
+
+class TestObjectiveTable:
+    @pytest.mark.parametrize("objective", ["avg", "max", "median"])
+    def test_operations_match_fresh_table(self, objective):
+        for seed, space in enumerate(_table_spaces()):
+            rng = np.random.default_rng(seed)
+            n = space.n
+            table = _ObjectiveTable(space, Clustering(np.arange(n) % 4, 4), objective)
+            for _ in range(60):
+                op = rng.choice(["move", "move", "merge", "split"])
+                k = table.k
+                if op == "merge" and k > 2:
+                    a, b = rng.choice(k, size=2, replace=False)
+                    union = sorted(table.members[a].tolist() + table.members[b].tolist())
+                    table.merge(int(a), int(b))
+                    assert sorted(table.members[-1].tolist()) == union
+                elif op == "split" and k < 8 and table.sizes.max() > 1:
+                    c = int(rng.choice(np.flatnonzero(table.sizes > 1)))
+                    perm = rng.permutation(table.members[c])
+                    cut = int(rng.integers(1, len(perm)))
+                    table.split(c, perm[:cut], perm[cut:])
+                    assert table.members[-2].tolist() == perm[:cut].tolist()
+                    assert table.members[-1].tolist() == perm[cut:].tolist()
+                else:
+                    p = int(rng.choice(np.flatnonzero(table.sizes[table.assign] > 1)))
+                    dst = int(rng.choice([c for c in range(k) if c != table.assign[p]]))
+                    table.move(p, dst)
+                    assert table.assign[p] == dst and table.members[dst][-1] == p
+                _assert_matches_fresh(space, table)
+
+    def test_surviving_columns_keep_their_order(self):
+        space = line_space(range(10))
+        table = _ObjectiveTable(space, Clustering(np.arange(10) % 5, 5), "avg")
+        table.merge(3, 1)
+        assert [m.tolist() for m in table.members] == [[0, 5], [2, 7], [4, 9], [3, 8, 1, 6]]
+        table.split(0, np.array([5]), np.array([0]))
+        assert [m.tolist() for m in table.members] == [[2, 7], [4, 9], [3, 8, 1, 6], [5], [0]]
+        assert table.clustering() == Clustering([4, 2, 0, 2, 1, 3, 2, 0, 2, 1], 5)
+
+    def test_most_envious_ties(self):
+        # points 0..3 on a line, clusters {0, 3} and {1, 2}: points 0 and 3
+        # are equally envious, point 0 wins
+        table = _ObjectiveTable(line_space([0, 1, 2, 3]), Clustering([0, 1, 1, 0], 2), "avg")
+        assert table.most_envious() == (0, 1, 2.0)
+
+    def test_unknown_objective(self):
+        with pytest.raises(ValueError, match="unknown objective"):
+            verify_stability(line_space([0, 1]), Clustering([0, 1], 2), "mean")
+
+
+def _reference_objective_table(space, clustering, objective):
+    """The verifier's table before the searches and the verifier shared one:
+    (own_excl, foreign) with foreign[p, c] = f(p, C_c)."""
+    n, k = clustering.n, clustering.k
+    D = space.full()
+    members = clustering.members()
+    sizes = clustering.sizes()
+    own = clustering.assignment
+    foreign = np.empty((n, k))
+    own_excl = np.zeros(n)
+    if objective == "avg":
+        for c in range(k):
+            foreign[:, c] = D[:, members[c]].sum(axis=1) / sizes[c]
+        sums_own = foreign[np.arange(n), own] * sizes[own]
+        multi = sizes[own] > 1
+        own_excl[multi] = sums_own[multi] / (sizes[own] - 1)[multi]
+    elif objective == "max":
+        for c in range(k):
+            foreign[:, c] = D[:, members[c]].max(axis=1)
+        own_excl = foreign[np.arange(n), own]
+        own_excl = np.where(sizes[own] > 1, own_excl, 0.0)
+    else:
+        for c in range(k):
+            block = D[:, members[c]]
+            m = sizes[c]
+            kth = (m + 1) // 2 - 1
+            foreign[:, c] = np.partition(block, kth, axis=1)[:, kth]
+            mine = members[c]
+            if m > 1:
+                kth_own = (m - 1 + 1) // 2 - 1 + 1
+                own_excl[mine] = np.partition(block[mine], kth_own, axis=1)[:, kth_own]
+    return own_excl, foreign
+
+
+def _reference_verify(space, clustering, objective):
+    n, own = clustering.n, clustering.assignment
+    own_excl, foreign = _reference_objective_table(space, clustering, objective)
+    ratios = _ratio(own_excl[:, None], foreign)
+    ratios[np.arange(n), own] = -np.inf
+    ratios[clustering.sizes()[own] == 1, :] = -np.inf
+    best_c = np.argmax(ratios, axis=1)
+    per_point = ratios[np.arange(n), best_c]
+    masked = np.isneginf(per_point)
+    per_point = np.where(masked, 0.0, per_point)
+    worst_p = int(np.argmax(per_point))
+    witness = None if masked[worst_p] else (worst_p, int(best_c[worst_p]))
+    return float(per_point[worst_p]), witness, per_point
+
+
+class TestVerifyAgainstReferenceTable:
+    @pytest.mark.parametrize("objective", ["avg", "median", "max"])
+    def test_same_witness_and_ratios(self, objective):
+        dup = MetricSpace.from_matrix(np.array([[0.0, 0.0, 5.0, 5.0], [0.0, 0.0, 5.0, 5.0],
+                                                [5.0, 5.0, 0.0, 2.0], [5.0, 5.0, 2.0, 0.0]]))
+        for space in _table_spaces() + [dup]:
+            rng = np.random.default_rng(space.n)
+            for k in (2, 3, space.n // 2, space.n):
+                for _ in range(3):
+                    assign = rng.integers(0, k, size=space.n)
+                    assign[rng.permutation(space.n)[:k]] = np.arange(k)
+                    cl = Clustering(assign, k)
+                    rep = verify_stability(space, cl, objective)
+                    alpha, witness, per_point = _reference_verify(space, cl, objective)
+                    assert rep.witness == witness
+                    assert rep.alpha_achieved == alpha or rep.alpha_achieved == pytest.approx(alpha, rel=1e-12)
+                    finite = np.isfinite(per_point)
+                    assert np.array_equal(np.isfinite(rep.per_point), finite)
+                    np.testing.assert_allclose(rep.per_point[finite], per_point[finite], rtol=1e-12, atol=0)

@@ -17,11 +17,11 @@ from ipstable import (
 from ipstable.metric import MetricSpace
 
 ALGS = [
-    ("natural", lambda sp, k: natural_local_search(sp, k, LsConfig(seed=1))[0]),
+    ("natural", lambda sp, k: natural_local_search(sp, k, LsConfig())[0]),
     ("mergesplit", lambda sp, k: merge_split_ls(sp, k, seed=1)[0]),
     ("fast", lambda sp, k: fast_ls(sp, k, seed=1)[0]),
     ("median", lambda sp, k: median_ip_cluster(sp, k)[0]),
-    ("max", lambda sp, k: max_ip_local_search(sp, k, LsConfig(seed=1))[0]),
+    ("max", lambda sp, k: max_ip_local_search(sp, k, LsConfig())[0]),
     ("dp", lambda sp, k: stable_cluster(sp, k)),
 ]
 

@@ -52,7 +52,7 @@ class TestNaturalLocalSearch:
         saw_steps = False
         for seed in range(8):
             sp = random_matrix_space(40, seed=seed)
-            out, trace = natural_local_search(sp, 5, LsConfig(init="kcenter", seed=seed))
+            out, trace = natural_local_search(sp, 5, LsConfig(init="kcenter"))
             assert trace.status == CONVERGED
             for step in trace.steps:
                 assert step.phi_after < step.phi_before

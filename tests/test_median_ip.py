@@ -29,6 +29,10 @@ class TestMedianConfig:
         with pytest.raises(ValueError):
             MedianConfig(c=1.0)
 
+    def test_step_cap_below_one_rejected(self):
+        with pytest.raises(ValueError, match="max_steps"):
+            MedianConfig(max_steps=0)
+
 
 class TestMedianSplit:
     def test_detaches_far_endpoint(self):

@@ -128,16 +128,9 @@ class TestMergeSplitLs:
                 else:
                     assert drop >= rec.phi_before / (8 * k * math.log2(sp.n)) * (1 - 1e-9)
 
-    def test_caches_exact(self):
-        sp = random_matrix_space(35, seed=7)
-        D = sp.peek_block(np.arange(35), np.arange(35))
-
-        def check(state, rec):
-            for cid, m in state.members.items():
-                exact = D[:, m].sum(axis=1)
-                np.testing.assert_allclose(state.sums[cid], exact, rtol=1e-9, atol=1e-9)
-
-        merge_split_ls(sp, 4, seed=7, on_step=check)
+    def test_round_cap_below_one_rejected(self):
+        with pytest.raises(ValueError, match="max_rounds"):
+            merge_split_ls(random_matrix_space(10, seed=0), 2, max_rounds=0)
 
     def test_round_cap_returns_cap_exceeded(self):
         from conftest import perturbed_planted
