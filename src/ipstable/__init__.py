@@ -2,7 +2,7 @@
 
 from .clustering import Clustering, StabilityReport, avg_dist, max_dist, median_dist, verify_stability
 from .fast import calc_average, calc_central_point, calc_potential, epoch, fast_ls, fast_split
-from .local_search import LsConfig, LsTrace, max_ip_local_search, natural_local_search
+from .local_search import LsConfig, LsTrace, Step, max_ip_local_search, natural_local_search
 from .median_ip import MedianConfig, median_ip_cluster, median_merge_bound, median_split
 from .merge_split import SplitResult, kcenter_init, merge_split_ls, split
 from .metric import GenSpec, Generated, MetricSpace, generate
@@ -35,6 +35,7 @@ __all__ = [
     "max_ip_signature",
     "LsConfig",
     "LsTrace",
+    "Step",
     "natural_local_search",
     "max_ip_local_search",
     "SplitResult",

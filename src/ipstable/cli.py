@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 import time
 import traceback
@@ -48,6 +49,21 @@ class CliError(Exception):
         self.code = code
 
 
+def _emit(text: str, code: int) -> int:
+    """Write text and a newline to stdout, then return code, also when the
+    reader has closed stdout early (``ipstable verify ... | head -c 1``)."""
+    try:
+        sys.stdout.write(text + "\n")
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Nobody reads the rest.  Point stdout at devnull so the flush at
+        # exit does not fail a second time.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+    return code
+
+
 def _load_instance(path: str, fmt: str, norm: str) -> MetricSpace:
     p = Path(path)
     if not p.exists():
@@ -85,8 +101,7 @@ def cmd_gen(args) -> int:
     if result.planted is not None:
         (out / "planted.json").write_text(result.planted.to_json())
         written.append(str(out / "planted.json"))
-    print("\n".join(written))
-    return EXIT_OK
+    return _emit("\n".join(written), EXIT_OK)
 
 
 _OBJECTIVE_OF_ALG = {
@@ -179,8 +194,7 @@ def cmd_cluster(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     (out / "clustering.json").write_text(clustering.to_json())
     (out / "report.json").write_text(report_text)
-    print(report_text)
-    return EXIT_CAP if status == CAP_EXCEEDED else EXIT_OK
+    return _emit(report_text, EXIT_CAP if status == CAP_EXCEEDED else EXIT_OK)
 
 
 def cmd_verify(args) -> int:
@@ -194,10 +208,7 @@ def cmd_verify(args) -> int:
     if clustering.n != space.n:
         raise CliError(f"assignment length {clustering.n} does not match instance n={space.n}")
     report = verify_stability(space, clustering, args.objective, args.alpha)
-    print(report.to_json())
-    if args.alpha is not None and not report.passed:
-        return EXIT_UNSTABLE
-    return EXIT_OK
+    return _emit(report.to_json(), EXIT_UNSTABLE if args.alpha is not None and not report.passed else EXIT_OK)
 
 
 def cmd_bench(args) -> int:
@@ -224,12 +235,11 @@ def cmd_bench(args) -> int:
                     queries = space.query_counter - before
                     steps = sum(v for v in counts.values() if isinstance(v, int))
                     rows.append(f"{n},{k},{alg},{seed},{queries},{steps},{elapsed:.6f}")
-    text = "\n".join(rows) + "\n"
+    text = "\n".join(rows)
     if args.out:
-        Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
-    return EXIT_OK
+        Path(args.out).write_text(text + "\n")
+        return EXIT_OK
+    return _emit(text, EXIT_OK)
 
 
 def build_parser() -> argparse.ArgumentParser:

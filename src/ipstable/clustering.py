@@ -75,11 +75,15 @@ class Clustering:
 
     @classmethod
     def from_members(cls, member_lists) -> "Clustering":
-        n = sum(len(m) for m in member_lists)
-        assignment = np.empty(n, dtype=np.intp)
-        for cid, m in enumerate(member_lists):
-            assignment[np.asarray(m, dtype=np.intp)] = cid
-        return cls(assignment, len(member_lists))
+        """Cluster c holds the indices in ``member_lists[c]``; together the
+        lists must hold each of 0..n-1 exactly once."""
+        sizes = [len(m) for m in member_lists]
+        flat = np.concatenate([np.asarray(m, dtype=np.intp) for m in member_lists])
+        if not np.array_equal(np.sort(flat), np.arange(flat.size)):
+            raise ValueError("member lists must partition 0..n-1 (an index repeats, is missing or is out of range)")
+        assignment = np.empty(flat.size, dtype=np.intp)
+        assignment[flat] = np.repeat(np.arange(len(sizes)), sizes)
+        return cls(assignment, len(sizes))
 
     @classmethod
     def singletons(cls, n: int) -> "Clustering":
@@ -148,6 +152,15 @@ def strict_json(obj, **kwargs) -> str:
     emitted file carries the non-standard ``Infinity`` / ``NaN`` tokens.
     """
     return json.dumps(_encode_inf(obj), allow_nan=False, **kwargs)
+
+
+def check_start(n: int, k: int, initial: Clustering | None = None) -> None:
+    """Reject a cluster count outside 2..n, and a given start clustering that
+    is not a k-clustering of the n points."""
+    if not 2 <= k <= n:
+        raise ValueError(f"need 2 <= k <= n, got k={k}, n={n}")
+    if initial is not None and (initial.n != n or initial.k != k):
+        raise ValueError("initial clustering does not match the space or k")
 
 
 def _check_nonempty(S):

@@ -28,9 +28,9 @@ from typing import Optional
 
 import numpy as np
 
-from .clustering import Clustering
+from .clustering import Clustering, check_start
 from .local_search import CONVERGED, LsTrace
-from .merge_split import SplitResult, default_split_attempts, kcenter_init
+from .merge_split import SplitResult, _split_core, kcenter_init
 from .metric import MetricSpace, rng_from_seed
 
 __all__ = [
@@ -143,16 +143,10 @@ def calc_potential(space: MetricSpace, members, eps: float, rng: np.random.Gener
     Singleton clusters contribute exactly 0 (their log factor vanishes), so
     they are skipped rather than sampled.
     """
-    total = 0.0
-    for m in members:
-        m = np.asarray(m, dtype=np.intp)
-        if len(m) > 1:
-            est = calc_average(space, m, m, eps, rng)
-            total += math.log2(len(m)) * float(est.sum())
-    return total
+    return sum((_estimated_phi(space, m, eps, rng) for m in members), 0.0)
 
 
-def _estimated_phi(space: MetricSpace, m: np.ndarray, eps: float, rng: np.random.Generator) -> float:
+def _estimated_phi(space: MetricSpace, m, eps: float, rng: np.random.Generator) -> float:
     if len(m) <= 1:
         return 0.0
     return math.log2(len(m)) * float(calc_average(space, m, m, eps, rng).sum())
@@ -169,23 +163,10 @@ def _fast_split_core(
     guarantees a true decrease of at least phi(C*)/(6*log2(n))."""
     n = space.n
     eps = fast_split_eps(n)
-    splittable = [(cid, m) for cid, m in candidates if len(m) > 1]
-    if not splittable:
-        raise ValueError("no cluster with more than one point to split")
-    phis = [(_estimated_phi(space, m, eps, rng), -cid, cid, m) for cid, m in splittable]
-    phi_star, _, cid, members = max(phis)
-    target = phi_star * (1.0 - 1.0 / (5.0 * math.log2(max(n, 2))))
-    cap = max_attempts if max_attempts is not None else default_split_attempts(n)
-    size = len(members)
-    half = (size + 1) // 2
-    for attempt in range(1, cap + 1):
-        perm = rng.permutation(size)
-        ha, hb = members[perm[:half]], members[perm[half:]]
-        phi_a = _estimated_phi(space, ha, eps, rng)
-        phi_b = _estimated_phi(space, hb, eps, rng)
-        if phi_a + phi_b <= target:
-            return SplitResult(cid, members, ha, hb, phi_star, phi_a, phi_b, attempt)
-    raise RuntimeError(f"fast split found no acceptable partition in {cap} attempts")
+    # a singleton's estimate is 0 and draws nothing from rng
+    phis = [(cid, m, _estimated_phi(space, m, eps, rng)) for cid, m in candidates]
+    accept = 1.0 / (5.0 * math.log2(max(n, 2)))
+    return _split_core(n, phis, lambda idx: _estimated_phi(space, idx, eps, rng), accept, rng, max_attempts)
 
 
 def fast_split(
@@ -477,8 +458,7 @@ def _merge_and_split(space: MetricSpace, st: EpochState, cid: int, other: int, r
 def fast_ls(space: MetricSpace, k: int, seed: int = 0) -> tuple[Clustering, LsTrace]:
     """Chain epochs from a k-center start until the potential stops dropping."""
     n = space.n
-    if not 2 <= k <= n:
-        raise ValueError(f"need 2 <= k <= n, got k={k}, n={n}")
+    check_start(n, k)
     rng = rng_from_seed(seed)
     current = kcenter_init(space, k)
     trace = LsTrace(status=CONVERGED)

@@ -8,21 +8,24 @@ alpha >= 2*log2(n), which certifies termination.
 ``max_ip_local_search`` runs the same loop for the max objective with alpha
 fixed at 1; each move strictly decreases the lexicographic edge signature,
 so states never repeat even though no polynomial step bound is known.
+
+``search`` is that loop, shared with the merge-and-split searches of
+``merge_split`` and ``median_ip``, which differ only in the step they take.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
-from .clustering import Clustering, _ObjectiveTable
+from .clustering import Clustering, _ObjectiveTable, check_start
 from .metric import MetricSpace
 from .potential import MaxIpSignature, edge_order, signature_from_order
 
-__all__ = ["LsConfig", "LsTrace", "StepRecord", "natural_local_search", "max_ip_local_search"]
+__all__ = ["LsConfig", "LsTrace", "Step", "natural_local_search", "max_ip_local_search"]
 
 # Multiplies the right-hand side of the avg envy comparison so exactly-tied
 # averages do not ping-pong under floating rounding.
@@ -50,19 +53,29 @@ class LsConfig:
             raise ValueError("alpha must be at least 1")
         if self.max_steps < 1:
             raise ValueError("max_steps must be at least 1")
-        if self.init not in ("arbitrary_round_robin", "kcenter", "given"):
+        if self.init not in ("arbitrary_round_robin", "given"):
             raise ValueError(f"unknown init {self.init!r}")
         if self.init == "given" and self.initial is None:
             raise ValueError("init='given' requires an initial clustering")
 
 
 @dataclass
-class StepRecord:
+class Step:
+    """One exact-search step: ``point`` is the most envious point, ``source``
+    its cluster and ``target`` the cluster it envies most.  ``kind`` is "swap"
+    or "merge_split".  A search leaves the fields it does not record at their
+    defaults: ``phi_*`` for max, ``threshold`` for natural and max,
+    ``split_size`` for all but mergesplit, ``sig_*`` for all but max.
+    """
+
+    kind: str
     point: int
     source: int
     target: int
     phi_before: float = math.nan
     phi_after: float = math.nan
+    threshold: float = math.nan
+    split_size: int = 0
     sig_before: Optional[MaxIpSignature] = None
     sig_after: Optional[MaxIpSignature] = None
 
@@ -74,63 +87,63 @@ class LsTrace:
     counts: dict = field(default_factory=dict)
 
 
-def _initial_clustering(space: MetricSpace, k: int, config: LsConfig) -> Clustering:
-    if config.init == "given":
-        if config.initial.n != space.n:
-            raise ValueError("given clustering does not match the space")
-        return config.initial
-    if config.init == "kcenter":
-        from .merge_split import kcenter_init
+def search(
+    table: _ObjectiveTable,
+    limit: float,
+    max_steps: int,
+    step: Callable[[int, int, int, float], Step],
+    phi: Optional[Callable[[], float]] = None,
+    kinds: tuple = ("swap",),
+) -> tuple[Clustering, LsTrace]:
+    """The exact search loop: while the most envious point's ratio exceeds
+    ``limit``, call ``step(point, source, target, phi_before)`` and record it.
 
-        return kcenter_init(space, k)
-    return Clustering(np.arange(space.n) % k, k)
+    ``phi`` is evaluated once per state; ``counts`` holds one entry per kind.
+    """
+    trace = LsTrace(status=CONVERGED, counts=dict.fromkeys(kinds, 0))
+    phi_now = phi() if phi is not None else math.nan
+    for _ in range(max_steps):
+        p, dst, ratio = table.most_envious()
+        if not ratio > limit:
+            break
+        rec = step(p, int(table.assign[p]), dst, phi_now)
+        rec.phi_before = phi_now
+        if phi is not None:
+            phi_now = rec.phi_after = phi()
+        trace.counts[rec.kind] += 1
+        trace.steps.append(rec)
+    else:
+        trace.status = CAP_EXCEEDED
+    return table.clustering(), trace
+
+
+def _table(space: MetricSpace, k: int, config: LsConfig, objective: str) -> _ObjectiveTable:
+    initial = config.initial if config.init == "given" else None
+    check_start(space.n, k, initial)
+    start = initial if initial is not None else Clustering(np.arange(space.n) % k, k)
+    return _ObjectiveTable(space, start, objective)
 
 
 def natural_local_search(space: MetricSpace, k: int, config: LsConfig) -> tuple[Clustering, LsTrace]:
     """Move envious points until the clustering is alpha-stable for avg."""
-    n = space.n
-    if not 2 <= k <= n:
-        raise ValueError(f"need 2 <= k <= n, got k={k}, n={n}")
-    alpha = config.alpha if config.alpha is not None else 2.0 * math.log2(n)
-    table = _ObjectiveTable(space, _initial_clustering(space, k, config), "avg")
-    trace = LsTrace(status=CONVERGED)
-    phi = table.phi()
+    table = _table(space, k, config, "avg")
+    alpha = config.alpha if config.alpha is not None else 2.0 * math.log2(space.n)
 
-    for _ in range(config.max_steps):
-        p, target, ratio = table.most_envious()
-        if not ratio > alpha * DEFAULT_SLACK:
-            break
-        rec = StepRecord(p, int(table.assign[p]), target, phi_before=phi)
-        table.move(p, target)
-        phi = rec.phi_after = table.phi()
-        trace.steps.append(rec)
-    else:
-        trace.status = CAP_EXCEEDED
+    def swap(p, src, dst, phi):
+        table.move(p, dst)
+        return Step("swap", p, src, dst)
 
-    trace.counts = {"swap": len(trace.steps)}
-    return table.clustering(), trace
+    return search(table, alpha * DEFAULT_SLACK, config.max_steps, swap, table.phi)
 
 
 def max_ip_local_search(space: MetricSpace, k: int, config: LsConfig) -> tuple[Clustering, LsTrace]:
     """Local search for the max objective at alpha = 1; records signatures."""
-    n = space.n
-    if not 2 <= k <= n:
-        raise ValueError(f"need 2 <= k <= n, got k={k}, n={n}")
-    table = _ObjectiveTable(space, _initial_clustering(space, k, config), "max")
+    table = _table(space, k, config, "max")
     iu, ju = edge_order(space)
-    trace = LsTrace(status=CONVERGED)
 
-    for _ in range(config.max_steps):
-        p, target, ratio = table.most_envious()
-        if not ratio > 1.0:
-            break
-        rec = StepRecord(p, int(table.assign[p]), target)
-        rec.sig_before = signature_from_order(iu, ju, table.assign)
-        table.move(p, target)
-        rec.sig_after = signature_from_order(iu, ju, table.assign)
-        trace.steps.append(rec)
-    else:
-        trace.status = CAP_EXCEEDED
+    def swap(p, src, dst, phi):
+        before = signature_from_order(iu, ju, table.assign)
+        table.move(p, dst)
+        return Step("swap", p, src, dst, sig_before=before, sig_after=signature_from_order(iu, ju, table.assign))
 
-    trace.counts = {"swap": len(trace.steps)}
-    return table.clustering(), trace
+    return search(table, 1.0, config.max_steps, swap)

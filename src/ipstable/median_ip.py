@@ -14,12 +14,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from .clustering import Clustering, _ObjectiveTable
-from .local_search import CAP_EXCEEDED, CONVERGED, LsTrace
-from .merge_split import MsStep, SplitResult, kcenter_init
+from .clustering import Clustering, _ObjectiveTable, check_start
+from .local_search import LsTrace, Step, search
+from .merge_split import SplitResult, kcenter_init
 from .metric import MetricSpace
 from .potential import SQRT_MEDIAN_SCALE
 
@@ -63,6 +64,11 @@ def _median_of_row(vals: np.ndarray) -> float:
     return float(np.partition(vals, kth)[kth])
 
 
+def _merge_cost(n: int, med_a: float, med_b: float) -> float:
+    """The merge bound from p's median distances to the two clusters."""
+    return merge_bound_factor(n) * (math.sqrt(med_a) + math.sqrt(med_b))
+
+
 def median_merge_bound(space: MetricSpace, C, C_other, p: int) -> float:
     """Computable upper bound on the sqrt-median potential increase of
     merging two disjoint clusters."""
@@ -70,9 +76,7 @@ def median_merge_bound(space: MetricSpace, C, C_other, p: int) -> float:
     C_other = np.asarray(C_other, dtype=np.intp)
     if len(C) == 0 or len(C_other) == 0:
         raise ValueError("clusters must be non-empty")
-    med_a = _median_of_row(space.row(p, C))
-    med_b = _median_of_row(space.row(p, C_other))
-    return merge_bound_factor(space.n) * (math.sqrt(med_a) + math.sqrt(med_b))
+    return _merge_cost(space.n, _median_of_row(space.row(p, C)), _median_of_row(space.row(p, C_other)))
 
 
 def _farthest_pair(block: np.ndarray, members: np.ndarray) -> tuple[int, int, float]:
@@ -82,6 +86,14 @@ def _farthest_pair(block: np.ndarray, members: np.ndarray) -> tuple[int, int, fl
     if i > j:
         i, j = j, i
     return int(members[i]), int(members[j]), float(block[i, j])
+
+
+def _detach(row: Callable[[int, np.ndarray], np.ndarray], members: np.ndarray, i: int, j: int) -> int:
+    """Of the farthest pair i < j, the endpoint with the larger median distance
+    to the rest of the cluster (ties to i); ``row(p, idx)`` reads distances."""
+    med_i = _median_of_row(row(i, members[members != i]))
+    med_j = _median_of_row(row(j, members[members != j]))
+    return i if med_i >= med_j else j
 
 
 def median_split(space: MetricSpace, clustering: Clustering) -> SplitResult:
@@ -102,9 +114,7 @@ def median_split(space: MetricSpace, clustering: Clustering) -> SplitResult:
     if best is None:
         raise ValueError("no cluster with more than one point to split")
     d, cid, members, i, j = best
-    med_i = _median_of_row(space.row(i, members[members != i]))
-    med_j = _median_of_row(space.row(j, members[members != j]))
-    detach = i if med_i >= med_j else j  # i < j, so ties go to the smaller index
+    detach = _detach(space.row, members, i, j)
     rest = members[members != detach]
     phi_star = math.sqrt(d)
     rest_block = space.block(rest, rest)
@@ -135,15 +145,9 @@ def _split_sharpest(table: _ObjectiveTable, diam: list) -> None:
     best = max((c for c, m in enumerate(table.members) if len(m) > 1), key=lambda c: (diam[c][0], -c))
     _, i, j = diam[best]
     m = np.sort(table.members[best])
-    med_i = _median_of_row(table.D[i, m[m != i]])
-    med_j = _median_of_row(table.D[j, m[m != j]])
-    detach = i if med_i >= med_j else j
+    detach = _detach(lambda q, idx: table.D[q, idx], m, i, j)
     table.split(best, m[m != detach], np.array([detach], dtype=np.intp))
     _refresh_diameters(diam, (best,), table)
-
-
-def _surrogate_phi(diam: list) -> float:
-    return sum(math.sqrt(d) for d, _, _ in diam)
 
 
 def median_ip_cluster(
@@ -157,44 +161,27 @@ def median_ip_cluster(
     Starts from the greedy k-center clustering unless ``initial`` overrides it.
     """
     n = space.n
-    if not 2 <= k <= n:
-        raise ValueError(f"need 2 <= k <= n, got k={k}, n={n}")
-    if initial is not None and (initial.n != n or initial.k != k):
-        raise ValueError("initial clustering does not match the space or k")
+    check_start(n, k, initial)
     table = _ObjectiveTable(space, initial if initial is not None else kcenter_init(space, k), "median")
     diam = [_diameter(table.D, m) for m in table.members]
-    tau = config.median_alpha  # violation threshold in (un-rooted) median space
-    factor = merge_bound_factor(n)
-    trace = LsTrace(status=CONVERGED)
-    n_swap = n_ms = 0
-    phi = _surrogate_phi(diam)
 
-    for _ in range(config.max_steps):
-        p, dst, ratio = table.most_envious()
-        if not ratio > tau:
-            break
-        src = int(table.assign[p])
+    def step(p, src, dst, phi):
         gain = math.sqrt(max(d for d, _, _ in diam) / 2.0) * SQRT_MEDIAN_SCALE
-        med_src = _median_of_row(table.D[p, table.members[src]])
-        med_dst = _median_of_row(table.D[p, table.members[dst]])
-        cost = factor * (math.sqrt(med_src) + math.sqrt(med_dst))
-        if cost < gain / 2.0:
+        # the table's medians count p's own zero, as median_merge_bound's reads do
+        if _merge_cost(n, table.table[p, src], table.table[p, dst]) < gain / 2.0:
             table.merge(src, dst)
             _refresh_diameters(diam, (src, dst), table)
             _split_sharpest(table, diam)
             kind = "merge_split"
-            n_ms += 1
         else:
             table.move(p, dst)
             diam[src] = _diameter(table.D, table.members[src])
             diam[dst] = _diameter(table.D, table.members[dst])
             kind = "swap"
-            n_swap += 1
-        rec = MsStep(kind, p, src, dst, phi, _surrogate_phi(diam), gain / 2.0)
-        phi = rec.phi_after
-        trace.steps.append(rec)
-    else:
-        trace.status = CAP_EXCEEDED
+        return Step(kind, p, src, dst, threshold=gain / 2.0)
 
-    trace.counts = {"swap": n_swap, "merge_split": n_ms}
-    return table.clustering(), trace
+    def surrogate_phi():
+        return sum(math.sqrt(d) for d, _, _ in diam)
+
+    # the violation threshold is in (un-rooted) median space
+    return search(table, config.median_alpha, config.max_steps, step, surrogate_phi, ("swap", "merge_split"))

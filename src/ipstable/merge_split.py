@@ -17,11 +17,12 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .clustering import Clustering, _ObjectiveTable
-from .local_search import CAP_EXCEEDED, CONVERGED, DEFAULT_SLACK, LsTrace
+from .clustering import Clustering, _ObjectiveTable, check_start
+from .local_search import DEFAULT_SLACK, LsTrace, Step, search
 from .metric import MetricSpace, rng_from_seed
+from .potential import phi_avg
 
-__all__ = ["SplitResult", "MsStep", "kcenter_init", "split", "merge_split_ls"]
+__all__ = ["SplitResult", "kcenter_init", "split", "merge_split_ls"]
 
 
 def split_accept_factor(n: int) -> float:
@@ -43,18 +44,6 @@ class SplitResult:
     phi_a: float
     phi_b: float
     attempts: int
-
-
-@dataclass
-class MsStep:
-    kind: str  # "swap" or "merge_split"
-    point: int
-    source: int
-    target: int
-    phi_before: float
-    phi_after: float
-    threshold: float
-    split_size: int = 0
 
 
 def kcenter_init(space: MetricSpace, k: int) -> Clustering:
@@ -85,25 +74,27 @@ def kcenter_init(space: MetricSpace, k: int) -> Clustering:
 def _split_core(
     n: int,
     candidates: list[tuple[int, np.ndarray, float]],
-    pair_sum: Callable[[np.ndarray], float],
+    phi: Callable[[np.ndarray], float],
+    accept: float,
     rng: np.random.Generator,
     max_attempts: Optional[int],
 ) -> SplitResult:
-    """Pick the max-potential splittable cluster and resample random halves
-    until the two halves shed a 1/(4*log2(n)) fraction of its potential."""
-    splittable = [(cid, m, phi) for cid, m, phi in candidates if len(m) > 1]
+    """Pick the max-potential splittable cluster (ties to the smallest id) and
+    resample random halves, scored by ``phi``, until the two halves shed an
+    ``accept`` fraction of its potential."""
+    splittable = [(cid, m, phi_c) for cid, m, phi_c in candidates if len(m) > 1]
     if not splittable:
         raise ValueError("no cluster with more than one point to split")
     cid, members, phi_star = max(splittable, key=lambda t: (t[2], -t[0]))
-    target = phi_star * (1.0 - split_accept_factor(n))
+    target = phi_star * (1.0 - accept)
     cap = max_attempts if max_attempts is not None else default_split_attempts(n)
     m = len(members)
     half = (m + 1) // 2
     for attempt in range(1, cap + 1):
         perm = rng.permutation(m)
         ha, hb = members[perm[:half]], members[perm[half:]]
-        phi_a = math.log2(len(ha)) / len(ha) * pair_sum(ha) if len(ha) > 1 else 0.0
-        phi_b = math.log2(len(hb)) / len(hb) * pair_sum(hb) if len(hb) > 1 else 0.0
+        phi_a = phi(ha)
+        phi_b = phi(hb)
         if phi_a + phi_b <= target:
             return SplitResult(cid, members, ha, hb, phi_star, phi_a, phi_b, attempt)
     raise RuntimeError(
@@ -119,13 +110,9 @@ def split(
     max_attempts: Optional[int] = None,
 ) -> SplitResult:
     """Randomized split of the highest-potential cluster (exact potentials)."""
-    candidates = []
-    for cid, m in enumerate(clustering.members()):
-        phi = 0.0
-        if len(m) > 1:
-            phi = math.log2(len(m)) / len(m) * float(space.block(m, m).sum())
-        candidates.append((cid, m, phi))
-    return _split_core(space.n, candidates, lambda idx: float(space.block(idx, idx).sum()), rng, max_attempts)
+    candidates = [(cid, m, phi_avg(space, m)) for cid, m in enumerate(clustering.members())]
+    n = space.n
+    return _split_core(n, candidates, lambda idx: phi_avg(space, idx), split_accept_factor(n), rng, max_attempts)
 
 
 def merge_split_ls(
@@ -140,42 +127,24 @@ def merge_split_ls(
     Starts from the greedy k-center clustering unless ``initial`` overrides it.
     """
     n = space.n
-    if not 2 <= k <= n:
-        raise ValueError(f"need 2 <= k <= n, got k={k}, n={n}")
-    if initial is not None and (initial.n != n or initial.k != k):
-        raise ValueError("initial clustering does not match the space or k")
+    check_start(n, k, initial)
     if max_rounds < 1:
         raise ValueError("max_rounds must be at least 1")
     rng = rng_from_seed(seed)
-    alpha = 4.0 * math.log2(n)
     table = _ObjectiveTable(space, initial if initial is not None else kcenter_init(space, k), "avg")
-    trace = LsTrace(status=CONVERGED)
-    n_swap = n_ms = 0
-    phi = table.phi()
 
-    for _ in range(max_rounds):
-        p, dst, ratio = table.most_envious()
-        if not ratio > alpha * DEFAULT_SLACK:
-            break
+    def pair_phi(idx: np.ndarray) -> float:
+        return math.log2(len(idx)) / len(idx) * float(table.D[np.ix_(idx, idx)].sum())
 
+    def step(p, src, dst, phi):
         threshold = phi / (4.0 * k * math.log2(n)) / (5.0 * n * math.log2(n))
-        src = int(table.assign[p])
         if table.own_excl()[p] >= threshold:
             table.move(p, dst)
-            kind, split_size = "swap", 0
-            n_swap += 1
-        else:
-            table.merge(src, dst)
-            candidates = [(c, m, table.phi_of(c)) for c, m in enumerate(table.members)]
-            result = _split_core(n, candidates, lambda idx: float(table.D[np.ix_(idx, idx)].sum()), rng, None)
-            table.split(result.cluster_id, result.half_a, result.half_b)
-            kind, split_size = "merge_split", len(result.cluster)
-            n_ms += 1
-        rec = MsStep(kind, p, src, dst, phi, table.phi(), threshold, split_size)
-        phi = rec.phi_after
-        trace.steps.append(rec)
-    else:
-        trace.status = CAP_EXCEEDED
+            return Step("swap", p, src, dst, threshold=threshold)
+        table.merge(src, dst)
+        candidates = [(c, m, table.phi_of(c)) for c, m in enumerate(table.members)]
+        result = _split_core(n, candidates, pair_phi, split_accept_factor(n), rng, None)
+        table.split(result.cluster_id, result.half_a, result.half_b)
+        return Step("merge_split", p, src, dst, threshold=threshold, split_size=len(result.cluster))
 
-    trace.counts = {"swap": n_swap, "merge_split": n_ms}
-    return table.clustering(), trace
+    return search(table, 4.0 * math.log2(n) * DEFAULT_SLACK, max_rounds, step, table.phi, ("swap", "merge_split"))

@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .clustering import Clustering, _ratio as _envy_ratio
+from .clustering import Clustering, _ratio as _envy_ratio, check_start
 from .metric import MetricSpace
 
 __all__ = [
@@ -234,8 +234,7 @@ def stable_cluster(space: MetricSpace, k: int) -> Clustering:
     """MST -> split tree -> DP.  If any clustering with beta < 1 exists, the
     output's beta matches the best achievable, hence the output is that
     beta-stable for avg."""
-    if not 2 <= k <= space.n:
-        raise ValueError(f"need 2 <= k <= n, got k={k}, n={space.n}")
+    check_start(space.n, k)
     return dp_min_beta(space, create_tree(space, mst(space)), k)
 
 

@@ -1,5 +1,8 @@
+import errno
 import json
 import math
+import os
+import sys
 import tempfile
 from pathlib import Path
 
@@ -326,6 +329,49 @@ class TestExitCodes:
         text = capsys.readouterr().out
         for code in (EXIT_OK, EXIT_UNSTABLE, EXIT_USAGE, EXIT_CAP, EXIT_INTERNAL):
             assert f"  {code}  " in text
+
+
+class _ReaderGone:
+    """A stdout whose reader has gone: every write raises BrokenPipeError."""
+
+    def __init__(self, fd):
+        self.fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+    def flush(self):
+        pass
+
+    def fileno(self):
+        return self.fd
+
+
+class TestClosedStdout:
+    """A reader that closes stdout early (``| head -c 1``) changes no exit code."""
+
+    @pytest.mark.parametrize("argv, expected", [
+        (["verify", "--in", "{d}/line.csv", "--clustering", "{d}/stable.json", "--alpha", "1"], EXIT_OK),
+        (["verify", "--in", "{d}/line.csv", "--clustering", "{d}/envious.json", "--alpha", "1.5"], EXIT_UNSTABLE),
+        (["cluster", "--in", "{d}/line.csv", "--k", "2", "--alg", "natural", "--alpha", "1",
+          "--max-steps", "1", "--out", "{d}/run"], EXIT_CAP),
+    ])
+    def test_same_exit_code_and_no_traceback(self, argv, expected, tmp_path, capsys, monkeypatch):
+        (tmp_path / "line.csv").write_text("x0\n0\n1\n10\n11\n")
+        (tmp_path / "stable.json").write_text(Clustering([0, 0, 1, 1], 2).to_json())
+        (tmp_path / "envious.json").write_text(Clustering([0, 1, 0, 1], 2).to_json())
+        fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+        try:
+            monkeypatch.setattr(sys, "stdout", _ReaderGone(fd))
+            code = main([arg.format(d=tmp_path) for arg in argv])
+            monkeypatch.undo()
+            # later writes, such as the flush at exit, go to devnull
+            assert os.path.samestat(os.fstat(fd), os.stat(os.devnull))
+        finally:
+            os.close(fd)
+        assert code == expected
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and "internal error" not in err
 
 
 def _strict_loads(text):

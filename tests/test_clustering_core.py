@@ -35,6 +35,15 @@ class TestClusteringType:
         with pytest.raises(ValueError, match="non-empty"):
             Clustering([0, 1], k)
 
+    def test_from_members(self):
+        assert Clustering.from_members([[1, 3], [0, 2]]) == Clustering([1, 0, 1, 0], 2)
+
+    @pytest.mark.parametrize("lists", [[[0, 0], [1]], [[0, 2], [3]], [[0, 1], [-1]], [[0], [1, 5]]])
+    def test_from_members_rejects_non_partitions(self, lists):
+        # a repeated, missing, negative or out-of-range index
+        with pytest.raises(ValueError, match="partition"):
+            Clustering.from_members(lists)
+
     def test_accepts_integral_floats(self):
         assert Clustering([0.0, 1.0, 0.0], 2) == Clustering([0, 1, 0], 2)
 

@@ -10,6 +10,7 @@ from ipstable.local_search import (
     max_ip_local_search,
     natural_local_search,
 )
+from ipstable.merge_split import kcenter_init
 from ipstable.potential import phi_avg_clustering
 
 from conftest import line_space, random_matrix_space, random_space
@@ -52,7 +53,7 @@ class TestNaturalLocalSearch:
         saw_steps = False
         for seed in range(8):
             sp = random_matrix_space(40, seed=seed)
-            out, trace = natural_local_search(sp, 5, LsConfig(init="kcenter"))
+            out, trace = natural_local_search(sp, 5, LsConfig(init="given", initial=kcenter_init(sp, 5)))
             assert trace.status == CONVERGED
             for step in trace.steps:
                 assert step.phi_after < step.phi_before
@@ -93,6 +94,12 @@ class TestNaturalLocalSearch:
             natural_local_search(sp, 1, LsConfig())
         with pytest.raises(ValueError):
             natural_local_search(sp, 4, LsConfig())
+
+    def test_given_start_with_wrong_k_rejected(self):
+        sp = line_space([0, 1, 2, 3, 4, 5])
+        start = Clustering([0, 1, 2, 3, 0, 1], 4)
+        with pytest.raises(ValueError, match="does not match"):
+            natural_local_search(sp, 3, LsConfig(init="given", initial=start))
 
     def test_cap_status(self):
         sp = random_matrix_space(40, seed=3)
@@ -137,6 +144,12 @@ class TestMaxIpLocalSearch:
         start = Clustering([0, 0, 1, 1], 2)
         out, trace = max_ip_local_search(sp, 2, LsConfig(init="given", initial=start))
         assert len(trace.steps) == 0
+
+    def test_given_start_with_wrong_k_rejected(self):
+        sp = line_space([0, 1, 2, 3, 4, 5])
+        start = Clustering([0, 1, 2, 3, 0, 1], 4)
+        with pytest.raises(ValueError, match="does not match"):
+            max_ip_local_search(sp, 3, LsConfig(init="given", initial=start))
 
     def test_signature_strictly_decreases(self):
         for seed in range(6):

@@ -4,10 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from ipstable.clustering import Clustering, verify_stability
+from ipstable.clustering import Clustering, _ObjectiveTable, verify_stability
 from ipstable.local_search import CONVERGED
 from ipstable.median_ip import (
     MedianConfig,
+    _diameter,
+    _merge_cost,
+    _split_sharpest,
     median_ip_cluster,
     median_merge_bound,
     median_split,
@@ -16,7 +19,7 @@ from ipstable.median_ip import (
 from ipstable.metric import GenSpec, MetricSpace, generate
 from ipstable.potential import phi_sqrt_median_exact
 
-from conftest import line_space, perturbed_planted, random_space
+from conftest import line_space, perturbed_planted, random_matrix_space, random_space
 
 
 class TestMedianConfig:
@@ -97,6 +100,50 @@ class TestMedianMergeBound:
             assert inc <= median_merge_bound(sp, C, C2, p) * (1 + 1e-9) + 1e-12
 
 
+def _random_clusterings(count, seed):
+    """(space, clustering) pairs on coordinate and shortest-path spaces."""
+    rng = np.random.default_rng(seed)
+    for trial in range(count):
+        n = int(rng.integers(6, 30))
+        k = int(rng.integers(2, 6))
+        sp = random_space(n, seed=trial) if trial % 2 else random_matrix_space(n, seed=trial)
+        a = np.concatenate([np.arange(k), rng.integers(0, k, n - k)])
+        rng.shuffle(a)
+        yield sp, Clustering(a, k)
+
+
+class TestSearchSharesTheProcedures:
+    """The search's merge cost and one-point split are the ones
+    median_merge_bound and median_split compute."""
+
+    def test_merge_cost_matches_median_merge_bound(self):
+        for sp, cl in _random_clusterings(12, seed=3):
+            table = _ObjectiveTable(sp, cl, "median")
+            members = cl.members()
+            for p in range(sp.n):
+                for a in range(cl.k):  # a = p's own cluster included
+                    for b in range(cl.k):
+                        if a != b:
+                            cost = _merge_cost(sp.n, table.table[p, a], table.table[p, b])
+                            assert cost == median_merge_bound(sp, members[a], members[b], p)
+
+    def test_one_point_split_matches_median_split(self):
+        # on the line both clusters have diameter 3 and each farthest pair's
+        # medians tie, so both tie-breaks are exercised
+        tied = (line_space(range(8)), Clustering([0, 0, 0, 0, 1, 1, 1, 1], 2))
+        for sp, cl in [tied, *_random_clusterings(20, seed=4)]:
+            if cl.sizes().max() < 2:
+                continue
+            table = _ObjectiveTable(sp, cl, "median")
+            _split_sharpest(table, [_diameter(table.D, m) for m in table.members])
+            res = median_split(sp, cl)
+            kept = [m for c, m in enumerate(cl.members()) if c != res.cluster_id]
+            assert table.k == cl.k + 1
+            assert all(np.array_equal(np.sort(x), y) for x, y in zip(table.members[:-2], kept))
+            assert np.array_equal(table.members[-2], res.half_a)
+            assert np.array_equal(table.members[-1], res.half_b)
+
+
 class TestMediansOfFarPoints:
     def test_pairwise_median_lower_bound(self):
         # medians to the rest of a shared cluster cover any pairwise distance
@@ -121,6 +168,13 @@ class TestMedianIpCluster:
         out, trace = median_ip_cluster(sp, 5)
         assert out.sizes().tolist() == [1] * 5
         assert len(trace.steps) == 0
+
+    def test_stable_start_counts_zero_steps(self):
+        sp = line_space([0, 1, 10, 11])
+        out, trace = median_ip_cluster(sp, 2, initial=Clustering([0, 0, 1, 1], 2))
+        assert trace.counts == {"swap": 0, "merge_split": 0}
+        assert list(trace.counts) == ["swap", "merge_split"]
+        assert trace.steps == [] and out == Clustering([0, 0, 1, 1], 2)
 
     def test_outputs_verify(self):
         cfg = MedianConfig()

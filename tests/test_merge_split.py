@@ -128,6 +128,13 @@ class TestMergeSplitLs:
                 else:
                     assert drop >= rec.phi_before / (8 * k * math.log2(sp.n)) * (1 - 1e-9)
 
+    def test_stable_start_counts_zero_steps(self):
+        sp = line_space([0, 1, 10, 11])
+        out, trace = merge_split_ls(sp, 2, initial=Clustering([0, 0, 1, 1], 2))
+        assert trace.counts == {"swap": 0, "merge_split": 0}
+        assert list(trace.counts) == ["swap", "merge_split"]
+        assert trace.steps == [] and out == Clustering([0, 0, 1, 1], 2)
+
     def test_round_cap_below_one_rejected(self):
         with pytest.raises(ValueError, match="max_rounds"):
             merge_split_ls(random_matrix_space(10, seed=0), 2, max_rounds=0)
