@@ -1,5 +1,6 @@
 """Individually preference-stable clustering algorithms and verifiers."""
 
+from .algorithms import ALGORITHMS
 from .clustering import Clustering, StabilityReport, avg_dist, max_dist, median_dist, verify_stability
 from .fast import calc_average, calc_central_point, calc_potential, epoch, fast_ls, fast_split
 from .local_search import LsConfig, LsTrace, Step, max_ip_local_search, natural_local_search
@@ -18,6 +19,7 @@ from .stable_opt import beta, brute_force_min_beta, create_tree, dp_min_beta, ms
 __version__ = "0.1.0"
 
 __all__ = [
+    "ALGORITHMS",
     "MetricSpace",
     "GenSpec",
     "Generated",

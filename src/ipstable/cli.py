@@ -3,18 +3,16 @@
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 import time
 import traceback
+from contextlib import contextmanager
 from pathlib import Path
 
-from .clustering import Clustering, strict_json, verify_stability
-from .fast import fast_ls
-from .local_search import CAP_EXCEEDED, LsConfig, max_ip_local_search, natural_local_search
-from .median_ip import MedianConfig, median_ip_cluster
-from .merge_split import merge_split_ls
+from .algorithms import ALGORITHMS
+from .clustering import Clustering, check_start, strict_json, verify_stability
+from .local_search import CAP_EXCEEDED
 from .metric import (
     GenSpec,
     MetricSpace,
@@ -24,7 +22,7 @@ from .metric import (
     save_matrix_csv,
     save_points_csv,
 )
-from .stable_opt import beta_clustering, stable_cluster
+from .stable_opt import beta_clustering
 
 EXIT_OK = 0
 EXIT_UNSTABLE = 1
@@ -39,14 +37,20 @@ EXIT_CODES = """exit codes:
   3  step cap exceeded (the clustering is still written)
   4  internal error (a bug; the traceback is on stderr)"""
 
-ALGORITHMS = ("natural", "mergesplit", "fast", "dp", "median", "max")
-_SEEDED = ("mergesplit", "fast")
-
 
 class CliError(Exception):
     def __init__(self, message, code=EXIT_USAGE):
         super().__init__(message)
         self.code = code
+
+
+@contextmanager
+def _usage_errors():
+    """Report a ValueError raised while checking the input as a usage error."""
+    try:
+        yield
+    except ValueError as exc:
+        raise CliError(str(exc)) from exc
 
 
 def _emit(text: str, code: int) -> int:
@@ -81,13 +85,11 @@ def _load_instance(path: str, fmt: str, norm: str) -> MetricSpace:
 
 
 def cmd_gen(args) -> int:
-    try:
+    with _usage_errors():
         spec = GenSpec(
             kind=args.kind, n=args.n, k=args.k, dim=args.dim,
             separation=args.separation, seed=args.seed,
         )
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     result = generate(spec)
@@ -104,89 +106,43 @@ def cmd_gen(args) -> int:
     return _emit("\n".join(written), EXIT_OK)
 
 
-_OBJECTIVE_OF_ALG = {
-    "natural": "avg", "mergesplit": "avg", "fast": "avg", "dp": "avg",
-    "median": "median", "max": "max",
-}
-
-
-def _check_k(k: int, n: int) -> None:
-    if not 2 <= k <= n:
-        raise CliError(f"need 2 <= k <= n, got k={k}, n={n}")
-
-
-def _run_algorithm(space: MetricSpace, args):
-    n = space.n
-    alg = args.alg
-    if alg != "natural" and args.alpha is not None:
-        raise CliError("--alpha applies to --alg natural only")
-    if alg in _SEEDED and args.seed is None:
-        raise CliError(f"--alg {alg} is randomized and requires --seed")
-    seed = args.seed if args.seed is not None else 0
-    counts: dict = {}
-    status = "converged"
-    alpha_target = None
-
-    if alg == "natural":
-        alpha_target = args.alpha if args.alpha is not None else 2.0 * math.log2(n)
-        if not alpha_target >= 1:
-            raise CliError(f"--alpha must be at least 1, got {alpha_target}")
-        cfg = LsConfig(alpha=alpha_target, max_steps=args.max_steps)
-        clustering, trace = natural_local_search(space, args.k, cfg)
-        counts, status = trace.counts, trace.status
-    elif alg == "mergesplit":
-        alpha_target = 4.0 * math.log2(n)
-        clustering, trace = merge_split_ls(space, args.k, seed, max_rounds=args.max_steps)
-        counts, status = trace.counts, trace.status
-    elif alg == "fast":
-        alpha_target = 16.0 * math.log2(n)
-        clustering, trace = fast_ls(space, args.k, seed)
-        counts, status = trace.counts, trace.status
-    elif alg == "dp":
-        clustering = stable_cluster(space, args.k)
-        counts = {}
-    elif alg == "median":
-        cfg = MedianConfig(max_steps=args.max_steps, seed=seed)
-        alpha_target = cfg.median_alpha
-        clustering, trace = median_ip_cluster(space, args.k, cfg)
-        counts, status = trace.counts, trace.status
-    elif alg == "max":
-        alpha_target = 1.0
-        cfg = LsConfig(max_steps=args.max_steps)
-        clustering, trace = max_ip_local_search(space, args.k, cfg)
-        counts, status = trace.counts, trace.status
-    else:
-        raise CliError(f"unknown algorithm {alg!r}")
-    return clustering, counts, status, alpha_target
-
-
 def cmd_cluster(args) -> int:
     if args.max_steps < 1:
         raise CliError(f"--max-steps must be at least 1, got {args.max_steps}")
+    if args.alpha is not None and args.alg != "natural":
+        raise CliError("--alpha applies to --alg natural only")
+    if args.alpha is not None and not args.alpha >= 1:
+        raise CliError(f"--alpha must be at least 1, got {args.alpha}")
+    algorithm = ALGORITHMS[args.alg]
+    if algorithm.seeded and args.seed is None:
+        raise CliError(f"--alg {args.alg} is randomized and requires --seed")
+    if args.seed is not None and args.seed < 0:
+        raise CliError(f"--seed must be non-negative, got {args.seed}")
     space = _load_instance(args.instance, args.format, args.norm)
-    _check_k(args.k, space.n)
+    with _usage_errors():
+        check_start(space.n, args.k)
     queries_before = space.query_counter
     t0 = time.perf_counter()
-    clustering, counts, status, alpha_target = _run_algorithm(space, args)
+    alpha = {} if args.alpha is None else {"alpha": args.alpha}  # natural's only
+    clustering, trace = algorithm.run(space, args.k, args.seed or 0, args.max_steps, **alpha)
     elapsed = time.perf_counter() - t0
     queries = space.query_counter - queries_before
 
-    objective = _OBJECTIVE_OF_ALG[args.alg]
-    report_check = verify_stability(space, clustering, objective, alpha_target)
+    report_check = verify_stability(space, clustering, algorithm.objective, trace.alpha)
     run_report = {
         "algorithm": args.alg,
         "k": args.k,
         "n": space.n,
         "seed": args.seed,
-        "objective": objective,
-        "alpha_target": alpha_target,
+        "objective": algorithm.objective,
+        "alpha_target": trace.alpha,
         "alpha_achieved": report_check.alpha_achieved,
-        "steps": counts,
+        "steps": trace.counts,
         "queries": queries,
         "wall_time_s": 0.0 if args.no_time else elapsed,
-        "status": status,
+        "status": trace.status,
     }
-    if args.alg == "dp":
+    if trace.alpha is None:  # dp certifies beta instead
         run_report["beta_achieved"] = beta_clustering(space, clustering)
     report_text = strict_json(run_report, indent=2)
 
@@ -194,7 +150,7 @@ def cmd_cluster(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     (out / "clustering.json").write_text(clustering.to_json())
     (out / "report.json").write_text(report_text)
-    return _emit(report_text, EXIT_CAP if status == CAP_EXCEEDED else EXIT_OK)
+    return _emit(report_text, EXIT_CAP if trace.status == CAP_EXCEEDED else EXIT_OK)
 
 
 def cmd_verify(args) -> int:
@@ -215,9 +171,12 @@ def cmd_bench(args) -> int:
     for alg in args.alg:
         if alg not in ALGORITHMS:
             raise CliError(f"unknown algorithm {alg!r}")
-    for n in args.n:
-        for k in args.k:
-            _check_k(k, n)
+    if min(args.seeds) < 0:
+        raise CliError(f"--seeds must be non-negative, got {min(args.seeds)}")
+    with _usage_errors():
+        for n in args.n:
+            for k in args.k:
+                check_start(n, k)
     rows = ["n,k,alg,seed,queries,steps,time_s"]
     for alg in args.alg:
         for n in args.n:
@@ -227,13 +186,10 @@ def cmd_bench(args) -> int:
                     space = generate(spec).space
                     before = space.query_counter
                     t0 = time.perf_counter()
-                    ns = argparse.Namespace(
-                        alg=alg, k=k, seed=seed, alpha=None, max_steps=10**6, no_time=args.no_time
-                    )
-                    _, counts, _, _ = _run_algorithm(space, ns)
+                    _, trace = ALGORITHMS[alg].run(space, k, seed, 10**6)
                     elapsed = 0.0 if args.no_time else time.perf_counter() - t0
                     queries = space.query_counter - before
-                    steps = sum(v for v in counts.values() if isinstance(v, int))
+                    steps = sum(v for v in trace.counts.values() if isinstance(v, int))
                     rows.append(f"{n},{k},{alg},{seed},{queries},{steps},{elapsed:.6f}")
     text = "\n".join(rows)
     if args.out:
@@ -266,9 +222,9 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--norm", choices=("l2", "l1"), default="l2")
     c.add_argument("--k", type=int, required=True)
     c.add_argument("--alg", required=True, choices=ALGORITHMS)
-    c.add_argument("--alpha", type=float, default=None, help="natural only; default 2*log2(n)")
+    c.add_argument("--alpha", type=float, default=None, help="natural only; default: the search's own (2 log n, base 2)")
     c.add_argument("--seed", type=int, default=None)
-    c.add_argument("--max-steps", type=int, default=10**6)
+    c.add_argument("--max-steps", type=int, default=10**6, help="step cap of natural, mergesplit, median and max")
     c.add_argument("--out", required=True)
     c.add_argument("--no-time", action="store_true", help="zero the wall-time field for byte-stable output")
     c.set_defaults(func=cmd_cluster)

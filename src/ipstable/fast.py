@@ -461,7 +461,6 @@ def fast_ls(space: MetricSpace, k: int, seed: int = 0) -> tuple[Clustering, LsTr
     check_start(n, k)
     rng = rng_from_seed(seed)
     current = kcenter_init(space, k)
-    trace = LsTrace(status=CONVERGED)
     counts = {"swap": 0, "recompute": 0, "merge_split": 0, "epoch": 0}
     statuses = []
     epoch_cap = max(16, 8 * math.ceil(math.log2(n)))
@@ -478,6 +477,5 @@ def fast_ls(space: MetricSpace, k: int, seed: int = 0) -> tuple[Clustering, LsTr
         current = result.clustering
         if new_pot >= 7.0 / 8.0 * old_pot:
             break
-    trace.counts = counts
-    trace.counts["epoch_statuses"] = statuses
-    return current, trace
+    counts["epoch_statuses"] = statuses
+    return current, LsTrace(status=CONVERGED, counts=counts, alpha=result.state.alpha)

@@ -40,7 +40,8 @@ CAP_EXCEEDED = "cap_exceeded"
 class LsConfig:
     """Knobs shared by the swap-based searches.
 
-    ``alpha=None`` resolves to 2*log2(n) at run time.
+    ``alpha=None`` resolves to 2*log2(n) at run time.  A set ``initial`` is the
+    start (round-robin otherwise); ``init="given"`` asserts that it is set.
     """
 
     alpha: Optional[float] = None
@@ -49,7 +50,7 @@ class LsConfig:
     initial: Optional[Clustering] = None
 
     def __post_init__(self):
-        if self.alpha is not None and self.alpha < 1:
+        if self.alpha is not None and not self.alpha >= 1:
             raise ValueError("alpha must be at least 1")
         if self.max_steps < 1:
             raise ValueError("max_steps must be at least 1")
@@ -85,26 +86,29 @@ class LsTrace:
     status: str
     steps: list = field(default_factory=list)
     counts: dict = field(default_factory=dict)
+    alpha: Optional[float] = None  # the stability level the search certifies
 
 
 def search(
     table: _ObjectiveTable,
-    limit: float,
+    alpha: float,
     max_steps: int,
     step: Callable[[int, int, int, float], Step],
     phi: Optional[Callable[[], float]] = None,
     kinds: tuple = ("swap",),
+    slack: float = 1.0,
 ) -> tuple[Clustering, LsTrace]:
     """The exact search loop: while the most envious point's ratio exceeds
-    ``limit``, call ``step(point, source, target, phi_before)`` and record it.
+    ``alpha * slack``, call ``step(point, source, target, phi_before)`` and
+    record it.  The trace certifies ``alpha``.
 
     ``phi`` is evaluated once per state; ``counts`` holds one entry per kind.
     """
-    trace = LsTrace(status=CONVERGED, counts=dict.fromkeys(kinds, 0))
+    trace = LsTrace(status=CONVERGED, counts=dict.fromkeys(kinds, 0), alpha=alpha)
     phi_now = phi() if phi is not None else math.nan
     for _ in range(max_steps):
         p, dst, ratio = table.most_envious()
-        if not ratio > limit:
+        if not ratio > alpha * slack:
             break
         rec = step(p, int(table.assign[p]), dst, phi_now)
         rec.phi_before = phi_now
@@ -118,9 +122,8 @@ def search(
 
 
 def _table(space: MetricSpace, k: int, config: LsConfig, objective: str) -> _ObjectiveTable:
-    initial = config.initial if config.init == "given" else None
-    check_start(space.n, k, initial)
-    start = initial if initial is not None else Clustering(np.arange(space.n) % k, k)
+    check_start(space.n, k, config.initial)
+    start = config.initial if config.initial is not None else Clustering(np.arange(space.n) % k, k)
     return _ObjectiveTable(space, start, objective)
 
 
@@ -133,7 +136,7 @@ def natural_local_search(space: MetricSpace, k: int, config: LsConfig) -> tuple[
         table.move(p, dst)
         return Step("swap", p, src, dst)
 
-    return search(table, alpha * DEFAULT_SLACK, config.max_steps, swap, table.phi)
+    return search(table, alpha, config.max_steps, swap, table.phi, slack=DEFAULT_SLACK)
 
 
 def max_ip_local_search(space: MetricSpace, k: int, config: LsConfig) -> tuple[Clustering, LsTrace]:

@@ -119,7 +119,7 @@ def merge_split_ls(
     space: MetricSpace,
     k: int,
     seed: int = 0,
-    max_rounds: int = 10**6,
+    max_steps: int = 10**6,
     initial: Optional[Clustering] = None,
 ) -> tuple[Clustering, LsTrace]:
     """Merge-and-split local search; returns a 4*log2(n)-stable clustering for avg.
@@ -128,8 +128,8 @@ def merge_split_ls(
     """
     n = space.n
     check_start(n, k, initial)
-    if max_rounds < 1:
-        raise ValueError("max_rounds must be at least 1")
+    if max_steps < 1:
+        raise ValueError("max_steps must be at least 1")
     rng = rng_from_seed(seed)
     table = _ObjectiveTable(space, initial if initial is not None else kcenter_init(space, k), "avg")
 
@@ -147,4 +147,4 @@ def merge_split_ls(
         table.split(result.cluster_id, result.half_a, result.half_b)
         return Step("merge_split", p, src, dst, threshold=threshold, split_size=len(result.cluster))
 
-    return search(table, 4.0 * math.log2(n) * DEFAULT_SLACK, max_rounds, step, table.phi, ("swap", "merge_split"))
+    return search(table, 4.0 * math.log2(n), max_steps, step, table.phi, ("swap", "merge_split"), DEFAULT_SLACK)

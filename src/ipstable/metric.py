@@ -226,6 +226,10 @@ class GenSpec:
             raise ValueError(f"unknown generator kind {self.kind!r}")
         if self.n < 1:
             raise ValueError("n must be at least 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
+        if not np.isfinite(self.separation):
+            raise ValueError(f"separation must be finite, got {self.separation}")
         if self.kind == "euclidean_mixture":
             if self.k < 1 or self.dim < 1:
                 raise ValueError("euclidean_mixture needs k >= 1 and dim >= 1")

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from ipstable import cli
+from ipstable import algorithms, cli
 from ipstable.cli import EXIT_CAP, EXIT_INTERNAL, EXIT_OK, EXIT_UNSTABLE, EXIT_USAGE, main
 from ipstable.clustering import Clustering
 
@@ -58,6 +58,18 @@ class TestGen:
         )
         assert code == EXIT_USAGE
         assert "n must be" in err
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--kind", "euclidean_mixture", "--seed", "-1"], "seed must be non-negative"),
+        (["--kind", "planted_separated", "--k", "2", "--separation", "nan", "--seed", "1"], "finite"),
+        (["--kind", "planted_separated", "--k", "2", "--separation", "inf", "--seed", "1"], "finite"),
+    ], ids=["negative_seed", "nan_separation", "inf_separation"])
+    def test_bad_seed_or_separation_rejected(self, flags, message, tmp_path, capsys):
+        out = tmp_path / "x"
+        code, _, err = run(["gen", "--n", "10", "--out", str(out)] + flags, capsys)
+        assert code == EXIT_USAGE
+        assert message in err
+        assert not out.exists()
 
 
 class TestCluster:
@@ -192,6 +204,18 @@ class TestCluster:
         assert "--max-steps" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("alg", cli.ALGORITHMS)
+    def test_negative_seed_rejected(self, alg, planted_dir, tmp_path, capsys):
+        out = tmp_path / "run"
+        code, _, err = run(
+            ["cluster", "--in", str(planted_dir / "points.csv"), "--k", "3", "--alg", alg,
+             "--seed", "-1", "--out", str(out)],
+            capsys,
+        )
+        assert code == EXIT_USAGE
+        assert "--seed must be non-negative" in err
+        assert not out.exists()
+
     def test_natural_alpha_below_one_rejected(self, planted_dir, tmp_path, capsys):
         code, _, err = run(
             ["cluster", "--in", str(planted_dir / "points.csv"), "--k", "3",
@@ -301,6 +325,16 @@ class TestBench:
         assert "need 2 <= k <= n" in err
         assert stdout == ""
 
+    def test_negative_seed_rejected(self, tmp_path, capsys):
+        out = tmp_path / "grid.csv"
+        code, stdout, err = run(
+            ["bench", "--alg", "mergesplit", "--n", "10", "--k", "2", "--seeds", "0", "-1", "--out", str(out)],
+            capsys,
+        )
+        assert code == EXIT_USAGE
+        assert "--seeds must be non-negative" in err
+        assert stdout == "" and not out.exists()
+
     def test_unknown_algorithm_rejected(self, capsys):
         code, _, err = run(["bench", "--alg", "nope", "--n", "10", "--k", "2"], capsys)
         assert code == EXIT_USAGE
@@ -312,7 +346,7 @@ class TestExitCodes:
         def broken(space, k):
             raise RuntimeError("boom")
 
-        monkeypatch.setattr(cli, "stable_cluster", broken)
+        monkeypatch.setattr(algorithms, "stable_cluster", broken)
         code, _, err = run(
             ["cluster", "--in", str(planted_dir / "points.csv"), "--k", "3",
              "--alg", "dp", "--out", str(tmp_path / "x")],
@@ -447,7 +481,7 @@ def malformed_inputs(draw):
     xs = draw(st.lists(st.integers(0, 9), min_size=n, max_size=n))
     points = [["x0", "x1"]] + [[str(x), str((3 * x) % 7)] for x in xs]
     table = [[str(abs(a - b)) for b in xs] for a in xs]
-    alg = draw(st.sampled_from(cli.ALGORITHMS))
+    alg = draw(st.sampled_from(tuple(cli.ALGORITHMS)))
     kind = draw(st.sampled_from(["points", "matrix", "clustering"]))
     defect = draw(st.sampled_from(["nan", "bad value", "ragged", "k"]))
     bad_k = draw(st.sampled_from([-1, 0, 1, n + 1, n + 5, 10**23]))

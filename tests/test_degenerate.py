@@ -4,26 +4,11 @@ heavy duplicates, and the smallest legal sizes."""
 import numpy as np
 import pytest
 
-from ipstable import (
-    LsConfig,
-    fast_ls,
-    max_ip_local_search,
-    median_ip_cluster,
-    merge_split_ls,
-    natural_local_search,
-    stable_cluster,
-    verify_stability,
-)
+from ipstable import ALGORITHMS, verify_stability
 from ipstable.metric import MetricSpace
 
-ALGS = [
-    ("natural", lambda sp, k: natural_local_search(sp, k, LsConfig())[0]),
-    ("mergesplit", lambda sp, k: merge_split_ls(sp, k, seed=1)[0]),
-    ("fast", lambda sp, k: fast_ls(sp, k, seed=1)[0]),
-    ("median", lambda sp, k: median_ip_cluster(sp, k)[0]),
-    ("max", lambda sp, k: max_ip_local_search(sp, k, LsConfig())[0]),
-    ("dp", lambda sp, k: stable_cluster(sp, k)),
-]
+# every registered algorithm, seeded with 1 where it draws random numbers
+ALGS = [(name, lambda sp, k, alg=alg: alg.run(sp, k, 1, 10**6)[0]) for name, alg in ALGORITHMS.items()]
 
 
 @pytest.mark.parametrize("name,run", ALGS)

@@ -125,9 +125,20 @@ class TestLsConfig:
         with pytest.raises(ValueError):
             LsConfig(alpha=0.5)
         with pytest.raises(ValueError):
+            LsConfig(alpha=math.nan)
+        with pytest.raises(ValueError):
             LsConfig(max_steps=0)
         with pytest.raises(ValueError):
             LsConfig(init="given")
+
+    @pytest.mark.parametrize("search", [natural_local_search, max_ip_local_search])
+    def test_initial_alone_picks_the_start(self, search):
+        # without init="given" the start used to be ignored for round-robin
+        sp = line_space([0, 1, 10, 11])
+        start = Clustering([0, 0, 1, 1], 2)
+        out, trace = search(sp, 2, LsConfig(initial=start, alpha=1.0))
+        assert trace.counts == {"swap": 0} and trace.steps == []
+        assert out == start
 
 
 class TestMaxIpLocalSearch:

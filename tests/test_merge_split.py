@@ -136,15 +136,15 @@ class TestMergeSplitLs:
         assert trace.steps == [] and out == Clustering([0, 0, 1, 1], 2)
 
     def test_round_cap_below_one_rejected(self):
-        with pytest.raises(ValueError, match="max_rounds"):
-            merge_split_ls(random_matrix_space(10, seed=0), 2, max_rounds=0)
+        with pytest.raises(ValueError, match="max_steps"):
+            merge_split_ls(random_matrix_space(10, seed=0), 2, max_steps=0)
 
     def test_round_cap_returns_cap_exceeded(self):
         from conftest import perturbed_planted
         from ipstable.local_search import CAP_EXCEEDED
 
         sp, _, bad = perturbed_planted(40, 4, 0.001, seed=5, moves=4)
-        out, trace = merge_split_ls(sp, 4, seed=5, max_rounds=1, initial=bad)
+        out, trace = merge_split_ls(sp, 4, seed=5, max_steps=1, initial=bad)
         assert trace.status == CAP_EXCEEDED
         assert out.k == 4  # the partial clustering is still returned
 
