@@ -7,9 +7,14 @@ err one-sidedly: avg <= est <= (1+eps)*avg with high probability.
 
 ``epoch`` runs one phase of the local search on cached estimates, tracking
 per-cluster additive error budgets and swap counts; clusters whose caches
-drift too far are re-estimated.  An epoch either certifies 16*log2(n)
-stability or ends early having cut the true potential below 3/4 of its
-input value.  ``fast_ls`` chains epochs until the potential stops dropping.
+drift too far are re-estimated.  It also caches one estimated potential per
+cluster: a re-estimate of C sets it from the new averages at no extra cost,
+and a swap or a merge-and-split drops it for every cluster whose members
+changed, so the potential check after a re-estimate samples only those
+clusters.  An epoch either certifies 16*log2(n) stability or ends early
+having cut the true potential below 3/4 of its input value.  ``fast_ls``
+chains epochs until the potential stops dropping; an epoch's output
+potential estimate is the next epoch's input one.
 
 Implementation note on sampling: per query point the t mixed samples are
 i.i.d. over the cluster members, so the estimator is computed from a
@@ -184,8 +189,9 @@ def fast_split(
 
 @dataclass
 class EpochState:
-    """All bookkeeping of one epoch: cached estimates, per-cluster error and
-    progress accounting, lazy heaps, and the recompute queue."""
+    """All bookkeeping of one epoch: cached estimates and potentials,
+    per-cluster error and progress accounting, lazy heaps, and the recompute
+    queue."""
 
     n: int
     k: int
@@ -201,6 +207,7 @@ class EpochState:
     num_swaps: dict = field(default_factory=dict)
     size_hat: dict = field(default_factory=dict)
     version: dict = field(default_factory=dict)
+    phi: dict = field(default_factory=dict)          # cid -> estimated potential of its members
     recompute: deque = field(default_factory=deque)  # cids queued for re-estimation
     recompute_set: set = field(default_factory=set)
     point_heaps: list = field(default_factory=list)  # per point: (est, cid, version)
@@ -228,10 +235,24 @@ class EpochState:
             self.recompute.append(cid)
             self.recompute_set.add(cid)
 
-    def drop_from_recompute(self, cid: int) -> None:
+    def potential(self, space: MetricSpace, rng: np.random.Generator) -> float:
+        """Sum of the cached potentials; only clusters without an entry are
+        estimated (each entry is a one-sided (1+eps)-estimate)."""
+        total = 0.0
+        for cid in sorted(self.members):
+            if cid not in self.phi:
+                self.phi[cid] = calc_potential(space, [self.sorted_members(cid)], self.eps, rng)
+            total += self.phi[cid]
+        return total
+
+    def drop_cluster(self, cid: int) -> None:
+        """Forget a dead cid: its members, queue slot and every cached value."""
         if cid in self.recompute_set:
             self.recompute_set.discard(cid)
             self.recompute = deque(c for c in self.recompute if c != cid)
+        del self.members[cid]
+        for d in (self.est, self.error, self.progress, self.num_swaps, self.size_hat, self.version, self.phi):
+            d.pop(cid, None)
 
     # -- lazy heap maintenance -------------------------------------------
 
@@ -331,7 +352,11 @@ def epoch(
     Returns ``ip_stable`` when no cached violator remains (the clustering is
     then 16*log2(n)-stable for avg), or ``potential_dropped`` as soon as a
     re-estimate shows the potential fell below half its starting estimate
-    (the true potential is then below 3/4 of the input's).
+    (the true potential is then below 3/4 of the input's).  That check sums
+    ``st.phi``, one cached estimate per cluster: a re-estimate of C sets
+    ``phi[C] = log2|C| * sum of est[C] over C``, swaps and merge-and-splits
+    drop the entries of the clusters they change, and the check estimates
+    only the live clusters left without one.
     """
     n = space.n
     if clustering.n != n:
@@ -348,7 +373,7 @@ def epoch(
     st.next_cid = k
 
     all_points = np.arange(n)
-    st.phi_hat = calc_potential(space, [clustering.members()[c] for c in range(k)], st.eps, rng)
+    st.phi_hat = st.potential(space, rng)
     st.t_star = st.phi_hat / (24.0 * k * math.log2(max(n, 2)) ** 2)
 
     iteration = 0
@@ -370,6 +395,7 @@ def epoch(
             st.size_hat[cid] = len(members)
             st.num_swaps[cid] = 0
             st.version[cid] = st.version.get(cid, 0) + 1
+            st.phi[cid] = math.log2(len(members)) * float(st.est[cid][members].sum())
             if audit is not None:
                 audit.after_recompute(space, st, cid)
             ver = st.version[cid]
@@ -378,8 +404,7 @@ def epoch(
             for p in range(n):
                 st.push_main_entry(p)
 
-            current = [st.sorted_members(c) for c in sorted(st.members)]
-            if calc_potential(space, current, st.eps, rng) < (1.0 + st.eps) / 2.0 * st.phi_hat:
+            if st.potential(space, rng) < (1.0 + st.eps) / 2.0 * st.phi_hat:
                 return EpochResult(st.clustering(), POTENTIAL_DROPPED, st.counts(), st)
 
             est_c = st.est[cid]
@@ -409,6 +434,8 @@ def _swap(st: EpochState, p: int, src: int, dst: int) -> None:
     st.members[src].discard(p)
     st.members[dst].add(p)
     st.assign[p] = dst
+    st.phi.pop(src, None)
+    st.phi.pop(dst, None)
     for cid in (src, dst):
         sz = st.size(cid)  # size after the move
         st.error[cid] += (float(st.est[cid][p]) + st.error[cid]) / sz
@@ -433,10 +460,7 @@ def _merge_and_split(space: MetricSpace, st: EpochState, cid: int, other: int, r
     marr = st.member_array(merged)
     st.assign[marr] = merged
     for dead in (cid, other):
-        st.drop_from_recompute(dead)
-        del st.members[dead]
-        for d in (st.est, st.error, st.progress, st.num_swaps, st.size_hat, st.version):
-            d.pop(dead, None)
+        st.drop_cluster(dead)
     st.enqueue_recompute(merged)
 
     candidates = [(c, st.sorted_members(c)) for c in sorted(st.members)]
@@ -448,11 +472,7 @@ def _merge_and_split(space: MetricSpace, st: EpochState, cid: int, other: int, r
         st.version[new_cid] = 0
         st.assign[half] = new_cid
         st.enqueue_recompute(new_cid)
-    star = result.cluster_id
-    st.drop_from_recompute(star)
-    del st.members[star]
-    for d in (st.est, st.error, st.progress, st.num_swaps, st.size_hat, st.version):
-        d.pop(star, None)
+    st.drop_cluster(result.cluster_id)
 
 
 def fast_ls(space: MetricSpace, k: int, seed: int = 0) -> tuple[Clustering, LsTrace]:
@@ -464,6 +484,7 @@ def fast_ls(space: MetricSpace, k: int, seed: int = 0) -> tuple[Clustering, LsTr
     counts = {"swap": 0, "recompute": 0, "merge_split": 0, "epoch": 0}
     statuses = []
     epoch_cap = max(16, 8 * math.ceil(math.log2(n)))
+    old_pot = None
     while True:
         counts["epoch"] += 1
         if counts["epoch"] > epoch_cap:
@@ -473,9 +494,11 @@ def fast_ls(space: MetricSpace, k: int, seed: int = 0) -> tuple[Clustering, LsTr
         for key, val in result.counts.items():
             counts[key] += val
         new_pot = calc_potential(space, result.clustering.members(), EPOCH_EPS, rng)
-        old_pot = calc_potential(space, current.members(), EPOCH_EPS, rng)
+        if old_pot is None:  # later epochs start from the clustering of the last new_pot
+            old_pot = calc_potential(space, current.members(), EPOCH_EPS, rng)
         current = result.clustering
         if new_pot >= 7.0 / 8.0 * old_pot:
             break
+        old_pot = new_pot
     counts["epoch_statuses"] = statuses
     return current, LsTrace(status=CONVERGED, counts=counts, alpha=result.state.alpha)

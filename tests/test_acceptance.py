@@ -9,16 +9,16 @@ import numpy as np
 import pytest
 
 from ipstable.clustering import Clustering, verify_stability
+from ipstable import fast
 from ipstable.fast import (
     POTENTIAL_DROPPED,
     calc_average,
-    calc_potential,
     epoch,
     fast_ls,
 )
 from ipstable.local_search import CONVERGED, LsConfig, max_ip_local_search, natural_local_search
 from ipstable.median_ip import MedianConfig, median_ip_cluster, merge_bound_factor
-from ipstable.merge_split import kcenter_init, merge_split_ls
+from ipstable.merge_split import merge_split_ls
 from ipstable.metric import GenSpec, MetricSpace, generate, rng_from_seed
 from ipstable.potential import SQRT_MEDIAN_SCALE, phi_avg_clustering, phi_sqrt_median_exact
 from ipstable.stable_opt import beta_clustering, brute_force_min_beta, stable_cluster
@@ -180,40 +180,42 @@ def test_criterion_03_merge_split():
 # -- criterion 4 ---------------------------------------------------------------
 
 
-def _fast_with_epoch_audit(space, k, seed):
-    """Algorithm 4's loop with an exact potential audit around every epoch."""
-    rng = rng_from_seed(seed)
-    current = kcenter_init(space, k)
-    epochs = 0
-    while True:
-        epochs += 1
-        phi_in = phi_avg_clustering(space, current)
-        result = epoch(space, current, rng)
+def _audit_epochs(monkeypatch):
+    """Wrap ``fast.epoch`` so every epoch ``fast_ls`` runs gets an exact
+    potential audit; returns the list the wrapper appends one entry to per epoch."""
+    real_epoch = fast.epoch
+    epochs = []
+
+    def audited(space, clustering, rng, *args, **kwargs):
+        phi_in = phi_avg_clustering(space, clustering)
+        result = real_epoch(space, clustering, rng, *args, **kwargs)
         phi_out = phi_avg_clustering(space, result.clustering)
         if result.status == POTENTIAL_DROPPED:
             assert phi_out < 0.75 * phi_in * (1 + 1e-9)
         else:
             assert verify_stability(space, result.clustering, "avg", 16 * math.log2(space.n)).passed
-        new_pot = calc_potential(space, result.clustering.members(), 0.1, rng)
-        old_pot = calc_potential(space, current.members(), 0.1, rng)
-        current = result.clustering
-        if new_pot >= 7.0 / 8.0 * old_pot:
-            break
-    return current, epochs
+        epochs.append(result.status)
+        return result
+
+    monkeypatch.setattr(fast, "epoch", audited)
+    return epochs
 
 
-def test_criterion_04_fast_algorithm():
+def test_criterion_04_fast_algorithm(monkeypatch):
     rng = np.random.default_rng(41)
     sizes = [int(rng.integers(40, 401)) for _ in range(96)] + [800, 1200, 1500, 2000]
+    epochs = _audit_epochs(monkeypatch)
     total_epochs = 0
     for i, n in enumerate(sizes):
         k = int(rng.integers(2, 33))
         k = min(k, n)
         sp = _mixed_spaces(1, n, seed0=9000 + i, min_n=n)[0]
-        out, epochs = _fast_with_epoch_audit(sp, k, seed=i)
+        epochs.clear()
+        out, trace = fast_ls(sp, k, seed=i)
+        assert len(epochs) == trace.counts["epoch"]  # the wrapper saw every epoch
         assert verify_stability(sp, out, "avg", 16 * math.log2(n)).passed
-        assert epochs <= 4 * math.log2(n)
-        total_epochs += epochs
+        assert len(epochs) <= 4 * math.log2(n)
+        total_epochs += len(epochs)
     # epochs starting from adversarial clusterings also honor the contract
     for i in range(4):
         sp, _, bad = perturbed_planted(150, 5, separation=1e-4, seed=i, moves=8)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from ipstable import fast
 from ipstable.clustering import Clustering, verify_stability
 from ipstable.fast import (
     IP_STABLE,
@@ -358,6 +359,99 @@ class TestEpoch:
         assert phi_avg_clustering(sp, res.clustering) < 0.75 * phi_in
         # drift budgets forced re-estimates beyond the k initial ones
         assert res.counts["recompute"] > 4
+
+
+class PhiCacheAuditor:
+    """Checks every cached potential against the exact potential of its
+    cluster's current members; meaningful once estimates are exact."""
+
+    def __init__(self):
+        self.entries_checked = 0
+
+    def after_recompute(self, space, st, cid):
+        pass
+
+    def before_swap(self, space, st, p, src, dst):
+        pass
+
+    def every_iteration(self, space, st, iteration):
+        for cid, value in st.phi.items():
+            assert cid in st.members
+            assert value == pytest.approx(phi_avg(space, st.sorted_members(cid)), rel=1e-9)
+            self.entries_checked += 1
+
+
+def _exact_calc_average(monkeypatch):
+    """Make fast.calc_average return exact means; the real call still runs
+    first, so queries are charged and rng draws taken the same way."""
+    real = fast.calc_average
+
+    def exact(space, C, S, eps, rng):
+        real(space, C, S, eps, rng)
+        return exact_avg(space, C, S)
+
+    monkeypatch.setattr(fast, "calc_average", exact)
+
+
+def _count_calls(monkeypatch, name):
+    calls = []
+    real = getattr(fast, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(fast, name, counted)
+    return calls
+
+
+class TestPotentialCache:
+    def test_entries_track_members_through_swaps(self, monkeypatch, rng):
+        _exact_calc_average(monkeypatch)
+        sp, _, bad = perturbed_planted(60, 4, 0.005, seed=2, moves=6)
+        audit = PhiCacheAuditor()
+        res = epoch(sp, bad, rng, audit=audit)
+        assert res.state.phi_hat == pytest.approx(phi_avg_clustering(sp, bad), rel=1e-9)
+        assert res.counts["swap"] >= 1
+        assert audit.entries_checked > 0
+
+    def test_entries_track_members_through_merge_and_split(self, monkeypatch, rng):
+        _exact_calc_average(monkeypatch)
+        sp, bad = merge_heavy_instance()
+        audit = PhiCacheAuditor()
+        res = epoch(sp, bad, rng, audit=audit)
+        assert res.counts["merge_split"] >= 1
+        assert audit.entries_checked > 0
+
+    def test_stable_epoch_estimates_each_cluster_twice(self, monkeypatch, rng):
+        # k averages for phi_hat, k for the recomputes, none for the checks
+        sp, planted, _ = perturbed_planted(30, 3, 0.01, seed=1, moves=0)
+        calls = _count_calls(monkeypatch, "calc_average")
+        res = epoch(sp, planted, rng)
+        assert res.status == IP_STABLE
+        assert res.counts["recompute"] == 3
+        assert len(calls) == 2 * 3
+
+    def test_fast_ls_estimates_one_potential_per_later_epoch(self, monkeypatch):
+        # k-center starts rarely need a second epoch; an adversarial start does
+        sp, _, bad = perturbed_planted(60, 4, 0.001, seed=5, moves=8)
+        monkeypatch.setattr(fast, "kcenter_init", lambda space, k: bad)
+        potentials = _count_calls(monkeypatch, "calc_potential")
+        real_epoch = fast.epoch
+        inside = []
+
+        def counted_epoch(*args, **kwargs):
+            before = len(potentials)
+            result = real_epoch(*args, **kwargs)
+            inside.append(len(potentials) - before)
+            return result
+
+        monkeypatch.setattr(fast, "epoch", counted_epoch)
+        _, trace = fast_ls(sp, 4, seed=0)
+        epochs = trace.counts["epoch"]
+        assert epochs >= 2
+        # new_pot after every epoch, old_pot before the first only
+        assert len(potentials) - sum(inside) == epochs + 1
 
 
 class TestFastLs:
