@@ -7,14 +7,15 @@ err one-sidedly: avg <= est <= (1+eps)*avg with high probability.
 
 ``epoch`` runs one phase of the local search on cached estimates, tracking
 per-cluster additive error budgets and swap counts; clusters whose caches
-drift too far are re-estimated.  It also caches one estimated potential per
-cluster: a re-estimate of C sets it from the new averages at no extra cost,
-and a swap or a merge-and-split drops it for every cluster whose members
-changed, so the potential check after a re-estimate samples only those
-clusters.  An epoch either certifies 16*log2(n) stability or ends early
-having cut the true potential below 3/4 of its input value.  ``fast_ls``
-chains epochs until the potential stops dropping; an epoch's output
-potential estimate is the next epoch's input one.
+drift too far are re-estimated.  Each swap takes the violator found by one
+O(n*k) scan of the cached estimates, which makes no query.  The epoch also
+caches one estimated potential per cluster: a re-estimate of C sets it from
+the new averages at no extra cost, and a swap or a merge-and-split drops it
+for every cluster whose members changed, so the potential check after a
+re-estimate samples only those clusters.  An epoch either certifies
+16*log2(n) stability or ends early having cut the true potential below 3/4
+of its input value.  ``fast_ls`` chains epochs until an epoch's output
+potential, read from its cache, is at least 7/8 of its input estimate.
 
 Implementation note on sampling: per query point the t mixed samples are
 i.i.d. over the cluster members, so the estimator is computed from a
@@ -25,7 +26,6 @@ charged t per query point, matching the sampled evaluations.
 
 from __future__ import annotations
 
-import heapq
 import math
 from collections import deque
 from dataclasses import dataclass, field
@@ -190,11 +190,10 @@ def fast_split(
 @dataclass
 class EpochState:
     """All bookkeeping of one epoch: cached estimates and potentials,
-    per-cluster error and progress accounting, lazy heaps, and the recompute
-    queue."""
+    per-cluster error and progress accounting, and the recompute queue.
+    The next violator is found by one scan over the cached estimates."""
 
     n: int
-    k: int
     eps: float
     alpha: float
     phi_hat: float = 0.0
@@ -206,13 +205,9 @@ class EpochState:
     progress: dict = field(default_factory=dict)
     num_swaps: dict = field(default_factory=dict)
     size_hat: dict = field(default_factory=dict)
-    version: dict = field(default_factory=dict)
     phi: dict = field(default_factory=dict)          # cid -> estimated potential of its members
     recompute: deque = field(default_factory=deque)  # cids queued for re-estimation
     recompute_set: set = field(default_factory=set)
-    point_heaps: list = field(default_factory=list)  # per point: (est, cid, version)
-    main_heap: list = field(default_factory=list)    # (key, seq, point)
-    main_seq: list = field(default_factory=list)     # per point: seq of its live main entry
     next_cid: int = 0
     swap_steps: int = 0
     recompute_steps: int = 0
@@ -220,9 +215,6 @@ class EpochState:
 
     def size(self, cid: int) -> int:
         return len(self.members[cid])
-
-    def live(self, cid: int) -> bool:
-        return cid in self.members
 
     def member_array(self, cid: int) -> np.ndarray:
         return np.fromiter(self.members[cid], dtype=np.intp, count=len(self.members[cid]))
@@ -251,74 +243,34 @@ class EpochState:
             self.recompute_set.discard(cid)
             self.recompute = deque(c for c in self.recompute if c != cid)
         del self.members[cid]
-        for d in (self.est, self.error, self.progress, self.num_swaps, self.size_hat, self.version, self.phi):
+        for d in (self.est, self.error, self.progress, self.num_swaps, self.size_hat, self.phi):
             d.pop(cid, None)
 
-    # -- lazy heap maintenance -------------------------------------------
-
-    def push_point_entry(self, p: int, cid: int) -> None:
-        heapq.heappush(self.point_heaps[p], (float(self.est[cid][p]), cid, self.version[cid]))
-
-    def foreign_min(self, p: int):
-        """(value, cid) of the nearest foreign cluster by cached estimate."""
-        h = self.point_heaps[p]
-        own = self.assign[p]
-        while h:
-            val, cid, ver = h[0]
-            if not self.live(cid) or self.version.get(cid) != ver or cid == own:
-                heapq.heappop(h)  # dead, outdated, or currently own: safe to drop
-                continue
-            return val, cid
-        return None
-
-    def push_main_entry(self, p: int) -> None:
-        """Re-key p in the main heap, invalidating any prior entry; points that
-        are currently ineligible (singleton or zero/unknown own estimate) end
-        up with no live entry."""
-        self.main_seq[p] += 1
-        cid = self.assign[p]
-        if self.size(cid) <= 1:
-            return
-        own_est = float(self.est[cid][p]) if cid in self.est else 0.0
-        if own_est == 0.0:
-            return
-        fm = self.foreign_min(p)
-        if fm is None:
-            return
-        heapq.heappush(self.main_heap, (fm[0] / own_est, self.main_seq[p], p))
-
     def find_violator(self):
-        """Scan the main heap for a point whose cached envy exceeds alpha/2.
+        """(p, dst) for the cached violator with the lowest foreign/own ratio,
+        the lowest p on ties, or None.
 
-        Stored keys omit the |C|/(|C|-1) size factor (which lies in (1, 2]),
-        so every candidate has key below 4/alpha; each popped candidate is
-        verified against live sizes and estimates, and non-violators are
-        re-inserted after the scan.
+        A point p in a cluster of size m > 1 with own estimate own > 0 is a
+        violator when (m/(m-1)) * own > (alpha/2) * foreign, where foreign is
+        its nearest foreign estimate and dst that cluster (the lowest cid on
+        ties).  Every live cluster has estimates here: the recompute queue is
+        empty.  The scan reads |C| x n cached values and makes no query.
         """
-        pending = []
-        found = None
-        cutoff = 4.0 / self.alpha
-        while self.main_heap and self.main_heap[0][0] < cutoff:
-            key, seq, p = heapq.heappop(self.main_heap)
-            if seq != self.main_seq[p]:
-                continue
-            cid = self.assign[p]
-            m = self.size(cid)
-            if m <= 1:
-                continue  # re-added if the cluster grows again
-            own_est = float(self.est[cid][p])
-            if own_est == 0.0:
-                continue
-            fm = self.foreign_min(p)
-            if fm is None:
-                continue
-            pending.append((key, seq, p))
-            if (m / (m - 1)) * own_est > (self.alpha / 2.0) * fm[0]:
-                found = (p, fm[1])
-                break
-        for e in pending:
-            heapq.heappush(self.main_heap, e)
-        return found
+        cids = sorted(self.members)
+        est = np.stack([self.est[cid] for cid in cids])
+        pts = np.arange(self.n)
+        row = np.searchsorted(cids, self.assign)
+        own = est[row, pts]
+        est[row, pts] = np.inf
+        nearest = np.argmin(est, axis=0)
+        foreign = est[nearest, pts]
+        m = np.array([self.size(cid) for cid in cids])[row]
+        ok = np.flatnonzero((m > 1) & (own > 0))
+        hit = ok[(m[ok] / (m[ok] - 1)) * own[ok] > (self.alpha / 2.0) * foreign[ok]]
+        if len(hit) == 0:
+            return None
+        p = int(hit[np.argmin(foreign[hit] / own[hit])])
+        return p, cids[nearest[p]]
 
     def counts(self) -> dict:
         return {
@@ -362,13 +314,10 @@ def epoch(
     if clustering.n != n:
         raise ValueError("clustering does not match the space")
     k = clustering.k
-    st = EpochState(n=n, k=k, eps=EPOCH_EPS, alpha=16.0 * math.log2(max(n, 2)))
+    st = EpochState(n=n, eps=EPOCH_EPS, alpha=16.0 * math.log2(max(n, 2)))
     st.assign = clustering.assignment.copy()
-    st.main_seq = [0] * n
-    st.point_heaps = [[] for _ in range(n)]
     for cid, m in enumerate(clustering.members()):
         st.members[cid] = set(int(x) for x in m)
-        st.version[cid] = 0
         st.enqueue_recompute(cid)
     st.next_cid = k
 
@@ -394,15 +343,9 @@ def epoch(
             st.progress[cid] = 0.0
             st.size_hat[cid] = len(members)
             st.num_swaps[cid] = 0
-            st.version[cid] = st.version.get(cid, 0) + 1
             st.phi[cid] = math.log2(len(members)) * float(st.est[cid][members].sum())
             if audit is not None:
                 audit.after_recompute(space, st, cid)
-            ver = st.version[cid]
-            for h, val in zip(st.point_heaps, st.est[cid].tolist()):
-                heapq.heappush(h, (val, cid, ver))
-            for p in range(n):
-                st.push_main_entry(p)
 
             if st.potential(space, rng) < (1.0 + st.eps) / 2.0 * st.phi_hat:
                 return EpochResult(st.clustering(), POTENTIAL_DROPPED, st.counts(), st)
@@ -443,12 +386,6 @@ def _swap(st: EpochState, p: int, src: int, dst: int) -> None:
         st.num_swaps[cid] += 1
         if st.error[cid] > st.t_star / (100.0 * st.alpha * sz) or st.num_swaps[cid] > st.size_hat[cid] / 2.0:
             st.enqueue_recompute(cid)
-    # src is foreign to p now; dst entries in p's heap go stale via the own-cluster check
-    st.push_point_entry(p, src)
-    st.push_main_entry(p)
-    if st.size(dst) == 2:
-        (other,) = st.members[dst] - {p}
-        st.push_main_entry(other)  # newly eligible: its cluster stopped being a singleton
 
 
 def _merge_and_split(space: MetricSpace, st: EpochState, cid: int, other: int, rng) -> None:
@@ -456,7 +393,6 @@ def _merge_and_split(space: MetricSpace, st: EpochState, cid: int, other: int, r
     merged = st.next_cid
     st.next_cid += 1
     st.members[merged] = st.members[cid] | st.members[other]
-    st.version[merged] = 0
     marr = st.member_array(merged)
     st.assign[marr] = merged
     for dead in (cid, other):
@@ -469,7 +405,6 @@ def _merge_and_split(space: MetricSpace, st: EpochState, cid: int, other: int, r
         new_cid = st.next_cid
         st.next_cid += 1
         st.members[new_cid] = set(int(x) for x in half)
-        st.version[new_cid] = 0
         st.assign[half] = new_cid
         st.enqueue_recompute(new_cid)
     st.drop_cluster(result.cluster_id)
@@ -484,7 +419,6 @@ def fast_ls(space: MetricSpace, k: int, seed: int = 0) -> tuple[Clustering, LsTr
     counts = {"swap": 0, "recompute": 0, "merge_split": 0, "epoch": 0}
     statuses = []
     epoch_cap = max(16, 8 * math.ceil(math.log2(n)))
-    old_pot = None
     while True:
         counts["epoch"] += 1
         if counts["epoch"] > epoch_cap:
@@ -493,12 +427,9 @@ def fast_ls(space: MetricSpace, k: int, seed: int = 0) -> tuple[Clustering, LsTr
         statuses.append(result.status)
         for key, val in result.counts.items():
             counts[key] += val
-        new_pot = calc_potential(space, result.clustering.members(), EPOCH_EPS, rng)
-        if old_pot is None:  # later epochs start from the clustering of the last new_pot
-            old_pot = calc_potential(space, current.members(), EPOCH_EPS, rng)
         current = result.clustering
-        if new_pot >= 7.0 / 8.0 * old_pot:
+        # the output potential from the epoch's cache against its input estimate
+        if result.state.potential(space, rng) >= 7.0 / 8.0 * result.state.phi_hat:
             break
-        old_pot = new_pot
     counts["epoch_statuses"] = statuses
     return current, LsTrace(status=CONVERGED, counts=counts, alpha=result.state.alpha)

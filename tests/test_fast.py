@@ -432,26 +432,107 @@ class TestPotentialCache:
         assert res.counts["recompute"] == 3
         assert len(calls) == 2 * 3
 
-    def test_fast_ls_estimates_one_potential_per_later_epoch(self, monkeypatch):
+    def test_fast_ls_estimates_only_uncached_potentials(self, monkeypatch):
         # k-center starts rarely need a second epoch; an adversarial start does
         sp, _, bad = perturbed_planted(60, 4, 0.001, seed=5, moves=8)
         monkeypatch.setattr(fast, "kcenter_init", lambda space, k: bad)
         potentials = _count_calls(monkeypatch, "calc_potential")
         real_epoch = fast.epoch
-        inside = []
+        inside, uncached = [], []
 
         def counted_epoch(*args, **kwargs):
             before = len(potentials)
             result = real_epoch(*args, **kwargs)
             inside.append(len(potentials) - before)
+            uncached.append(len(set(result.state.members) - set(result.state.phi)))
             return result
 
         monkeypatch.setattr(fast, "epoch", counted_epoch)
         _, trace = fast_ls(sp, 4, seed=0)
-        epochs = trace.counts["epoch"]
-        assert epochs >= 2
-        # new_pot after every epoch, old_pot before the first only
-        assert len(potentials) - sum(inside) == epochs + 1
+        assert trace.counts["epoch"] >= 2
+        # after each epoch fast_ls estimates only the clusters its cache lacks;
+        # here every epoch ends just after a check that filled the whole cache
+        assert len(potentials) - sum(inside) == sum(uncached) == 0
+
+
+def _reference_violators(st):
+    """Every cached violator as (foreign/own, p, dst), by a plain loop."""
+    found = []
+    for cid, members in st.members.items():
+        m = len(members)
+        if m <= 1:
+            continue
+        for p in members:
+            own = float(st.est[cid][p])
+            if own == 0.0:
+                continue
+            foreign, dst = min((float(st.est[c][p]), c) for c in st.members if c != cid)
+            if (m / (m - 1)) * own > (st.alpha / 2.0) * foreign:
+                found.append((foreign / own, p, dst))
+    return found
+
+
+class SwapChoiceAuditor:
+    """Checks that each swap moves the lowest-(key, p) cached violator to its
+    nearest foreign cluster, and that no violator is missed when none is found."""
+
+    def __init__(self):
+        self.swaps = 0
+        self.ties = 0
+        self.empty_scans = 0
+
+    def after_recompute(self, space, st, cid):
+        pass
+
+    def every_iteration(self, space, st, iteration):
+        if st.recompute:
+            return
+        # this iteration scans: it must find a violator exactly when one exists
+        found = _reference_violators(st)
+        assert (st.find_violator() is None) == (not found)
+        self.empty_scans += not found
+
+    def before_swap(self, space, st, p, src, dst):
+        found = _reference_violators(st)
+        key, q, near = min(found)
+        assert (p, src, dst) == (q, st.assign[q], near)
+        self.swaps += 1
+        self.ties += sum(f[0] == key for f in found) > 1
+
+
+class TestSwapChoice:
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_doubled_points(self, monkeypatch, exact):
+        # exact estimates give both copies of a point the same key
+        if exact:
+            _exact_calc_average(monkeypatch)
+        sp, _, bad = perturbed_planted(40, 4, 0.005, seed=2, moves=6)
+        twice = np.repeat(np.arange(sp.n), 2)
+        doubled = MetricSpace.from_matrix(sp.peek_block(twice, twice), validate=False)
+        audit = SwapChoiceAuditor()
+        res = epoch(doubled, Clustering(bad.assignment[twice], 4), rng_from_seed(0), audit=audit)
+        assert audit.swaps == res.counts["swap"] >= 2
+        if exact:
+            assert audit.ties >= 1
+
+    def test_size_factor_and_cluster_ties(self, monkeypatch, rng):
+        # alpha = 16 log2 6 > 41: point 2 lies 1 from two clumps and 24 from its
+        # partner, so its own average 12 is a violation only after the
+        # |C|/(|C|-1) factor doubles it; the clumps tie and the lower cid wins
+        _exact_calc_average(monkeypatch)
+        sp = line_space([-1, -1, 0, 24, 1, 1])
+        audit = SwapChoiceAuditor()
+        res = epoch(sp, Clustering(np.array([0, 0, 1, 1, 2, 2]), 3), rng, audit=audit)
+        assert audit.swaps == res.counts["swap"] == 1
+        assert res.clustering.assignment.tolist() == [0, 0, 0, 1, 2, 2]
+
+    def test_merge_heavy(self, rng):
+        sp, bad = merge_heavy_instance()
+        audit = SwapChoiceAuditor()
+        res = epoch(sp, bad, rng, audit=audit)
+        assert res.counts["merge_split"] >= 1
+        assert audit.swaps == res.counts["swap"]
+        assert res.status == IP_STABLE and audit.empty_scans >= 1
 
 
 class TestFastLs:
