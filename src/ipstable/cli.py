@@ -72,16 +72,28 @@ def _load_instance(path: str, fmt: str, norm: str) -> MetricSpace:
     p = Path(path)
     if not p.exists():
         raise CliError(f"instance file not found: {path}")
-    if fmt == "auto":
-        with open(p) as fh:
-            first = fh.readline()
-        fmt = "points" if first.startswith("x0") else "matrix"
     try:
+        if fmt == "auto":
+            with open(p) as fh:
+                first = fh.readline()
+            fmt = "points" if first.startswith("x0") else "matrix"
         if fmt == "points":
             return load_points_csv(p, norm=norm)
         return load_matrix_csv(p)
-    except ValueError as exc:
+    except OSError as exc:
+        raise CliError(f"cannot read instance file: {exc}") from exc
+    except ValueError as exc:  # a UnicodeDecodeError too
         raise CliError(f"malformed instance file: {exc}") from exc
+
+
+def _out_dir(path: str) -> Path:
+    """Create the output directory, before any work is done."""
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise CliError(f"cannot create output directory: {exc}") from exc
+    return out
 
 
 def cmd_gen(args) -> int:
@@ -90,8 +102,7 @@ def cmd_gen(args) -> int:
             kind=args.kind, n=args.n, k=args.k, dim=args.dim,
             separation=args.separation, seed=args.seed,
         )
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args.out)
     result = generate(spec)
     space = result.space
     if space.coords is not None:
@@ -121,6 +132,7 @@ def cmd_cluster(args) -> int:
     space = _load_instance(args.instance, args.format, args.norm)
     with _usage_errors():
         check_start(space.n, args.k)
+    out = _out_dir(args.out)
     queries_before = space.query_counter
     t0 = time.perf_counter()
     alpha = {} if args.alpha is None else {"alpha": args.alpha}  # natural's only
@@ -145,9 +157,6 @@ def cmd_cluster(args) -> int:
     if trace.alpha is None:  # dp certifies beta instead
         run_report["beta_achieved"] = beta_clustering(space, clustering)
     report_text = strict_json(run_report, indent=2)
-
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     (out / "clustering.json").write_text(clustering.to_json())
     (out / "report.json").write_text(report_text)
     return _emit(report_text, EXIT_CAP if trace.status == CAP_EXCEEDED else EXIT_OK)

@@ -350,6 +350,8 @@ def verify_stability(
     """Exact stability check: worst ratio f(p, C(p)\\{p}) / f(p, C') over all p, C'."""
     if clustering.n != space.n:
         raise ValueError("clustering size does not match the space")
+    if objective not in OBJECTIVES:  # checked here too: k = 1 builds no table
+        raise ValueError(f"unknown objective {objective!r}")
     n, k = clustering.n, clustering.k
     own = clustering.assignment
     if k == 1:

@@ -7,11 +7,12 @@ err one-sidedly: avg <= est <= (1+eps)*avg with high probability.
 
 ``epoch`` runs one phase of the local search on cached estimates, tracking
 per-cluster additive error budgets and swap counts; clusters whose caches
-drift too far are re-estimated.  Each swap takes the violator found by one
-O(n*k) scan of the cached estimates, which makes no query.  The epoch also
-caches one estimated potential per cluster: a re-estimate of C sets it from
-the new averages at no extra cost, and a swap or a merge-and-split drops it
-for every cluster whose members changed, so the potential check after a
+drift too far are re-estimated.  Membership is read from the assignment
+array alone.  Each swap takes the violator found by one O(n*k) scan of the
+cached estimates, which makes no query.  The epoch also caches one
+estimated potential per cluster: a re-estimate of C sets it from the new
+averages at no extra cost, and a swap or a merge-and-split drops it for
+every cluster whose members changed, so the potential check after a
 re-estimate samples only those clusters.  An epoch either certifies
 16*log2(n) stability or ends early having cut the true potential below 3/4
 of its input value.  ``fast_ls`` chains epochs until an epoch's output
@@ -27,7 +28,6 @@ charged t per query point, matching the sampled evaluations.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -189,61 +189,49 @@ def fast_split(
 
 @dataclass
 class EpochState:
-    """All bookkeeping of one epoch: cached estimates and potentials,
-    per-cluster error and progress accounting, and the recompute queue.
-    The next violator is found by one scan over the cached estimates."""
+    """All bookkeeping of one epoch.  ``assign`` is the only membership
+    record: the live cids are its distinct values.  No cluster ever empties,
+    so ``assign.max()`` never decreases and ``assign.max() + 1`` names each
+    new cluster without reusing an id.  Beside it sit the cached estimates
+    and potentials, each cluster's error budget and swap count, the
+    recompute queue and the step counts.  The next violator is found by one
+    scan over the cached estimates."""
 
     n: int
     eps: float
     alpha: float
+    assign: np.ndarray
     phi_hat: float = 0.0
     t_star: float = 0.0
-    assign: np.ndarray = None
-    members: dict = field(default_factory=dict)      # cid -> set of points
     est: dict = field(default_factory=dict)          # cid -> ndarray over all points
     error: dict = field(default_factory=dict)
-    progress: dict = field(default_factory=dict)
     num_swaps: dict = field(default_factory=dict)
     size_hat: dict = field(default_factory=dict)
     phi: dict = field(default_factory=dict)          # cid -> estimated potential of its members
-    recompute: deque = field(default_factory=deque)  # cids queued for re-estimation
-    recompute_set: set = field(default_factory=set)
-    next_cid: int = 0
-    swap_steps: int = 0
-    recompute_steps: int = 0
-    merge_split_steps: int = 0
+    recompute: dict = field(default_factory=dict)    # cids queued for re-estimation, in order
+    counts: dict = field(default_factory=lambda: {"swap": 0, "recompute": 0, "merge_split": 0})
 
-    def size(self, cid: int) -> int:
-        return len(self.members[cid])
+    def cids(self) -> list:
+        """The live cids, ascending."""
+        return np.unique(self.assign).tolist()
 
-    def member_array(self, cid: int) -> np.ndarray:
-        return np.fromiter(self.members[cid], dtype=np.intp, count=len(self.members[cid]))
-
-    def sorted_members(self, cid: int) -> np.ndarray:
-        return np.sort(self.member_array(cid))
-
-    def enqueue_recompute(self, cid: int) -> None:
-        if cid not in self.recompute_set:
-            self.recompute.append(cid)
-            self.recompute_set.add(cid)
+    def members(self, cid: int) -> np.ndarray:
+        """The points of cluster cid, ascending."""
+        return np.flatnonzero(self.assign == cid)
 
     def potential(self, space: MetricSpace, rng: np.random.Generator) -> float:
         """Sum of the cached potentials; only clusters without an entry are
         estimated (each entry is a one-sided (1+eps)-estimate)."""
         total = 0.0
-        for cid in sorted(self.members):
+        for cid in self.cids():
             if cid not in self.phi:
-                self.phi[cid] = calc_potential(space, [self.sorted_members(cid)], self.eps, rng)
+                self.phi[cid] = calc_potential(space, [self.members(cid)], self.eps, rng)
             total += self.phi[cid]
         return total
 
     def drop_cluster(self, cid: int) -> None:
-        """Forget a dead cid: its members, queue slot and every cached value."""
-        if cid in self.recompute_set:
-            self.recompute_set.discard(cid)
-            self.recompute = deque(c for c in self.recompute if c != cid)
-        del self.members[cid]
-        for d in (self.est, self.error, self.progress, self.num_swaps, self.size_hat, self.phi):
+        """Forget a dead cid: its queue slot and every cached value."""
+        for d in (self.est, self.error, self.num_swaps, self.size_hat, self.phi, self.recompute):
             d.pop(cid, None)
 
     def find_violator(self):
@@ -256,32 +244,24 @@ class EpochState:
         ties).  Every live cluster has estimates here: the recompute queue is
         empty.  The scan reads |C| x n cached values and makes no query.
         """
-        cids = sorted(self.members)
+        cids, row, sizes = np.unique(self.assign, return_inverse=True, return_counts=True)
         est = np.stack([self.est[cid] for cid in cids])
         pts = np.arange(self.n)
-        row = np.searchsorted(cids, self.assign)
         own = est[row, pts]
         est[row, pts] = np.inf
         nearest = np.argmin(est, axis=0)
         foreign = est[nearest, pts]
-        m = np.array([self.size(cid) for cid in cids])[row]
+        m = sizes[row]
         ok = np.flatnonzero((m > 1) & (own > 0))
         hit = ok[(m[ok] / (m[ok] - 1)) * own[ok] > (self.alpha / 2.0) * foreign[ok]]
         if len(hit) == 0:
             return None
         p = int(hit[np.argmin(foreign[hit] / own[hit])])
-        return p, cids[nearest[p]]
-
-    def counts(self) -> dict:
-        return {
-            "swap": self.swap_steps,
-            "recompute": self.recompute_steps,
-            "merge_split": self.merge_split_steps,
-        }
+        return p, int(cids[nearest[p]])
 
     def clustering(self) -> Clustering:
-        _, dense = np.unique(self.assign, return_inverse=True)  # live cids in sorted order
-        return Clustering(dense, len(self.members))
+        cids, dense = np.unique(self.assign, return_inverse=True)  # live cids in sorted order
+        return Clustering(dense, len(cids))
 
 
 @dataclass
@@ -314,12 +294,8 @@ def epoch(
     if clustering.n != n:
         raise ValueError("clustering does not match the space")
     k = clustering.k
-    st = EpochState(n=n, eps=EPOCH_EPS, alpha=16.0 * math.log2(max(n, 2)))
-    st.assign = clustering.assignment.copy()
-    for cid, m in enumerate(clustering.members()):
-        st.members[cid] = set(int(x) for x in m)
-        st.enqueue_recompute(cid)
-    st.next_cid = k
+    st = EpochState(n=n, eps=EPOCH_EPS, alpha=16.0 * math.log2(max(n, 2)), assign=clustering.assignment.copy())
+    st.recompute = dict.fromkeys(range(k))
 
     all_points = np.arange(n)
     st.phi_hat = st.potential(space, rng)
@@ -334,13 +310,12 @@ def epoch(
             audit.every_iteration(space, st, iteration)
 
         if st.recompute:
-            cid = st.recompute.popleft()
-            st.recompute_set.discard(cid)
-            st.recompute_steps += 1
-            members = st.sorted_members(cid)
+            cid = next(iter(st.recompute))
+            del st.recompute[cid]
+            st.counts["recompute"] += 1
+            members = st.members(cid)
             st.est[cid] = calc_average(space, members, all_points, st.eps, rng)
             st.error[cid] = 0.0
-            st.progress[cid] = 0.0
             st.size_hat[cid] = len(members)
             st.num_swaps[cid] = 0
             st.phi[cid] = math.log2(len(members)) * float(st.est[cid][members].sum())
@@ -348,22 +323,21 @@ def epoch(
                 audit.after_recompute(space, st, cid)
 
             if st.potential(space, rng) < (1.0 + st.eps) / 2.0 * st.phi_hat:
-                return EpochResult(st.clustering(), POTENTIAL_DROPPED, st.counts(), st)
+                return EpochResult(st.clustering(), POTENTIAL_DROPPED, st.counts, st)
 
             est_c = st.est[cid]
-            size_c = st.size(cid)
-            for other in sorted(st.members):
+            for other in st.cids():
                 if other == cid:
                     continue
-                om = st.sorted_members(other)
-                lhs = min(size_c, len(om)) / len(om) * float(est_c[om].sum())
+                om = st.members(other)
+                lhs = min(len(members), len(om)) / len(om) * float(est_c[om].sum())
                 if lhs < st.t_star:
                     _merge_and_split(space, st, cid, other, rng)
                     break
         else:
             found = st.find_violator()
             if found is None:
-                return EpochResult(st.clustering(), IP_STABLE, st.counts(), st)
+                return EpochResult(st.clustering(), IP_STABLE, st.counts, st)
             p, dst = found
             src = int(st.assign[p])
             if audit is not None:
@@ -372,41 +346,32 @@ def epoch(
 
 
 def _swap(st: EpochState, p: int, src: int, dst: int) -> None:
-    st.swap_steps += 1
-    progress_inc = (float(st.est[src][p]) / (1.0 + st.eps) - st.error[src]) / 2.0
-    st.members[src].discard(p)
-    st.members[dst].add(p)
+    st.counts["swap"] += 1
     st.assign[p] = dst
     st.phi.pop(src, None)
     st.phi.pop(dst, None)
     for cid in (src, dst):
-        sz = st.size(cid)  # size after the move
+        sz = len(st.members(cid))  # size after the move
         st.error[cid] += (float(st.est[cid][p]) + st.error[cid]) / sz
-        st.progress[cid] += progress_inc
         st.num_swaps[cid] += 1
         if st.error[cid] > st.t_star / (100.0 * st.alpha * sz) or st.num_swaps[cid] > st.size_hat[cid] / 2.0:
-            st.enqueue_recompute(cid)
+            st.recompute[cid] = None
 
 
 def _merge_and_split(space: MetricSpace, st: EpochState, cid: int, other: int, rng) -> None:
-    st.merge_split_steps += 1
-    merged = st.next_cid
-    st.next_cid += 1
-    st.members[merged] = st.members[cid] | st.members[other]
-    marr = st.member_array(merged)
-    st.assign[marr] = merged
-    for dead in (cid, other):
-        st.drop_cluster(dead)
-    st.enqueue_recompute(merged)
+    """Merge cid and other, then split the cluster the split core picks."""
+    st.counts["merge_split"] += 1
+    merged = int(st.assign.max()) + 1
+    st.assign[np.isin(st.assign, (cid, other))] = merged
+    st.drop_cluster(cid)
+    st.drop_cluster(other)
+    st.recompute[merged] = None
 
-    candidates = [(c, st.sorted_members(c)) for c in sorted(st.members)]
-    result = _fast_split_core(space, candidates, rng)
+    result = _fast_split_core(space, [(c, st.members(c)) for c in st.cids()], rng)
     for half in (result.half_a, result.half_b):
-        new_cid = st.next_cid
-        st.next_cid += 1
-        st.members[new_cid] = set(int(x) for x in half)
+        new_cid = int(st.assign.max()) + 1
         st.assign[half] = new_cid
-        st.enqueue_recompute(new_cid)
+        st.recompute[new_cid] = None
     st.drop_cluster(result.cluster_id)
 
 

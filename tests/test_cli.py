@@ -365,6 +365,57 @@ class TestExitCodes:
             assert f"  {code}  " in text
 
 
+class TestUnusablePaths:
+    """A path the CLI cannot read or write is a usage error, found before any work."""
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        (tmp_path / "line.csv").write_text("x0\n0\n1\n10\n11\n")
+        (tmp_path / "two.json").write_text(Clustering([0, 0, 1, 1], 2).to_json())
+        (tmp_path / "binary.csv").write_bytes(b"\xff\xfe\x00\x81\n")
+        return tmp_path
+
+    @pytest.mark.parametrize("argv", [
+        ["cluster", "--in", "{d}", "--k", "2", "--alg", "dp", "--out", "{d}/run"],
+        ["verify", "--in", "{d}", "--clustering", "{d}/two.json"],
+    ])
+    def test_instance_is_a_directory(self, argv, files, capsys):
+        code, _, err = run([arg.format(d=files) for arg in argv], capsys)
+        assert code == EXIT_USAGE
+        assert "cannot read instance file" in err
+
+    def test_instance_is_not_text(self, files, capsys):
+        code, _, err = run(
+            ["cluster", "--in", str(files / "binary.csv"), "--k", "2", "--alg", "dp",
+             "--out", str(files / "run")],
+            capsys,
+        )
+        assert code == EXIT_USAGE
+        assert "malformed instance file" in err
+
+    def test_cluster_out_is_a_file(self, files, capsys, monkeypatch):
+        def never(space, k):
+            raise AssertionError("the algorithm ran before --out was checked")
+
+        monkeypatch.setattr(algorithms, "stable_cluster", never)
+        code, out, err = run(
+            ["cluster", "--in", str(files / "line.csv"), "--k", "2", "--alg", "dp",
+             "--out", str(files / "two.json")],
+            capsys,
+        )
+        assert code == EXIT_USAGE
+        assert out == "" and "cannot create output directory" in err
+
+    def test_gen_out_is_a_file(self, files, capsys):
+        code, _, err = run(
+            ["gen", "--kind", "random_shortest_path", "--n", "5", "--seed", "1",
+             "--out", str(files / "two.json")],
+            capsys,
+        )
+        assert code == EXIT_USAGE
+        assert "cannot create output directory" in err
+
+
 class _ReaderGone:
     """A stdout whose reader has gone: every write raises BrokenPipeError."""
 

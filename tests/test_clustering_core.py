@@ -307,6 +307,11 @@ class TestObjectiveTable:
         with pytest.raises(ValueError, match="unknown objective"):
             verify_stability(line_space([0, 1]), Clustering([0, 1], 2), "mean")
 
+    def test_unknown_objective_with_one_cluster(self):
+        # k = 1 is stable without a table, but the objective is still checked
+        with pytest.raises(ValueError, match="unknown objective"):
+            verify_stability(line_space([0, 1]), Clustering([0, 0], 1), "bogus")
+
 
 def _reference_objective_table(space, clustering, objective):
     """The verifier's table before the searches and the verifier shared one:

@@ -269,17 +269,21 @@ class EpochAuditor:
         self.every = every
         self.sample_points = sample_points
         self.tilde = {}
+        self.progress = {}  # the paper's progress account, per cluster
         self.swap_checks = 0
         self.invariant_checks = 0
 
     def after_recompute(self, space, st, cid):
-        members = st.sorted_members(cid)
-        self.tilde[cid] = exact_avg(space, members, np.arange(st.n))
+        self.tilde[cid] = exact_avg(space, st.members(cid), np.arange(st.n))
+        self.progress[cid] = 0.0
 
     def before_swap(self, space, st, p, src, dst):
-        own = st.sorted_members(src)
+        progress_inc = (float(st.est[src][p]) / (1.0 + st.eps) - st.error[src]) / 2.0
+        self.progress[src] += progress_inc
+        self.progress[dst] += progress_inc
+        own = st.members(src)
         own = own[own != p]
-        foreign = st.sorted_members(dst)
+        foreign = st.members(dst)
         own_avg = exact_avg(space, own, [p])[0]
         for_avg = exact_avg(space, foreign, [p])[0]
         assert own_avg > 4.0 * math.log2(space.n) * for_avg
@@ -289,18 +293,18 @@ class EpochAuditor:
         if iteration % self.every:
             return
         self.invariant_checks += 1
-        for cid in st.members:
-            if cid in st.recompute_set or cid not in st.est:
+        for cid in st.cids():
+            if cid in st.recompute or cid not in st.est:
                 continue
-            size = st.size(cid)
+            members = st.members(cid)
+            size = len(members)
             assert st.num_swaps[cid] <= st.size_hat[cid] / 2.0 + 1e-12
             assert st.error[cid] <= st.t_star / (100.0 * st.alpha * size) * (1 + 1e-9)
             assert abs(st.size_hat[cid] - size) <= st.num_swaps[cid]
             # the progress account dominates both drift meters
-            assert st.error[cid] <= 80.0 / 9.0 * st.progress[cid] / st.size_hat[cid] * (1 + 1e-9) + 1e-15
+            assert st.error[cid] <= 80.0 / 9.0 * self.progress[cid] / st.size_hat[cid] * (1 + 1e-9) + 1e-15
             if st.t_star > 0:
-                assert st.num_swaps[cid] <= 44.0 * st.progress[cid] * st.size_hat[cid] / st.t_star * (1 + 1e-9) + 1e-12
-            members = st.sorted_members(cid)
+                assert st.num_swaps[cid] <= 44.0 * self.progress[cid] * st.size_hat[cid] / st.t_star * (1 + 1e-9) + 1e-12
             pts = np.linspace(0, st.n - 1, self.sample_points, dtype=int)
             now = exact_avg(space, members, pts)
             drift = np.abs(self.tilde[cid][pts] - now)
@@ -376,8 +380,8 @@ class PhiCacheAuditor:
 
     def every_iteration(self, space, st, iteration):
         for cid, value in st.phi.items():
-            assert cid in st.members
-            assert value == pytest.approx(phi_avg(space, st.sorted_members(cid)), rel=1e-9)
+            assert cid in st.cids()
+            assert value == pytest.approx(phi_avg(space, st.members(cid)), rel=1e-9)
             self.entries_checked += 1
 
 
@@ -444,7 +448,7 @@ class TestPotentialCache:
             before = len(potentials)
             result = real_epoch(*args, **kwargs)
             inside.append(len(potentials) - before)
-            uncached.append(len(set(result.state.members) - set(result.state.phi)))
+            uncached.append(len(set(result.state.cids()) - set(result.state.phi)))
             return result
 
         monkeypatch.setattr(fast, "epoch", counted_epoch)
@@ -458,7 +462,9 @@ class TestPotentialCache:
 def _reference_violators(st):
     """Every cached violator as (foreign/own, p, dst), by a plain loop."""
     found = []
-    for cid, members in st.members.items():
+    cids = st.cids()
+    for cid in cids:
+        members = st.members(cid).tolist()
         m = len(members)
         if m <= 1:
             continue
@@ -466,7 +472,7 @@ def _reference_violators(st):
             own = float(st.est[cid][p])
             if own == 0.0:
                 continue
-            foreign, dst = min((float(st.est[c][p]), c) for c in st.members if c != cid)
+            foreign, dst = min((float(st.est[c][p]), c) for c in cids if c != cid)
             if (m / (m - 1)) * own > (st.alpha / 2.0) * foreign:
                 found.append((foreign / own, p, dst))
     return found

@@ -4,8 +4,9 @@ Assignments are written one digit per point.  The planted instance starts
 the exact searches from an adversarial clustering (eight points moved into
 cluster 0); the shortest-path table runs natural at alpha = 1 and median at
 a tight alpha so the searches take steps there too.  The merge-heavy cases
-take one merge-and-split step each, and each splits the older of two
-clusters that tie on the split key.
+take one merge-and-split step each, and each exact search splits the older
+of two clusters that tie on the split key; the fast epoch's merge-and-split
+is pinned on the first of them.
 """
 
 import numpy as np
@@ -23,7 +24,8 @@ from ipstable import (
     natural_local_search,
     stable_cluster,
 )
-from ipstable.metric import GenSpec, generate
+from ipstable.fast import IP_STABLE, epoch
+from ipstable.metric import GenSpec, generate, rng_from_seed
 
 from conftest import perturbed_planted
 
@@ -97,6 +99,11 @@ def test_merge_heavy_steps():
     out, trace = merge_split_ls(sp, 4, seed=0, initial=bad)
     assert trace.counts == {"swap": 0, "merge_split": 1}
     assert _digits(out) == "33223332232223323232111111100000000000000000000"
+    res = epoch(sp, bad, rng_from_seed(1))
+    assert res.status == IP_STABLE
+    assert res.counts == {"swap": 0, "recompute": 6, "merge_split": 1}
+    assert _digits(res.clustering) == "33323232333322322222111111100000000000000000000"
+    assert sp.query_counter == 28287681488  # merge_split_ls's n^2 = 2209, then the epoch's
 
     # clusters 0 and 3 have the same diameter: the split detaches a point of
     # the older one, cluster 0
