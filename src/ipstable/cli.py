@@ -186,6 +186,11 @@ def cmd_bench(args) -> int:
         for n in args.n:
             for k in args.k:
                 check_start(n, k)
+    if args.out:  # checked before the grid runs; an existing file is overwritten
+        if Path(args.out).is_dir():
+            raise CliError(f"cannot write output file {args.out}: it is a directory")
+        if not Path(args.out).parent.is_dir():
+            raise CliError(f"cannot write output file {args.out}: its directory does not exist")
     rows = ["n,k,alg,seed,queries,steps,time_s"]
     for alg in args.alg:
         for n in args.n:

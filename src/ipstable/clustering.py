@@ -199,6 +199,20 @@ def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     )
 
 
+def _delete_sorted(block: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """Delete one copy of vals[r] from each sorted row of block."""
+    n, width = block.shape
+    at = np.count_nonzero(block < vals[:, None], axis=1)
+    return np.delete(block.ravel(), np.arange(n) * width + at).reshape(n, width - 1)
+
+
+def _insert_sorted(block: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """Insert vals[r] into each sorted row of block, keeping it sorted."""
+    n, width = block.shape
+    at = np.count_nonzero(block < vals[:, None], axis=1)
+    return np.insert(block.ravel(), np.arange(n) * width + at, vals).reshape(n, width + 1)
+
+
 class _ObjectiveTable:
     """f(p, C) for every point p and cluster C under one objective, kept exact
     while a search moves points, merges clusters and splits them.
@@ -206,11 +220,24 @@ class _ObjectiveTable:
     Built from one ``space.full()`` read.  Columns are the clusters in
     creation order: ``merge`` and ``split`` delete the dead columns and append
     the new ones, so every tie-break by column index is a tie-break by age.
-    For avg the table holds distance sums (f = sums / size) and a move updates
-    them incrementally; for max and median it holds f itself and a move
-    rebuilds the two columns it touches.  Member arrays keep insertion order
-    (a moved point is appended, a merge concatenates), which is the order the
-    randomized split permutes.
+    Member arrays keep insertion order (a moved point is appended, a merge
+    concatenates), which is the order the randomized split permutes.
+
+    A move of p updates the two columns it touches from the distances
+    ``D[:, p]`` alone.  For avg the table holds distance sums (f = sums /
+    size), which gain or lose that column.  For max the target column takes
+    its elementwise maximum with it, and the source column is recomputed only
+    on the rows whose maximum was d(r, p).  For median, each column that a
+    move has touched keeps its distance block sorted along each row
+    (``_sorted[c]``, n x |C|); a move deletes d(r, p) from each source row and
+    inserts it into each target row, and the medians are read at their ranks.
+    A block is built on the first move that touches its column, so a table
+    that never moves (the verifier's) pays nothing for it; all blocks
+    together hold at most n x n floats.  A merge of two columns that both
+    have blocks merges them; a split and any other merge fill the new
+    columns from the distance table.  Every stored value is an entry of the
+    distance table picked by the same rank rule as a fresh fill, so the
+    table equals a fresh one exactly.
     """
 
     def __init__(self, space: MetricSpace, clustering: Clustering, objective: str):
@@ -224,6 +251,7 @@ class _ObjectiveTable:
         self.sizes = clustering.sizes().astype(np.int64)
         self.table = np.empty((self.n, clustering.k))
         self._own_median = np.zeros(self.n)  # median(p, C(p)\{p}); median only
+        self._sorted = [None] * clustering.k  # median only: row-sorted D[:, members[c]]
         for c in range(clustering.k):
             self._fill(c)
 
@@ -246,6 +274,12 @@ class _ObjectiveTable:
             kth_own = len(m) // 2
             self._own_median[m] = np.partition(block[m], kth_own, axis=1)[:, kth_own]
 
+    def _read_median(self, c: int) -> None:
+        """Read column c and its members' own medians from its sorted block."""
+        block, m = self._sorted[c], self.members[c]
+        self.table[:, c] = block[:, (len(m) + 1) // 2 - 1]
+        self._own_median[m] = block[m, len(m) // 2]  # rank shifted by the self-zero
+
     def move(self, p: int, dst: int) -> None:
         """Move point p into column dst."""
         src = self.assign[p]
@@ -258,9 +292,17 @@ class _ObjectiveTable:
             row = self.D[p]
             self.table[:, src] -= row
             self.table[:, dst] += row
-        else:
-            self._fill(src)
-            self._fill(dst)
+            return
+        dist = self.D[:, p]
+        if self.objective == "max":
+            self.table[:, dst] = np.maximum(self.table[:, dst], dist)
+            rows = np.flatnonzero(dist == self.table[:, src])
+            self.table[rows, src] = self.D[np.ix_(rows, self.members[src])].max(axis=1)
+            return
+        for c, edit in ((src, _delete_sorted), (dst, _insert_sorted)):
+            block = self._sorted[c]
+            self._sorted[c] = np.sort(self.D[:, self.members[c]], axis=1) if block is None else edit(block, dist)
+            self._read_median(c)
 
     def _replace(self, dead, parts) -> int:
         """Delete the ``dead`` columns, whose points are exactly those of
@@ -271,6 +313,7 @@ class _ObjectiveTable:
         self.assign = col_of[self.assign]
         self.members = [self.members[c] for c in keep] + list(parts)
         self.sizes = np.append(self.sizes[keep], [len(m) for m in parts])
+        self._sorted = [self._sorted[c] for c in keep] + [None] * len(parts)
         self.table = np.concatenate([self.table[:, keep], np.empty((self.n, len(parts)))], axis=1)
         for c in range(len(keep), self.k):
             self.assign[self.members[c]] = c
@@ -280,9 +323,14 @@ class _ObjectiveTable:
         """Replace columns a and b by one column for their union, appended last."""
         merged = np.concatenate([self.members[a], self.members[b]])
         sums = self.table[:, a] + self.table[:, b] if self.objective == "avg" else None
+        blocks = (self._sorted[a], self._sorted[b])
         c = self._replace((a, b), [merged])
         if sums is not None:
             self.table[:, c] = sums
+        elif all(block is not None for block in blocks):
+            # a stable sort of two sorted runs is a merge
+            self._sorted[c] = np.sort(np.concatenate(blocks, axis=1), axis=1, kind="stable")
+            self._read_median(c)
         else:
             self._fill(c)
 

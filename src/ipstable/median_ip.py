@@ -140,6 +140,24 @@ def _refresh_diameters(diam: list, dead, table: _ObjectiveTable) -> None:
     diam.extend(_diameter(table.D, m) for m in table.members[len(diam):])
 
 
+def _follow_move(diam: list, table: _ObjectiveTable, p: int, src: int, dst: int) -> None:
+    """Follow ``table.move(p, dst)`` on a symmetric distance table.
+
+    src keeps its farthest pair unless p was an endpoint.  dst's is the
+    larger of its old pair and the farthest (p, q), q in dst; ties go to the
+    smaller pair, which is the pair ``_diameter`` finds.  All-coincident
+    clusters, whose pair ``_diameter`` writes as (p, p), are recomputed.
+    """
+    if p in diam[src][1:]:
+        diam[src] = _diameter(table.D, table.members[src])
+    rest = table.members[dst][:-1]  # the moved point is appended last
+    dist = table.D[p, rest]
+    top = dist.max()
+    q = int(rest[dist == top].min())
+    best = max(diam[dst], (float(top), min(p, q), max(p, q)), key=lambda t: (t[0], -t[1], -t[2]))
+    diam[dst] = best if best[0] > 0 else _diameter(table.D, table.members[dst])
+
+
 def _split_sharpest(table: _ObjectiveTable, diam: list) -> None:
     """Apply the deterministic one-point split to the widest cluster."""
     best = max((c for c, m in enumerate(table.members) if len(m) > 1), key=lambda c: (diam[c][0], -c))
@@ -164,6 +182,7 @@ def median_ip_cluster(
     check_start(n, k, initial)
     table = _ObjectiveTable(space, initial if initial is not None else kcenter_init(space, k), "median")
     diam = [_diameter(table.D, m) for m in table.members]
+    symmetric = np.array_equal(table.D, table.D.T)  # else ties depend on the orientation
 
     def step(p, src, dst, phi):
         gain = math.sqrt(max(d for d, _, _ in diam) / 2.0) * SQRT_MEDIAN_SCALE
@@ -175,8 +194,11 @@ def median_ip_cluster(
             kind = "merge_split"
         else:
             table.move(p, dst)
-            diam[src] = _diameter(table.D, table.members[src])
-            diam[dst] = _diameter(table.D, table.members[dst])
+            if symmetric:
+                _follow_move(diam, table, p, src, dst)
+            else:
+                diam[src] = _diameter(table.D, table.members[src])
+                diam[dst] = _diameter(table.D, table.members[dst])
             kind = "swap"
         return Step(kind, p, src, dst, threshold=gain / 2.0)
 

@@ -340,6 +340,30 @@ class TestBench:
         assert code == EXIT_USAGE
         assert "unknown algorithm" in err
 
+    @pytest.mark.parametrize("out", [".", "{d}", "{d}/missing/grid.csv"])
+    def test_unwritable_out_rejected_before_the_grid(self, out, tmp_path, capsys, monkeypatch):
+        def never(space, k, seed, max_steps):
+            raise AssertionError("the grid ran before --out was checked")
+
+        monkeypatch.setitem(algorithms.ALGORITHMS, "dp", algorithms.Algorithm("avg", False, never))
+        code, stdout, err = run(
+            ["bench", "--alg", "dp", "--n", "20", "--k", "3", "--seeds", "0", "--out", out.format(d=tmp_path)],
+            capsys,
+        )
+        assert code == EXIT_USAGE
+        assert stdout == "" and "cannot write output file" in err
+        assert not (tmp_path / "missing").exists()
+
+    def test_existing_out_file_is_overwritten(self, tmp_path, capsys):
+        out = tmp_path / "grid.csv"
+        out.write_text("old\n")
+        code, stdout, _ = run(
+            ["bench", "--alg", "dp", "--n", "20", "--k", "3", "--seeds", "0", "--no-time", "--out", str(out)],
+            capsys,
+        )
+        assert code == EXIT_OK and stdout == ""
+        assert out.read_text().startswith("n,k,alg,seed,queries,steps,time_s\n20,3,dp,0,")
+
 
 class TestExitCodes:
     def test_internal_error_has_its_own_code(self, planted_dir, tmp_path, capsys, monkeypatch):

@@ -288,6 +288,32 @@ class TestObjectiveTable:
                     assert table.assign[p] == dst and table.members[dst][-1] == p
                 _assert_matches_fresh(space, table)
 
+    @pytest.mark.parametrize("objective", ["max", "median"])
+    def test_long_move_sequence_matches_fresh_table(self, objective):
+        # moves only, so the median columns edit their sorted blocks hundreds
+        # of times between fills
+        for seed, space in enumerate(_table_spaces()):
+            rng = np.random.default_rng(100 + seed)
+            table = _ObjectiveTable(space, Clustering(np.arange(space.n) % 4, 4), objective)
+            for _ in range(400):
+                p = int(rng.choice(np.flatnonzero(table.sizes[table.assign] > 1)))
+                dst = int(rng.choice([c for c in range(table.k) if c != table.assign[p]]))
+                table.move(p, dst)
+                _assert_matches_fresh(space, table)
+            if objective == "median":
+                assert all(block is not None for block in table._sorted)
+
+    def test_merge_of_two_sorted_blocks(self):
+        for space in _table_spaces():
+            table = _ObjectiveTable(space, Clustering(np.arange(space.n) % 4, 4), "median")
+            table.move(0, 1)  # builds the blocks of columns 0 and 1
+            table.merge(0, 1)
+            merged = table.members[-1]
+            assert np.array_equal(table._sorted[-1], np.sort(table.D[:, merged], axis=1))
+            _assert_matches_fresh(space, table)
+            table.move(int(merged[0]), 0)  # the merged block keeps serving moves
+            _assert_matches_fresh(space, table)
+
     def test_surviving_columns_keep_their_order(self):
         space = line_space(range(10))
         table = _ObjectiveTable(space, Clustering(np.arange(10) % 5, 5), "avg")

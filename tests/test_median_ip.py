@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from ipstable import median_ip
 from ipstable.clustering import Clustering, _ObjectiveTable, verify_stability
 from ipstable.local_search import CONVERGED
 from ipstable.median_ip import (
@@ -160,6 +161,58 @@ class TestMediansOfFarPoints:
 def _median(vals):
     vals = np.sort(vals)
     return vals[(len(vals) + 1) // 2 - 1]
+
+
+class TestIncrementalDiameters:
+    """After every step the search's diameters, farthest pair included, are
+    the ones ``_diameter`` computes afresh."""
+
+    def _checked_run(self, monkeypatch, space, k, initial):
+        checked = {"swap": 0, "merge_split": 0}
+
+        def checking(kind, real):
+            def wrapper(*args):  # (diam, table, ...) or (table, diam)
+                real(*args)
+                table = next(a for a in args if isinstance(a, _ObjectiveTable))
+                diam = next(a for a in args if isinstance(a, list))
+                assert diam == [_diameter(table.D, m) for m in table.members]
+                checked[kind] += 1
+            return wrapper
+
+        monkeypatch.setattr(median_ip, "_follow_move", checking("swap", median_ip._follow_move))
+        monkeypatch.setattr(median_ip, "_split_sharpest", checking("merge_split", median_ip._split_sharpest))
+        _, trace = median_ip_cluster(space, k, initial=initial)
+        assert checked == trace.counts
+        return trace
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_perturbed_planted(self, seed, monkeypatch):
+        space, _, start = perturbed_planted(200, 5, 0.001, seed, moves=60)
+        trace = self._checked_run(monkeypatch, space, 5, start)
+        assert trace.counts["swap"] >= 60
+
+    def test_coincident_points(self, monkeypatch):
+        # values 0..2 on a line: clusters of coincident points (diameter 0)
+        # are both the source and the target of swaps, and merge-splits occur
+        space = MetricSpace.from_points(np.random.default_rng(5).integers(0, 3, size=(40, 1)).astype(float))
+        trace = self._checked_run(monkeypatch, space, 4, Clustering(np.arange(40) % 4, 4))
+        assert trace.counts["swap"] > 0 and trace.counts["merge_split"] > 0
+
+    def test_asymmetric_table_recomputes(self, monkeypatch):
+        # a table symmetric only up to rounding: which orientation of a tied
+        # pair is the farthest depends on the block, so swaps recompute
+        sp, _, start = perturbed_planted(40, 4, 0.001, seed=1, moves=9)
+        idx = np.arange(40)
+        mat = sp.peek_block(idx, idx) * (1.0 + 1e-12 * np.triu(np.ones((40, 40)), 1))
+        space = MetricSpace.from_matrix(mat)
+
+        def never(*args):
+            raise AssertionError("incremental diameters on an asymmetric table")
+
+        monkeypatch.setattr(median_ip, "_follow_move", never)
+        out, trace = median_ip_cluster(space, 4, initial=start)
+        assert trace.counts["swap"] > 0
+        assert verify_stability(space, out, "median", MedianConfig().median_alpha).passed
 
 
 class TestMedianIpCluster:
