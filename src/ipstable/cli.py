@@ -102,8 +102,8 @@ def cmd_gen(args) -> int:
             kind=args.kind, n=args.n, k=args.k, dim=args.dim,
             separation=args.separation, seed=args.seed,
         )
+        result = generate(spec)  # rejects coordinates too far apart for float64
     out = _out_dir(args.out)
-    result = generate(spec)
     space = result.space
     if space.coords is not None:
         save_points_csv(out / "points.csv", space.coords)

@@ -179,9 +179,7 @@ def avg_dist(space: MetricSpace, p: int, S) -> float:
 def median_dist(space: MetricSpace, p: int, S) -> float:
     """The ceil(|S|/2)-th smallest of {d(p, q)}_{q in S} (1-indexed)."""
     S = _check_nonempty(S)
-    vals = space.row(p, S)
-    kth = (len(S) + 1) // 2 - 1
-    return float(np.partition(vals, kth)[kth])
+    return float(np.sort(space.row(p, S))[(len(S) + 1) // 2 - 1])
 
 
 def max_dist(space: MetricSpace, p: int, S) -> float:
@@ -227,17 +225,15 @@ class _ObjectiveTable:
     ``D[:, p]`` alone.  For avg the table holds distance sums (f = sums /
     size), which gain or lose that column.  For max the target column takes
     its elementwise maximum with it, and the source column is recomputed only
-    on the rows whose maximum was d(r, p).  For median, each column that a
-    move has touched keeps its distance block sorted along each row
-    (``_sorted[c]``, n x |C|); a move deletes d(r, p) from each source row and
-    inserts it into each target row, and the medians are read at their ranks.
-    A block is built on the first move that touches its column, so a table
-    that never moves (the verifier's) pays nothing for it; all blocks
-    together hold at most n x n floats.  A merge of two columns that both
-    have blocks merges them; a split and any other merge fill the new
-    columns from the distance table.  Every stored value is an entry of the
-    distance table picked by the same rank rule as a fresh fill, so the
-    table equals a fresh one exactly.
+    on the rows whose maximum was d(r, p).  For median, every column keeps
+    its distance block sorted along each row (``_sorted[c]``, n x |C|; one
+    n x n array over all columns, built with the table); a move deletes
+    d(r, p) from each source row and inserts it into each target row, a merge
+    merges the two blocks, and the medians and diameters are read at their
+    ranks.  A split, and a max merge, fill the new columns from the distance
+    table.  Every stored value is an entry of the distance table picked by
+    the same rank rule as a fresh fill, so the table equals a fresh one
+    exactly.
     """
 
     def __init__(self, space: MetricSpace, clustering: Clustering, objective: str):
@@ -261,18 +257,14 @@ class _ObjectiveTable:
 
     def _fill(self, c: int) -> None:
         """Compute column c from the distance table."""
-        m = self.members[c]
-        block = self.D[:, m]
+        block = self.D[:, self.members[c]]
         if self.objective == "avg":
             self.table[:, c] = block.sum(axis=1)
         elif self.objective == "max":
             self.table[:, c] = block.max(axis=1)
         else:
-            kth = (len(m) + 1) // 2 - 1
-            self.table[:, c] = np.partition(block, kth, axis=1)[:, kth]
-            # removing the self-zero shifts the 1-indexed rank up by one
-            kth_own = len(m) // 2
-            self._own_median[m] = np.partition(block[m], kth_own, axis=1)[:, kth_own]
+            self._sorted[c] = np.sort(block, axis=1)
+            self._read_median(c)
 
     def _read_median(self, c: int) -> None:
         """Read column c and its members' own medians from its sorted block."""
@@ -288,20 +280,18 @@ class _ObjectiveTable:
         self.sizes[dst] += 1
         self.members[src] = self.members[src][self.members[src] != p]
         self.members[dst] = np.append(self.members[dst], p)
-        if self.objective == "avg":
-            row = self.D[p]
-            self.table[:, src] -= row
-            self.table[:, dst] += row
-            return
         dist = self.D[:, p]
+        if self.objective == "avg":
+            self.table[:, src] -= dist
+            self.table[:, dst] += dist
+            return
         if self.objective == "max":
             self.table[:, dst] = np.maximum(self.table[:, dst], dist)
             rows = np.flatnonzero(dist == self.table[:, src])
             self.table[rows, src] = self.D[np.ix_(rows, self.members[src])].max(axis=1)
             return
         for c, edit in ((src, _delete_sorted), (dst, _insert_sorted)):
-            block = self._sorted[c]
-            self._sorted[c] = np.sort(self.D[:, self.members[c]], axis=1) if block is None else edit(block, dist)
+            self._sorted[c] = edit(self._sorted[c], dist)
             self._read_median(c)
 
     def _replace(self, dead, parts) -> int:
@@ -327,7 +317,7 @@ class _ObjectiveTable:
         c = self._replace((a, b), [merged])
         if sums is not None:
             self.table[:, c] = sums
-        elif all(block is not None for block in blocks):
+        elif self.objective == "median":
             # a stable sort of two sorted runs is a merge
             self._sorted[c] = np.sort(np.concatenate(blocks, axis=1), axis=1, kind="stable")
             self._read_median(c)
@@ -373,6 +363,11 @@ class _ObjectiveTable:
         ratio = _ratio(self.own_excl(), foreign[rows, best])
         p = int(np.argmax(ratio))
         return p, int(best[p]), float(ratio[p])
+
+    def diameter_of(self, c: int) -> float:
+        """median only: the largest distance within column c, read from its
+        members' rows of the sorted block (0 for a singleton)."""
+        return float(self._sorted[c][self.members[c], -1].max())
 
     def phi_of(self, c: int) -> float:
         """avg only: log2|C| / |C| times the sum of d over ordered pairs of column c."""

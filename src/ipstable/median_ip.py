@@ -80,12 +80,11 @@ def median_merge_bound(space: MetricSpace, C, C_other, p: int) -> float:
 
 
 def _farthest_pair(block: np.ndarray, members: np.ndarray) -> tuple[int, int, float]:
-    """Max-distance pair in a sorted member block; ties to smallest indices."""
+    """Max-distance pair in a sorted member block, smaller index first, and
+    the largest entry of the block; ties to smallest indices."""
     flat = int(np.argmax(block))
-    i, j = divmod(flat, block.shape[1])
-    if i > j:
-        i, j = j, i
-    return int(members[i]), int(members[j]), float(block[i, j])
+    i, j = sorted(divmod(flat, block.shape[1]))
+    return int(members[i]), int(members[j]), float(block.flat[flat])
 
 
 def _detach(row: Callable[[int, np.ndarray], np.ndarray], members: np.ndarray, i: int, j: int) -> int:
@@ -132,40 +131,14 @@ def _diameter(D: np.ndarray, members: np.ndarray) -> tuple[float, int, int]:
     return d, i, j
 
 
-def _refresh_diameters(diam: list, dead, table: _ObjectiveTable) -> None:
-    """Follow a merge or split: drop the dead columns' diameters and add
-    those of the columns the table appended."""
-    for c in sorted(dead, reverse=True):
-        del diam[c]
-    diam.extend(_diameter(table.D, m) for m in table.members[len(diam):])
-
-
-def _follow_move(diam: list, table: _ObjectiveTable, p: int, src: int, dst: int) -> None:
-    """Follow ``table.move(p, dst)`` on a symmetric distance table.
-
-    src keeps its farthest pair unless p was an endpoint.  dst's is the
-    larger of its old pair and the farthest (p, q), q in dst; ties go to the
-    smaller pair, which is the pair ``_diameter`` finds.  All-coincident
-    clusters, whose pair ``_diameter`` writes as (p, p), are recomputed.
-    """
-    if p in diam[src][1:]:
-        diam[src] = _diameter(table.D, table.members[src])
-    rest = table.members[dst][:-1]  # the moved point is appended last
-    dist = table.D[p, rest]
-    top = dist.max()
-    q = int(rest[dist == top].min())
-    best = max(diam[dst], (float(top), min(p, q), max(p, q)), key=lambda t: (t[0], -t[1], -t[2]))
-    diam[dst] = best if best[0] > 0 else _diameter(table.D, table.members[dst])
-
-
-def _split_sharpest(table: _ObjectiveTable, diam: list) -> None:
-    """Apply the deterministic one-point split to the widest cluster."""
-    best = max((c for c, m in enumerate(table.members) if len(m) > 1), key=lambda c: (diam[c][0], -c))
-    _, i, j = diam[best]
+def _split_sharpest(table: _ObjectiveTable) -> None:
+    """Apply the deterministic one-point split to the widest cluster; ties go
+    to the older one."""
+    best = max((c for c, m in enumerate(table.members) if len(m) > 1), key=lambda c: (table.diameter_of(c), -c))
     m = np.sort(table.members[best])
+    _, i, j = _diameter(table.D, m)
     detach = _detach(lambda q, idx: table.D[q, idx], m, i, j)
     table.split(best, m[m != detach], np.array([detach], dtype=np.intp))
-    _refresh_diameters(diam, (best,), table)
 
 
 def median_ip_cluster(
@@ -177,33 +150,31 @@ def median_ip_cluster(
     """Merge-and-split local search for the median objective.
 
     Starts from the greedy k-center clustering unless ``initial`` overrides it.
+    The objective table is the search's only state: the medians, and the
+    diameters behind the sqrt-diameter surrogate and the split, are read
+    from its sorted median blocks.
     """
     n = space.n
     check_start(n, k, initial)
     table = _ObjectiveTable(space, initial if initial is not None else kcenter_init(space, k), "median")
-    diam = [_diameter(table.D, m) for m in table.members]
-    symmetric = np.array_equal(table.D, table.D.T)  # else ties depend on the orientation
+
+    def diameters():
+        return [table.diameter_of(c) for c in range(table.k)]
 
     def step(p, src, dst, phi):
-        gain = math.sqrt(max(d for d, _, _ in diam) / 2.0) * SQRT_MEDIAN_SCALE
+        gain = math.sqrt(max(diameters()) / 2.0) * SQRT_MEDIAN_SCALE
         # the table's medians count p's own zero, as median_merge_bound's reads do
         if _merge_cost(n, table.table[p, src], table.table[p, dst]) < gain / 2.0:
             table.merge(src, dst)
-            _refresh_diameters(diam, (src, dst), table)
-            _split_sharpest(table, diam)
+            _split_sharpest(table)
             kind = "merge_split"
         else:
             table.move(p, dst)
-            if symmetric:
-                _follow_move(diam, table, p, src, dst)
-            else:
-                diam[src] = _diameter(table.D, table.members[src])
-                diam[dst] = _diameter(table.D, table.members[dst])
             kind = "swap"
         return Step(kind, p, src, dst, threshold=gain / 2.0)
 
     def surrogate_phi():
-        return sum(math.sqrt(d) for d, _, _ in diam)
+        return sum(math.sqrt(d) for d in diameters())
 
     # the violation threshold is in (un-rooted) median space
     return search(table, config.median_alpha, config.max_steps, step, surrogate_phi, ("swap", "merge_split"))

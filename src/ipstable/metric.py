@@ -70,6 +70,8 @@ class MetricSpace:
                 raise ValueError("coordinates contain non-finite values")
             if norm not in ("l2", "l1"):
                 raise ValueError(f"unknown norm {norm!r}")
+            if len(pts) and _overflows(pts, norm):
+                raise ValueError(f"coordinates lie too far apart: their {norm} distances could overflow float64")
             pts = pts.copy()
             pts.flags.writeable = False
             self._matrix = None
@@ -176,6 +178,24 @@ class MetricSpace:
         if self.norm == "l2":
             np.sqrt(out, out=out)
         return out
+
+
+def _overflows(pts: np.ndarray, norm: str) -> bool:
+    """Whether the coordinate kernel could overflow on some pair of points.
+
+    No pair is farther apart than the diagonal of the points' bounding box,
+    so it suffices that the diagonal (l1), or its square (l2), is at most a
+    quarter of the largest float; the margin covers the kernel's rounding.
+    Each step is computed in a form that cannot itself overflow.
+    """
+    half_sides = pts.max(axis=0) / 2 - pts.min(axis=0) / 2
+    top = half_sides.max(initial=0.0)
+    if top == 0:
+        return False
+    rel = half_sides / top  # the diagonal is 2 * top * reach
+    reach = np.sqrt(np.sum(rel * rel)) if norm == "l2" else np.sum(rel)
+    limit = np.finfo(np.float64).max / 4
+    return bool(top > (np.sqrt(limit) if norm == "l2" else limit) / (2 * reach))
 
 
 def _validate_table(mat: np.ndarray) -> None:

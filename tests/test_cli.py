@@ -71,6 +71,38 @@ class TestGen:
         assert message in err
         assert not out.exists()
 
+    def test_separation_with_infinite_gap(self, tmp_path, capsys):
+        # 1 / 1e-320 is inf, so the planted groups have infinite coordinates
+        code, _, err = run(
+            ["gen", "--kind", "planted_separated", "--n", "12", "--k", "3", "--separation", "1e-320",
+             "--seed", "1", "--out", str(tmp_path / "x")],
+            capsys,
+        )
+        assert code == EXIT_USAGE
+        assert "non-finite" in err
+        assert not (tmp_path / "x").exists()
+
+    def test_points_whose_distances_overflow(self, tmp_path, capsys):
+        # groups 1e200 apart: the squared distances overflow float64
+        code, _, err = run(
+            ["gen", "--kind", "planted_separated", "--n", "12", "--k", "3", "--separation", "1e-200",
+             "--seed", "1", "--out", str(tmp_path / "x")],
+            capsys,
+        )
+        assert code == EXIT_USAGE
+        assert "too far apart" in err
+        assert not (tmp_path / "x").exists()
+        # the same points given as an instance file
+        inst = tmp_path / "far.csv"
+        inst.write_text("x0\n0\n1e200\n2e200\n")
+        cl = tmp_path / "cl.json"
+        cl.write_text(Clustering([0, 1, 2], 3).to_json())
+        for argv in (["cluster", "--in", str(inst), "--k", "2", "--alg", "dp", "--out", str(tmp_path / "run")],
+                     ["verify", "--in", str(inst), "--clustering", str(cl)]):
+            code, _, err = run(argv, capsys)
+            assert code == EXIT_USAGE
+            assert "too far apart" in err
+
 
 class TestCluster:
     def test_dp_recovers_planted(self, planted_dir, tmp_path, capsys):
@@ -187,6 +219,7 @@ class TestCluster:
         )
         assert code == EXIT_USAGE
         assert "non-finite" in err
+        assert not (tmp_path / "x").exists()
         assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("alg", cli.ALGORITHMS)

@@ -306,7 +306,7 @@ class TestObjectiveTable:
     def test_merge_of_two_sorted_blocks(self):
         for space in _table_spaces():
             table = _ObjectiveTable(space, Clustering(np.arange(space.n) % 4, 4), "median")
-            table.move(0, 1)  # builds the blocks of columns 0 and 1
+            table.move(0, 1)  # edits the blocks of columns 0 and 1
             table.merge(0, 1)
             merged = table.members[-1]
             assert np.array_equal(table._sorted[-1], np.sort(table.D[:, merged], axis=1))

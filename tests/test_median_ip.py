@@ -136,7 +136,7 @@ class TestSearchSharesTheProcedures:
             if cl.sizes().max() < 2:
                 continue
             table = _ObjectiveTable(sp, cl, "median")
-            _split_sharpest(table, [_diameter(table.D, m) for m in table.members])
+            _split_sharpest(table)
             res = median_split(sp, cl)
             kept = [m for c, m in enumerate(cl.members()) if c != res.cluster_id]
             assert table.k == cl.k + 1
@@ -164,55 +164,61 @@ def _median(vals):
 
 
 class TestIncrementalDiameters:
-    """After every step the search's diameters, farthest pair included, are
+    """After every step the diameters the search reads from its table are
     the ones ``_diameter`` computes afresh."""
 
     def _checked_run(self, monkeypatch, space, k, initial):
         checked = {"swap": 0, "merge_split": 0}
+        real_search = median_ip.search
 
-        def checking(kind, real):
-            def wrapper(*args):  # (diam, table, ...) or (table, diam)
-                real(*args)
-                table = next(a for a in args if isinstance(a, _ObjectiveTable))
-                diam = next(a for a in args if isinstance(a, list))
-                assert diam == [_diameter(table.D, m) for m in table.members]
-                checked[kind] += 1
-            return wrapper
+        def checking_search(table, alpha, max_steps, step, *rest):
+            def checked_step(*args):
+                rec = step(*args)
+                fresh = [_diameter(table.D, m)[0] for m in table.members]
+                assert [table.diameter_of(c) for c in range(table.k)] == fresh
+                checked[rec.kind] += 1
+                return rec
 
-        monkeypatch.setattr(median_ip, "_follow_move", checking("swap", median_ip._follow_move))
-        monkeypatch.setattr(median_ip, "_split_sharpest", checking("merge_split", median_ip._split_sharpest))
-        _, trace = median_ip_cluster(space, k, initial=initial)
+            return real_search(table, alpha, max_steps, checked_step, *rest)
+
+        monkeypatch.setattr(median_ip, "search", checking_search)
+        out, trace = median_ip_cluster(space, k, initial=initial)
         assert checked == trace.counts
-        return trace
+        return out, trace
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_perturbed_planted(self, seed, monkeypatch):
         space, _, start = perturbed_planted(200, 5, 0.001, seed, moves=60)
-        trace = self._checked_run(monkeypatch, space, 5, start)
+        _, trace = self._checked_run(monkeypatch, space, 5, start)
         assert trace.counts["swap"] >= 60
 
     def test_coincident_points(self, monkeypatch):
         # values 0..2 on a line: clusters of coincident points (diameter 0)
         # are both the source and the target of swaps, and merge-splits occur
         space = MetricSpace.from_points(np.random.default_rng(5).integers(0, 3, size=(40, 1)).astype(float))
-        trace = self._checked_run(monkeypatch, space, 4, Clustering(np.arange(40) % 4, 4))
+        _, trace = self._checked_run(monkeypatch, space, 4, Clustering(np.arange(40) % 4, 4))
         assert trace.counts["swap"] > 0 and trace.counts["merge_split"] > 0
 
     def test_asymmetric_table_recomputes(self, monkeypatch):
-        # a table symmetric only up to rounding: which orientation of a tied
-        # pair is the farthest depends on the block, so swaps recompute
+        # a table symmetric only up to rounding: the diameter is the larger
+        # orientation of the farthest pair, read from the table and afresh
         sp, _, start = perturbed_planted(40, 4, 0.001, seed=1, moves=9)
         idx = np.arange(40)
         mat = sp.peek_block(idx, idx) * (1.0 + 1e-12 * np.triu(np.ones((40, 40)), 1))
         space = MetricSpace.from_matrix(mat)
-
-        def never(*args):
-            raise AssertionError("incremental diameters on an asymmetric table")
-
-        monkeypatch.setattr(median_ip, "_follow_move", never)
-        out, trace = median_ip_cluster(space, 4, initial=start)
+        out, trace = self._checked_run(monkeypatch, space, 4, start)
         assert trace.counts["swap"] > 0
         assert verify_stability(space, out, "median", MedianConfig().median_alpha).passed
+
+    def test_table_skewed_the_other_way(self, monkeypatch):
+        # the lower triangle holds the larger orientation of each pair, so the
+        # farthest pair is found below the diagonal; its diameter is still the
+        # larger entry
+        sp, _, start = perturbed_planted(40, 4, 0.001, seed=1, moves=9)
+        idx = np.arange(40)
+        mat = sp.peek_block(idx, idx) * (1.0 + 1e-12 * np.tril(np.ones((40, 40)), -1))
+        _, trace = self._checked_run(monkeypatch, MetricSpace.from_matrix(mat), 4, start)
+        assert trace.counts["swap"] > 0
 
 
 class TestMedianIpCluster:

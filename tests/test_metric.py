@@ -155,6 +155,17 @@ class TestValidation:
         with pytest.raises(ValueError, match="non-finite"):
             MetricSpace.from_points(np.array([[0.0, 1.0], [bad, 2.0]]))
 
+    def test_rejects_coords_whose_distances_overflow(self):
+        big = np.finfo(np.float64).max
+        with pytest.raises(ValueError, match="too far apart"):
+            MetricSpace.from_points(np.array([[0.0], [2e200]]))
+        assert MetricSpace.from_points(np.array([[0.0], [2e200]]), norm="l1").distance(0, 1) == 2e200
+        with pytest.raises(ValueError, match="too far apart"):
+            MetricSpace.from_points(np.array([[-big], [big]]), norm="l1")
+        # half the largest squared distance is far from overflowing
+        sp = MetricSpace.from_points(np.array([[0.0, 0.0], [4e153, 4e153]]))
+        assert np.isfinite(sp.full()).all()
+
     def test_accepts_valid_with_rounding_slack(self):
         sp = random_space(30, seed=5)
         MetricSpace.from_matrix(sp.full())  # should not raise
