@@ -17,14 +17,7 @@ import numpy as np
 
 from .metric import MetricSpace
 
-__all__ = [
-    "Clustering",
-    "StabilityReport",
-    "avg_dist",
-    "median_dist",
-    "max_dist",
-    "verify_stability",
-]
+__all__ = ["Clustering", "StabilityReport", "verify_stability"]
 
 OBJECTIVES = ("avg", "median", "max")
 
@@ -66,9 +59,6 @@ class Clustering:
             bounds = np.searchsorted(self.assignment[order], np.arange(self.k + 1))
             self._members = [order[bounds[c] : bounds[c + 1]] for c in range(self.k)]
         return self._members
-
-    def cluster_of(self, p: int) -> int:
-        return int(self.assignment[p])
 
     def sizes(self) -> np.ndarray:
         return np.bincount(self.assignment, minlength=self.k)
@@ -161,30 +151,6 @@ def check_start(n: int, k: int, initial: Clustering | None = None) -> None:
         raise ValueError(f"need 2 <= k <= n, got k={k}, n={n}")
     if initial is not None and (initial.n != n or initial.k != k):
         raise ValueError("initial clustering does not match the space or k")
-
-
-def _check_nonempty(S):
-    S = np.asarray(S, dtype=np.intp)
-    if S.size == 0:
-        raise ValueError("point set must be non-empty")
-    return S
-
-
-def avg_dist(space: MetricSpace, p: int, S) -> float:
-    """Mean of d(p, q) over q in S; the self-term contributes 0 when p is in S."""
-    S = _check_nonempty(S)
-    return float(space.row(p, S).mean())
-
-
-def median_dist(space: MetricSpace, p: int, S) -> float:
-    """The ceil(|S|/2)-th smallest of {d(p, q)}_{q in S} (1-indexed)."""
-    S = _check_nonempty(S)
-    return float(np.sort(space.row(p, S))[(len(S) + 1) // 2 - 1])
-
-
-def max_dist(space: MetricSpace, p: int, S) -> float:
-    S = _check_nonempty(S)
-    return float(space.row(p, S).max())
 
 
 def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:

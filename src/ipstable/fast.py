@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -42,7 +41,6 @@ __all__ = [
     "calc_central_point",
     "calc_average",
     "calc_potential",
-    "fast_split",
     "EpochState",
     "EpochResult",
     "epoch",
@@ -161,7 +159,6 @@ def _fast_split_core(
     space: MetricSpace,
     candidates: list[tuple[int, np.ndarray]],
     rng: np.random.Generator,
-    max_attempts: Optional[int] = None,
 ) -> SplitResult:
     """Split meta-procedure on estimated potentials: acceptance factor
     1/(5*log2(n)) against (1 + 1/(100*log2(n)))-accurate estimates still
@@ -171,17 +168,7 @@ def _fast_split_core(
     # a singleton's estimate is 0 and draws nothing from rng
     phis = [(cid, m, _estimated_phi(space, m, eps, rng)) for cid, m in candidates]
     accept = 1.0 / (5.0 * math.log2(max(n, 2)))
-    return _split_core(n, phis, lambda idx: _estimated_phi(space, idx, eps, rng), accept, rng, max_attempts)
-
-
-def fast_split(
-    space: MetricSpace,
-    clustering: Clustering,
-    rng: np.random.Generator,
-    max_attempts: Optional[int] = None,
-) -> SplitResult:
-    candidates = [(cid, m) for cid, m in enumerate(clustering.members())]
-    return _fast_split_core(space, candidates, rng, max_attempts)
+    return _split_core(n, phis, lambda idx: _estimated_phi(space, idx, eps, rng), accept, rng)
 
 
 # -- the epoch state machine ---------------------------------------------------

@@ -20,9 +20,8 @@ import numpy as np
 from .clustering import Clustering, _ObjectiveTable, check_start
 from .local_search import DEFAULT_SLACK, LsTrace, Step, search
 from .metric import MetricSpace, rng_from_seed
-from .potential import phi_avg
 
-__all__ = ["SplitResult", "kcenter_init", "split", "merge_split_ls"]
+__all__ = ["SplitResult", "kcenter_init", "merge_split_ls"]
 
 
 def split_accept_factor(n: int) -> float:
@@ -77,7 +76,6 @@ def _split_core(
     phi: Callable[[np.ndarray], float],
     accept: float,
     rng: np.random.Generator,
-    max_attempts: Optional[int],
 ) -> SplitResult:
     """Pick the max-potential splittable cluster (ties to the smallest id) and
     resample random halves, scored by ``phi``, until the two halves shed an
@@ -87,7 +85,7 @@ def _split_core(
         raise ValueError("no cluster with more than one point to split")
     cid, members, phi_star = max(splittable, key=lambda t: (t[2], -t[0]))
     target = phi_star * (1.0 - accept)
-    cap = max_attempts if max_attempts is not None else default_split_attempts(n)
+    cap = default_split_attempts(n)
     m = len(members)
     half = (m + 1) // 2
     for attempt in range(1, cap + 1):
@@ -101,18 +99,6 @@ def _split_core(
         f"split did not find an acceptable partition in {cap} attempts "
         "(probability polynomially small; indicates a bug or adversarial input)"
     )
-
-
-def split(
-    space: MetricSpace,
-    clustering: Clustering,
-    rng: np.random.Generator,
-    max_attempts: Optional[int] = None,
-) -> SplitResult:
-    """Randomized split of the highest-potential cluster (exact potentials)."""
-    candidates = [(cid, m, phi_avg(space, m)) for cid, m in enumerate(clustering.members())]
-    n = space.n
-    return _split_core(n, candidates, lambda idx: phi_avg(space, idx), split_accept_factor(n), rng, max_attempts)
 
 
 def merge_split_ls(
@@ -143,7 +129,7 @@ def merge_split_ls(
             return Step("swap", p, src, dst, threshold=threshold)
         table.merge(src, dst)
         candidates = [(c, m, table.phi_of(c)) for c, m in enumerate(table.members)]
-        result = _split_core(n, candidates, pair_phi, split_accept_factor(n), rng, None)
+        result = _split_core(n, candidates, pair_phi, split_accept_factor(n), rng)
         table.split(result.cluster_id, result.half_a, result.half_b)
         return Step("merge_split", p, src, dst, threshold=threshold, split_size=len(result.cluster))
 

@@ -317,14 +317,26 @@ def generate(spec: GenSpec) -> Generated:
 # -- file formats -------------------------------------------------------------
 
 
+def _require_data(path, skiprows: int) -> None:
+    """Reject a file with no data row after its first ``skiprows`` lines;
+    numpy would only warn and return an empty array."""
+    with open(path) as fh:
+        for i, line in enumerate(fh):
+            if i >= skiprows and line.split("#", 1)[0].strip():
+                return
+    raise ValueError("the file holds no data rows")
+
+
 def load_matrix_csv(path) -> MetricSpace:
     """Header-free n x n CSV distance table; validated on load."""
+    _require_data(path, 0)
     mat = np.loadtxt(path, delimiter=",", ndmin=2)
     return MetricSpace.from_matrix(mat)
 
 
 def load_points_csv(path, norm="l2") -> MetricSpace:
     """Points CSV with a header row x0..x{dim-1}."""
+    _require_data(path, 1)
     coords = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     return MetricSpace.from_points(coords, norm=norm)
 

@@ -1,23 +1,22 @@
 """Potential functions certifying termination of the local searches.
 
-Three certificates live here:
+Two certificates live here, and the scale of a third:
 
 * ``phi_avg``: log2|C| times the sum of within-cluster average distances.
   Adding a point p to a set S raises it by between avg(p, S) and
   2*log2(n)*avg(p, S), which is why local search with alpha >= 2*log2(n)
   strictly decreases the clustering total.  All logarithms are base 2.
-* ``phi_sqrt_median_exact``: the maximum-length travelling-salesman tour
-  under square-rooted edge lengths, scaled by 1/(2 - sqrt(2)).  Maximum TSP
-  is intractable, so this exists only as a brute-force oracle capped at 8
-  points; runtime code uses the sqrt-diameter surrogate.
-* ``max_ip_signature``: the bit string over distance-sorted clique edges
-  marking same-cluster pairs; max-IP moves strictly decrease it
-  lexicographically.
+* ``MaxIpSignature``: the bit string over distance-sorted clique edges
+  (``edge_order``) marking same-cluster pairs; max-IP moves strictly
+  decrease it lexicographically.
+* ``SQRT_MEDIAN_SCALE``: 1/(2 - sqrt(2)), the factor of the median search's
+  potential, the maximum-length travelling-salesman tour under
+  square-rooted edge lengths.  Maximum TSP is intractable, so the search
+  never computes it; it tracks the sqrt-diameter surrogate instead.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -26,19 +25,9 @@ import numpy as np
 from .clustering import Clustering
 from .metric import MetricSpace
 
-__all__ = [
-    "phi_avg",
-    "phi_avg_clustering",
-    "phi_sqrt_median_exact",
-    "phi_sqrt_median_surrogate",
-    "max_ip_signature",
-    "MaxIpSignature",
-    "SQRT_MEDIAN_SCALE",
-    "BRUTE_FORCE_TSP_LIMIT",
-]
+__all__ = ["phi_avg", "phi_avg_clustering", "MaxIpSignature", "SQRT_MEDIAN_SCALE"]
 
 SQRT_MEDIAN_SCALE = 1.0 / (2.0 - math.sqrt(2.0))
-BRUTE_FORCE_TSP_LIMIT = 8
 
 
 def phi_avg(space: MetricSpace, C) -> float:
@@ -55,41 +44,6 @@ def phi_avg(space: MetricSpace, C) -> float:
 
 def phi_avg_clustering(space: MetricSpace, clustering: Clustering) -> float:
     return sum(phi_avg(space, m) for m in clustering.members())
-
-
-def phi_sqrt_median_exact(space: MetricSpace, C, limit: int = BRUTE_FORCE_TSP_LIMIT) -> float:
-    """Exact maximum-TSP potential under sqrt distances; test oracle, |C| <= limit.
-
-    A two-point tour takes its single edge twice.
-    """
-    C = np.asarray(C, dtype=np.intp)
-    m = len(C)
-    if m == 0:
-        raise ValueError("cluster must be non-empty")
-    if m > limit:
-        raise ValueError(f"brute-force potential capped at {limit} points, got {m}")
-    if m == 1:
-        return 0.0
-    W = np.sqrt(space.block(C, C))
-    if m == 2:
-        return SQRT_MEDIAN_SCALE * 2.0 * float(W[0, 1])
-    best = 0.0
-    rest = range(1, m)
-    for perm in itertools.permutations(rest):
-        length = W[0, perm[0]] + W[perm[-1], 0]
-        for a, b in zip(perm, perm[1:]):
-            length += W[a, b]
-        if length > best:
-            best = length
-    return SQRT_MEDIAN_SCALE * float(best)
-
-
-def phi_sqrt_median_surrogate(space: MetricSpace, C) -> float:
-    """sqrt(diameter(C)): a poly-factor under-approximation of the exact potential."""
-    C = np.asarray(C, dtype=np.intp)
-    if len(C) <= 1:
-        return 0.0
-    return math.sqrt(float(space.block(C, C).max()))
 
 
 @dataclass(frozen=True)
@@ -124,7 +78,3 @@ def signature_from_order(iu: np.ndarray, ju: np.ndarray, assignment: np.ndarray)
     same = assignment[iu] == assignment[ju]
     return MaxIpSignature(np.packbits(same).tobytes(), len(same))
 
-
-def max_ip_signature(space: MetricSpace, clustering: Clustering) -> MaxIpSignature:
-    iu, ju = edge_order(space)
-    return signature_from_order(iu, ju, clustering.assignment)

@@ -12,12 +12,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional
 
 import numpy as np
 
-from .clustering import Clustering, _ratio as _envy_ratio, check_start
+from .clustering import Clustering, check_start
 from .metric import MetricSpace
 
 __all__ = [
@@ -28,10 +27,7 @@ __all__ = [
     "create_tree",
     "dp_min_beta",
     "stable_cluster",
-    "brute_force_min_beta",
 ]
-
-BRUTE_FORCE_LIMIT = 10
 
 
 def _ratio(diam: float, sep: float) -> float:
@@ -237,54 +233,3 @@ def stable_cluster(space: MetricSpace, k: int) -> Clustering:
     check_start(space.n, k)
     return dp_min_beta(space, create_tree(space, mst(space)), k)
 
-
-@lru_cache(maxsize=32)
-def _all_partitions(n: int, k: int) -> np.ndarray:
-    """Every assignment of n items into exactly k non-empty blocks
-    (restricted-growth strings), as a (#partitions, n) array."""
-    out = []
-    a = [0] * n
-
-    def rec(i, used):
-        if n - i < k - used:
-            return
-        if i == n:
-            if used == k:
-                out.append(tuple(a))
-            return
-        for c in range(min(used, k - 1) + 1):
-            a[i] = c
-            rec(i + 1, max(used, c + 1))
-
-    rec(1, 1)
-    return np.array(out, dtype=np.intp)
-
-
-def brute_force_min_beta(space: MetricSpace, k: int) -> tuple[Clustering, float]:
-    """Test oracle: enumerate every k-partition and keep the beta minimizer.
-
-    beta of a partition is the max over clusters of diameter / separation,
-    evaluated per cluster (not global max-diameter over global min-gap).
-    """
-    n = space.n
-    if n > BRUTE_FORCE_LIMIT:
-        raise ValueError(f"brute force capped at n={BRUTE_FORCE_LIMIT}, got {n}")
-    if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= n, got k={k}")
-    if k == 1:
-        return Clustering(np.zeros(n, dtype=np.intp), 1), 0.0
-    parts = _all_partitions(n, k)
-    D = space.full()
-    iu, ju = np.triu_indices(n, k=1)
-    dpair = D[iu, ju]
-    left, right = parts[:, iu], parts[:, ju]
-    worst = np.zeros(len(parts))
-    for c in range(k):
-        in_left, in_right = left == c, right == c
-        same = in_left & in_right
-        cross = in_left ^ in_right
-        diam = np.where(same, dpair, 0.0).max(axis=1)
-        sep = np.where(cross, dpair, np.inf).min(axis=1)
-        worst = np.maximum(worst, _envy_ratio(diam, sep))
-    best = int(np.argmin(worst))
-    return Clustering(parts[best], k), float(worst[best])

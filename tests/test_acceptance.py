@@ -20,11 +20,12 @@ from ipstable.local_search import CONVERGED, LsConfig, max_ip_local_search, natu
 from ipstable.median_ip import MedianConfig, median_ip_cluster, merge_bound_factor
 from ipstable.merge_split import merge_split_ls
 from ipstable.metric import GenSpec, MetricSpace, generate, rng_from_seed
-from ipstable.potential import SQRT_MEDIAN_SCALE, phi_avg_clustering, phi_sqrt_median_exact
-from ipstable.stable_opt import beta_clustering, brute_force_min_beta, stable_cluster
+from ipstable.potential import SQRT_MEDIAN_SCALE, phi_avg_clustering
+from ipstable.stable_opt import beta_clustering, stable_cluster
 from ipstable.cli import main as cli_main
 
 from conftest import merge_heavy_instance, perturbed_planted
+from reference import brute_force_min_beta, phi_sqrt_median_exact
 
 
 def _announce(num, name, detail):

@@ -7,9 +7,12 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 from scipy.sparse.csgraph import shortest_path
 
-from ipstable import ALGORITHMS, MetricSpace, cli, verify_stability
+from ipstable import ALGORITHMS, Clustering, MetricSpace, cli, create_tree, mst, verify_stability
+from ipstable.clustering import _ObjectiveTable
+from ipstable.stable_opt import beta_clustering
 
 from conftest import random_space
+from reference import brute_force_min_beta, most_envious
 
 
 def test_registry_matches_cli_and_pins_each_certified_alpha():
@@ -68,6 +71,10 @@ def small_instances(draw):
 @given(small_instances())
 def test_every_algorithm_is_deterministic_and_stable_on_small_instances(instance):
     space, k, seed = instance
+    n = space.n
+    root = create_tree(space, mst(space))
+    # dp reads the table for the MST and every cross block of the split tree but the root's
+    dp_queries = n * n + n * (n - 1) // 2 - len(root.left.points) * len(root.right.points)
     for name, alg in ALGORITHMS.items():
         runs = []
         for _ in range(2):
@@ -79,6 +86,17 @@ def test_every_algorithm_is_deterministic_and_stable_on_small_instances(instance
         assert out.k == k and out.n == space.n, name
         assert status == "converged", name
         if name == "natural":
-            assert queries == space.n**2
+            assert queries == n**2
+        if name == "dp":
+            assert queries == dp_queries
+            _, best = brute_force_min_beta(space, k)
+            if best < 1:
+                assert math.isclose(beta_clustering(space, out), best, rel_tol=1e-9)
         if trace.alpha is not None:
             assert verify_stability(space, out, alg.objective, trace.alpha).passed, name
+
+    # the searches' tie-breaks: the most envious point and the cluster it envies
+    start = Clustering(np.arange(n) % k, k)
+    for objective in ("avg", "median", "max"):
+        table = _ObjectiveTable(space, start, objective)
+        assert table.most_envious() == most_envious(space, start, objective), objective

@@ -208,6 +208,20 @@ class TestCluster:
         )
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("text", ["x0,x1\n", ""], ids=["header-only points", "empty matrix"])
+    def test_instance_without_data_rows(self, text, tmp_path, capsys):
+        # numpy only warns on such a file; under an error filter that warning
+        # must not turn the usage error into an internal one
+        inst = tmp_path / "inst.csv"
+        inst.write_text(text)
+        code, _, err = run(
+            ["cluster", "--in", str(inst), "--k", "2", "--alg", "dp",
+             "--out", str(tmp_path / "x")],
+            capsys,
+        )
+        assert code == EXIT_USAGE
+        assert "no data rows" in err
+        assert not (tmp_path / "x").exists()
 
     def test_non_finite_points_rejected(self, tmp_path, capsys):
         inst = tmp_path / "pts.csv"

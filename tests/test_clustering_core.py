@@ -9,14 +9,12 @@ from ipstable.clustering import (
     Clustering,
     _ObjectiveTable,
     _ratio,
-    avg_dist,
-    max_dist,
-    median_dist,
     verify_stability,
 )
 from ipstable.metric import MetricSpace
 
 from conftest import line_space, random_matrix_space, random_space
+from reference import avg_dist, max_dist, median_dist
 
 
 class TestClusteringType:

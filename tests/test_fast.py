@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ipstable import fast
+from ipstable import fast, merge_split
 from ipstable.clustering import Clustering, verify_stability
 from ipstable.fast import (
     IP_STABLE,
@@ -13,7 +13,6 @@ from ipstable.fast import (
     calc_potential,
     epoch,
     fast_ls,
-    fast_split,
     sample_count,
 )
 from ipstable.merge_split import kcenter_init
@@ -21,6 +20,7 @@ from ipstable.metric import MetricSpace, rng_from_seed
 from ipstable.potential import phi_avg, phi_avg_clustering
 
 from conftest import line_space, merge_heavy_instance, perturbed_planted, random_matrix_space, random_space
+from reference import fast_split
 
 
 def exact_avg(space, C, S):
@@ -242,10 +242,11 @@ class TestFastSplit:
             need = true_star / (6.0 * math.log2(sp.n))
             assert true_star - true_a - true_b >= need * (1 - 1e-9)
 
-    def test_attempt_cap_raises(self, rng):
+    def test_attempt_cap_raises(self, rng, monkeypatch):
+        monkeypatch.setattr(merge_split, "default_split_attempts", lambda n: 0)
         sp = random_space(20, seed=3)
         with pytest.raises(RuntimeError):
-            fast_split(sp, kcenter_init(sp, 2), rng, max_attempts=0)
+            fast_split(sp, kcenter_init(sp, 2), rng)
 
     def test_query_count_near_linear_at_scale(self, rng):
         # telemetry: one call at n = 10^4 stays within the sampled budget

@@ -13,14 +13,12 @@ from ipstable.median_ip import (
     _merge_cost,
     _split_sharpest,
     median_ip_cluster,
-    median_merge_bound,
-    median_split,
     merge_bound_factor,
 )
 from ipstable.metric import GenSpec, MetricSpace, generate
-from ipstable.potential import phi_sqrt_median_exact
 
 from conftest import line_space, perturbed_planted, random_matrix_space, random_space
+from reference import median_merge_bound, median_split, phi_sqrt_median_exact
 
 
 class TestMedianConfig:

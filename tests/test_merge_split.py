@@ -5,11 +5,13 @@ import pytest
 
 from ipstable.clustering import Clustering, verify_stability
 from ipstable.local_search import CONVERGED
-from ipstable.merge_split import kcenter_init, merge_split_ls, split, split_accept_factor
+from ipstable import merge_split
+from ipstable.merge_split import kcenter_init, merge_split_ls, split_accept_factor
 from ipstable.metric import GenSpec, generate
 from ipstable.potential import phi_avg, phi_avg_clustering
 
 from conftest import line_space, random_matrix_space, random_space
+from reference import split
 
 
 def kcenter_radius(space, clustering, centers=None):
@@ -98,10 +100,11 @@ class TestSplit:
         with pytest.raises(ValueError):
             split(sp, Clustering.singletons(2), rng)
 
-    def test_attempt_cap_raises(self, rng):
+    def test_attempt_cap_raises(self, rng, monkeypatch):
+        monkeypatch.setattr(merge_split, "default_split_attempts", lambda n: 0)
         sp = line_space([0, 1, 5])
         with pytest.raises(RuntimeError):
-            split(sp, Clustering([0, 0, 1], 2), rng, max_attempts=0)
+            split(sp, Clustering([0, 0, 1], 2), rng)
 
 
 class TestMergeSplitLs:

@@ -5,16 +5,10 @@ import pytest
 
 from ipstable.clustering import Clustering
 from ipstable.metric import MetricSpace
-from ipstable.potential import (
-    SQRT_MEDIAN_SCALE,
-    max_ip_signature,
-    phi_avg,
-    phi_avg_clustering,
-    phi_sqrt_median_exact,
-    phi_sqrt_median_surrogate,
-)
+from ipstable.potential import SQRT_MEDIAN_SCALE, phi_avg, phi_avg_clustering
 
 from conftest import line_space, random_matrix_space, random_space
+from reference import max_ip_signature, phi_sqrt_median_exact, phi_sqrt_median_surrogate
 
 
 class TestPhiAvg:

@@ -9,7 +9,6 @@ from ipstable.stable_opt import (
     _bottom_up_betas,
     beta,
     beta_clustering,
-    brute_force_min_beta,
     create_tree,
     dp_min_beta,
     mst,
@@ -17,6 +16,7 @@ from ipstable.stable_opt import (
 )
 
 from conftest import line_space, random_matrix_space, random_space
+from reference import _all_partitions, brute_force_min_beta
 
 
 class TestBeta:
@@ -360,8 +360,6 @@ class TestStableCluster:
 class TestBruteForce:
     def test_partition_count_small(self):
         sp = line_space([0, 1, 5])
-        from ipstable.stable_opt import _all_partitions
-
         assert len(_all_partitions(3, 2)) == 3
 
     def test_limit(self):
@@ -399,6 +397,4 @@ class TestBruteForce:
 
 
 def _enumerate_assignments(n, k):
-    from ipstable.stable_opt import _all_partitions
-
     return _all_partitions(n, k)
