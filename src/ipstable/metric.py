@@ -144,6 +144,30 @@ class MetricSpace:
         idx = np.arange(self.n)
         return self.block(idx, idx)
 
+    def pairs(self) -> np.ndarray:
+        """The symmetric n x n table d(min(i, j), max(i, j)), 0 on the diagonal;
+        charges n(n-1)/2 queries, one per unordered pair.
+
+        Only the upper triangle is evaluated, in row tiles of at most
+        ``_BLOCK_CHUNK_ELEMS`` cells; each tile's values equal :meth:`full`'s,
+        and the lower triangle is mirrored from it in place.  A table-backed
+        space thus reads its stored upper triangle, also where the table is
+        asymmetric within the loader's tolerance.
+        """
+        n = self.n
+        self.charge(n * (n - 1) // 2)
+        idx = np.arange(n)
+        out = np.empty((n, n))
+        step = max(1, _BLOCK_CHUNK_ELEMS // n)
+        for lo in range(0, n, step):
+            hi = min(n, lo + step)
+            out[lo:hi, lo:] = self._eval_block(idx[lo:hi], idx[lo:])
+            out[lo:hi, :lo] = out[:lo, lo:hi].T
+            tile = out[lo:hi, lo:hi]
+            np.copyto(tile, tile.T, where=np.tri(hi - lo, k=-1, dtype=bool))
+        np.fill_diagonal(out, 0.0)
+        return out
+
     def peek_block(self, rows, cols) -> np.ndarray:
         """Distance block without touching the counter.
 

@@ -6,6 +6,12 @@ average objective.  When some clustering with beta < 1 exists, each of its
 clusters appears as a node of the tree built by recursively deleting the
 longest MST edge, so a dynamic program over that tree recovers a
 k-clustering of minimum beta.
+
+The pipeline reads the distances once, as the symmetric table
+:meth:`MetricSpace.pairs` returns (n(n-1)/2 queries).  Prim's MST and the
+split tree's node diameters are computed on that table, and the DP takes
+each node's beta from its diameter and its parent's cut weight.  Only
+:func:`beta` queries the space itself.
 """
 
 from __future__ import annotations
@@ -57,18 +63,19 @@ def beta_clustering(space: MetricSpace, clustering: Clustering) -> float:
     return max(beta(space, m) for m in clustering.members())
 
 
-def mst(space: MetricSpace) -> list[tuple[int, int, float]]:
-    """Minimum spanning tree edges ``(min, max, w)``, sorted by (w, min, max).
+def mst(D: np.ndarray) -> list[tuple[int, int, float]]:
+    """Minimum spanning tree edges ``(min, max, w)`` of the n x n table ``D``,
+    sorted by (w, min, max).
 
-    Dense Prim over ``space.full()``: O(n^2) time, n^2 queries.  Edges are
-    compared by the strict order (weight, min endpoint, max endpoint), so the
-    tree is the unique minimum of that order, the one Kruskal picks by the
-    same key, also when weights tie.  The weight of {a, b} is d(min, max).
+    Dense Prim in O(n^2) time that reads only the upper triangle, so the
+    weight of {a, b} is ``D[min, max]``; pass :meth:`MetricSpace.pairs`.
+    Edges are compared by the strict order (weight, min endpoint, max
+    endpoint), so the tree is the unique minimum of that order, the one
+    Kruskal picks by the same key, also when weights tie.
     """
-    n = space.n
+    n = len(D)
     if n == 1:
         return []
-    D = space.full()
     in_tree = np.zeros(n, dtype=bool)
     best_w = np.full(n, np.inf)  # per outside point: lightest edge into the tree (inf inside)
     best_u = np.zeros(n, dtype=np.intp)  # its tree endpoint
@@ -103,12 +110,15 @@ class TreeNode:
     into ``left`` and ``right`` (None for a leaf).  It is the separation of
     both children: by the MST cut property, the lightest MST edge leaving a
     child is also its minimum distance to the rest of the space.
+    ``diameter`` is the largest distance between two of the node's points,
+    read from the table the tree was built on (0 for a leaf).
     """
 
     points: np.ndarray
     left: Optional["TreeNode"] = None
     right: Optional["TreeNode"] = None
     weight: Optional[float] = None
+    diameter: float = 0.0
 
     @property
     def is_leaf(self) -> bool:
@@ -125,15 +135,20 @@ class TreeNode:
         return out
 
 
-def create_tree(space: MetricSpace, mst_edges) -> TreeNode:
-    """Split tree of the MST: each node is split by deleting its longest MST
-    edge (ties go to the smallest (min, max) endpoints); ``left`` is the side
-    of the edge's min endpoint.
+def create_tree(D: np.ndarray, mst_edges) -> TreeNode:
+    """Split tree of the MST of the n x n table ``D``: each node is split by
+    deleting its longest MST edge (ties go to the smallest (min, max)
+    endpoints); ``left`` is the side of the edge's min endpoint.
 
     Built bottom-up as the single-linkage dendrogram: one union-find pass
     merges components along the edges in ascending order of the cut key.
+    A merged node's diameter is the largest of its children's and of the
+    cross block between them; the cross blocks cover each pair once.  The
+    block is gathered from ``D`` with the smaller side on the rows, since
+    each row is copied whole first, so ``D`` must be symmetric, as
+    :meth:`MetricSpace.pairs` is.
     """
-    n = space.n
+    n = len(D)
     if len(mst_edges) != n - 1:
         raise ValueError(f"a spanning tree of {n} points has {n - 1} edges, got {len(mst_edges)}")
     root_of = list(range(n))
@@ -150,42 +165,31 @@ def create_tree(space: MetricSpace, mst_edges) -> TreeNode:
         if ra == rb:
             raise ValueError("MST edges contain a cycle")
         left, right = node[ra], node[rb]
+        small, large = sorted((left.points, right.points), key=len)
+        diameter = max(left.diameter, right.diameter, float(D.take(small, 0).take(large, 1).max()))
         points = np.sort(np.concatenate((left.points, right.points)), kind="stable")
         root_of[ra] = rb
-        node[rb] = TreeNode(points, left, right, w)
+        node[rb] = TreeNode(points, left, right, w, diameter)
     return node[find(0)]
 
 
-def _bottom_up_betas(space: MetricSpace, tree: TreeNode) -> list[tuple[TreeNode, float]]:
+def _bottom_up_betas(tree: TreeNode) -> list[tuple[TreeNode, float]]:
     """Every node of a :func:`create_tree` tree with its beta, children first.
 
-    sep(child) is the parent's cut weight, and diam(u) is the max of the
-    children's diameters and the largest distance across them.  beta(root)
-    is 0 by convention, so the root's diameter is never needed and its cross
-    block is not read.  The other cross blocks cover each pair not split at
-    the root once, with the smaller side on the rows:
-    n(n-1)/2 - |left(root)| * |right(root)| queries for the tree.
+    A node's beta is its diameter over its separation, the parent's cut
+    weight; beta(root) is 0 by convention.  No distance is read.
     """
     nodes = tree.nodes()  # the root first
     sep = {}
     for u in nodes:
         if not u.is_leaf:
             sep[id(u.left)] = sep[id(u.right)] = u.weight
-    diam: dict[int, float] = {}
-    out = []
-    for u in reversed(nodes[1:]):
-        if u.is_leaf:
-            d = 0.0
-        else:
-            small, large = sorted((u.left.points, u.right.points), key=len)
-            d = max(diam[id(u.left)], diam[id(u.right)], float(space.block(small, large).max()))
-        diam[id(u)] = d
-        out.append((u, _ratio(d, sep[id(u)])))
+    out = [(u, _ratio(u.diameter, sep[id(u)])) for u in reversed(nodes[1:])]
     out.append((tree, 0.0))
     return out
 
 
-def dp_min_beta(space: MetricSpace, tree: TreeNode, k: int) -> Clustering:
+def dp_min_beta(tree: TreeNode, k: int) -> Clustering:
     """Minimum-beta k-clustering among those induced by a :func:`create_tree` tree.
 
     DP over (node, parts): a node is either kept whole (one cluster, its own
@@ -194,10 +198,11 @@ def dp_min_beta(space: MetricSpace, tree: TreeNode, k: int) -> Clustering:
     points holds only parts 1..min(k, s), and each split visits only the
     right-child counts both children can hold.
     """
-    if not 1 <= k <= space.n:
-        raise ValueError(f"need 1 <= k <= n, got k={k}, n={space.n}")
+    n = len(tree.points)
+    if not 1 <= k <= n:
+        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
     table: dict[int, list] = {}  # id(node) -> [(beta, i_right)] indexed by parts-1
-    for u, node_beta in _bottom_up_betas(space, tree):
+    for u, node_beta in _bottom_up_betas(tree):
         row = [(node_beta, 0)]
         if not u.is_leaf:
             right, left = table[id(u.right)], table[id(u.left)]
@@ -220,7 +225,7 @@ def dp_min_beta(space: MetricSpace, tree: TreeNode, k: int) -> Clustering:
         _, i = table[id(u)][parts - 1]
         stack.append((u.right, i))
         stack.append((u.left, parts - i))
-    assignment = np.empty(space.n, dtype=np.intp)
+    assignment = np.empty(n, dtype=np.intp)
     for cid, pts in enumerate(clusters):
         assignment[pts] = cid
     return Clustering(assignment, k)
@@ -229,7 +234,11 @@ def dp_min_beta(space: MetricSpace, tree: TreeNode, k: int) -> Clustering:
 def stable_cluster(space: MetricSpace, k: int) -> Clustering:
     """MST -> split tree -> DP.  If any clustering with beta < 1 exists, the
     output's beta matches the best achievable, hence the output is that
-    beta-stable for avg."""
+    beta-stable for avg.
+
+    The three stages share one :meth:`MetricSpace.pairs` read: n(n-1)/2
+    queries, each unordered pair once."""
     check_start(space.n, k)
-    return dp_min_beta(space, create_tree(space, mst(space)), k)
+    D = space.pairs()
+    return dp_min_beta(create_tree(D, mst(D)), k)
 

@@ -7,7 +7,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 from scipy.sparse.csgraph import shortest_path
 
-from ipstable import ALGORITHMS, Clustering, MetricSpace, cli, create_tree, mst, verify_stability
+from ipstable import ALGORITHMS, Clustering, MetricSpace, cli, verify_stability
 from ipstable.clustering import _ObjectiveTable
 from ipstable.stable_opt import beta_clustering
 
@@ -72,9 +72,8 @@ def small_instances(draw):
 def test_every_algorithm_is_deterministic_and_stable_on_small_instances(instance):
     space, k, seed = instance
     n = space.n
-    root = create_tree(space, mst(space))
-    # dp reads the table for the MST and every cross block of the split tree but the root's
-    dp_queries = n * n + n * (n - 1) // 2 - len(root.left.points) * len(root.right.points)
+    # dp reads each unordered pair once, for the MST and the split tree's diameters
+    dp_queries = n * (n - 1) // 2
     for name, alg in ALGORITHMS.items():
         runs = []
         for _ in range(2):

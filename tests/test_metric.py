@@ -61,6 +61,13 @@ def _block_reference(space, rows, cols):
     return out
 
 
+def _assert_pairs_table(got, upper):
+    """``got`` is pairs()'s table for ``upper``'s upper triangle: bitwise equal
+    there, mirrored below it, 0 on the diagonal."""
+    want = np.triu(upper, 1)
+    assert np.array_equal(got, want + want.T)
+
+
 def _coord_space(n, dim, norm, seed):
     rng = np.random.default_rng(seed)
     scale = 10.0 ** rng.integers(-3, 4, size=dim)  # mixed magnitudes stress the summation order
@@ -78,7 +85,9 @@ class TestBlockKernel:
         want = _block_reference(sp, rows, cols)
         assert np.array_equal(sp.block(rows, cols), want)
         assert np.array_equal(sp.peek_block(rows, cols), want)
-        assert np.array_equal(sp.full(), _block_reference(sp, range(70), np.arange(70)))
+        table = _block_reference(sp, range(70), np.arange(70))
+        assert np.array_equal(sp.full(), table)
+        _assert_pairs_table(sp.pairs(), table)
         assert np.array_equal(sp.row(5, cols), _row_reference(sp, 5, cols))
         assert np.array_equal(sp.row(5), _row_reference(sp, 5, np.arange(70)))
         assert all(sp.distance(int(i), int(j)) == want[r, c] for r, i in enumerate(rows) for c, j in enumerate(cols))
@@ -106,9 +115,11 @@ class TestBlockKernel:
         want = _block_reference(sp, rows, cols)
         assert np.array_equal(sp.peek_block(rows, cols), want)
         assert np.array_equal(sp.block(rows, cols), want)
-        assert np.array_equal(sp.full(), _block_reference(sp, range(40), np.arange(40)))
+        table = _block_reference(sp, range(40), np.arange(40))
+        assert np.array_equal(sp.full(), table)
+        _assert_pairs_table(sp.pairs(), table)
 
-    def test_matrix_blocks_index_the_table(self):
+    def test_matrix_blocks_index_the_table(self, monkeypatch):
         sp = random_matrix_space(25, seed=4)
         table = sp.full()
         rows, cols = np.array([4, 0, 4, 24]), np.array([7, 7, 1])
@@ -116,6 +127,16 @@ class TestBlockKernel:
         assert np.array_equal(sp.peek_block(rows, cols), table[np.ix_(rows, cols)])
         assert np.array_equal(sp.row(9, cols), table[9, cols])
         assert sp.peek_block(np.array([], dtype=np.intp), cols).shape == (0, 3)
+        # tables are accepted with asymmetry up to a relative 1e-9: pairs()
+        # reads the stored upper triangle into both triangles, in one tile and
+        # in tiles of 7 rows (the last one partial); it never reads the diagonal
+        skewed = (np.triu(table) * (1 + 1e-12) + np.tril(table), np.triu(table) + np.tril(table) * (1 + 1e-12))
+        for chunk in (metric._BLOCK_CHUNK_ELEMS, 7 * 25):
+            monkeypatch.setattr(metric, "_BLOCK_CHUNK_ELEMS", chunk)
+            _assert_pairs_table(sp.pairs(), table)
+            for upper in skewed:
+                _assert_pairs_table(MetricSpace.from_matrix(upper).pairs(), upper)
+            _assert_pairs_table(MetricSpace.from_matrix(table + np.eye(25), validate=False).pairs(), table)
 
     @pytest.mark.parametrize("make", [lambda: _coord_space(20, 9, "l2", 0), lambda: random_matrix_space(20, 0)])
     def test_query_charges(self, make):
@@ -132,6 +153,11 @@ class TestBlockKernel:
         assert sp.query_counter == start + 42 + 400 + 3 + 20
         sp.block([], np.arange(7))
         assert sp.query_counter == start + 42 + 400 + 3 + 20
+        sp.pairs()
+        assert sp.query_counter == start + 42 + 400 + 3 + 20 + 190
+        single = MetricSpace.from_points(np.zeros((1, 3)))
+        assert np.array_equal(single.pairs(), [[0.0]])
+        assert single.query_counter == 0
 
 
 class TestValidation:

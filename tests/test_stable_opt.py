@@ -102,30 +102,35 @@ def _tied_and_random_spaces():
     yield line_space([2, 2, 2])  # every distance zero
 
 
+def _tree(sp):
+    D = sp.pairs()
+    return create_tree(D, mst(D))
+
+
 class TestMst:
     def test_single_point(self):
-        assert mst(line_space([0])) == []
+        assert mst(line_space([0]).pairs()) == []
 
     def test_line(self):
-        edges = mst(line_space([0, 1, 5]))
+        edges = mst(line_space([0, 1, 5]).pairs())
         assert sorted((a, b) for a, b, _ in edges) == [(0, 1), (1, 2)]
 
     def test_weight_matches_prim(self):
         for seed in range(8):
             sp = random_matrix_space(25, seed=seed)
             D = sp.peek_block(np.arange(25), np.arange(25))
-            ours = sum(w for _, _, w in mst(sp))
+            ours = sum(w for _, _, w in mst(sp.pairs()))
             assert ours == pytest.approx(_prim_mst_weight(D), rel=1e-9)
 
     def test_matches_kruskal_reference(self):
         for sp in _tied_and_random_spaces():
-            assert mst(sp) == _kruskal(sp)
+            assert mst(sp.pairs()) == _kruskal(sp)
 
     def test_weight_read_from_upper_triangle(self):
         # tables are accepted with asymmetry up to a relative 1e-9
         D = random_matrix_space(20, seed=3).full()
         sp = MetricSpace.from_matrix(np.triu(D) * (1 + 1e-12) + np.tril(D))
-        assert mst(sp) == _kruskal(sp)
+        assert mst(sp.pairs()) == _kruskal(sp)
 
 
 def _top_down_tree(points, edges):
@@ -164,18 +169,19 @@ class TestCreateTree:
         # tied weights make the (min, max) tie-break and the left/right
         # orientation matter; the DP's tie-break depends on both
         for sp in _tied_and_random_spaces():
-            edges = mst(sp)
-            tree = create_tree(sp, edges)
+            D = sp.pairs()
+            edges = mst(D)
+            tree = create_tree(D, edges)
             assert _as_tuples(tree) == _top_down_tree(list(range(sp.n)), edges)
 
     def test_single_point_leaf(self):
         sp = line_space([0])
-        tree = create_tree(sp, mst(sp))
+        tree = _tree(sp)
         assert tree.is_leaf and list(tree.points) == [0]
 
     def test_line_structure(self):
         sp = line_space([0, 1, 5])
-        tree = create_tree(sp, mst(sp))
+        tree = _tree(sp)
         assert sorted(tree.points) == [0, 1, 2]
         kids = {tuple(sorted(tree.left.points)), tuple(sorted(tree.right.points))}
         assert kids == {(0, 1), (2,)}
@@ -183,7 +189,7 @@ class TestCreateTree:
     def test_children_partition_parent(self):
         for seed in range(6):
             sp = random_space(18, seed=seed)
-            tree = create_tree(sp, mst(sp))
+            tree = _tree(sp)
             for node in tree.nodes():
                 if not node.is_leaf:
                     union = sorted(np.concatenate([node.left.points, node.right.points]))
@@ -194,17 +200,30 @@ class TestCreateTree:
 
 class TestNodeBetas:
     def test_equal_to_beta_on_every_node(self):
-        for sp in _tied_and_random_spaces():
-            tree = create_tree(sp, mst(sp))
-            pairs = _bottom_up_betas(sp, tree)
+        # tables are accepted with asymmetry up to a relative 1e-9; beta()
+        # reads both triangles, so it is the reference on symmetric spaces,
+        # and a node's diameter is the largest d(min, max) on every space
+        D = random_matrix_space(20, seed=3).full()
+        skewed = [
+            MetricSpace.from_matrix(np.triu(D) * (1 + 1e-12) + np.tril(D)),
+            MetricSpace.from_matrix(np.triu(D) + np.tril(D) * (1 + 1e-12)),
+        ]
+        for sp in [*_tied_and_random_spaces(), *skewed]:
+            table = sp.peek_block(np.arange(sp.n), np.arange(sp.n))
+            pairs = _bottom_up_betas(_tree(sp))
             assert len(pairs) == 2 * sp.n - 1
             for node, value in pairs:
-                assert value == beta(sp, node.points)
+                pts = node.points  # ascending, so the upper triangle holds d(min, max)
+                assert node.diameter == np.triu(table[np.ix_(pts, pts)], 1).max()
+                if node.is_leaf:
+                    assert node.diameter == 0.0
+                if sp not in skewed:
+                    assert value == beta(sp, node.points)
 
     def test_children_before_parents(self):
         sp = random_space(20, seed=4)
         seen = set()
-        for node, _ in _bottom_up_betas(sp, create_tree(sp, mst(sp))):
+        for node, _ in _bottom_up_betas(_tree(sp)):
             if not node.is_leaf:
                 assert id(node.left) in seen and id(node.right) in seen
             seen.add(id(node))
@@ -212,7 +231,7 @@ class TestNodeBetas:
     def test_weight_is_children_separation(self):
         sp = random_matrix_space(15, seed=2)
         D = sp.peek_block(np.arange(15), np.arange(15))
-        for node in create_tree(sp, mst(sp)).nodes():
+        for node in _tree(sp).nodes():
             if node.is_leaf:
                 assert node.weight is None
                 continue
@@ -222,14 +241,14 @@ class TestNodeBetas:
 class TestDpMinBeta:
     def test_k_equals_n(self):
         sp = random_space(7, seed=1)
-        out = dp_min_beta(sp, create_tree(sp, mst(sp)), 7)
+        out = dp_min_beta(_tree(sp), 7)
         assert out.sizes().tolist() == [1] * 7
         assert beta_clustering(sp, out) == 0.0
 
     def test_three_group_line(self):
         coords = [0 - 0.1, 0 + 0.1, 100 - 0.1, 100 + 0.1, 200 - 0.1, 200 + 0.1]
         sp = line_space(coords)
-        out = dp_min_beta(sp, create_tree(sp, mst(sp)), 3)
+        out = dp_min_beta(_tree(sp), 3)
         groups = {frozenset(map(int, m)) for m in out.members()}
         assert groups == {frozenset({0, 1}), frozenset({2, 3}), frozenset({4, 5})}
         assert beta_clustering(sp, out) <= 0.2 / 99.8 + 1e-12
@@ -252,8 +271,8 @@ class TestDpMinBeta:
         for seed in range(25):
             n, k = 8, 3
             sp = random_matrix_space(n, seed=seed)
-            tree = create_tree(sp, mst(sp))
-            got = dp_min_beta(sp, tree, k)
+            tree = _tree(sp)
+            got = dp_min_beta(tree, k)
             best = min(
                 max(beta(sp, c) for c in clusters)
                 for clusters in induced(tree, k)
@@ -265,7 +284,7 @@ class TestDpMinBeta:
         # skips the infeasible (None) entries inside the loop
         def dp_all_counts(sp, tree, k):
             table = {}
-            for u, node_beta in _bottom_up_betas(sp, tree):
+            for u, node_beta in _bottom_up_betas(tree):
                 row = [None] * k
                 row[0] = (node_beta, 0)
                 if not u.is_leaf:
@@ -291,17 +310,17 @@ class TestDpMinBeta:
             return Clustering.from_members(clusters)
 
         for sp in _tied_and_random_spaces():
-            tree = create_tree(sp, mst(sp))
+            tree = _tree(sp)
             for k in range(1, min(6, sp.n) + 1):
-                assert dp_min_beta(sp, tree, k) == dp_all_counts(sp, tree, k)
+                assert dp_min_beta(tree, k) == dp_all_counts(sp, tree, k)
 
     def test_matches_brute_force_when_separated(self):
         hits = 0
         for seed in range(60):
             out = generate(GenSpec("planted_separated", n=9, k=3, separation=0.6, seed=seed))
             sp = out.space
-            tree = create_tree(sp, mst(sp))
-            got = dp_min_beta(sp, tree, 3)
+            tree = _tree(sp)
+            got = dp_min_beta(tree, 3)
             _, best = brute_force_min_beta(sp, 3)
             if best < 1:
                 hits += 1
@@ -316,15 +335,12 @@ class TestStableCluster:
         assert out.sizes().tolist() == [1] * 6
 
     def test_query_count(self):
-        # n^2 for the MST, n(n-1)/2 for the cross blocks of the split tree
-        # less the root's, which beta(root) = 0 never needs
+        # one pairs() read shared by the MST and the split tree's diameters
         for sp in (random_space(40, seed=1), random_matrix_space(40, seed=1), line_space([0, 0, 1, 1, 2])):
             n = sp.n
-            root = create_tree(sp, mst(sp))
-            root_block = len(root.left.points) * len(root.right.points)
             before = sp.query_counter
             stable_cluster(sp, 2)
-            assert sp.query_counter - before == n * n + n * (n - 1) // 2 - root_block
+            assert sp.query_counter - before == n * (n - 1) // 2
 
     def test_recovers_planted(self):
         out = generate(GenSpec("planted_separated", n=30, k=3, separation=0.1, seed=4))
@@ -351,7 +367,7 @@ class TestStableCluster:
             sp, planted = gen.space, gen.planted
             if beta_clustering(sp, planted) >= 1:
                 continue
-            tree = create_tree(sp, mst(sp))
+            tree = _tree(sp)
             node_sets = {frozenset(map(int, u.points)) for u in tree.nodes()}
             for m in planted.members():
                 assert frozenset(map(int, m)) in node_sets
