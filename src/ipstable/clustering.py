@@ -200,6 +200,12 @@ class _ObjectiveTable:
     table.  Every stored value is an entry of the distance table picked by
     the same rank rule as a fresh fill, so the table equals a fresh one
     exactly.
+
+    ``table`` is column-major (``order="F"``): a move's two column edits, a
+    fill and the per-row reductions of ``most_envious`` read contiguous
+    memory.  Each column's potential term (``phi_of`` for avg,
+    ``diameter_of`` for median) is computed on first use and cached; a move
+    drops the entries of its two columns, a merge or split drops them all.
     """
 
     def __init__(self, space: MetricSpace, clustering: Clustering, objective: str):
@@ -211,7 +217,8 @@ class _ObjectiveTable:
         self.assign = clustering.assignment.copy()
         self.members = list(clustering.members())
         self.sizes = clustering.sizes().astype(np.int64)
-        self.table = np.empty((self.n, clustering.k))
+        self.table = np.empty((self.n, clustering.k), order="F")
+        self._potential = [None] * clustering.k  # cached phi_of / diameter_of per column
         self._own_median = np.zeros(self.n)  # median(p, C(p)\{p}); median only
         self._sorted = [None] * clustering.k  # median only: row-sorted D[:, members[c]]
         for c in range(clustering.k):
@@ -246,6 +253,7 @@ class _ObjectiveTable:
         self.sizes[dst] += 1
         self.members[src] = self.members[src][self.members[src] != p]
         self.members[dst] = np.append(self.members[dst], p)
+        self._potential[src] = self._potential[dst] = None
         dist = self.D[:, p]
         if self.objective == "avg":
             self.table[:, src] -= dist
@@ -270,7 +278,10 @@ class _ObjectiveTable:
         self.members = [self.members[c] for c in keep] + list(parts)
         self.sizes = np.append(self.sizes[keep], [len(m) for m in parts])
         self._sorted = [self._sorted[c] for c in keep] + [None] * len(parts)
-        self.table = np.concatenate([self.table[:, keep], np.empty((self.n, len(parts)))], axis=1)
+        self._potential = [None] * self.k
+        table = np.empty((self.n, self.k), order="F")
+        table[:, : len(keep)] = self.table[:, keep]
+        self.table = table
         for c in range(len(keep), self.k):
             self.assign[self.members[c]] = c
         return len(keep)
@@ -300,7 +311,7 @@ class _ObjectiveTable:
         """f(p, C_c) for every point and column, own column included (a new array)."""
         if self.objective == "avg":
             return self.table / self.sizes
-        return self.table.copy()
+        return self.table.copy(order="F")
 
     def own_excl(self) -> np.ndarray:
         """f(p, C(p)\\{p}); 0 where the own cluster is a singleton."""
@@ -308,9 +319,7 @@ class _ObjectiveTable:
         own_sizes = self.sizes[self.assign]
         multi = own_sizes > 1
         if self.objective == "avg":
-            out = np.zeros(self.n)
-            out[multi] = self.table[rows[multi], self.assign[multi]] / (own_sizes[multi] - 1)
-            return out
+            return np.divide(self.table[rows, self.assign], own_sizes - 1, out=np.zeros(self.n), where=multi)
         # the self-distance 0 never determines a max over >= 2 points
         out = self.table[rows, self.assign] if self.objective == "max" else self._own_median.copy()
         out[~multi] = 0.0
@@ -322,25 +331,28 @@ class _ObjectiveTable:
         Ties go to the smallest point, then the smallest column; points of
         singleton clusters have ratio 0, as their own_excl is 0.
         """
-        rows = np.arange(self.n)
         foreign = self.values()
-        foreign[rows, self.assign] = np.inf
-        best = np.argmin(foreign, axis=1)
-        ratio = _ratio(self.own_excl(), foreign[rows, best])
+        foreign[np.arange(self.n), self.assign] = np.inf
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = self.own_excl() / foreign.min(axis=1)  # x/0 = inf
+        ratio[np.isnan(ratio)] = 0.0  # 0/0
         p = int(np.argmax(ratio))
-        return p, int(best[p]), float(ratio[p])
+        return p, int(foreign[p].argmin()), float(ratio[p])
 
     def diameter_of(self, c: int) -> float:
         """median only: the largest distance within column c, read from its
-        members' rows of the sorted block (0 for a singleton)."""
-        return float(self._sorted[c][self.members[c], -1].max())
+        members' rows of the sorted block (0 for a singleton); cached."""
+        if self._potential[c] is None:
+            self._potential[c] = float(self._sorted[c][self.members[c], -1].max())
+        return self._potential[c]
 
     def phi_of(self, c: int) -> float:
-        """avg only: log2|C| / |C| times the sum of d over ordered pairs of column c."""
-        m = self.members[c]
-        if len(m) <= 1:
-            return 0.0
-        return math.log2(len(m)) / len(m) * float(self.table[m, c].sum())
+        """avg only: log2|C| / |C| times the sum of d over ordered pairs of column c; cached."""
+        if self._potential[c] is None:
+            m = self.members[c]
+            pair_sum = float(self.table[m, c].sum())
+            self._potential[c] = math.log2(len(m)) / len(m) * pair_sum if len(m) > 1 else 0.0
+        return self._potential[c]
 
     def phi(self) -> float:
         """avg only: the clustering potential, summed over columns in order."""

@@ -124,7 +124,8 @@ def merge_split_ls(
 
     def step(p, src, dst, phi):
         threshold = phi / (4.0 * k * math.log2(n)) / (5.0 * n * math.log2(n))
-        if table.own_excl()[p] >= threshold:
+        # p is the most envious point, so its cluster src is no singleton
+        if table.table[p, src] / (table.sizes[src] - 1) >= threshold:
             table.move(p, dst)
             return Step("swap", p, src, dst, threshold=threshold)
         table.merge(src, dst)

@@ -65,11 +65,15 @@ class MaxIpSignature:
 
 
 def edge_order(space: MetricSpace) -> tuple[np.ndarray, np.ndarray]:
-    """Clique edges sorted by (-length, min endpoint, max endpoint); fixed per space."""
+    """Clique edges sorted by (-length, min endpoint, max endpoint); fixed per space.
+
+    ``triu_indices`` lists the edges by (min endpoint, max endpoint), so a
+    stable sort on -length keeps that order among ties.
+    """
     n = space.n
     iu, ju = np.triu_indices(n, k=1)
     w = space.full()[iu, ju]
-    order = np.lexsort((ju, iu, -w))
+    order = np.argsort(-w, kind="stable")
     return iu[order], ju[order]
 
 

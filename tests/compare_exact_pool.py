@@ -1,13 +1,14 @@
-"""Compare the exact-search benchmark pool job by job between two checkouts.
+"""Compare a benchmark workload's pool job by job between two checkouts.
 
-    python tests/compare_exact_pool.py OTHER_CHECKOUT [--seeds 0 1 2 3]
+    python tests/compare_exact_pool.py OTHER_CHECKOUT [--workload NAME] [--seeds 0 1 2 3]
 
-Runs every job of the exact-search pools of the given benchmark seeds twice,
-once on this checkout and once on OTHER_CHECKOUT, each in its own
-interpreter with that checkout's ``src`` and ``perfbench`` first on the
-path.  For each job it compares the output assignment, the status and the
-distance queries the job made.  Prints one line per differing job and a
-summary; exits 0 when every job agrees and 1 otherwise.
+Runs every job of the given workload's pools (exact-search, the default,
+fast-estimate or dp-tree) for the given benchmark seeds twice, once on this
+checkout and once on OTHER_CHECKOUT, each in its own interpreter with that
+checkout's ``src`` and ``perfbench`` first on the path.  For each job it
+compares the output assignment, the status and the distance queries the job
+made.  Prints one line per differing job and a summary; exits 0 when every
+job agrees and 1 otherwise.
 
 Use it to check that a change meant to leave the searches' outputs alone
 (a speed-up, a refactor) really does.
@@ -23,16 +24,17 @@ import sys
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent.parent
+WORKLOADS = ("exact-search", "fast-estimate", "dp-tree")
 
 
-def dump(seeds: list[int]) -> None:
+def dump(workload: str, seeds: list[int]) -> None:
     """Run the pools on the checkout first on the path; print a JSON record per job."""
     import ipstable
     from workloads import build_pool
 
     jobs = {}
     for seed in seeds:
-        for draw in build_pool("exact-search", seed):
+        for draw in build_pool(workload, seed):
             for job in draw:
                 before = job.space.query_counter
                 clustering, status = job.call()
@@ -44,9 +46,10 @@ def dump(seeds: list[int]) -> None:
     json.dump({"library": ipstable.__file__, "jobs": jobs}, sys.stdout)
 
 
-def run_checkout(root: Path, seeds: list[int]) -> dict:
+def run_checkout(root: Path, workload: str, seeds: list[int]) -> dict:
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), str(root / "perfbench")]))
-    cmd = [sys.executable, str(Path(__file__).resolve()), "--dump", "--seeds", *map(str, seeds)]
+    script = str(Path(__file__).resolve())
+    cmd = [sys.executable, script, "--dump", "--workload", workload, "--seeds", *map(str, seeds)]
     out = subprocess.run(cmd, env=env, check=True, capture_output=True, text=True, cwd=root).stdout
     return json.loads(out)
 
@@ -54,15 +57,17 @@ def run_checkout(root: Path, seeds: list[int]) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("other", nargs="?", help="root of the checkout to compare against")
+    parser.add_argument("--workload", choices=WORKLOADS, default="exact-search")
     parser.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 2, 3])
     parser.add_argument("--dump", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.dump:
-        dump(args.seeds)
+        dump(args.workload, args.seeds)
         return 0
     if args.other is None:
         parser.error("the other checkout is required")
-    mine, theirs = run_checkout(HERE, args.seeds), run_checkout(Path(args.other).resolve(), args.seeds)
+    mine = run_checkout(HERE, args.workload, args.seeds)
+    theirs = run_checkout(Path(args.other).resolve(), args.workload, args.seeds)
     print(f"this:  {mine['library']}\nother: {theirs['library']}")
     names = sorted(mine["jobs"].keys() | theirs["jobs"].keys())
     differ = 0

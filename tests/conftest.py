@@ -21,6 +21,13 @@ def random_matrix_space(n, seed):
     return generate(GenSpec("random_shortest_path", n=n, seed=seed)).space
 
 
+def table_spaces():
+    """A tied integer line (many equal distances, coincident points), random
+    coordinates and a shortest-path table."""
+    tied = MetricSpace.from_points(np.random.default_rng(3).integers(0, 5, size=(24, 1)).astype(float))
+    return [tied, random_space(30, seed=4), random_matrix_space(26, seed=5)]
+
+
 @pytest.fixture
 def rng():
     return rng_from_seed(1234)

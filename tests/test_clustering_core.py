@@ -13,8 +13,8 @@ from ipstable.clustering import (
 )
 from ipstable.metric import MetricSpace
 
-from conftest import line_space, random_matrix_space, random_space
-from reference import avg_dist, max_dist, median_dist
+from conftest import line_space, random_space, table_spaces
+from reference import avg_dist, max_dist, median_dist, most_envious
 
 
 class TestClusteringType:
@@ -150,6 +150,8 @@ class TestVerifyStability:
         rep = verify_stability(sp, cl, "avg")
         assert rep.alpha_achieved == math.inf
         assert rep.witness == (0, 1)
+        for objective in ("avg", "max", "median"):  # the search's scan: x/0 = inf
+            assert _ObjectiveTable(sp, cl, objective).most_envious() == (0, 1, math.inf)
 
     def test_alpha_gate(self):
         sp = line_space([0, 1, 10, 11])
@@ -234,13 +236,6 @@ class TestAveragingFacts:
             assert cross <= (D[p, S1].mean() + D[p, S2].mean()) * (1 + 1e-9) + 1e-15
 
 
-def _table_spaces():
-    """A tied integer line (many equal distances, coincident points), random
-    coordinates and a shortest-path table."""
-    tied = MetricSpace.from_points(np.random.default_rng(3).integers(0, 5, size=(24, 1)).astype(float))
-    return [tied, random_space(30, seed=4), random_matrix_space(26, seed=5)]
-
-
 def _assert_matches_fresh(space, table):
     fresh = _ObjectiveTable(space, table.clustering(), table.objective)
     assert np.array_equal(table.assign, fresh.assign)
@@ -249,9 +244,19 @@ def _assert_matches_fresh(space, table):
     if table.objective == "avg":
         np.testing.assert_allclose(table.table, fresh.table, rtol=1e-9, atol=1e-9)
         np.testing.assert_allclose(table.own_excl(), fresh.own_excl(), rtol=1e-9, atol=1e-9)
+        # the cached column potentials against the formula on the current table
+        terms = [
+            math.log2(len(m)) / len(m) * float(table.table[m, c].sum()) if len(m) > 1 else 0.0
+            for c, m in enumerate(table.members)
+        ]
+        assert [table.phi_of(c) for c in range(table.k)] == terms
+        assert table.phi() == sum(terms)
     else:
         assert np.array_equal(table.table, fresh.table)
         assert np.array_equal(table.own_excl(), fresh.own_excl())
+        assert table.most_envious() == most_envious(space, table.clustering(), table.objective)
+    if table.objective == "median":
+        assert [table.diameter_of(c) for c in range(table.k)] == [fresh.diameter_of(c) for c in range(table.k)]
     ratio = table.most_envious()[2]
     alpha = verify_stability(space, fresh.clustering(), table.objective).alpha_achieved
     assert ratio == pytest.approx(alpha, rel=1e-9) or ratio == alpha
@@ -260,7 +265,7 @@ def _assert_matches_fresh(space, table):
 class TestObjectiveTable:
     @pytest.mark.parametrize("objective", ["avg", "max", "median"])
     def test_operations_match_fresh_table(self, objective):
-        for seed, space in enumerate(_table_spaces()):
+        for seed, space in enumerate(table_spaces()):
             rng = np.random.default_rng(seed)
             n = space.n
             table = _ObjectiveTable(space, Clustering(np.arange(n) % 4, 4), objective)
@@ -290,7 +295,7 @@ class TestObjectiveTable:
     def test_long_move_sequence_matches_fresh_table(self, objective):
         # moves only, so the median columns edit their sorted blocks hundreds
         # of times between fills
-        for seed, space in enumerate(_table_spaces()):
+        for seed, space in enumerate(table_spaces()):
             rng = np.random.default_rng(100 + seed)
             table = _ObjectiveTable(space, Clustering(np.arange(space.n) % 4, 4), objective)
             for _ in range(400):
@@ -302,7 +307,7 @@ class TestObjectiveTable:
                 assert all(block is not None for block in table._sorted)
 
     def test_merge_of_two_sorted_blocks(self):
-        for space in _table_spaces():
+        for space in table_spaces():
             table = _ObjectiveTable(space, Clustering(np.arange(space.n) % 4, 4), "median")
             table.move(0, 1)  # edits the blocks of columns 0 and 1
             table.merge(0, 1)
@@ -326,6 +331,12 @@ class TestObjectiveTable:
         # are equally envious, point 0 wins
         table = _ObjectiveTable(line_space([0, 1, 2, 3]), Clustering([0, 1, 1, 0], 2), "avg")
         assert table.most_envious() == (0, 1, 2.0)
+
+    @pytest.mark.parametrize("objective", ["avg", "max", "median"])
+    def test_most_envious_zero_over_zero_is_zero(self, objective):
+        # four coincident points: every own and foreign value is 0
+        table = _ObjectiveTable(line_space([2, 2, 2, 2]), Clustering([0, 0, 1, 1], 2), objective)
+        assert table.most_envious() == (0, 1, 0.0)
 
     def test_unknown_objective(self):
         with pytest.raises(ValueError, match="unknown objective"):
@@ -391,7 +402,7 @@ class TestVerifyAgainstReferenceTable:
     def test_same_witness_and_ratios(self, objective):
         dup = MetricSpace.from_matrix(np.array([[0.0, 0.0, 5.0, 5.0], [0.0, 0.0, 5.0, 5.0],
                                                 [5.0, 5.0, 0.0, 2.0], [5.0, 5.0, 2.0, 0.0]]))
-        for space in _table_spaces() + [dup]:
+        for space in table_spaces() + [dup]:
             rng = np.random.default_rng(space.n)
             for k in (2, 3, space.n // 2, space.n):
                 for _ in range(3):

@@ -5,9 +5,9 @@ import pytest
 
 from ipstable.clustering import Clustering
 from ipstable.metric import MetricSpace
-from ipstable.potential import SQRT_MEDIAN_SCALE, phi_avg, phi_avg_clustering
+from ipstable.potential import SQRT_MEDIAN_SCALE, edge_order, phi_avg, phi_avg_clustering
 
-from conftest import line_space, random_matrix_space, random_space
+from conftest import line_space, random_matrix_space, random_space, table_spaces
 from reference import max_ip_signature, phi_sqrt_median_exact, phi_sqrt_median_surrogate
 
 
@@ -184,3 +184,12 @@ class TestMaxIpSignature:
         split = max_ip_signature(sp, Clustering([0, 0, 1], 2))
         singles = max_ip_signature(sp, Clustering.singletons(3))
         assert singles < split < one_cluster
+
+    def test_edge_order_matches_three_key_sort(self):
+        # the tied integer line: many equal lengths, so the endpoint keys decide
+        space = table_spaces()[0]
+        iu, ju = np.triu_indices(space.n, k=1)
+        w = space.full()[iu, ju]
+        order = np.lexsort((ju, iu, -w))
+        got_i, got_j = edge_order(space)
+        assert np.array_equal(got_i, iu[order]) and np.array_equal(got_j, ju[order])
