@@ -164,17 +164,26 @@ def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
 
 
 def _delete_sorted(block: np.ndarray, vals: np.ndarray) -> np.ndarray:
-    """Delete one copy of vals[r] from each sorted row of block."""
-    n, width = block.shape
-    at = np.count_nonzero(block < vals[:, None], axis=1)
-    return np.delete(block.ravel(), np.arange(n) * width + at).reshape(n, width - 1)
+    """Delete one copy of vals[r] from each sorted row of block: column j
+    keeps block[:, j] where that is below vals, else takes block[:, j + 1]."""
+    below = block < vals[:, None]
+    out = block[:, 1:].copy()
+    np.copyto(out, block[:, :-1], where=below[:, :-1])
+    return out
 
 
 def _insert_sorted(block: np.ndarray, vals: np.ndarray) -> np.ndarray:
-    """Insert vals[r] into each sorted row of block, keeping it sorted."""
+    """Insert vals[r] into each sorted row of block, keeping it sorted:
+    column j keeps block[:, j] where that is below vals, else takes
+    max(block[:, j - 1], vals) (vals itself in column 0).  Equal distances
+    have equal bits (a ``MetricSpace`` holds no -0.0), so the max of a tie
+    is the entry a shift would give."""
     n, width = block.shape
-    at = np.count_nonzero(block < vals[:, None], axis=1)
-    return np.insert(block.ravel(), np.arange(n) * width + at, vals).reshape(n, width + 1)
+    out = np.empty((n, width + 1))
+    out[:, 0] = vals
+    np.maximum(block, vals[:, None], out=out[:, 1:])
+    np.copyto(out[:, :-1], block, where=block < vals[:, None])
+    return out
 
 
 class _ObjectiveTable:

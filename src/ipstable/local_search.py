@@ -142,11 +142,11 @@ def natural_local_search(space: MetricSpace, k: int, config: LsConfig) -> tuple[
 def max_ip_local_search(space: MetricSpace, k: int, config: LsConfig) -> tuple[Clustering, LsTrace]:
     """Local search for the max objective at alpha = 1; records signatures."""
     table = _table(space, k, config, "max")
-    iu, ju = edge_order(space)
+    order = edge_order(space)
 
     def swap(p, src, dst, phi):
-        before = signature_from_order(iu, ju, table.assign)
+        before = signature_from_order(order, table.assign)
         table.move(p, dst)
-        return Step("swap", p, src, dst, sig_before=before, sig_after=signature_from_order(iu, ju, table.assign))
+        return Step("swap", p, src, dst, sig_before=before, sig_after=signature_from_order(order, table.assign))
 
     return search(table, 1.0, config.max_steps, swap)

@@ -58,6 +58,7 @@ class MetricSpace:
             if validate:
                 _validate_table(mat)
             mat = mat.copy()
+            mat += 0.0  # -0.0 entries become +0.0: x / -0.0 is -inf
             mat.flags.writeable = False
             self._matrix = mat
             self._coords = None

@@ -64,21 +64,24 @@ class MaxIpSignature:
         return np.unpackbits(np.frombuffer(self.packed, dtype=np.uint8))[: self.nbits]
 
 
-def edge_order(space: MetricSpace) -> tuple[np.ndarray, np.ndarray]:
-    """Clique edges sorted by (-length, min endpoint, max endpoint); fixed per space.
+def edge_order(space: MetricSpace) -> np.ndarray:
+    """Clique edges as flat cells ``i * n + j`` (i < j), sorted by
+    (-length, i, j); fixed per space.
 
-    ``triu_indices`` lists the edges by (min endpoint, max endpoint), so a
-    stable sort on -length keeps that order among ties.
+    The upper-triangle mask lists the cells by (i, j), so a stable sort on
+    -length keeps that order among ties.  Reads ``space.full()`` once.
     """
     n = space.n
-    iu, ju = np.triu_indices(n, k=1)
-    w = space.full()[iu, ju]
-    order = np.argsort(-w, kind="stable")
-    return iu[order], ju[order]
+    upper = np.triu(np.ones((n, n), dtype=bool), 1)
+    cells = np.flatnonzero(upper)
+    order = np.argsort(-space.full()[upper], kind="stable")
+    return cells.take(order)
 
 
-def signature_from_order(iu: np.ndarray, ju: np.ndarray, assignment: np.ndarray) -> MaxIpSignature:
-    """Signature against a precomputed edge order (saves re-sorting per step)."""
-    same = assignment[iu] == assignment[ju]
-    return MaxIpSignature(np.packbits(same).tobytes(), len(same))
-
+def signature_from_order(order: np.ndarray, assignment: np.ndarray) -> MaxIpSignature:
+    """The signature of ``assignment`` over ``edge_order``'s cells: one n x n
+    same-cluster table of the labels, narrowed to the smallest unsigned type
+    that holds them, read at the cells in order and packed."""
+    lab = assignment.astype(np.min_scalar_type(assignment.max()))
+    same = np.equal.outer(lab, lab).take(order)
+    return MaxIpSignature(np.packbits(same).tobytes(), len(order))

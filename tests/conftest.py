@@ -28,6 +28,17 @@ def table_spaces():
     return [tied, random_space(30, seed=4), random_matrix_space(26, seed=5)]
 
 
+def skewed(space, triangle="upper", rel=1e-10):
+    """space's distance table with one triangle ("upper" or "lower") scaled
+    by 1 + rel, rel a scalar or an n x n array: symmetric only within the
+    1e-9 tolerance, so the orientation a pair is read in decides ties
+    between pairs."""
+    n = space.n
+    idx = np.arange(n)
+    tri = np.triu(np.ones((n, n)), 1) if triangle == "upper" else np.tril(np.ones((n, n)), -1)
+    return MetricSpace.from_matrix(space.peek_block(idx, idx) * (1.0 + rel * tri))
+
+
 @pytest.fixture
 def rng():
     return rng_from_seed(1234)

@@ -19,7 +19,7 @@ from ipstable.fast import _fast_split_core
 from ipstable.median_ip import merge_bound_factor
 from ipstable.merge_split import SplitResult, _split_core, split_accept_factor
 from ipstable.metric import MetricSpace
-from ipstable.potential import SQRT_MEDIAN_SCALE, MaxIpSignature, edge_order, phi_avg, signature_from_order
+from ipstable.potential import SQRT_MEDIAN_SCALE, MaxIpSignature, phi_avg
 
 BRUTE_FORCE_TSP_LIMIT = 8
 BRUTE_FORCE_LIMIT = 10
@@ -82,6 +82,22 @@ def most_envious(space: MetricSpace, clustering: Clustering, objective: str) -> 
     return best
 
 
+def delete_sorted(block: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """Delete the first copy of vals[r] from each sorted row of block, by
+    ``np.delete`` at the flat positions of the copies."""
+    n, width = block.shape
+    at = np.count_nonzero(block < vals[:, None], axis=1)
+    return np.delete(block.ravel(), np.arange(n) * width + at).reshape(n, width - 1)
+
+
+def insert_sorted(block: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """Insert vals[r] into each sorted row of block before its first entry
+    not below vals[r], by ``np.insert`` at those flat positions."""
+    n, width = block.shape
+    at = np.count_nonzero(block < vals[:, None], axis=1)
+    return np.insert(block.ravel(), np.arange(n) * width + at, vals).reshape(n, width + 1)
+
+
 # -- potentials -----------------------------------------------------------------
 
 
@@ -119,9 +135,18 @@ def phi_sqrt_median_surrogate(space: MetricSpace, C) -> float:
     return math.sqrt(float(space.block(C, C).max()))
 
 
-def max_ip_signature(space: MetricSpace, clustering: Clustering) -> MaxIpSignature:
-    iu, ju = edge_order(space)
-    return signature_from_order(iu, ju, clustering.assignment)
+def max_ip_signature(space: MetricSpace, assignment) -> MaxIpSignature:
+    """The max-IP edge signature by plain loops: the edges (i, j), i < j,
+    sorted by (-d(i, j), i, j), one bit per edge, 1 iff i and j share a
+    label; packed eight bits to a byte, the first edge in the high bit."""
+    D = space.full()
+    n = space.n
+    edges = sorted((-float(D[i, j]), i, j) for i in range(n) for j in range(i + 1, n))
+    bits = [int(assignment[i] == assignment[j]) for _, i, j in edges]
+    packed = bytearray(-(-len(bits) // 8))
+    for e, bit in enumerate(bits):
+        packed[e // 8] |= bit << (7 - e % 8)
+    return MaxIpSignature(bytes(packed), len(bits))
 
 
 # -- splits and the median merge bound ------------------------------------------

@@ -11,8 +11,8 @@ from ipstable import ALGORITHMS, Clustering, MetricSpace, cli, verify_stability
 from ipstable.clustering import _ObjectiveTable
 from ipstable.stable_opt import beta_clustering
 
-from conftest import random_space
-from reference import brute_force_min_beta, most_envious
+from conftest import random_space, skewed
+from reference import brute_force_min_beta, max_ip_signature, most_envious
 
 
 def test_registry_matches_cli_and_pins_each_certified_alpha():
@@ -61,9 +61,7 @@ def small_instances(draw):
         weights = np.triu(rng.integers(1, 4, size=(n, n)), 1).astype(float)
         space = MetricSpace.from_matrix(shortest_path(weights + weights.T, directed=False))
     if skew is not None:
-        D = space.full()
-        tri = np.triu(np.ones((n, n)), 1) if skew == "upper" else np.tril(np.ones((n, n)), -1)
-        space = MetricSpace.from_matrix(D * (1.0 + 1e-10 * tri))
+        space = skewed(space, skew)
     return space, k, seed
 
 
@@ -86,6 +84,15 @@ def test_every_algorithm_is_deterministic_and_stable_on_small_instances(instance
         assert status == "converged", name
         if name == "natural":
             assert queries == n**2
+        if name == "max":
+            # the table's full() and edge_order's; every step's two signatures
+            # are checked against the loop oracle along the round-robin start's path
+            assert queries == 2 * n**2
+            labels = np.arange(n) % k
+            for step in trace.steps:
+                assert step.sig_before == max_ip_signature(space, labels)
+                labels[step.point] = step.target
+                assert step.sig_after == max_ip_signature(space, labels)
         if name == "dp":
             assert queries == dp_queries
             _, best = brute_force_min_beta(space, k)

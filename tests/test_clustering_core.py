@@ -7,6 +7,8 @@ from hypothesis import given, strategies as st
 
 from ipstable.clustering import (
     Clustering,
+    _delete_sorted,
+    _insert_sorted,
     _ObjectiveTable,
     _ratio,
     verify_stability,
@@ -14,7 +16,7 @@ from ipstable.clustering import (
 from ipstable.metric import MetricSpace
 
 from conftest import line_space, random_space, table_spaces
-from reference import avg_dist, max_dist, median_dist, most_envious
+from reference import avg_dist, delete_sorted, insert_sorted, max_dist, median_dist, most_envious
 
 
 class TestClusteringType:
@@ -305,6 +307,20 @@ class TestObjectiveTable:
                 _assert_matches_fresh(space, table)
             if objective == "median":
                 assert all(block is not None for block in table._sorted)
+
+    def test_sorted_row_edits_match_delete_and_insert(self):
+        # rows of small integers, so most values repeat within a row and
+        # between a row and the value deleted or inserted
+        rng = np.random.default_rng(6)
+        for width in range(1, 8):
+            block = np.sort(rng.integers(0, 4, size=(2000, width)).astype(float), axis=1)
+            member = block[np.arange(2000), rng.integers(0, width, size=2000)]
+            other = rng.integers(0, 5, size=2000).astype(float)
+            for got, want in (
+                (_delete_sorted(block, member), delete_sorted(block, member)),
+                (_insert_sorted(block, other), insert_sorted(block, other)),
+            ):
+                assert got.shape == want.shape and np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_merge_of_two_sorted_blocks(self):
         for space in table_spaces():

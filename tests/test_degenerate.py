@@ -4,7 +4,7 @@ heavy duplicates, and the smallest legal sizes."""
 import numpy as np
 import pytest
 
-from ipstable import ALGORITHMS, verify_stability
+from ipstable import ALGORITHMS, Clustering, LsConfig, max_ip_local_search, median_ip_cluster, verify_stability
 from ipstable.metric import MetricSpace
 
 # every registered algorithm, seeded with 1 where it draws random numbers
@@ -42,3 +42,17 @@ def test_l1_norm_backing(name, run):
     out = run(sp, 3)
     assert out.k == 3
     assert np.isfinite(verify_stability(sp, out, "avg").alpha_achieved)
+
+
+def test_negative_zero_distances_read_as_zero():
+    # points 0 and 1 coincide, their distance written -0.0: from the start
+    # {0, 2, 3}, {1} point 0 envies the singleton {1} infinitely
+    D = np.array([[0, -0.0, 5, 5], [-0.0, 0, 5, 5], [5, 5, 0, 1], [5, 5, 1, 0]])
+    sp = MetricSpace.from_matrix(D)
+    assert not np.signbit(sp.full()).any()
+    start = Clustering([0, 1, 0, 0], 2)
+    for objective, (out, trace) in (
+        ("max", max_ip_local_search(sp, 2, LsConfig(initial=start))),
+        ("median", median_ip_cluster(sp, 2, initial=start)),
+    ):
+        assert verify_stability(sp, out, objective, trace.alpha).passed, objective

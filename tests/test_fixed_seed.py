@@ -27,7 +27,7 @@ from ipstable import (
 from ipstable.fast import IP_STABLE, epoch
 from ipstable.metric import GenSpec, generate, rng_from_seed
 
-from conftest import perturbed_planted
+from conftest import perturbed_planted, skewed
 
 PLANTED = {
     "natural": "000000000000000111111111111111222222222222222333333333333333",
@@ -116,22 +116,14 @@ def test_merge_heavy_steps():
     assert _digits(out) == "322222111111000000"
 
 
-def _skewed(sp):
-    """sp's distance table with its upper triangle scaled by 1 + 1e-10:
-    symmetric only within the 1e-9 tolerance, so the orientation a pair is
-    read in decides ties between pairs."""
-    idx = np.arange(sp.n)
-    return MetricSpace.from_matrix(sp.peek_block(idx, idx) * (1.0 + 1e-10 * np.triu(np.ones((sp.n, sp.n)), 1)))
-
-
 def test_median_on_asymmetric_table():
     # values 0..2 on a line: coincident points, swaps and merge-splits
     line = MetricSpace.from_points(np.random.default_rng(5).integers(0, 3, size=(40, 1)).astype(float))
-    out, trace = median_ip_cluster(_skewed(line), 4, initial=Clustering(np.arange(40) % 4, 4))
+    out, trace = median_ip_cluster(skewed(line), 4, initial=Clustering(np.arange(40) % 4, 4))
     assert trace.counts == {"swap": 20, "merge_split": 2}
     assert _digits(out) == "1121000212200022222120322021211120000102"
 
-    paths = _skewed(generate(GenSpec("random_shortest_path", n=40, seed=3)).space)
+    paths = skewed(generate(GenSpec("random_shortest_path", n=40, seed=3)).space)
     tight = MedianConfig(c=1.01, alpha_base=1.0)
     out, trace = median_ip_cluster(paths, 4, tight, initial=Clustering(np.arange(40) % 4, 4))
     assert trace.counts == {"swap": 28, "merge_split": 0}

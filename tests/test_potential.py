@@ -5,9 +5,9 @@ import pytest
 
 from ipstable.clustering import Clustering
 from ipstable.metric import MetricSpace
-from ipstable.potential import SQRT_MEDIAN_SCALE, edge_order, phi_avg, phi_avg_clustering
+from ipstable.potential import SQRT_MEDIAN_SCALE, edge_order, phi_avg, phi_avg_clustering, signature_from_order
 
-from conftest import line_space, random_matrix_space, random_space, table_spaces
+from conftest import line_space, random_matrix_space, random_space, skewed, table_spaces
 from reference import max_ip_signature, phi_sqrt_median_exact, phi_sqrt_median_surrogate
 
 
@@ -161,28 +161,38 @@ class TestSqrtMedianPotential:
             assert exact <= hi * (1 + 1e-12)
 
 
+def _signature_spaces():
+    """The table spaces and the tied line with either triangle skewed on the
+    pairs of odd i + j only, so a pair read the wrong way round moves among
+    its ties."""
+    tied = table_spaces()[0]
+    idx = np.arange(tied.n)
+    odd = 1e-10 * (np.add.outer(idx, idx) % 2)
+    return [*table_spaces(), skewed(tied, "upper", odd), skewed(tied, "lower", odd)]
+
+
 class TestMaxIpSignature:
     def test_all_singletons_zero(self):
         sp = random_space(6, seed=1)
-        sig = max_ip_signature(sp, Clustering.singletons(6))
+        sig = max_ip_signature(sp, np.arange(6))
         assert not any(sig.bits())
 
     def test_one_cluster_all_ones(self):
         sp = random_space(6, seed=1)
-        sig = max_ip_signature(sp, Clustering(np.zeros(6, dtype=int), 1))
+        sig = max_ip_signature(sp, np.zeros(6, dtype=int))
         assert all(sig.bits())
 
     def test_three_points_single_edge(self):
         sp = line_space([0, 1, 5])
-        sig = max_ip_signature(sp, Clustering([0, 0, 1], 2))
+        sig = max_ip_signature(sp, [0, 0, 1])
         # edges sorted by length descending: (0,2) d=5, (1,2) d=4, (0,1) d=1
         assert list(sig.bits()) == [0, 0, 1]
 
     def test_lexicographic_comparison(self):
         sp = line_space([0, 1, 5])
-        one_cluster = max_ip_signature(sp, Clustering([0, 0, 0], 1))
-        split = max_ip_signature(sp, Clustering([0, 0, 1], 2))
-        singles = max_ip_signature(sp, Clustering.singletons(3))
+        one_cluster = max_ip_signature(sp, [0, 0, 0])
+        split = max_ip_signature(sp, [0, 0, 1])
+        singles = max_ip_signature(sp, [0, 1, 2])
         assert singles < split < one_cluster
 
     def test_edge_order_matches_three_key_sort(self):
@@ -191,5 +201,21 @@ class TestMaxIpSignature:
         iu, ju = np.triu_indices(space.n, k=1)
         w = space.full()[iu, ju]
         order = np.lexsort((ju, iu, -w))
-        got_i, got_j = edge_order(space)
-        assert np.array_equal(got_i, iu[order]) and np.array_equal(got_j, ju[order])
+        assert np.array_equal(edge_order(space), (iu * space.n + ju)[order])
+
+    def test_kernel_matches_loop_oracle(self):
+        rng = np.random.default_rng(8)
+        for space in _signature_spaces():
+            order = edge_order(space)
+            for k in (1, 2, 3, space.n):
+                labels = rng.permutation(np.arange(space.n) % k)
+                assert signature_from_order(order, labels) == max_ip_signature(space, labels), k
+
+    def test_kernel_matches_loop_oracle_on_wide_labels(self):
+        # labels up to 255 fit the kernel's uint8 table, 256 and up need uint16
+        rng = np.random.default_rng(9)
+        line = MetricSpace.from_points(rng.integers(0, 20, size=(300, 1)).astype(float))
+        order = edge_order(line)
+        for k in (255, 256, 257, 300):
+            labels = rng.permutation(np.arange(300) % k)
+            assert signature_from_order(order, labels) == max_ip_signature(line, labels), k
