@@ -223,6 +223,28 @@ class TestCluster:
         assert "no data rows" in err
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("text, ok", [
+        ("0,1,2\n1,0,1\n2,1,0\n", False),
+        ("x0\n0,0\n3,4\n", False),
+        ("x0,x1,x2\n0,0\n3,4\n", False),
+        ("x0,x1\n0,0\n3,4\n", True),
+    ], ids=["header-less table", "header too short", "header too long", "valid header"])
+    def test_points_header_names_the_columns(self, text, ok, tmp_path, capsys):
+        # a header-less file read as points would lose its first row
+        inst = tmp_path / "pts.csv"
+        inst.write_text(text)
+        cl = tmp_path / "cl.json"
+        cl.write_text(json.dumps({"k": 2, "assignment": [0, 1]}))
+        for fmt in ("points", "auto"):
+            if fmt == "auto" and not text.startswith("x0"):
+                continue  # auto reads it as a distance table
+            code, _, err = run(
+                ["verify", "--in", str(inst), "--format", fmt, "--clustering", str(cl), "--alpha", "1"],
+                capsys,
+            )
+            assert code == (EXIT_OK if ok else EXIT_USAGE)
+            assert ok or "header row must be x0" in err
+
     def test_non_finite_points_rejected(self, tmp_path, capsys):
         inst = tmp_path / "pts.csv"
         inst.write_text("x0,x1\n0,0\nnan,1\n3,4\n")

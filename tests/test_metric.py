@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy.sparse.csgraph import shortest_path
 
 from ipstable import metric
 from ipstable.metric import GenSpec, MetricSpace, generate, load_matrix_csv, save_matrix_csv
@@ -225,6 +230,27 @@ class TestGenerate:
         b = generate(GenSpec("random_shortest_path", n=25, seed=42)).space
         assert np.array_equal(a.peek_block(np.arange(25), np.arange(25)),
                               b.peek_block(np.arange(25), np.arange(25)))
+
+    @pytest.mark.parametrize("n, seed", [
+        *((n, seed) for n in (1, 2, 3, 63, 64, 65, 130, 300) for seed in (0, 1, 7)),
+        # these tables draw an edge within 1e-8 of 0, which scipy reads as missing
+        (65, 16621), (130, 7224), (300, 871),
+    ])
+    def test_shortest_path_closure_matches_scipy(self, n, seed):
+        # n crosses the closure's 64-row blocks; scipy is the reference only
+        rng = metric.rng_from_seed(seed)
+        upper = np.triu(1.0 - rng.random((n, n)), 1)
+        want = shortest_path(upper + upper.T, method="FW", directed=False)
+        np.fill_diagonal(want, 0.0)
+        got = generate(GenSpec("random_shortest_path", n=n, seed=seed)).space.full()
+        assert np.array_equal(got, want)
+
+    def test_library_imports_no_scipy(self):
+        code = ("import sys, ipstable, ipstable.cli; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        env = {**os.environ, "PYTHONPATH": str(Path(metric.__file__).parents[1])}  # this package
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"
 
     def test_single_point_mixture(self):
         sp = generate(GenSpec("euclidean_mixture", n=1, k=1, dim=2, seed=0)).space
