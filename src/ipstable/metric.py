@@ -7,6 +7,13 @@ by the number of evaluations in the batch; repeated requests for the same
 pair count every time, because the counter measures oracle traffic, not
 distinct pairs.
 
+Coordinates are stored dimension-major, as one ``(dim, n)`` array, and the
+block kernel builds each cell from per-dimension terms, up to 8 dimensions
+at a time, added in the order numpy's pairwise sum uses for a contiguous
+axis.  Every distance thus equals, bit for bit, the one-row reduction
+``(diff * diff).sum()`` of ``diff = x[j] - x[i]`` (``abs(diff).sum()`` for
+l1), in whatever block it is read.
+
 The shortest-path generator closes its table with a Floyd–Warshall written
 in numpy.  The table stays exactly symmetric at every step, since
 ``d[i,k] + d[k,j]`` and ``d[j,k] + d[k,i]`` are the same float sum, so the
@@ -36,8 +43,9 @@ TRIANGLE_RTOL = 1e-9
 _TRIANGLE_EXHAUSTIVE_LIMIT = 64
 _TRIANGLE_SAMPLED_TRIPLES = 100_000
 
-# Coordinate blocks are reduced in row chunks whose (rows, cols, dim)
-# difference buffer holds at most this many float64 elements (512 KiB).
+# Coordinate blocks are computed in row chunks whose (<= 8, rows, cols) term
+# and running-sum buffers hold at most this many float64 elements together
+# (512 KiB); so are the row chunks of a table gather.
 _BLOCK_CHUNK_ELEMS = 1 << 16
 
 # Rows per block of the shortest-path closure's upper-triangle update.
@@ -50,8 +58,10 @@ class MetricSpace:
     Backed either by an explicit symmetric distance table or by a coordinate
     array with an L2/L1 norm.  Every distance read goes through one block
     kernel; for coordinates it computes the block in bounded row chunks, so
-    its temporaries stay small whatever the block size.  The instance is
-    safe to share across threads; the query counter is updated under a lock.
+    its temporaries stay small whatever the block size.  Every accessor
+    rejects an index outside ``0..n-1`` with IndexError before it charges
+    the counter.  The instance is safe to share across threads; the query
+    counter is updated under a lock.
     """
 
     def __init__(self, *, matrix=None, coords=None, norm="l2", validate=True):
@@ -69,7 +79,7 @@ class MetricSpace:
             mat += 0.0  # -0.0 entries become +0.0: x / -0.0 is -inf
             mat.flags.writeable = False
             self._matrix = mat
-            self._coords = None
+            self._xt = None
             self.n = mat.shape[0]
         else:
             pts = np.asarray(coords, dtype=np.float64)
@@ -81,10 +91,10 @@ class MetricSpace:
                 raise ValueError(f"unknown norm {norm!r}")
             if len(pts) and _overflows(pts, norm):
                 raise ValueError(f"coordinates lie too far apart: their {norm} distances could overflow float64")
-            pts = pts.copy()
-            pts.flags.writeable = False
+            xt = np.array(pts.T, order="C")  # dimension-major copy; coords is its transpose
+            xt.flags.writeable = False
             self._matrix = None
-            self._coords = pts
+            self._xt = xt
             self.norm = norm
             self.n = pts.shape[0]
         if self.n < 1:
@@ -102,8 +112,9 @@ class MetricSpace:
 
     @property
     def coords(self):
-        """Coordinate backing, or None for table-backed spaces."""
-        return self._coords
+        """Coordinate backing as a read-only (n, dim) view, or None for
+        table-backed spaces."""
+        return None if self._xt is None else self._xt.T
 
     # -- query counting -------------------------------------------------------
 
@@ -134,17 +145,16 @@ class MetricSpace:
 
     def row(self, i: int, idx=None) -> np.ndarray:
         """Distances from point i to idx (default: all points); one query each."""
-        if idx is None:
-            idx = np.arange(self.n)
-        else:
-            idx = np.asarray(idx, dtype=np.intp)
+        if not 0 <= i < self.n:
+            raise IndexError(f"point index out of range: {i} with n={self.n}")
+        idx = np.arange(self.n) if idx is None else self._indices(idx)
         self.charge(len(idx))
         return self._eval_block(np.array([i], dtype=np.intp), idx)[0]
 
     def block(self, rows, cols) -> np.ndarray:
         """|rows| x |cols| distance block; charges |rows|*|cols| queries."""
-        rows = np.asarray(rows, dtype=np.intp)
-        cols = np.asarray(cols, dtype=np.intp)
+        rows = self._indices(rows)
+        cols = self._indices(cols)
         self.charge(len(rows) * len(cols))
         return self._eval_block(rows, cols)
 
@@ -185,32 +195,103 @@ class MetricSpace:
         distinct values here, so the counter reflects the sampling algorithm
         rather than the deduplicated physical reads.
         """
-        return self._eval_block(np.asarray(rows, dtype=np.intp), np.asarray(cols, dtype=np.intp))
+        return self._eval_block(self._indices(rows), self._indices(cols))
+
+    def _indices(self, idx) -> np.ndarray:
+        """``idx`` as an intp array; IndexError unless every entry is a point."""
+        idx = np.asarray(idx, dtype=np.intp)
+        # read as unsigned, a negative index is a huge one: one max checks both ends
+        if idx.view(np.uintp).max(initial=0) >= self.n:
+            bad = idx[(idx < 0) | (idx >= self.n)]
+            raise IndexError(f"point index out of range: {bad.flat[0]} with n={self.n}")
+        return idx
 
     def _eval_block(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """Uncharged |rows| x |cols| block for intp index arrays.
+        """Uncharged |rows| x |cols| block for in-range intp index arrays.
 
-        Each coordinate cell is the norm of ``coords[col] - coords[row]``,
-        reduced over the last axis as for a single row, so a cell's value
-        does not depend on the block it is read in.
+        A table is gathered by two ``take`` calls, each of whose
+        intermediates holds at most ``_BLOCK_CHUNK_ELEMS`` cells: the columns
+        first when that intermediate is the smaller one and fits, else the
+        rows, in chunks.  Columns listing every point in order (``full()``'s)
+        are not gathered, so that read makes no second n x n array.
+
+        A coordinate cell is the norm of ``coords[col] - coords[row]``, its
+        per-dimension terms summed in the order numpy's pairwise sum gives a
+        contiguous axis (see :func:`_sum_terms`), so every cell equals the
+        single-row reduction ``(diff * diff).sum(axis=-1)`` bit for bit,
+        whatever the block it is read in.  The terms come dimension by
+        dimension from the ``(dim, n)`` coordinates, up to 8 at a time, for
+        row chunks whose buffers hold at most ``_BLOCK_CHUNK_ELEMS`` elements.
         """
         if self._matrix is not None:
-            return self._matrix[np.ix_(rows, cols)]
-        targets = self._coords[cols]
+            table, n = self._matrix, self.n
+            if len(cols) == n and np.array_equal(cols, np.arange(n)):
+                return table.take(rows, axis=0)
+            if len(cols) < len(rows) and n * len(cols) <= _BLOCK_CHUNK_ELEMS:
+                return table.take(cols, axis=1).take(rows, axis=0)
+            out = np.empty((len(rows), len(cols)))
+            step = max(1, _BLOCK_CHUNK_ELEMS // n)
+            # the indices are checked, so "clip" clips nothing; "raise" would buffer out
+            for lo in range(0, len(rows), step):
+                table.take(rows[lo : lo + step], axis=0).take(cols, axis=1, out=out[lo : lo + step], mode="clip")
+            return out
+        dim = len(self._xt)
+        at_cols = self._xt.take(cols, axis=1)[:, None, :]
+        at_rows = self._xt.take(rows, axis=1)[:, :, None]
+        fold = np.square if self.norm == "l2" else np.abs
         out = np.empty((len(rows), len(cols)))
-        step = max(1, min(len(rows), _BLOCK_CHUNK_ELEMS // max(1, targets.size)))
-        buf = np.empty((step, *targets.shape))
+        group = min(dim, 8)
+        # a term buffer and running sums; one term is its own sum, 8 their own running sums
+        nbufs = (dim != 1) + (dim > 8)
+        step = max(1, min(len(rows), _BLOCK_CHUNK_ELEMS // max(1, nbufs * group * len(cols))))
+        bufs = np.empty((nbufs, group, step, len(cols)))
         for lo in range(0, len(rows), step):
-            diff = buf[: min(step, len(rows) - lo)]
-            np.subtract(targets, self._coords[rows[lo : lo + step], None], out=diff)
-            if self.norm == "l2":
-                np.multiply(diff, diff, out=diff)
-            else:
-                np.abs(diff, out=diff)
-            diff.sum(axis=2, out=out[lo : lo + len(diff)])
+            hi = min(len(rows), lo + step)
+            _sum_terms(at_cols, at_rows[:, lo:hi], fold, out[lo:hi], bufs[:, :, : hi - lo])
         if self.norm == "l2":
             np.sqrt(out, out=out)
         return out
+
+
+def _sum_terms(at_cols, at_rows, fold, res, bufs) -> None:
+    """``res`` = the sum over d of the terms ``fold(at_cols[d] - at_rows[d])``,
+    added in the order numpy's pairwise sum adds a contiguous axis.
+
+    numpy sums m terms thus: under 8, in order; up to 128, in eight running
+    sums ``r[j] += t[i + j]`` over the whole groups of 8, combined as
+    ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))``, then the leftover terms in
+    order; above 128, as the sums of the first ``m // 2`` terms (rounded down
+    to a multiple of 8) and of the rest, added.  ``bufs[0]`` holds up to 8
+    terms and ``bufs[-1]`` the running sums, one buffer when m is 8.
+    """
+    m = len(at_cols)
+
+    def fill(a, b, buf):
+        np.subtract(at_cols[a:b], at_rows[a:b], out=buf)
+        fold(buf, out=buf)
+        return buf
+
+    if m == 1:
+        fill(0, 1, res[None])
+    elif m < 8:
+        np.add.reduce(fill(0, m, bufs[0]), axis=0, out=res)
+    elif m > 128:
+        half = m // 2 - m // 2 % 8
+        _sum_terms(at_cols[:half], at_rows[:half], fold, res, bufs)
+        right = np.empty_like(res)
+        _sum_terms(at_cols[half:], at_rows[half:], fold, right, bufs)
+        res += right
+    else:
+        r = fill(0, 8, bufs[-1])
+        whole = m - m % 8
+        for d in range(8, whole, 8):
+            r += fill(d, d + 8, bufs[0])
+        r[0::2] += r[1::2]
+        r[0::4] += r[2::4]
+        np.add(r[0], r[4], out=res)
+        if whole < m:
+            for t in fill(whole, m, bufs[0, : m - whole]):
+                res += t
 
 
 def _overflows(pts: np.ndarray, norm: str) -> bool:

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import subprocess
@@ -79,9 +80,19 @@ def _coord_space(n, dim, norm, seed):
     return MetricSpace.from_points(rng.normal(size=(n, dim)) * scale, norm=norm)
 
 
+def _digest_space(n, dim, norm):
+    """Mixed-magnitude points drawn without libm calls, so that the data are
+    the same bits on every platform."""
+    rng = np.random.default_rng(dim)
+    scale = np.array([1e-3, 1e-2, 0.1, 1.0, 10.0, 100.0, 1e3])[rng.integers(0, 7, size=dim)]
+    return MetricSpace.from_points((rng.random((n, dim)) - 0.5) * scale, norm=norm)
+
+
 class TestBlockKernel:
     @pytest.mark.parametrize("norm", ["l2", "l1"])
-    @pytest.mark.parametrize("dim", [1, 4, 8, 9, 33])
+    # under 8 terms, 8 running sums with and without leftovers, and the
+    # halving above 128 terms, once and twice
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 7, 8, 9, 15, 16, 17, 33, 64, 128, 129, 200, 300])
     def test_accessors_equal_row_reference(self, norm, dim):
         sp = _coord_space(70, dim, norm, seed=dim)
         rng = np.random.default_rng(dim + 100)
@@ -112,9 +123,21 @@ class TestBlockKernel:
     @pytest.mark.parametrize("norm", ["l2", "l1"])
     @pytest.mark.parametrize("chunk", [1, 3 * 7 * 9, 4 * 7 * 9 - 1])
     def test_rows_not_a_multiple_of_the_chunk(self, monkeypatch, norm, chunk):
-        # 7 columns in 9 dimensions: 1-row or 3-row chunks over 10 rows
+        # 7 columns in 9 dimensions, two buffers of 8 terms: 1-, 1- and 2-row chunks over 10 rows
+        self._check_chunked(monkeypatch, norm, 9, chunk)
+
+    @pytest.mark.parametrize("norm", ["l2", "l1"])
+    @pytest.mark.parametrize("dim", [3, 8, 17, 129])
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_chunks_on_every_summation_path(self, monkeypatch, norm, dim, rows):
+        # 7 columns, min(dim, 8) terms a buffer, two buffers above 8
+        # dimensions: 1- or 3-row chunks over 10 rows
+        self._check_chunked(monkeypatch, norm, dim, rows * min(dim, 8) * 7 * (1 + (dim > 8)))
+
+    @staticmethod
+    def _check_chunked(monkeypatch, norm, dim, chunk):
         monkeypatch.setattr(metric, "_BLOCK_CHUNK_ELEMS", chunk)
-        sp = _coord_space(40, 9, norm, seed=chunk)
+        sp = _coord_space(40, dim, norm, seed=chunk)
         rows = np.arange(10) * 3
         cols = np.array([1, 5, 5, 8, 13, 21, 34])
         want = _block_reference(sp, rows, cols)
@@ -124,14 +147,50 @@ class TestBlockKernel:
         assert np.array_equal(sp.full(), table)
         _assert_pairs_table(sp.pairs(), table)
 
+    def test_dimension_zero_gives_zero_distances(self):
+        sp = MetricSpace.from_points(np.ones((6, 0)))
+        zeros = np.zeros((6, 6))
+        assert np.array_equal(sp.full(), zeros)
+        assert np.array_equal(sp.pairs(), zeros)
+        assert np.array_equal(sp.block([5, 0, 5], [2]), zeros[:3, :1])
+        assert np.array_equal(sp.row(4), zeros[0])
+        assert sp.distance(1, 2) == 0.0
+
+    @pytest.mark.parametrize("n, dim, norm, digest", [
+        # sha256 of full()'s bytes, computed with the (rows, cols, dim)
+        # kernel that reduced the last axis with ndarray.sum
+        (50, 1, "l2", "e4d31380a5f1e480a2c47260c6eb821e471867979fe4f7ae262ec1eb3603ee8b"),
+        (50, 2, "l1", "154020e24de20ffbc8e6aa5c08b2261937212235657b82836daed3be2da9d1a2"),
+        (50, 4, "l2", "7d9f3dafba34138242f71d265eeba1e8405c505adb257051a760aa2d6d637141"),
+        (50, 8, "l2", "d927bf7a4907d8cb15b6baf0b0fbb1ccba3f5b71258a3898fb697912b4c46408"),
+        (50, 9, "l1", "0f88e6d0164bf16c2f9a7509f40fd56c7fe4b6dd07994689116cee0b6708b512"),
+        (50, 17, "l2", "6220912e641641093c7de8a2f3cab4d4af3b61ea9aaa7c612d93b02d52e6dbdf"),
+        (40, 64, "l1", "42e3fa18678f67183afa48b154cc034a1f2678702671efaba48bc64d53db3d1a"),
+        (40, 129, "l2", "57477530f1896f15562098f5035926f81ef43ee7a5290866f59e72ce2c269329"),
+        (40, 200, "l1", "2ba169a4a21b3ffd30f5e8e84c9fe3e36e0817585ed3a2cee403b3fac35afc91"),
+    ])
+    def test_full_table_digests(self, n, dim, norm, digest):
+        # pins the values themselves, not only their agreement with numpy's
+        # reduction order of the day
+        assert hashlib.sha256(_digest_space(n, dim, norm).full().tobytes()).hexdigest() == digest
+
     def test_matrix_blocks_index_the_table(self, monkeypatch):
         sp = random_matrix_space(25, seed=4)
         table = sp.full()
-        rows, cols = np.array([4, 0, 4, 24]), np.array([7, 7, 1])
-        assert np.array_equal(sp.block(rows, cols), table[np.ix_(rows, cols)])
-        assert np.array_equal(sp.peek_block(rows, cols), table[np.ix_(rows, cols)])
-        assert np.array_equal(sp.row(9, cols), table[9, cols])
-        assert sp.peek_block(np.array([], dtype=np.intp), cols).shape == (0, 3)
+        every = np.arange(25)
+        some = (np.array([4, 0, 4, 24]), np.array([7, 7, 1]), np.array([], dtype=np.intp),
+                every, every[::-1], np.concatenate((every, [3, 3])))
+        # unsorted, duplicate, empty and full-range indices, on either side,
+        # gathered whole or in chunks of 2 rows and of 1
+        for chunk in (metric._BLOCK_CHUNK_ELEMS, 2 * 25 + 1, 1):
+            monkeypatch.setattr(metric, "_BLOCK_CHUNK_ELEMS", chunk)
+            for rows in some:
+                for cols in some:
+                    want = table[np.ix_(rows, cols)]
+                    assert np.array_equal(sp.block(rows, cols), want)
+                    assert np.array_equal(sp.peek_block(rows, cols), want)
+        assert np.array_equal(sp.row(9, some[1]), table[9, some[1]])
+        assert sp.peek_block(np.array([], dtype=np.intp), some[1]).shape == (0, 3)
         # tables are accepted with asymmetry up to a relative 1e-9: pairs()
         # reads the stored upper triangle into both triangles, in one tile and
         # in tiles of 7 rows (the last one partial); it never reads the diagonal
@@ -163,6 +222,18 @@ class TestBlockKernel:
         single = MetricSpace.from_points(np.zeros((1, 3)))
         assert np.array_equal(single.pairs(), [[0.0]])
         assert single.query_counter == 0
+
+    @pytest.mark.parametrize("make", [lambda: _coord_space(3, 2, "l2", 0), lambda: random_matrix_space(3, 0)])
+    def test_out_of_range_reads_raise_and_charge_nothing(self, make):
+        sp = make()
+        for read in (lambda: sp.row(5), lambda: sp.row(-1), lambda: sp.row(3), lambda: sp.row(0, [1, 3]),
+                     lambda: sp.row(0, [-1]), lambda: sp.block([0], [7]), lambda: sp.block([-1], [0, 1]),
+                     lambda: sp.block([0, 3], []), lambda: sp.peek_block([0], [-3]),
+                     lambda: sp.peek_block([3], [0]), lambda: sp.distance(0, -1)):
+            with pytest.raises(IndexError, match="out of range"):
+                read()
+        assert sp.query_counter == 0
+        assert np.array_equal(sp.row(2), sp.full()[2])
 
 
 class TestValidation:
