@@ -2,9 +2,9 @@
 
 A clustering is alpha-stable for an objective f when no point p with a
 non-singleton cluster has f(p, C(p)\\{p}) > alpha * f(p, C') for any other
-cluster C'.  The verifier reports the worst such envy ratio over all
-(point, cluster) pairs; the median and max objectives use the same
-exclude-self convention as avg.
+cluster C'.  ``_ObjectiveTable.envy`` computes each point's envy ratio, for
+the searches and the verifier alike; the median and max objectives use the
+same exclude-self convention as avg.
 """
 
 from __future__ import annotations
@@ -93,7 +93,10 @@ class Clustering:
     @classmethod
     def from_json(cls, text: str) -> "Clustering":
         obj = json.loads(text)
-        return cls(obj["assignment"], obj["k"])
+        k = obj["k"]
+        if not (type(k) is int or type(k) is float and k.is_integer()):  # bool is not int here
+            raise ValueError(f"k must be an integer, got {k!r}")
+        return cls(obj["assignment"], int(k))
 
 
 @dataclass
@@ -153,16 +156,6 @@ def check_start(n: int, k: int, initial: Clustering | None = None) -> None:
         raise ValueError("initial clustering does not match the space or k")
 
 
-def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
-    """Envy ratio with the conventions 0/0 = 0 and x/0 = +inf for x > 0."""
-    zero_den = den == 0
-    return np.where(
-        zero_den,
-        np.where(num > 0, np.inf, 0.0),
-        num / np.where(zero_den, 1.0, den),
-    )
-
-
 def _delete_sorted(block: np.ndarray, vals: np.ndarray) -> np.ndarray:
     """Delete one copy of vals[r] from each sorted row of block: column j
     keeps block[:, j] where that is below vals, else takes block[:, j + 1]."""
@@ -211,7 +204,7 @@ class _ObjectiveTable:
     exactly.
 
     ``table`` is column-major (``order="F"``): a move's two column edits, a
-    fill and the per-row reductions of ``most_envious`` read contiguous
+    fill and the per-row reductions of ``envy`` read contiguous
     memory.  Each column's potential term (``phi_of`` for avg,
     ``diameter_of`` for median) is computed on first use and cached; a move
     drops the entries of its two columns, a merge or split drops them all.
@@ -334,17 +327,22 @@ class _ObjectiveTable:
         out[~multi] = 0.0
         return out
 
-    def most_envious(self) -> tuple[int, int, float]:
-        """(point, column, ratio) of the largest envy ratio over foreign columns.
-
-        Ties go to the smallest point, then the smallest column; points of
-        singleton clusters have ratio 0, as their own_excl is 0.
-        """
+    def envy(self) -> tuple[np.ndarray, np.ndarray]:
+        """(ratio, foreign): each point's worst envy ratio, own_excl over its
+        smallest foreign value (0/0 = 0, x/0 = inf; 0 for a point of a
+        singleton cluster, as its own_excl is 0), and ``values()`` with each
+        point's own column set to inf."""
         foreign = self.values()
         foreign[np.arange(self.n), self.assign] = np.inf
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio = self.own_excl() / foreign.min(axis=1)  # x/0 = inf
         ratio[np.isnan(ratio)] = 0.0  # 0/0
+        return ratio, foreign
+
+    def most_envious(self) -> tuple[int, int, float]:
+        """(point, nearest foreign column, ratio) of the largest envy ratio;
+        ties go to the smallest point, then the smallest column."""
+        ratio, foreign = self.envy()
         p = int(np.argmax(ratio))
         return p, int(foreign[p].argmin()), float(ratio[p])
 
@@ -377,27 +375,18 @@ def verify_stability(
     objective: str = "avg",
     alpha: float | None = None,
 ) -> StabilityReport:
-    """Exact stability check: worst ratio f(p, C(p)\\{p}) / f(p, C') over all p, C'."""
+    """Exact stability check: each point's worst ratio f(p, C(p)\\{p}) / f(p, C')
+    from the searches' envy scan; the witness is the worst point and its
+    nearest foreign cluster (``None`` if that point's cluster is a singleton)."""
     if clustering.n != space.n:
         raise ValueError("clustering size does not match the space")
     if objective not in OBJECTIVES:  # checked here too: k = 1 builds no table
         raise ValueError(f"unknown objective {objective!r}")
-    n, k = clustering.n, clustering.k
-    own = clustering.assignment
-    if k == 1:
-        per_point = np.zeros(n)
-        return StabilityReport(objective, 0.0, None, per_point, alpha)
+    if clustering.k == 1:
+        return StabilityReport(objective, 0.0, None, np.zeros(clustering.n), alpha)
 
     table = _ObjectiveTable(space, clustering, objective)
-    ratios = _ratio(table.own_excl()[:, None], table.values())
-    ratios[np.arange(n), own] = -np.inf  # mask the own column
-    singleton = clustering.sizes()[own] == 1
-    ratios[singleton, :] = -np.inf  # singleton clusters contribute ratio 0
-
-    best_c = np.argmax(ratios, axis=1)
-    per_point = ratios[np.arange(n), best_c]
-    masked = np.isneginf(per_point)
-    per_point = np.where(masked, 0.0, per_point)
-    worst_p = int(np.argmax(per_point))
-    witness = None if masked[worst_p] else (worst_p, int(best_c[worst_p]))
-    return StabilityReport(objective, float(per_point[worst_p]), witness, per_point, alpha)
+    per_point, foreign = table.envy()
+    p = int(np.argmax(per_point))
+    witness = None if table.sizes[table.assign[p]] == 1 else (p, int(foreign[p].argmin()))
+    return StabilityReport(objective, float(per_point[p]), witness, per_point, alpha)

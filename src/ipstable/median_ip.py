@@ -60,36 +60,23 @@ def merge_bound_factor(n: int) -> float:
     return (4.0 * n + 4.0) * SQRT_MEDIAN_SCALE
 
 
-def _median_of_row(vals: np.ndarray) -> float:
-    kth = (len(vals) + 1) // 2 - 1
-    return float(np.partition(vals, kth)[kth])
-
-
 def _merge_cost(n: int, med_a: float, med_b: float) -> float:
     """The merge bound from p's median distances to the two clusters."""
     return merge_bound_factor(n) * (math.sqrt(med_a) + math.sqrt(med_b))
 
 
-def _diameter(D: np.ndarray, members: np.ndarray) -> tuple[float, int, int]:
-    """(d, i, j) of a cluster's farthest pair, i < j, where d is the largest
-    entry of its block; ties to the smallest indices.  (0, p, p) for a
-    singleton {p}."""
-    m = np.sort(members)
-    block = D[np.ix_(m, m)]
-    flat = int(np.argmax(block))
-    i, j = sorted(divmod(flat, len(m)))
-    return float(block.flat[flat]), int(m[i]), int(m[j])
-
-
 def _split_sharpest(table: _ObjectiveTable) -> None:
     """Apply the deterministic one-point split to the widest cluster (ties go
     to the older one): of its farthest pair i < j, detach the endpoint with
-    the larger median distance to the rest of the cluster (ties to i)."""
+    the larger median distance to the rest of the cluster (ties to i).  The
+    pair is the first largest block entry in row-major order over sorted
+    members: the first row whose sorted maximum is the diameter, then that
+    row's first largest entry.  The medians are the table's own medians."""
     best = max((c for c, m in enumerate(table.members) if len(m) > 1), key=lambda c: (table.diameter_of(c), -c))
     m = np.sort(table.members[best])
-    _, i, j = _diameter(table.D, m)
-    med_i, med_j = (_median_of_row(table.D[q, m[m != q]]) for q in (i, j))
-    detach = i if med_i >= med_j else j
+    r = int(np.argmax(table._sorted[best][m, -1] == table.diameter_of(best)))
+    i, j = m[sorted((r, int(np.argmax(table.D[m[r], m]))))]
+    detach = i if table._own_median[i] >= table._own_median[j] else j
     table.split(best, m[m != detach], np.array([detach], dtype=np.intp))
 
 

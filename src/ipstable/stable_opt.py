@@ -37,8 +37,8 @@ __all__ = [
 
 
 def _ratio(diam: float, sep: float) -> float:
-    """diam / sep with 0/0 -> 0 and x/0 -> inf; the scalar form of
-    ``clustering._ratio``, free of numpy call overhead on the per-node path."""
+    """diam / sep with 0/0 -> 0 and x/0 -> inf, the envy-ratio conventions;
+    a scalar function, free of numpy call overhead on the per-node path."""
     if sep == 0.0:
         return 0.0 if diam == 0.0 else math.inf
     return diam / sep

@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ipstable.clustering import Clustering, _ratio
+from ipstable.clustering import Clustering
 from ipstable.fast import _fast_split_core
 from ipstable.median_ip import merge_bound_factor
 from ipstable.merge_split import SplitResult, _split_core, split_accept_factor
@@ -23,6 +23,17 @@ from ipstable.potential import SQRT_MEDIAN_SCALE, MaxIpSignature, phi_avg
 
 BRUTE_FORCE_TSP_LIMIT = 8
 BRUTE_FORCE_LIMIT = 10
+
+
+def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """Envy ratio with the conventions 0/0 = 0 and x/0 = +inf for x > 0,
+    by masks."""
+    zero_den = den == 0
+    return np.where(
+        zero_den,
+        np.where(num > 0, np.inf, 0.0),
+        num / np.where(zero_den, 1.0, den),
+    )
 
 
 # -- point-to-set objectives ----------------------------------------------------

@@ -360,6 +360,28 @@ class TestVerify:
         assert code == EXIT_USAGE
         assert "integers" in err
 
+    @pytest.mark.parametrize("k", [None, True, "3", 2.5, [3]])
+    def test_non_integer_k_rejected(self, k, planted_dir, tmp_path, capsys):
+        # k is read as ids are: an integer-valued number, nothing else
+        cl = tmp_path / "cl.json"
+        cl.write_text(json.dumps({"k": k, "assignment": [0, 1, 2] * 10}))
+        code, _, err = run(
+            ["verify", "--in", str(planted_dir / "points.csv"), "--clustering", str(cl)],
+            capsys,
+        )
+        assert code == EXIT_USAGE
+        assert "k must be an integer" in err
+
+    def test_integral_float_k_read_as_integer(self, planted_dir, tmp_path, capsys):
+        cl = tmp_path / "cl.json"
+        cl.write_text(json.dumps({"k": 3.0, "assignment": [0, 1, 2.0] * 10}))
+        code, stdout, _ = run(
+            ["verify", "--in", str(planted_dir / "points.csv"), "--clustering", str(cl)],
+            capsys,
+        )
+        assert code == EXIT_OK
+        assert json.loads(stdout)["objective"] == "avg"
+
     @pytest.mark.parametrize("alpha", ["nan", "-inf", "-1"])
     def test_bad_alpha_rejected(self, alpha, planted_dir, tmp_path, capsys):
         cl = tmp_path / "cl.json"

@@ -10,13 +10,12 @@ from ipstable.clustering import (
     _delete_sorted,
     _insert_sorted,
     _ObjectiveTable,
-    _ratio,
     verify_stability,
 )
 from ipstable.metric import MetricSpace
 
 from conftest import line_space, random_space, table_spaces
-from reference import avg_dist, delete_sorted, insert_sorted, max_dist, median_dist, most_envious
+from reference import _ratio, avg_dist, delete_sorted, insert_sorted, max_dist, median_dist, most_envious
 
 
 class TestClusteringType:
@@ -399,18 +398,23 @@ def _reference_objective_table(space, clustering, objective):
 
 
 def _reference_verify(space, clustering, objective):
+    """(alpha, per_point): each point's largest ratio over every foreign
+    cluster, by masks over the full ratio matrix."""
     n, own = clustering.n, clustering.assignment
     own_excl, foreign = _reference_objective_table(space, clustering, objective)
     ratios = _ratio(own_excl[:, None], foreign)
     ratios[np.arange(n), own] = -np.inf
     ratios[clustering.sizes()[own] == 1, :] = -np.inf
-    best_c = np.argmax(ratios, axis=1)
-    per_point = ratios[np.arange(n), best_c]
-    masked = np.isneginf(per_point)
-    per_point = np.where(masked, 0.0, per_point)
-    worst_p = int(np.argmax(per_point))
-    witness = None if masked[worst_p] else (worst_p, int(best_c[worst_p]))
-    return float(per_point[worst_p]), witness, per_point
+    per_point = ratios.max(axis=1)
+    per_point[np.isneginf(per_point)] = 0.0
+    return float(per_point.max()), per_point
+
+
+def _reference_witness(space, clustering, objective):
+    """The plain-loop most envious point and its nearest foreign cluster,
+    None when that point's cluster is a singleton."""
+    p, c, _ = most_envious(space, clustering, objective)
+    return None if clustering.sizes()[clustering.assignment[p]] == 1 else (p, c)
 
 
 class TestVerifyAgainstReferenceTable:
@@ -426,9 +430,17 @@ class TestVerifyAgainstReferenceTable:
                     assign[rng.permutation(space.n)[:k]] = np.arange(k)
                     cl = Clustering(assign, k)
                     rep = verify_stability(space, cl, objective)
-                    alpha, witness, per_point = _reference_verify(space, cl, objective)
-                    assert rep.witness == witness
+                    alpha, per_point = _reference_verify(space, cl, objective)
+                    assert rep.witness == _reference_witness(space, cl, objective)
                     assert rep.alpha_achieved == alpha or rep.alpha_achieved == pytest.approx(alpha, rel=1e-12)
                     finite = np.isfinite(per_point)
                     assert np.array_equal(np.isfinite(rep.per_point), finite)
                     np.testing.assert_allclose(rep.per_point[finite], per_point[finite], rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("objective", ["avg", "median", "max"])
+    def test_witness_is_the_nearest_foreign_cluster(self, objective):
+        # no point envies (alpha 0): the witness is still point 0 and its
+        # nearest foreign cluster, {5} (cluster 2), not the first, {9}
+        rep = verify_stability(line_space([0, 0, 5, 9]), Clustering([0, 0, 2, 1], 3), objective)
+        assert rep.alpha_achieved == 0.0
+        assert rep.witness == (0, 2)

@@ -9,7 +9,6 @@ from ipstable.clustering import Clustering, _ObjectiveTable, verify_stability
 from ipstable.local_search import CONVERGED
 from ipstable.median_ip import (
     MedianConfig,
-    _diameter,
     _merge_cost,
     _split_sharpest,
     median_ip_cluster,
@@ -17,7 +16,7 @@ from ipstable.median_ip import (
 )
 from ipstable.metric import GenSpec, MetricSpace, generate
 
-from conftest import line_space, perturbed_planted, random_matrix_space, random_space
+from conftest import line_space, perturbed_planted, random_matrix_space, random_space, skewed, table_spaces
 from reference import median_merge_bound, median_split, phi_sqrt_median_exact
 
 
@@ -128,9 +127,27 @@ class TestSearchSharesTheProcedures:
 
     def test_one_point_split_matches_median_split(self):
         # on the line both clusters have diameter 3 and each farthest pair's
-        # medians tie, so both tie-breaks are exercised
-        tied = (line_space(range(8)), Clustering([0, 0, 0, 0, 1, 1, 1, 1], 2))
-        for sp, cl in [tied, *_random_clusterings(20, seed=4)]:
+        # medians tie, so both tie-breaks are exercised; on the 5-cycle's
+        # shortest paths every cluster has tied farthest pairs; skewed tables
+        # put the larger orientation of each pair in either triangle, or on
+        # random cells, so the pick must be the first largest entry in
+        # row-major order
+        line = line_space(range(8))
+        cycle = MetricSpace.from_matrix(np.array([[min(abs(a - b), 5 - abs(a - b)) for b in range(5)]
+                                                  for a in range(5)], dtype=float))
+        cases = [(line, Clustering([0, 0, 0, 0, 1, 1, 1, 1], 2)), (cycle, Clustering([0, 0, 0, 0, 1], 2)),
+                 *_random_clusterings(20, seed=4)]
+        rng = np.random.default_rng(7)
+        for sp in [line, *table_spaces()]:
+            n = sp.n
+            cells = rng.uniform(0, 1e-10, size=(2, n, n)) * (rng.random((2, n, n)) < 0.5)
+            random_cells = skewed(skewed(sp, "upper", cells[0]), "lower", cells[1])
+            for space in (skewed(sp, "upper"), skewed(sp, "lower"), random_cells):
+                for k in (2, 3):
+                    a = np.concatenate([np.arange(k), rng.integers(0, k, n - k)])
+                    rng.shuffle(a)
+                    cases.append((space, Clustering(a, k)))
+        for sp, cl in cases:
             if cl.sizes().max() < 2:
                 continue
             table = _ObjectiveTable(sp, cl, "median")
@@ -163,7 +180,7 @@ def _median(vals):
 
 class TestIncrementalDiameters:
     """After every step the diameters the search reads from its table are
-    the ones ``_diameter`` computes afresh."""
+    the largest entries of its clusters' distance blocks."""
 
     def _checked_run(self, monkeypatch, space, k, initial):
         checked = {"swap": 0, "merge_split": 0}
@@ -172,7 +189,7 @@ class TestIncrementalDiameters:
         def checking_search(table, alpha, max_steps, step, *rest):
             def checked_step(*args):
                 rec = step(*args)
-                fresh = [_diameter(table.D, m)[0] for m in table.members]
+                fresh = [float(table.D[np.ix_(m, m)].max()) for m in table.members]
                 assert [table.diameter_of(c) for c in range(table.k)] == fresh
                 checked[rec.kind] += 1
                 return rec
