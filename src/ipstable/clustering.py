@@ -29,9 +29,10 @@ class Clustering:
 
     def __init__(self, assignment, k: int | None = None):
         raw = np.asarray(assignment)
-        if raw.dtype.kind not in "iub":
+        if raw.dtype.kind not in "iu":
             values = raw.astype(np.float64)
-            if not (np.isfinite(values).all() and np.array_equal(values, np.trunc(values))):
+            # booleans are not ids, though they convert to 0 and 1
+            if raw.dtype.kind == "b" or not (np.isfinite(values).all() and np.array_equal(values, np.trunc(values))):
                 raise ValueError("cluster ids must be integers")
         arr = raw.astype(np.intp)
         if arr.ndim != 1 or arr.size == 0:
@@ -96,7 +97,10 @@ class Clustering:
         k = obj["k"]
         if not (type(k) is int or type(k) is float and k.is_integer()):  # bool is not int here
             raise ValueError(f"k must be an integer, got {k!r}")
-        return cls(obj["assignment"], int(k))
+        ids = obj["assignment"]
+        if isinstance(ids, list) and any(type(v) is bool for v in ids):  # numpy reads [true, 2] as [1, 2]
+            raise ValueError("cluster ids must be integers")
+        return cls(ids, int(k))
 
 
 @dataclass
@@ -203,11 +207,22 @@ class _ObjectiveTable:
     the same rank rule as a fresh fill, so the table equals a fresh one
     exactly.
 
-    ``table`` is column-major (``order="F"``): a move's two column edits, a
-    fill and the per-row reductions of ``envy`` read contiguous
-    memory.  Each column's potential term (``phi_of`` for avg,
-    ``diameter_of`` for median) is computed on first use and cached; a move
-    drops the entries of its two columns, a merge or split drops them all.
+    The envy state is kept with the table.  ``_foreign`` (n x k, column-major)
+    holds f(p, C_c) in column c, with each point's own entry set to inf;
+    ``_own`` holds f(p, C(p)\\{p}), 0 for a point of a singleton cluster.
+    ``__init__``, ``merge`` and ``split`` rebuild both in one vectorized pass
+    over the table; a move rebuilds only its two columns of ``_foreign`` and
+    those columns' members' ``_own`` entries.  Each entry is the same float,
+    from the same expression, as a rebuild of the whole table, so a search
+    step costs one row-min and one divide over n x k plus two column
+    refreshes.  ``envy`` returns the live ``_foreign``, which callers must
+    treat as read-only.
+
+    ``table`` is column-major (``order="F"``): a move's two column edits and
+    refreshes, and a fill, read contiguous memory.  Each column's potential
+    term (``phi_of`` for avg, ``diameter_of`` for median) is computed on
+    first use and cached; a move drops the entries of its two columns, a
+    merge or split drops them all.
     """
 
     def __init__(self, space: MetricSpace, clustering: Clustering, objective: str):
@@ -225,6 +240,7 @@ class _ObjectiveTable:
         self._sorted = [None] * clustering.k  # median only: row-sorted D[:, members[c]]
         for c in range(clustering.k):
             self._fill(c)
+        self._derive()
 
     @property
     def k(self) -> int:
@@ -254,21 +270,52 @@ class _ObjectiveTable:
         self.sizes[src] -= 1
         self.sizes[dst] += 1
         self.members[src] = self.members[src][self.members[src] != p]
-        self.members[dst] = np.append(self.members[dst], p)
+        self.members[dst] = np.concatenate((self.members[dst], [p]))
         self._potential[src] = self._potential[dst] = None
         dist = self.D[:, p]
         if self.objective == "avg":
             self.table[:, src] -= dist
             self.table[:, dst] += dist
-            return
-        if self.objective == "max":
+        elif self.objective == "max":
             self.table[:, dst] = np.maximum(self.table[:, dst], dist)
             rows = np.flatnonzero(dist == self.table[:, src])
             self.table[rows, src] = self.D[np.ix_(rows, self.members[src])].max(axis=1)
-            return
-        for c, edit in ((src, _delete_sorted), (dst, _insert_sorted)):
-            self._sorted[c] = edit(self._sorted[c], dist)
-            self._read_median(c)
+        else:
+            for c, edit in ((src, _delete_sorted), (dst, _insert_sorted)):
+                self._sorted[c] = edit(self._sorted[c], dist)
+                self._read_median(c)
+        self._refresh(src)
+        self._refresh(dst)
+
+    def _derive(self) -> None:
+        """Rebuild ``_foreign`` and ``_own`` from the whole table in one pass."""
+        rows = np.arange(self.n)
+        own_sizes = self.sizes[self.assign]
+        multi = own_sizes > 1
+        if self.objective == "avg":
+            self._foreign = self.table / self.sizes
+            self._own = np.divide(self.table[rows, self.assign], own_sizes - 1, out=np.zeros(self.n), where=multi)
+        else:
+            self._foreign = self.table.copy(order="F")
+            # the self-distance 0 never determines a max over >= 2 points
+            self._own = self.table[rows, self.assign] if self.objective == "max" else self._own_median.copy()
+            self._own[~multi] = 0.0
+        self._foreign[rows, self.assign] = np.inf
+
+    def _refresh(self, c: int) -> None:
+        """Rebuild column c of ``_foreign`` and its members' ``_own`` entries."""
+        col, m, values = self._foreign[:, c], self.members[c], self.table[:, c]
+        if self.objective == "avg":
+            np.divide(values, self.sizes[c], out=col)
+        else:
+            col[:] = values
+        col[m] = np.inf
+        if len(m) == 1:
+            self._own[m] = 0.0
+        elif self.objective == "avg":
+            self._own[m] = values[m] / (self.sizes[c] - 1)
+        else:
+            self._own[m] = values[m] if self.objective == "max" else self._own_median[m]
 
     def _replace(self, dead, parts) -> int:
         """Delete the ``dead`` columns, whose points are exactly those of
@@ -302,42 +349,24 @@ class _ObjectiveTable:
             self._read_median(c)
         else:
             self._fill(c)
+        self._derive()
 
     def split(self, c: int, half_a: np.ndarray, half_b: np.ndarray) -> None:
         """Replace column c by two columns, ``half_a`` then ``half_b``, appended last."""
         first = self._replace((c,), [half_a, half_b])
         self._fill(first)
         self._fill(first + 1)
-
-    def values(self) -> np.ndarray:
-        """f(p, C_c) for every point and column, own column included (a new array)."""
-        if self.objective == "avg":
-            return self.table / self.sizes
-        return self.table.copy(order="F")
-
-    def own_excl(self) -> np.ndarray:
-        """f(p, C(p)\\{p}); 0 where the own cluster is a singleton."""
-        rows = np.arange(self.n)
-        own_sizes = self.sizes[self.assign]
-        multi = own_sizes > 1
-        if self.objective == "avg":
-            return np.divide(self.table[rows, self.assign], own_sizes - 1, out=np.zeros(self.n), where=multi)
-        # the self-distance 0 never determines a max over >= 2 points
-        out = self.table[rows, self.assign] if self.objective == "max" else self._own_median.copy()
-        out[~multi] = 0.0
-        return out
+        self._derive()
 
     def envy(self) -> tuple[np.ndarray, np.ndarray]:
-        """(ratio, foreign): each point's worst envy ratio, own_excl over its
+        """(ratio, foreign): each point's worst envy ratio, ``_own`` over its
         smallest foreign value (0/0 = 0, x/0 = inf; 0 for a point of a
-        singleton cluster, as its own_excl is 0), and ``values()`` with each
-        point's own column set to inf."""
-        foreign = self.values()
-        foreign[np.arange(self.n), self.assign] = np.inf
+        singleton cluster, as its ``_own`` is 0), and ``_foreign`` itself
+        (live: read it, do not write it)."""
         with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = self.own_excl() / foreign.min(axis=1)  # x/0 = inf
+            ratio = self._own / self._foreign.min(axis=1)  # x/0 = inf
         ratio[np.isnan(ratio)] = 0.0  # 0/0
-        return ratio, foreign
+        return ratio, self._foreign
 
     def most_envious(self) -> tuple[int, int, float]:
         """(point, nearest foreign column, ratio) of the largest envy ratio;
@@ -357,13 +386,16 @@ class _ObjectiveTable:
         """avg only: log2|C| / |C| times the sum of d over ordered pairs of column c; cached."""
         if self._potential[c] is None:
             m = self.members[c]
-            pair_sum = float(self.table[m, c].sum())
+            pair_sum = float(self.table[:, c][m].sum())
             self._potential[c] = math.log2(len(m)) / len(m) * pair_sum if len(m) > 1 else 0.0
         return self._potential[c]
 
     def phi(self) -> float:
         """avg only: the clustering potential, summed over columns in order."""
-        return sum(self.phi_of(c) for c in range(self.k))
+        for c, term in enumerate(self._potential):
+            if term is None:
+                self.phi_of(c)
+        return sum(self._potential)
 
     def clustering(self) -> Clustering:
         return Clustering(self.assign.copy(), self.k)

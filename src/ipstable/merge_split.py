@@ -124,8 +124,9 @@ def merge_split_ls(
 
     def step(p, src, dst, phi):
         threshold = phi / (4.0 * k * math.log2(n)) / (5.0 * n * math.log2(n))
-        # p is the most envious point, so its cluster src is no singleton
-        if table.table[p, src] / (table.sizes[src] - 1) >= threshold:
+        # p's average distance to the rest of src (p is the most envious
+        # point, so src is no singleton)
+        if table._own[p] >= threshold:
             table.move(p, dst)
             return Step("swap", p, src, dst, threshold=threshold)
         table.merge(src, dst)

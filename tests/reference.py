@@ -3,7 +3,9 @@
 No algorithm calls these; the tests check the library against them.  Tests
 import this module as they import ``conftest``, and pytest does not collect
 it.  Every distance is read through the ``MetricSpace`` API (``row``,
-``block``, ``full``), not from a search's objective table.
+``block``, ``full``), not from a search's objective table; only
+``envy_from_columns`` reads a table, to re-derive the envy state that the
+table keeps current from its columns.
 """
 
 from __future__ import annotations
@@ -91,6 +93,31 @@ def most_envious(space: MetricSpace, clustering: Clustering, objective: str) -> 
         if best is None or ratio > best[2]:
             best = (p, nearest[0], ratio)
     return best
+
+
+def envy_from_columns(objective: str, table: np.ndarray, sizes, assign, own_median) -> tuple[np.ndarray, np.ndarray]:
+    """(ratio, foreign) that ``_ObjectiveTable.envy`` returns, derived in one
+    vectorized pass from an objective table's columns (``table``: distance
+    sums for avg, f(p, C_c) otherwise), its cluster sizes, its assignment and
+    its own medians.  foreign is f(p, C_c) with each point's own column set
+    to inf; the ratio is f(p, C(p)\\{p}) over the row minimum of foreign
+    (0/0 = 0, x/0 = inf; 0 for a point of a singleton cluster)."""
+    n = len(assign)
+    rows = np.arange(n)
+    own_sizes = sizes[assign]
+    multi = own_sizes > 1
+    if objective == "avg":
+        foreign = table / sizes
+        own = np.divide(table[rows, assign], own_sizes - 1, out=np.zeros(n), where=multi)
+    else:
+        foreign = table.copy()
+        own = table[rows, assign] if objective == "max" else own_median.copy()
+        own[~multi] = 0.0
+    foreign[rows, assign] = np.inf
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = own / foreign.min(axis=1)
+    ratio[np.isnan(ratio)] = 0.0
+    return ratio, foreign
 
 
 def delete_sorted(block: np.ndarray, vals: np.ndarray) -> np.ndarray:

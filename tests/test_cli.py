@@ -360,6 +360,18 @@ class TestVerify:
         assert code == EXIT_USAGE
         assert "integers" in err
 
+    @pytest.mark.parametrize("ids", [[True, False] * 15, [True, 0, 2] * 10])
+    def test_boolean_ids_rejected(self, ids, planted_dir, tmp_path, capsys):
+        # JSON true and false are not the ids 1 and 0, also beside integers
+        cl = tmp_path / "cl.json"
+        cl.write_text(json.dumps({"k": max(ids) + 1, "assignment": ids}))
+        code, _, err = run(
+            ["verify", "--in", str(planted_dir / "points.csv"), "--clustering", str(cl)],
+            capsys,
+        )
+        assert code == EXIT_USAGE
+        assert "cluster ids must be integers" in err
+
     @pytest.mark.parametrize("k", [None, True, "3", 2.5, [3]])
     def test_non_integer_k_rejected(self, k, planted_dir, tmp_path, capsys):
         # k is read as ids are: an integer-valued number, nothing else

@@ -15,7 +15,16 @@ from ipstable.clustering import (
 from ipstable.metric import MetricSpace
 
 from conftest import line_space, random_space, table_spaces
-from reference import _ratio, avg_dist, delete_sorted, insert_sorted, max_dist, median_dist, most_envious
+from reference import (
+    _ratio,
+    avg_dist,
+    delete_sorted,
+    envy_from_columns,
+    insert_sorted,
+    max_dist,
+    median_dist,
+    most_envious,
+)
 
 
 class TestClusteringType:
@@ -27,6 +36,14 @@ class TestClusteringType:
     def test_rejects_non_integral_ids(self, ids):
         with pytest.raises(ValueError, match="integers"):
             Clustering(ids)
+
+    @pytest.mark.parametrize("k", [None, 2])
+    def test_rejects_boolean_ids(self, k):
+        # True and False convert to 1 and 0, but they are not cluster ids
+        with pytest.raises(ValueError, match="cluster ids must be integers"):
+            Clustering([True, False, True], k)
+        with pytest.raises(ValueError, match="cluster ids must be integers"):
+            Clustering(np.array([True, False]), k)
 
     @pytest.mark.parametrize("k", [3, 10**12, 10**23])
     def test_rejects_k_above_n(self, k):
@@ -242,9 +259,15 @@ def _assert_matches_fresh(space, table):
     assert np.array_equal(table.assign, fresh.assign)
     assert np.array_equal(table.sizes, fresh.sizes)
     assert [sorted(m.tolist()) for m in table.members] == [m.tolist() for m in fresh.members]
+    # the kept envy state against a derivation from the current columns, bit for bit
+    ratio, foreign = table.envy()
+    want_ratio, want_foreign = envy_from_columns(
+        table.objective, table.table, table.sizes, table.assign, table._own_median
+    )
+    assert np.array_equal(ratio, want_ratio) and np.array_equal(foreign, want_foreign)
     if table.objective == "avg":
         np.testing.assert_allclose(table.table, fresh.table, rtol=1e-9, atol=1e-9)
-        np.testing.assert_allclose(table.own_excl(), fresh.own_excl(), rtol=1e-9, atol=1e-9)
+        np.testing.assert_allclose(table._own, fresh._own, rtol=1e-9, atol=1e-9)
         # the cached column potentials against the formula on the current table
         terms = [
             math.log2(len(m)) / len(m) * float(table.table[m, c].sum()) if len(m) > 1 else 0.0
@@ -254,7 +277,7 @@ def _assert_matches_fresh(space, table):
         assert table.phi() == sum(terms)
     else:
         assert np.array_equal(table.table, fresh.table)
-        assert np.array_equal(table.own_excl(), fresh.own_excl())
+        assert np.array_equal(table._own, fresh._own)
         assert table.most_envious() == most_envious(space, table.clustering(), table.objective)
     if table.objective == "median":
         assert [table.diameter_of(c) for c in range(table.k)] == [fresh.diameter_of(c) for c in range(table.k)]
@@ -292,10 +315,11 @@ class TestObjectiveTable:
                     assert table.assign[p] == dst and table.members[dst][-1] == p
                 _assert_matches_fresh(space, table)
 
-    @pytest.mark.parametrize("objective", ["max", "median"])
+    @pytest.mark.parametrize("objective", ["avg", "max", "median"])
     def test_long_move_sequence_matches_fresh_table(self, objective):
-        # moves only, so the median columns edit their sorted blocks hundreds
-        # of times between fills
+        # moves only, so the median columns edit their sorted blocks, and
+        # every objective refreshes its envy columns, hundreds of times
+        # between fills
         for seed, space in enumerate(table_spaces()):
             rng = np.random.default_rng(100 + seed)
             table = _ObjectiveTable(space, Clustering(np.arange(space.n) % 4, 4), objective)
@@ -306,6 +330,17 @@ class TestObjectiveTable:
                 _assert_matches_fresh(space, table)
             if objective == "median":
                 assert all(block is not None for block in table._sorted)
+
+    def test_phi_fills_missing_terms_and_sums_in_order(self):
+        space = table_spaces()[1]
+        start = Clustering(np.arange(space.n) % 5, 5)
+        table, twin = _ObjectiveTable(space, start, "avg"), _ObjectiveTable(space, start, "avg")
+        for t in (table, twin):
+            t.phi()
+            t.move(0, 3)  # drops the cached terms of columns 0 and 3
+        assert [term is None for term in table._potential] == [True, False, False, True, False]
+        assert table.phi() == sum(twin.phi_of(c) for c in range(twin.k))
+        assert None not in table._potential
 
     def test_sorted_row_edits_match_delete_and_insert(self):
         # rows of small integers, so most values repeat within a row and
