@@ -29,11 +29,11 @@ class Clustering:
 
     def __init__(self, assignment, k: int | None = None):
         raw = np.asarray(assignment)
-        if raw.dtype.kind not in "iu":
-            values = raw.astype(np.float64)
-            # booleans are not ids, though they convert to 0 and 1
-            if raw.dtype.kind == "b" or not (np.isfinite(values).all() and np.array_equal(values, np.trunc(values))):
-                raise ValueError("cluster ids must be integers")
+        # booleans, strings and objects are not ids, though they may convert to integers
+        if raw.dtype.kind not in "iu" and not (
+            raw.dtype.kind == "f" and np.isfinite(raw).all() and np.array_equal(raw, np.trunc(raw))
+        ):
+            raise ValueError("cluster ids must be integers")
         arr = raw.astype(np.intp)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("assignment must be a non-empty 1-D array")
@@ -200,29 +200,32 @@ class _ObjectiveTable:
     on the rows whose maximum was d(r, p).  For median, every column keeps
     its distance block sorted along each row (``_sorted[c]``, n x |C|; one
     n x n array over all columns, built with the table); a move deletes
-    d(r, p) from each source row and inserts it into each target row, a merge
-    merges the two blocks, and the medians and diameters are read at their
-    ranks.  A split, and a max merge, fill the new columns from the distance
-    table.  Every stored value is an entry of the distance table picked by
-    the same rank rule as a fresh fill, so the table equals a fresh one
-    exactly.
+    d(r, p) from each source row and inserts it into each target row, and
+    the medians and diameters are read at their ranks.  A merge combines the
+    two columns it replaces: avg adds the sums, max takes their elementwise
+    maximum, and median merges the two sorted blocks.  A split fills its two
+    new columns from the distance table.  For max and median every stored
+    value is an entry of the distance table picked by the same rank rule as
+    a fresh fill, so the table equals a fresh one exactly; avg's sums agree
+    up to rounding.
 
     The envy state is kept with the table.  ``_foreign`` (n x k, column-major)
     holds f(p, C_c) in column c, with each point's own entry set to inf;
-    ``_own`` holds f(p, C(p)\\{p}), 0 for a point of a singleton cluster.
-    ``__init__``, ``merge`` and ``split`` rebuild both in one vectorized pass
-    over the table; a move rebuilds only its two columns of ``_foreign`` and
-    those columns' members' ``_own`` entries.  Each entry is the same float,
-    from the same expression, as a rebuild of the whole table, so a search
-    step costs one row-min and one divide over n x k plus two column
+    ``_own`` holds f(p, C(p)\\{p}), 0 for a point of a singleton cluster
+    (for median, read at the median's rank in the member's sorted row).
+    ``_refresh(c)`` is their only writer: it rebuilds column c of
+    ``_foreign`` and the ``_own`` entries of c's members, and runs on every
+    column that a fill, move or merge writes.  A merge or split keeps the
+    surviving columns, so its envy update costs O(n) per new column; a
+    search step costs one row-min and one divide over n x k plus two column
     refreshes.  ``envy`` returns the live ``_foreign``, which callers must
     treat as read-only.
 
     ``table`` is column-major (``order="F"``): a move's two column edits and
     refreshes, and a fill, read contiguous memory.  Each column's potential
     term (``phi_of`` for avg, ``diameter_of`` for median) is computed on
-    first use and cached; a move drops the entries of its two columns, a
-    merge or split drops them all.
+    first use and cached; a move drops the entries of its two columns, and
+    a merge or split drops the entries of the columns it deletes.
     """
 
     def __init__(self, space: MetricSpace, clustering: Clustering, objective: str):
@@ -235,19 +238,19 @@ class _ObjectiveTable:
         self.members = list(clustering.members())
         self.sizes = clustering.sizes().astype(np.int64)
         self.table = np.empty((self.n, clustering.k), order="F")
+        self._foreign = np.empty((self.n, clustering.k), order="F")
+        self._own = np.zeros(self.n)
         self._potential = [None] * clustering.k  # cached phi_of / diameter_of per column
-        self._own_median = np.zeros(self.n)  # median(p, C(p)\{p}); median only
         self._sorted = [None] * clustering.k  # median only: row-sorted D[:, members[c]]
         for c in range(clustering.k):
             self._fill(c)
-        self._derive()
 
     @property
     def k(self) -> int:
         return len(self.members)
 
     def _fill(self, c: int) -> None:
-        """Compute column c from the distance table."""
+        """Compute column c, and refresh its envy state, from the distance table."""
         block = self.D[:, self.members[c]]
         if self.objective == "avg":
             self.table[:, c] = block.sum(axis=1)
@@ -256,12 +259,11 @@ class _ObjectiveTable:
         else:
             self._sorted[c] = np.sort(block, axis=1)
             self._read_median(c)
+        self._refresh(c)
 
     def _read_median(self, c: int) -> None:
-        """Read column c and its members' own medians from its sorted block."""
-        block, m = self._sorted[c], self.members[c]
-        self.table[:, c] = block[:, (len(m) + 1) // 2 - 1]
-        self._own_median[m] = block[m, len(m) // 2]  # rank shifted by the self-zero
+        """Read column c from its sorted block."""
+        self.table[:, c] = self._sorted[c][:, (len(self.members[c]) + 1) // 2 - 1]
 
     def move(self, p: int, dst: int) -> None:
         """Move point p into column dst."""
@@ -287,23 +289,9 @@ class _ObjectiveTable:
         self._refresh(src)
         self._refresh(dst)
 
-    def _derive(self) -> None:
-        """Rebuild ``_foreign`` and ``_own`` from the whole table in one pass."""
-        rows = np.arange(self.n)
-        own_sizes = self.sizes[self.assign]
-        multi = own_sizes > 1
-        if self.objective == "avg":
-            self._foreign = self.table / self.sizes
-            self._own = np.divide(self.table[rows, self.assign], own_sizes - 1, out=np.zeros(self.n), where=multi)
-        else:
-            self._foreign = self.table.copy(order="F")
-            # the self-distance 0 never determines a max over >= 2 points
-            self._own = self.table[rows, self.assign] if self.objective == "max" else self._own_median.copy()
-            self._own[~multi] = 0.0
-        self._foreign[rows, self.assign] = np.inf
-
     def _refresh(self, c: int) -> None:
-        """Rebuild column c of ``_foreign`` and its members' ``_own`` entries."""
+        """Rebuild column c of ``_foreign`` and its members' ``_own`` entries
+        from column c of the table (and, for median, its sorted block)."""
         col, m, values = self._foreign[:, c], self.members[c], self.table[:, c]
         if self.objective == "avg":
             np.divide(values, self.sizes[c], out=col)
@@ -314,12 +302,15 @@ class _ObjectiveTable:
             self._own[m] = 0.0
         elif self.objective == "avg":
             self._own[m] = values[m] / (self.sizes[c] - 1)
+        elif self.objective == "max":
+            self._own[m] = values[m]  # the self-distance 0 never determines a max over >= 2 points
         else:
-            self._own[m] = values[m] if self.objective == "max" else self._own_median[m]
+            self._own[m] = self._sorted[c][m, len(m) // 2]  # the median's rank shifted by the self-zero
 
     def _replace(self, dead, parts) -> int:
         """Delete the ``dead`` columns, whose points are exactly those of
-        ``parts``, and append one unfilled column per part; returns the first."""
+        ``parts``, and append one unfilled column per part; returns the first.
+        The surviving columns keep all their entries."""
         keep = np.setdiff1d(np.arange(self.k), dead)
         col_of = np.full(self.k, -1, dtype=np.intp)
         col_of[keep] = np.arange(len(keep))
@@ -327,10 +318,12 @@ class _ObjectiveTable:
         self.members = [self.members[c] for c in keep] + list(parts)
         self.sizes = np.append(self.sizes[keep], [len(m) for m in parts])
         self._sorted = [self._sorted[c] for c in keep] + [None] * len(parts)
-        self._potential = [None] * self.k
+        self._potential = [self._potential[c] for c in keep] + [None] * len(parts)
         table = np.empty((self.n, self.k), order="F")
         table[:, : len(keep)] = self.table[:, keep]
-        self.table = table
+        foreign = np.empty((self.n, self.k), order="F")
+        foreign[:, : len(keep)] = self._foreign[:, keep]
+        self.table, self._foreign = table, foreign
         for c in range(len(keep), self.k):
             self.assign[self.members[c]] = c
         return len(keep)
@@ -338,25 +331,23 @@ class _ObjectiveTable:
     def merge(self, a: int, b: int) -> None:
         """Replace columns a and b by one column for their union, appended last."""
         merged = np.concatenate([self.members[a], self.members[b]])
-        sums = self.table[:, a] + self.table[:, b] if self.objective == "avg" else None
-        blocks = (self._sorted[a], self._sorted[b])
+        pair, blocks = self.table[:, [a, b]], (self._sorted[a], self._sorted[b])
         c = self._replace((a, b), [merged])
-        if sums is not None:
-            self.table[:, c] = sums
-        elif self.objective == "median":
+        if self.objective == "avg":
+            np.add(pair[:, 0], pair[:, 1], out=self.table[:, c])
+        elif self.objective == "max":
+            np.maximum(pair[:, 0], pair[:, 1], out=self.table[:, c])
+        else:
             # a stable sort of two sorted runs is a merge
             self._sorted[c] = np.sort(np.concatenate(blocks, axis=1), axis=1, kind="stable")
             self._read_median(c)
-        else:
-            self._fill(c)
-        self._derive()
+        self._refresh(c)
 
     def split(self, c: int, half_a: np.ndarray, half_b: np.ndarray) -> None:
         """Replace column c by two columns, ``half_a`` then ``half_b``, appended last."""
         first = self._replace((c,), [half_a, half_b])
         self._fill(first)
         self._fill(first + 1)
-        self._derive()
 
     def envy(self) -> tuple[np.ndarray, np.ndarray]:
         """(ratio, foreign): each point's worst envy ratio, ``_own`` over its

@@ -65,8 +65,8 @@ class Step:
     """One exact-search step: ``point`` is the most envious point, ``source``
     its cluster and ``target`` the cluster it envies most.  ``kind`` is "swap"
     or "merge_split".  A search leaves the fields it does not record at their
-    defaults: ``phi_*`` for max, ``threshold`` for natural and max,
-    ``split_size`` for all but mergesplit, ``sig_*`` for all but max.
+    defaults: ``phi_*`` for max, ``threshold`` for natural and max, and
+    ``sig_*`` for all but max.
     """
 
     kind: str
@@ -76,7 +76,6 @@ class Step:
     phi_before: float = math.nan
     phi_after: float = math.nan
     threshold: float = math.nan
-    split_size: int = 0
     sig_before: Optional[MaxIpSignature] = None
     sig_after: Optional[MaxIpSignature] = None
 

@@ -76,7 +76,7 @@ def _split_sharpest(table: _ObjectiveTable) -> None:
     m = np.sort(table.members[best])
     r = int(np.argmax(table._sorted[best][m, -1] == table.diameter_of(best)))
     i, j = m[sorted((r, int(np.argmax(table.D[m[r], m]))))]
-    detach = i if table._own_median[i] >= table._own_median[j] else j
+    detach = i if table._own[i] >= table._own[j] else j
     table.split(best, m[m != detach], np.array([detach], dtype=np.intp))
 
 

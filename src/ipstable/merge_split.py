@@ -133,6 +133,6 @@ def merge_split_ls(
         candidates = [(c, m, table.phi_of(c)) for c, m in enumerate(table.members)]
         result = _split_core(n, candidates, pair_phi, split_accept_factor(n), rng)
         table.split(result.cluster_id, result.half_a, result.half_b)
-        return Step("merge_split", p, src, dst, threshold=threshold, split_size=len(result.cluster))
+        return Step("merge_split", p, src, dst, threshold=threshold)
 
     return search(table, 4.0 * math.log2(n), max_steps, step, table.phi, ("swap", "merge_split"), DEFAULT_SLACK)

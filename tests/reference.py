@@ -4,8 +4,8 @@ No algorithm calls these; the tests check the library against them.  Tests
 import this module as they import ``conftest``, and pytest does not collect
 it.  Every distance is read through the ``MetricSpace`` API (``row``,
 ``block``, ``full``), not from a search's objective table; only
-``envy_from_columns`` reads a table, to re-derive the envy state that the
-table keeps current from its columns.
+``envy_from_columns`` reads a table's columns, to re-derive the envy state
+that the table keeps current.
 """
 
 from __future__ import annotations
@@ -95,13 +95,15 @@ def most_envious(space: MetricSpace, clustering: Clustering, objective: str) -> 
     return best
 
 
-def envy_from_columns(objective: str, table: np.ndarray, sizes, assign, own_median) -> tuple[np.ndarray, np.ndarray]:
+def envy_from_columns(objective: str, table: np.ndarray, sizes, assign, D: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(ratio, foreign) that ``_ObjectiveTable.envy`` returns, derived in one
     vectorized pass from an objective table's columns (``table``: distance
-    sums for avg, f(p, C_c) otherwise), its cluster sizes, its assignment and
-    its own medians.  foreign is f(p, C_c) with each point's own column set
-    to inf; the ratio is f(p, C(p)\\{p}) over the row minimum of foreign
-    (0/0 = 0, x/0 = inf; 0 for a point of a singleton cluster)."""
+    sums for avg, f(p, C_c) otherwise), its cluster sizes and its assignment;
+    each point's own median comes from the distance table ``D``, at rank
+    |C(p)| // 2 of its sorted row over C(p) (p's own zero shifts the rank).
+    foreign is f(p, C_c) with each point's own column set to inf; the ratio
+    is f(p, C(p)\\{p}) over the row minimum of foreign (0/0 = 0, x/0 = inf;
+    0 for a point of a singleton cluster)."""
     n = len(assign)
     rows = np.arange(n)
     own_sizes = sizes[assign]
@@ -111,7 +113,10 @@ def envy_from_columns(objective: str, table: np.ndarray, sizes, assign, own_medi
         own = np.divide(table[rows, assign], own_sizes - 1, out=np.zeros(n), where=multi)
     else:
         foreign = table.copy()
-        own = table[rows, assign] if objective == "max" else own_median.copy()
+        if objective == "max":
+            own = table[rows, assign]
+        else:
+            own = np.array([np.sort(D[p, assign == assign[p]])[own_sizes[p] // 2] for p in range(n)])
         own[~multi] = 0.0
     foreign[rows, assign] = np.inf
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -360,11 +360,11 @@ class TestVerify:
         assert code == EXIT_USAGE
         assert "integers" in err
 
-    @pytest.mark.parametrize("ids", [[True, False] * 15, [True, 0, 2] * 10])
+    @pytest.mark.parametrize("ids", [[True, False] * 15, [True, 0, 2] * 10, ["0", "1", "2"] * 10])
     def test_boolean_ids_rejected(self, ids, planted_dir, tmp_path, capsys):
-        # JSON true and false are not the ids 1 and 0, also beside integers
+        # JSON true and false are not the ids 1 and 0, nor strings the ids they spell
         cl = tmp_path / "cl.json"
-        cl.write_text(json.dumps({"k": max(ids) + 1, "assignment": ids}))
+        cl.write_text(json.dumps({"k": 3, "assignment": ids}))
         code, _, err = run(
             ["verify", "--in", str(planted_dir / "points.csv"), "--clustering", str(cl)],
             capsys,
@@ -669,7 +669,7 @@ def malformed_inputs(draw):
         if defect == "nan":
             assignment[draw(st.integers(0, n - 1))] = math.nan
         elif defect == "bad value":
-            assignment[draw(st.integers(0, n - 1))] = draw(st.sampled_from([0.5, -1, 2, 10**23]))
+            assignment[draw(st.integers(0, n - 1))] = draw(st.sampled_from([0.5, -1, 2, 10**23, "1"]))
         elif defect == "ragged":
             assignment = assignment[:-1] if draw(st.booleans()) else [assignment[:1], assignment[1:]]
         else:
