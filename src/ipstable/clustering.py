@@ -34,6 +34,9 @@ class Clustering:
             raw.dtype.kind == "f" and np.isfinite(raw).all() and np.array_equal(raw, np.trunc(raw))
         ):
             raise ValueError("cluster ids must be integers")
+        # a float beyond the intp range would wrap in the cast; no such id lies in 0..k-1
+        if raw.dtype.kind == "f" and (np.abs(raw) >= np.iinfo(np.intp).max).any():
+            raise ValueError("cluster ids must lie in 0..k-1")
         arr = raw.astype(np.intp)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("assignment must be a non-empty 1-D array")

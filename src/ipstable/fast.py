@@ -22,7 +22,12 @@ Implementation note on sampling: per query point the t mixed samples are
 i.i.d. over the cluster members, so the estimator is computed from a
 multinomial draw of the per-member sample counts rather than a length-t
 loop.  The distribution per query point is identical; the query counter is
-charged t per query point, matching the sampled evaluations.
+charged t per query point, matching the sampled evaluations.  The query
+points are processed in row chunks of at most ``_BLOCK_CHUNK_ELEMS`` cells
+(the distance kernel's bound) over the cluster, one row when the cluster is
+larger, so a call holds four chunk-sized arrays whatever |S| x |C| is.
+``multinomial`` draws the rows of its probability table in order, so the
+random stream, and every estimate, is the same for any chunk size.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ import numpy as np
 from .clustering import Clustering, check_start
 from .local_search import CONVERGED, LsTrace
 from .merge_split import SplitResult, _split_core, kcenter_init
-from .metric import MetricSpace, rng_from_seed
+from .metric import _BLOCK_CHUNK_ELEMS, MetricSpace, rng_from_seed
 
 __all__ = [
     "calc_central_point",
@@ -54,8 +59,6 @@ POTENTIAL_DROPPED = "potential_dropped"
 
 EPOCH_EPS = 0.1
 EPOCH_STEP_CAP = 10**7
-
-_CHUNK_CELLS = 2_000_000
 
 
 def sample_count(n: int, eps: float) -> int:
@@ -120,23 +123,27 @@ def calc_average(
     scale = 1.0 / (t * (1.0 - eps_prime))
 
     est = np.empty(len(S))
-    chunk = max(1, _CHUNK_CELLS // max(1, len(C)))
+    chunk = max(1, _BLOCK_CHUNK_ELEMS // len(C))
     for lo in range(0, len(S), chunk):
         sl = slice(lo, min(lo + chunk, len(S)))
         ds_chunk = d_s[sl]
         lam = avg_star / (avg_star + ds_chunk)
-        mu = lam[:, None] * pw[None, :] + (1.0 - lam)[:, None] * inv_m
+        mu = lam[:, None] * pw
+        mu += (1.0 - lam)[:, None] * inv_m
         mu /= mu.sum(axis=1, keepdims=True)
         counts = rng.multinomial(t, mu)
-        denom = w[None, :] + ds_chunk[:, None]
+        # mu is spent once drawn: its buffer takes the denominators
+        denom = np.add(w, ds_chunk[:, None], out=mu)
         bad = denom == 0
         if bad.any() and counts[bad].any():
             # zero denominators carry zero sampling mass outside the
             # all-coincident branch; they must never be sampled
             raise RuntimeError("sampled a zero-denominator cell")
+        denom[bad] = np.inf  # a finite distance over inf is 0: the cell adds nothing
         block = space.peek_block(S[sl], C)
-        g = np.divide(block, denom, out=np.zeros_like(block), where=~bad)
-        est[sl] = (avg_star + ds_chunk) * scale * (counts * g).sum(axis=1)
+        block /= denom
+        block *= counts
+        est[sl] = (avg_star + ds_chunk) * scale * block.sum(axis=1)
     return est
 
 

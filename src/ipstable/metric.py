@@ -193,7 +193,8 @@ class MetricSpace:
         For samplers that evaluate pairs with multiplicity: they call
         :meth:`charge` with the number of sampled evaluations and fetch the
         distinct values here, so the counter reflects the sampling algorithm
-        rather than the deduplicated physical reads.
+        rather than the deduplicated physical reads.  The block is a new
+        array, never a view of a stored table, so a caller may write to it.
         """
         return self._eval_block(self._indices(rows), self._indices(cols))
 

@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from .clustering import Clustering, check_start
-from .metric import MetricSpace
+from .metric import _BLOCK_CHUNK_ELEMS, MetricSpace
 
 __all__ = [
     "beta",
@@ -146,11 +146,13 @@ def create_tree(D: np.ndarray, mst_edges) -> TreeNode:
     cross block between them; the cross blocks cover each pair once.  The
     block is gathered from ``D`` with the smaller side on the rows, since
     each row is copied whole first, so ``D`` must be symmetric, as
-    :meth:`MetricSpace.pairs` is.
+    :meth:`MetricSpace.pairs` is.  Its max is taken over row chunks whose
+    copied rows hold at most ``_BLOCK_CHUNK_ELEMS`` cells.
     """
     n = len(D)
     if len(mst_edges) != n - 1:
         raise ValueError(f"a spanning tree of {n} points has {n - 1} edges, got {len(mst_edges)}")
+    step = max(1, _BLOCK_CHUNK_ELEMS // n)
     root_of = list(range(n))
     node = [TreeNode(np.array([p], dtype=np.intp)) for p in range(n)]  # by component root
 
@@ -166,7 +168,9 @@ def create_tree(D: np.ndarray, mst_edges) -> TreeNode:
             raise ValueError("MST edges contain a cycle")
         left, right = node[ra], node[rb]
         small, large = sorted((left.points, right.points), key=len)
-        diameter = max(left.diameter, right.diameter, float(D.take(small, 0).take(large, 1).max()))
+        diameter = max(left.diameter, right.diameter)
+        for lo in range(0, len(small), step):
+            diameter = max(diameter, float(D.take(small[lo : lo + step], 0).take(large, 1).max()))
         points = np.sort(np.concatenate((left.points, right.points)), kind="stable")
         root_of[ra] = rb
         node[rb] = TreeNode(points, left, right, w, diameter)

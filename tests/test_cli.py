@@ -669,7 +669,7 @@ def malformed_inputs(draw):
         if defect == "nan":
             assignment[draw(st.integers(0, n - 1))] = math.nan
         elif defect == "bad value":
-            assignment[draw(st.integers(0, n - 1))] = draw(st.sampled_from([0.5, -1, 2, 10**23, "1"]))
+            assignment[draw(st.integers(0, n - 1))] = draw(st.sampled_from([0.5, -1, 2, 10**23, 1e23, "1"]))
         elif defect == "ragged":
             assignment = assignment[:-1] if draw(st.booleans()) else [assignment[:1], assignment[1:]]
         else:

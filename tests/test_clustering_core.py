@@ -37,6 +37,12 @@ class TestClusteringType:
         with pytest.raises(ValueError, match="integers"):
             Clustering(ids)
 
+    @pytest.mark.parametrize("ids", [[0, 1, 1e23], [0, 1, -1e23]])
+    def test_rejects_float_ids_beyond_intp(self, ids):
+        # the cast to intp would wrap them, with a RuntimeWarning, before the range check
+        with pytest.raises(ValueError, match="0..k-1"):
+            Clustering(ids)
+
     @pytest.mark.parametrize("k", [None, 2])
     def test_rejects_boolean_ids(self, k):
         # True and False convert to 1 and 0, but they are not cluster ids

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -125,6 +126,38 @@ class TestCalcAverage:
         sp = line_space([0, 1])
         with pytest.raises(ValueError):
             calc_average(sp, [0], [1], 0.0, rng)
+
+    def test_memory_bounded_by_chunk(self):
+        # S x C is 2000 x 1000, 16 MB per float array; a row chunk holds four
+        # arrays of at most _BLOCK_CHUNK_ELEMS cells (512 KiB as float64)
+        sp = random_space(2000, seed=1)
+        tracemalloc.start()
+        try:
+            calc_average(sp, np.arange(1000), np.arange(2000), 0.1, rng_from_seed(0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
+
+    @pytest.mark.parametrize(
+        "sp",
+        [
+            # integer coordinates coincide often: zero-denominator cells occur
+            MetricSpace.from_points(np.random.default_rng(3).integers(0, 4, size=(60, 2)).astype(float)),
+            random_matrix_space(60, seed=2),
+        ],
+    )
+    def test_chunk_size_changes_no_draw(self, sp, monkeypatch):
+        # multinomial draws the rows in order, so 1-row, 7-row and one-chunk
+        # runs give the same estimates and leave the generator in one state
+        C, S = np.arange(0, 60, 3), np.arange(60)
+        runs = []
+        for rows in (1, 7, len(S)):
+            monkeypatch.setattr(fast, "_BLOCK_CHUNK_ELEMS", rows * len(C))
+            rng = rng_from_seed(9)
+            est = calc_average(sp, C, S, 0.2, rng)
+            runs.append((est.tobytes(), repr(rng.bit_generator.state)))  # Philox: small arrays
+        assert runs[0] == runs[1] == runs[2]
 
 
 def _literal_calc_average(space, C, S, eps, rng):

@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from ipstable import stable_opt
 from ipstable.clustering import Clustering, verify_stability
 from ipstable.metric import GenSpec, MetricSpace, generate
 from ipstable.stable_opt import (
@@ -173,6 +175,30 @@ class TestCreateTree:
             edges = mst(D)
             tree = create_tree(D, edges)
             assert _as_tuples(tree) == _top_down_tree(list(range(sp.n)), edges)
+
+    def test_memory_bounded_by_chunk(self):
+        # a cross block's rows are copied whole from the n x n table, at most
+        # _BLOCK_CHUNK_ELEMS // n of them at a time; the largest block here has
+        # 397 rows, 4.8 MB if copied at once (the tree itself holds 1.4 MB)
+        D = random_space(1500, seed=1).pairs()
+        edges = mst(D)
+        tracemalloc.start()
+        try:
+            create_tree(D, edges)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6e6
+
+    @pytest.mark.parametrize("chunk_cells", [1, 40])
+    def test_diameter_read_in_row_chunks(self, chunk_cells, monkeypatch):
+        # one row per chunk, or 40 // n rows: the max over the chunks is the block's
+        monkeypatch.setattr(stable_opt, "_BLOCK_CHUNK_ELEMS", chunk_cells)
+        for sp in _tied_and_random_spaces():
+            table = sp.peek_block(np.arange(sp.n), np.arange(sp.n))
+            for node in _tree(sp).nodes():
+                pts = node.points  # ascending, so the upper triangle holds d(min, max)
+                assert node.diameter == np.triu(table[np.ix_(pts, pts)], 1).max()
 
     def test_single_point_leaf(self):
         sp = line_space([0])
