@@ -67,22 +67,6 @@ class Clustering:
     def sizes(self) -> np.ndarray:
         return np.bincount(self.assignment, minlength=self.k)
 
-    @classmethod
-    def from_members(cls, member_lists) -> "Clustering":
-        """Cluster c holds the indices in ``member_lists[c]``; together the
-        lists must hold each of 0..n-1 exactly once."""
-        sizes = [len(m) for m in member_lists]
-        flat = np.concatenate([np.asarray(m, dtype=np.intp) for m in member_lists])
-        if not np.array_equal(np.sort(flat), np.arange(flat.size)):
-            raise ValueError("member lists must partition 0..n-1 (an index repeats, is missing or is out of range)")
-        assignment = np.empty(flat.size, dtype=np.intp)
-        assignment[flat] = np.repeat(np.arange(len(sizes)), sizes)
-        return cls(assignment, len(sizes))
-
-    @classmethod
-    def singletons(cls, n: int) -> "Clustering":
-        return cls(np.arange(n), n)
-
     def __eq__(self, other):
         return isinstance(other, Clustering) and self.k == other.k and np.array_equal(
             self.assignment, other.assignment
@@ -186,15 +170,52 @@ def _insert_sorted(block: np.ndarray, vals: np.ndarray) -> np.ndarray:
     return out
 
 
-class _ObjectiveTable:
+class _Columns:
+    """Clusters as columns in creation order, beside ``assign`` (point ->
+    column) and ``sizes``.  A merge or split deletes the dead columns and
+    appends the new ones (``_replace``), so every tie-break by column index
+    is a tie-break by age.  Each attribute named in ``_carried`` is an n x k
+    column-major array or a list indexed by column; ``_replace`` keeps the
+    surviving columns' entries of each and leaves the new columns unset
+    (unwritten in an array, ``None`` in a list)."""
+
+    _carried: tuple[str, ...] = ()
+
+    @property
+    def k(self) -> int:
+        return len(self.sizes)
+
+    def _replace(self, dead, parts) -> int:
+        """Delete the ``dead`` columns, whose points are exactly those of
+        ``parts``, and append one column per part; returns the first new one."""
+        keep = np.setdiff1d(np.arange(self.k), dead)
+        self.assign = np.searchsorted(keep, self.assign)  # a survivor's rank; parts overwrite the rest
+        for c, m in enumerate(parts, len(keep)):
+            self.assign[m] = c
+        self.sizes = np.append(self.sizes[keep], [len(m) for m in parts])
+        for name in self._carried:
+            old = getattr(self, name)
+            if isinstance(old, np.ndarray):
+                new = np.empty((old.shape[0], self.k), order="F")
+                new[:, : len(keep)] = old[:, keep]
+            else:
+                new = [old[c] for c in keep] + [None] * len(parts)
+            setattr(self, name, new)
+        return len(keep)
+
+    def clustering(self) -> Clustering:
+        return Clustering(self.assign.copy(), self.k)
+
+
+class _ObjectiveTable(_Columns):
     """f(p, C) for every point p and cluster C under one objective, kept exact
     while a search moves points, merges clusters and splits them.
 
     Built from one ``space.full()`` read.  Columns are the clusters in
-    creation order: ``merge`` and ``split`` delete the dead columns and append
-    the new ones, so every tie-break by column index is a tie-break by age.
-    Member arrays keep insertion order (a moved point is appended, a merge
-    concatenates), which is the order the randomized split permutes.
+    creation order, moved by the column step of ``_Columns``, which fast's
+    ``EpochState`` shares.  Member arrays keep insertion order (a moved point
+    is appended, a merge concatenates), which is the order the randomized
+    split permutes.
 
     A move of p updates the two columns it touches from the distances
     ``D[:, p]`` alone.  For avg the table holds distance sums (f = sums /
@@ -231,6 +252,8 @@ class _ObjectiveTable:
     a merge or split drops the entries of the columns it deletes.
     """
 
+    _carried = ("members", "table", "_foreign", "_potential", "_sorted")
+
     def __init__(self, space: MetricSpace, clustering: Clustering, objective: str):
         if objective not in OBJECTIVES:
             raise ValueError(f"unknown objective {objective!r}")
@@ -247,10 +270,6 @@ class _ObjectiveTable:
         self._sorted = [None] * clustering.k  # median only: row-sorted D[:, members[c]]
         for c in range(clustering.k):
             self._fill(c)
-
-    @property
-    def k(self) -> int:
-        return len(self.members)
 
     def _fill(self, c: int) -> None:
         """Compute column c, and refresh its envy state, from the distance table."""
@@ -310,32 +329,12 @@ class _ObjectiveTable:
         else:
             self._own[m] = self._sorted[c][m, len(m) // 2]  # the median's rank shifted by the self-zero
 
-    def _replace(self, dead, parts) -> int:
-        """Delete the ``dead`` columns, whose points are exactly those of
-        ``parts``, and append one unfilled column per part; returns the first.
-        The surviving columns keep all their entries."""
-        keep = np.setdiff1d(np.arange(self.k), dead)
-        col_of = np.full(self.k, -1, dtype=np.intp)
-        col_of[keep] = np.arange(len(keep))
-        self.assign = col_of[self.assign]
-        self.members = [self.members[c] for c in keep] + list(parts)
-        self.sizes = np.append(self.sizes[keep], [len(m) for m in parts])
-        self._sorted = [self._sorted[c] for c in keep] + [None] * len(parts)
-        self._potential = [self._potential[c] for c in keep] + [None] * len(parts)
-        table = np.empty((self.n, self.k), order="F")
-        table[:, : len(keep)] = self.table[:, keep]
-        foreign = np.empty((self.n, self.k), order="F")
-        foreign[:, : len(keep)] = self._foreign[:, keep]
-        self.table, self._foreign = table, foreign
-        for c in range(len(keep), self.k):
-            self.assign[self.members[c]] = c
-        return len(keep)
-
     def merge(self, a: int, b: int) -> None:
         """Replace columns a and b by one column for their union, appended last."""
         merged = np.concatenate([self.members[a], self.members[b]])
         pair, blocks = self.table[:, [a, b]], (self._sorted[a], self._sorted[b])
         c = self._replace((a, b), [merged])
+        self.members[c] = merged
         if self.objective == "avg":
             np.add(pair[:, 0], pair[:, 1], out=self.table[:, c])
         elif self.objective == "max":
@@ -349,6 +348,7 @@ class _ObjectiveTable:
     def split(self, c: int, half_a: np.ndarray, half_b: np.ndarray) -> None:
         """Replace column c by two columns, ``half_a`` then ``half_b``, appended last."""
         first = self._replace((c,), [half_a, half_b])
+        self.members[first:] = half_a, half_b
         self._fill(first)
         self._fill(first + 1)
 
@@ -390,9 +390,6 @@ class _ObjectiveTable:
             if term is None:
                 self.phi_of(c)
         return sum(self._potential)
-
-    def clustering(self) -> Clustering:
-        return Clustering(self.assign.copy(), self.k)
 
 
 def verify_stability(

@@ -7,16 +7,17 @@ err one-sidedly: avg <= est <= (1+eps)*avg with high probability.
 
 ``epoch`` runs one phase of the local search on cached estimates, tracking
 per-cluster additive error budgets and swap counts; clusters whose caches
-drift too far are re-estimated.  Membership is read from the assignment
-array alone.  Each swap takes the violator found by one O(n*k) scan of the
-cached estimates, which makes no query.  The epoch also caches one
-estimated potential per cluster: a re-estimate of C sets it from the new
-averages at no extra cost, and a swap or a merge-and-split drops it for
-every cluster whose members changed, so the potential check after a
-re-estimate samples only those clusters.  An epoch either certifies
-16*log2(n) stability or ends early having cut the true potential below 3/4
-of its input value.  ``fast_ls`` chains epochs until an epoch's output
-potential, read from its cache, is at least 7/8 of its input estimate.
+drift too far are re-estimated.  Its state keeps one column per cluster in
+creation order, as the exact searches' objective table does; the cached
+estimates are one n x k table.  Each swap takes the violator found by one
+O(n*k) scan of that table, which makes no query.  One estimated potential
+is cached per column: a re-estimate sets it at no extra cost, and a swap or
+a merge-and-split unsets it for every column whose members changed, so the
+potential check after a re-estimate samples only those clusters.  An epoch
+either certifies 16*log2(n) stability or ends early having cut the true
+potential below 3/4 of its input value.  ``fast_ls`` chains epochs until an
+epoch's output potential, read from its cache, is at least 7/8 of its input
+estimate.
 
 Implementation note on sampling: per query point the t mixed samples are
 i.i.d. over the cluster members, so the estimator is computed from a
@@ -33,11 +34,11 @@ random stream, and every estimate, is the same for any chunk size.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .clustering import Clustering, check_start
+from .clustering import Clustering, _Columns, check_start
 from .local_search import CONVERGED, LsTrace
 from .merge_split import SplitResult, _split_core, kcenter_init
 from .metric import _BLOCK_CHUNK_ELEMS, MetricSpace, rng_from_seed
@@ -107,7 +108,7 @@ def calc_average(
     if not 0 < eps <= 1:
         raise ValueError("eps must lie in (0, 1]")
     n = space.n
-    p_star = calc_central_point(space, C, 1.0 / n**2, rng)
+    p_star = calc_central_point(space, C, 1.0 / max(n, 2) ** 2, rng)
     w = space.row(p_star, C)
     d_s = space.row(p_star, S)
     if np.all(w == 0):
@@ -181,52 +182,51 @@ def _fast_split_core(
 # -- the epoch state machine ---------------------------------------------------
 
 
-@dataclass
-class EpochState:
-    """All bookkeeping of one epoch.  ``assign`` is the only membership
-    record: the live cids are its distinct values.  No cluster ever empties,
-    so ``assign.max()`` never decreases and ``assign.max() + 1`` names each
-    new cluster without reusing an id.  Beside it sit the cached estimates
-    and potentials, each cluster's error budget and swap count, the
-    recompute queue and the step counts.  The next violator is found by one
-    scan over the cached estimates."""
+class EpochState(_Columns):
+    """All bookkeeping of one epoch, one column per cluster (``_Columns``).
+    ``assign`` is the only membership record: ``members(c)`` reads it in
+    ascending order, the order the estimator's and the split's draws run
+    over.  ``est`` is the n x k column-major table of cached estimates;
+    ``error``, ``num_swaps``, ``size_hat`` and ``phi`` (the cached potential)
+    are lists indexed by column, ``None`` until a column's first estimate.
+    ``sizes`` is kept on every swap, and ``recompute`` is the queue of
+    columns awaiting re-estimation."""
 
-    n: int
-    eps: float
-    alpha: float
-    assign: np.ndarray
-    phi_hat: float = 0.0
-    t_star: float = 0.0
-    est: dict = field(default_factory=dict)          # cid -> ndarray over all points
-    error: dict = field(default_factory=dict)
-    num_swaps: dict = field(default_factory=dict)
-    size_hat: dict = field(default_factory=dict)
-    phi: dict = field(default_factory=dict)          # cid -> estimated potential of its members
-    recompute: dict = field(default_factory=dict)    # cids queued for re-estimation, in order
-    counts: dict = field(default_factory=lambda: {"swap": 0, "recompute": 0, "merge_split": 0})
+    _carried = ("est", "error", "num_swaps", "size_hat", "phi")
 
-    def cids(self) -> list:
-        """The live cids, ascending."""
-        return np.unique(self.assign).tolist()
+    def __init__(self, clustering: Clustering, eps: float, alpha: float):
+        n, k = clustering.n, clustering.k
+        self.n, self.eps, self.alpha = n, eps, alpha
+        self.assign = clustering.assignment.copy()
+        self.sizes = clustering.sizes()
+        self.est = np.empty((n, k), order="F")
+        self.error, self.num_swaps, self.size_hat, self.phi = ([None] * k for _ in range(4))
+        self.recompute = list(range(k))
+        self.phi_hat = self.t_star = 0.0
+        self.counts = {"swap": 0, "recompute": 0, "merge_split": 0}
 
-    def members(self, cid: int) -> np.ndarray:
-        """The points of cluster cid, ascending."""
-        return np.flatnonzero(self.assign == cid)
+    def members(self, c: int) -> np.ndarray:
+        """The points of column c, ascending."""
+        return np.flatnonzero(self.assign == c)
+
+    def _replace(self, dead, parts) -> int:
+        """The column step; the queue drops the dead columns, keeps its order
+        and takes the new columns last."""
+        # a point of each queued survivor follows its column through the remap
+        queued = [self.members(c)[0] for c in self.recompute if c not in dead]
+        first = super()._replace(dead, parts)
+        self.recompute = [int(self.assign[p]) for p in queued] + list(range(first, self.k))
+        return first
 
     def potential(self, space: MetricSpace, rng: np.random.Generator) -> float:
-        """Sum of the cached potentials; only clusters without an entry are
-        estimated (each entry is a one-sided (1+eps)-estimate)."""
+        """Sum of the cached potentials in column order; only columns without
+        one are estimated (each is a one-sided (1+eps)-estimate)."""
         total = 0.0
-        for cid in self.cids():
-            if cid not in self.phi:
-                self.phi[cid] = calc_potential(space, [self.members(cid)], self.eps, rng)
-            total += self.phi[cid]
+        for c in range(self.k):
+            if self.phi[c] is None:
+                self.phi[c] = calc_potential(space, [self.members(c)], self.eps, rng)
+            total += self.phi[c]
         return total
-
-    def drop_cluster(self, cid: int) -> None:
-        """Forget a dead cid: its queue slot and every cached value."""
-        for d in (self.est, self.error, self.num_swaps, self.size_hat, self.phi, self.recompute):
-            d.pop(cid, None)
 
     def find_violator(self):
         """(p, dst) for the cached violator with the lowest foreign/own ratio,
@@ -234,28 +234,23 @@ class EpochState:
 
         A point p in a cluster of size m > 1 with own estimate own > 0 is a
         violator when (m/(m-1)) * own > (alpha/2) * foreign, where foreign is
-        its nearest foreign estimate and dst that cluster (the lowest cid on
-        ties).  Every live cluster has estimates here: the recompute queue is
-        empty.  The scan reads |C| x n cached values and makes no query.
+        its nearest foreign estimate and dst that column (the lowest on
+        ties).  Every column has estimates here: the recompute queue is
+        empty.  The scan reads the n x k cached values and makes no query.
         """
-        cids, row, sizes = np.unique(self.assign, return_inverse=True, return_counts=True)
-        est = np.stack([self.est[cid] for cid in cids])
         pts = np.arange(self.n)
-        own = est[row, pts]
-        est[row, pts] = np.inf
-        nearest = np.argmin(est, axis=0)
-        foreign = est[nearest, pts]
-        m = sizes[row]
+        est = self.est.copy(order="F")
+        own = est[pts, self.assign]
+        est[pts, self.assign] = np.inf
+        nearest = np.argmin(est, axis=1)
+        foreign = est[pts, nearest]
+        m = self.sizes[self.assign]
         ok = np.flatnonzero((m > 1) & (own > 0))
         hit = ok[(m[ok] / (m[ok] - 1)) * own[ok] > (self.alpha / 2.0) * foreign[ok]]
         if len(hit) == 0:
             return None
         p = int(hit[np.argmin(foreign[hit] / own[hit])])
-        return p, int(cids[nearest[p]])
-
-    def clustering(self) -> Clustering:
-        cids, dense = np.unique(self.assign, return_inverse=True)  # live cids in sorted order
-        return Clustering(dense, len(cids))
+        return p, int(nearest[p])
 
 
 @dataclass
@@ -279,17 +274,16 @@ def epoch(
     then 16*log2(n)-stable for avg), or ``potential_dropped`` as soon as a
     re-estimate shows the potential fell below half its starting estimate
     (the true potential is then below 3/4 of the input's).  That check sums
-    ``st.phi``, one cached estimate per cluster: a re-estimate of C sets
-    ``phi[C] = log2|C| * sum of est[C] over C``, swaps and merge-and-splits
-    drop the entries of the clusters they change, and the check estimates
-    only the live clusters left without one.
+    ``st.phi``, one cached estimate per column: a re-estimate of column c
+    sets ``phi[c] = log2|C| * sum of est[:, c] over C``, swaps unset the
+    entries of their two columns, a merge-and-split's new columns start
+    unset, and the check estimates only the columns left unset.
     """
     n = space.n
     if clustering.n != n:
         raise ValueError("clustering does not match the space")
     k = clustering.k
-    st = EpochState(n=n, eps=EPOCH_EPS, alpha=16.0 * math.log2(max(n, 2)), assign=clustering.assignment.copy())
-    st.recompute = dict.fromkeys(range(k))
+    st = EpochState(clustering, eps=EPOCH_EPS, alpha=16.0 * math.log2(max(n, 2)))
 
     all_points = np.arange(n)
     st.phi_hat = st.potential(space, rng)
@@ -304,29 +298,28 @@ def epoch(
             audit.every_iteration(space, st, iteration)
 
         if st.recompute:
-            cid = next(iter(st.recompute))
-            del st.recompute[cid]
+            c = st.recompute.pop(0)
             st.counts["recompute"] += 1
-            members = st.members(cid)
-            st.est[cid] = calc_average(space, members, all_points, st.eps, rng)
-            st.error[cid] = 0.0
-            st.size_hat[cid] = len(members)
-            st.num_swaps[cid] = 0
-            st.phi[cid] = math.log2(len(members)) * float(st.est[cid][members].sum())
+            members = st.members(c)
+            st.est[:, c] = calc_average(space, members, all_points, st.eps, rng)
+            est_c = st.est[:, c]
+            st.error[c] = 0.0
+            st.size_hat[c] = len(members)
+            st.num_swaps[c] = 0
+            st.phi[c] = math.log2(len(members)) * float(est_c[members].sum())
             if audit is not None:
-                audit.after_recompute(space, st, cid)
+                audit.after_recompute(space, st, c)
 
             if st.potential(space, rng) < (1.0 + st.eps) / 2.0 * st.phi_hat:
                 return EpochResult(st.clustering(), POTENTIAL_DROPPED, st.counts, st)
 
-            est_c = st.est[cid]
-            for other in st.cids():
-                if other == cid:
+            for other in range(st.k):
+                if other == c:
                     continue
                 om = st.members(other)
                 lhs = min(len(members), len(om)) / len(om) * float(est_c[om].sum())
                 if lhs < st.t_star:
-                    _merge_and_split(space, st, cid, other, rng)
+                    _merge_and_split(space, st, c, other, rng)
                     break
         else:
             found = st.find_violator()
@@ -342,31 +335,23 @@ def epoch(
 def _swap(st: EpochState, p: int, src: int, dst: int) -> None:
     st.counts["swap"] += 1
     st.assign[p] = dst
-    st.phi.pop(src, None)
-    st.phi.pop(dst, None)
-    for cid in (src, dst):
-        sz = len(st.members(cid))  # size after the move
-        st.error[cid] += (float(st.est[cid][p]) + st.error[cid]) / sz
-        st.num_swaps[cid] += 1
-        if st.error[cid] > st.t_star / (100.0 * st.alpha * sz) or st.num_swaps[cid] > st.size_hat[cid] / 2.0:
-            st.recompute[cid] = None
+    st.sizes[src] -= 1
+    st.sizes[dst] += 1
+    st.phi[src] = st.phi[dst] = None
+    for c in (src, dst):
+        sz = int(st.sizes[c])  # size after the move
+        st.error[c] += (float(st.est[p, c]) + st.error[c]) / sz
+        st.num_swaps[c] += 1
+        if st.error[c] > st.t_star / (100.0 * st.alpha * sz) or st.num_swaps[c] > st.size_hat[c] / 2.0:
+            st.recompute.append(c)  # the queue is empty when a swap runs
 
 
-def _merge_and_split(space: MetricSpace, st: EpochState, cid: int, other: int, rng) -> None:
-    """Merge cid and other, then split the cluster the split core picks."""
+def _merge_and_split(space: MetricSpace, st: EpochState, c: int, other: int, rng) -> None:
+    """Merge columns c and other, then split the column the split core picks."""
     st.counts["merge_split"] += 1
-    merged = int(st.assign.max()) + 1
-    st.assign[np.isin(st.assign, (cid, other))] = merged
-    st.drop_cluster(cid)
-    st.drop_cluster(other)
-    st.recompute[merged] = None
-
-    result = _fast_split_core(space, [(c, st.members(c)) for c in st.cids()], rng)
-    for half in (result.half_a, result.half_b):
-        new_cid = int(st.assign.max()) + 1
-        st.assign[half] = new_cid
-        st.recompute[new_cid] = None
-    st.drop_cluster(result.cluster_id)
+    st._replace((c, other), [np.flatnonzero(np.isin(st.assign, (c, other)))])
+    result = _fast_split_core(space, [(j, st.members(j)) for j in range(st.k)], rng)
+    st._replace((result.cluster_id,), [result.half_a, result.half_b])
 
 
 def fast_ls(space: MetricSpace, k: int, seed: int = 0) -> tuple[Clustering, LsTrace]:

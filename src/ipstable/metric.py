@@ -136,13 +136,6 @@ class MetricSpace:
 
     # -- distance access ------------------------------------------------------
 
-    def distance(self, i: int, j: int) -> float:
-        """d(i, j); one query."""
-        if not (0 <= i < self.n and 0 <= j < self.n):
-            raise IndexError(f"point index out of range: ({i}, {j}) with n={self.n}")
-        self.charge(1)
-        return float(self._eval_block(np.array([i], dtype=np.intp), np.array([j], dtype=np.intp))[0, 0])
-
     def row(self, i: int, idx=None) -> np.ndarray:
         """Distances from point i to idx (default: all points); one query each."""
         if not 0 <= i < self.n:

@@ -60,9 +60,6 @@ class MaxIpSignature:
     def __lt__(self, other: "MaxIpSignature") -> bool:
         return self.packed < other.packed
 
-    def bits(self) -> np.ndarray:
-        return np.unpackbits(np.frombuffer(self.packed, dtype=np.uint8))[: self.nbits]
-
 
 def edge_order(space: MetricSpace) -> np.ndarray:
     """Clique edges as flat cells ``i * n + j`` (i < j), sorted by

@@ -38,6 +38,35 @@ def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     )
 
 
+# -- former library methods that only tests called ------------------------------
+
+
+def distance(space: MetricSpace, i: int, j: int) -> float:
+    """d(i, j); one query."""
+    return float(space.block([i], [j])[0, 0])
+
+
+def singletons(n: int) -> Clustering:
+    return Clustering(np.arange(n), n)
+
+
+def from_members(member_lists) -> Clustering:
+    """Cluster c holds the indices in ``member_lists[c]``; together the
+    lists must hold each of 0..n-1 exactly once."""
+    sizes = [len(m) for m in member_lists]
+    flat = np.concatenate([np.asarray(m, dtype=np.intp) for m in member_lists])
+    if not np.array_equal(np.sort(flat), np.arange(flat.size)):
+        raise ValueError("member lists must partition 0..n-1 (an index repeats, is missing or is out of range)")
+    assignment = np.empty(flat.size, dtype=np.intp)
+    assignment[flat] = np.repeat(np.arange(len(sizes)), sizes)
+    return Clustering(assignment, len(sizes))
+
+
+def bits(signature: MaxIpSignature) -> np.ndarray:
+    """The signature's bits, unpacked."""
+    return np.unpackbits(np.frombuffer(signature.packed, dtype=np.uint8))[: signature.nbits]
+
+
 # -- point-to-set objectives ----------------------------------------------------
 
 

@@ -13,6 +13,8 @@ from ipstable import algorithms, cli
 from ipstable.cli import EXIT_CAP, EXIT_INTERNAL, EXIT_OK, EXIT_UNSTABLE, EXIT_USAGE, main
 from ipstable.clustering import Clustering
 
+from reference import singletons
+
 
 def run(argv, capsys):
     code = main(argv)
@@ -317,7 +319,7 @@ class TestVerify:
         inst = tmp_path / "line.csv"
         inst.write_text("x0\n0\n1\n2\n")
         cl = tmp_path / "cl.json"
-        cl.write_text(Clustering.singletons(3).to_json())
+        cl.write_text(singletons(3).to_json())
         code, stdout, _ = run(
             ["verify", "--in", str(inst), "--clustering", str(cl),
              "--objective", "max", "--alpha", "1.0"],

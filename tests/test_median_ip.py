@@ -17,7 +17,7 @@ from ipstable.median_ip import (
 from ipstable.metric import GenSpec, MetricSpace, generate
 
 from conftest import line_space, perturbed_planted, random_matrix_space, random_space, skewed, table_spaces
-from reference import median_merge_bound, median_split, phi_sqrt_median_exact
+from reference import median_merge_bound, median_split, phi_sqrt_median_exact, singletons
 
 
 class TestMedianConfig:
@@ -53,7 +53,7 @@ class TestMedianSplit:
     def test_no_splittable(self):
         sp = line_space([0, 1])
         with pytest.raises(ValueError):
-            median_split(sp, Clustering.singletons(2))
+            median_split(sp, singletons(2))
 
     def test_exact_potential_drop(self):
         # the brute-force potential drops by at least sqrt(d_max / 2)

@@ -11,7 +11,7 @@ from ipstable.metric import GenSpec, generate
 from ipstable.potential import phi_avg, phi_avg_clustering
 
 from conftest import line_space, random_matrix_space, random_space
-from reference import split
+from reference import singletons, split
 
 
 def kcenter_radius(space, clustering, centers=None):
@@ -98,7 +98,7 @@ class TestSplit:
     def test_no_splittable_cluster(self, rng):
         sp = line_space([0, 1])
         with pytest.raises(ValueError):
-            split(sp, Clustering.singletons(2), rng)
+            split(sp, singletons(2), rng)
 
     def test_attempt_cap_raises(self, rng, monkeypatch):
         monkeypatch.setattr(merge_split, "default_split_attempts", lambda n: 0)

@@ -15,23 +15,24 @@ from ipstable.metric import GenSpec, MetricSpace, generate, load_matrix_csv, sav
 from ipstable.stable_opt import beta_clustering
 
 from conftest import random_matrix_space, random_space
+from reference import distance
 
 
 class TestDistance:
     def test_self_distance_zero(self):
         sp = random_space(20, seed=3)
         for i in (0, 7, 19):
-            assert sp.distance(i, i) == 0.0
+            assert distance(sp, i, i) == 0.0
 
     def test_pythagorean(self):
         sp = MetricSpace.from_points(np.array([[0.0, 0.0], [3.0, 4.0]]))
-        assert sp.distance(0, 1) == pytest.approx(5.0)
+        assert distance(sp, 0, 1) == pytest.approx(5.0)
 
     def test_counter_increments_per_call(self):
         sp = random_space(15, seed=0)
         before = sp.query_counter
         for _ in range(10):
-            sp.distance(2, 5)
+            distance(sp, 2, 5)
         assert sp.query_counter == before + 10
 
     def test_counter_counts_batches(self):
@@ -45,11 +46,11 @@ class TestDistance:
     def test_out_of_range_index(self):
         sp = random_space(5, seed=0)
         with pytest.raises(IndexError):
-            sp.distance(0, 5)
+            distance(sp, 0, 5)
 
     def test_l1_norm(self):
         sp = MetricSpace.from_points(np.array([[0.0, 0.0], [3.0, 4.0]]), norm="l1")
-        assert sp.distance(0, 1) == pytest.approx(7.0)
+        assert distance(sp, 0, 1) == pytest.approx(7.0)
 
 
 def _row_reference(space, i, idx):
@@ -106,7 +107,7 @@ class TestBlockKernel:
         _assert_pairs_table(sp.pairs(), table)
         assert np.array_equal(sp.row(5, cols), _row_reference(sp, 5, cols))
         assert np.array_equal(sp.row(5), _row_reference(sp, 5, np.arange(70)))
-        assert all(sp.distance(int(i), int(j)) == want[r, c] for r, i in enumerate(rows) for c, j in enumerate(cols))
+        assert all(distance(sp, int(i), int(j)) == want[r, c] for r, i in enumerate(rows) for c, j in enumerate(cols))
 
     @pytest.mark.parametrize("norm", ["l2", "l1"])
     def test_empty_and_duplicate_indices(self, norm):
@@ -154,7 +155,7 @@ class TestBlockKernel:
         assert np.array_equal(sp.pairs(), zeros)
         assert np.array_equal(sp.block([5, 0, 5], [2]), zeros[:3, :1])
         assert np.array_equal(sp.row(4), zeros[0])
-        assert sp.distance(1, 2) == 0.0
+        assert distance(sp, 1, 2) == 0.0
 
     @pytest.mark.parametrize("n, dim, norm, digest", [
         # sha256 of full()'s bytes, computed with the (rows, cols, dim)
@@ -229,7 +230,7 @@ class TestBlockKernel:
         for read in (lambda: sp.row(5), lambda: sp.row(-1), lambda: sp.row(3), lambda: sp.row(0, [1, 3]),
                      lambda: sp.row(0, [-1]), lambda: sp.block([0], [7]), lambda: sp.block([-1], [0, 1]),
                      lambda: sp.block([0, 3], []), lambda: sp.peek_block([0], [-3]),
-                     lambda: sp.peek_block([3], [0]), lambda: sp.distance(0, -1)):
+                     lambda: sp.peek_block([3], [0]), lambda: distance(sp, 0, -1)):
             with pytest.raises(IndexError, match="out of range"):
                 read()
         assert sp.query_counter == 0
@@ -261,7 +262,7 @@ class TestValidation:
         big = np.finfo(np.float64).max
         with pytest.raises(ValueError, match="too far apart"):
             MetricSpace.from_points(np.array([[0.0], [2e200]]))
-        assert MetricSpace.from_points(np.array([[0.0], [2e200]]), norm="l1").distance(0, 1) == 2e200
+        assert distance(MetricSpace.from_points(np.array([[0.0], [2e200]]), norm="l1"), 0, 1) == 2e200
         with pytest.raises(ValueError, match="too far apart"):
             MetricSpace.from_points(np.array([[-big], [big]]), norm="l1")
         # half the largest squared distance is far from overflowing

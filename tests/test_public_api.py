@@ -4,6 +4,9 @@ the CLI use.  The test oracles live in ``tests/reference.py``."""
 import importlib
 
 import ipstable
+from ipstable.clustering import Clustering
+from ipstable.metric import MetricSpace
+from ipstable.potential import MaxIpSignature
 
 PUBLIC = [
     "ALGORITHMS",
@@ -65,3 +68,7 @@ def test_oracles_are_not_in_the_library():
         assert not hasattr(importlib.import_module(f"ipstable.{module}"), name), name
     # SplitResult stays in merge_split, whose split cores return it, unexported
     assert not hasattr(ipstable, "SplitResult")
+    # methods only tests called are plain functions there too
+    for owner, name in ((MetricSpace, "distance"), (Clustering, "singletons"), (Clustering, "from_members"),
+                        (MaxIpSignature, "bits")):
+        assert not hasattr(owner, name), name

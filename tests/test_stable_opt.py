@@ -18,7 +18,7 @@ from ipstable.stable_opt import (
 )
 
 from conftest import line_space, random_matrix_space, random_space
-from reference import _all_partitions, brute_force_min_beta
+from reference import _all_partitions, brute_force_min_beta, from_members
 
 
 class TestBeta:
@@ -333,7 +333,7 @@ class TestDpMinBeta:
                     continue
                 i = table[id(u)][parts - 1][1]
                 stack += [(u.right, i), (u.left, parts - i)]
-            return Clustering.from_members(clusters)
+            return from_members(clusters)
 
         for sp in _tied_and_random_spaces():
             tree = _tree(sp)
