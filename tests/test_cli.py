@@ -656,14 +656,15 @@ def _csv(rows):
 
 @st.composite
 def malformed_inputs(draw):
-    """(files, argv) for one malformed points, matrix or clustering input."""
+    """(files, argv) for one malformed points, matrix or clustering input; a
+    file's text of None puts a directory at its path."""
     n = draw(st.integers(2, 7))
     xs = draw(st.lists(st.integers(0, 9), min_size=n, max_size=n))
     points = [["x0", "x1"]] + [[str(x), str((3 * x) % 7)] for x in xs]
     table = [[str(abs(a - b)) for b in xs] for a in xs]
     alg = draw(st.sampled_from(tuple(cli.ALGORITHMS)))
     kind = draw(st.sampled_from(["points", "matrix", "clustering"]))
-    defect = draw(st.sampled_from(["nan", "bad value", "ragged", "k"]))
+    defect = draw(st.sampled_from(["nan", "bad value", "ragged", "k", "directory"]))
     bad_k = draw(st.sampled_from([-1, 0, 1, n + 1, n + 5, 10**23]))
     if kind == "clustering":
         assignment = [i % 2 for i in range(n)]
@@ -674,9 +675,10 @@ def malformed_inputs(draw):
             assignment[draw(st.integers(0, n - 1))] = draw(st.sampled_from([0.5, -1, 2, 10**23, 1e23, "1"]))
         elif defect == "ragged":
             assignment = assignment[:-1] if draw(st.booleans()) else [assignment[:1], assignment[1:]]
-        else:
+        elif defect == "k":
             k = bad_k
-        files = {"instance": _csv(points), "clustering": json.dumps({"k": k, "assignment": assignment})}
+        clustering = None if defect == "directory" else json.dumps({"k": k, "assignment": assignment})
+        files = {"instance": _csv(points), "clustering": clustering}
         return files, ["verify", "--in", "{instance}", "--format", "points", "--clustering", "{clustering}"]
     rows = points if kind == "points" else table
     k = 2
@@ -690,10 +692,10 @@ def malformed_inputs(draw):
         rows[r][c] = draw(st.sampled_from(["0.5.1", "1/2", "x"]))
     elif defect == "ragged":
         rows[r] = rows[r][:-1] if draw(st.booleans()) else rows[r] + ["1"]
-    else:
+    elif defect == "k":
         k = bad_k
     argv = ["cluster", "--in", "{instance}", "--format", kind, "--k", str(k), "--alg", alg, "--seed", "0"]
-    return {"instance": _csv(rows)}, argv
+    return {"instance": None if defect == "directory" else _csv(rows)}, argv
 
 
 class TestMalformedInputRoundTrip:
@@ -704,8 +706,13 @@ class TestMalformedInputRoundTrip:
             paths = {}
             for name, text in files.items():
                 paths[name] = str(Path(tmp) / name)
-                Path(paths[name]).write_text(text)
+                if text is None:
+                    Path(paths[name]).mkdir()
+                else:
+                    Path(paths[name]).write_text(text)
             argv = [arg.format(**paths) for arg in argv]
+            out = Path(tmp) / "run"
             if argv[0] == "cluster":
-                argv += ["--out", str(Path(tmp) / "run")]
+                argv += ["--out", str(out)]
             assert main(argv) == EXIT_USAGE
+            assert not out.exists()

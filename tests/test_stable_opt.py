@@ -8,7 +8,7 @@ from ipstable import stable_opt
 from ipstable.clustering import Clustering, verify_stability
 from ipstable.metric import GenSpec, MetricSpace, generate
 from ipstable.stable_opt import (
-    _bottom_up_betas,
+    _merge_betas,
     beta,
     beta_clustering,
     create_tree,
@@ -109,6 +109,22 @@ def _tree(sp):
     return create_tree(D, mst(D))
 
 
+def _children(tree, v):
+    """Node v's (left, right) in the merge table; None for a leaf."""
+    n = len(tree.order)
+    return None if v < n else (tree.left[v - n], tree.right[v - n])
+
+
+def _nodes(tree):
+    """Every node reachable from the root, each parent before its children."""
+    out, stack = [], [tree.root]
+    while stack:
+        v = stack.pop()
+        out.append(v)
+        stack.extend(_children(tree, v) or ())
+    return out
+
+
 class TestMst:
     def test_single_point(self):
         assert mst(line_space([0]).pairs()) == []
@@ -159,11 +175,12 @@ def _top_down_tree(points, edges):
     )
 
 
-def _as_tuples(node):
-    points = [int(p) for p in node.points]
-    if node.is_leaf:
+def _as_tuples(tree, v):
+    points = [int(p) for p in tree.points(v)]
+    kids = _children(tree, v)
+    if kids is None:
         return (points,)
-    return (points, _as_tuples(node.left), _as_tuples(node.right))
+    return (points, _as_tuples(tree, kids[0]), _as_tuples(tree, kids[1]))
 
 
 class TestCreateTree:
@@ -174,7 +191,7 @@ class TestCreateTree:
             D = sp.pairs()
             edges = mst(D)
             tree = create_tree(D, edges)
-            assert _as_tuples(tree) == _top_down_tree(list(range(sp.n)), edges)
+            assert _as_tuples(tree, tree.root) == _top_down_tree(list(range(sp.n)), edges)
 
     def test_memory_bounded_by_chunk(self):
         # a cross block's rows are copied whole from the n x n table, at most
@@ -190,37 +207,51 @@ class TestCreateTree:
             tracemalloc.stop()
         assert peak < 6e6
 
+    def test_memory_linear_on_a_chain(self):
+        # geometric gaps make the tree a chain of n nested node sets; the leaf
+        # order holds them all in O(n), where a sorted copy per node took 9.3 MB
+        D = line_space(1.001 ** np.arange(1500)).pairs()
+        edges = mst(D)
+        tracemalloc.start()
+        try:
+            dp_min_beta(create_tree(D, edges), 10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2e6
+
     @pytest.mark.parametrize("chunk_cells", [1, 40])
     def test_diameter_read_in_row_chunks(self, chunk_cells, monkeypatch):
         # one row per chunk, or 40 // n rows: the max over the chunks is the block's
         monkeypatch.setattr(stable_opt, "_BLOCK_CHUNK_ELEMS", chunk_cells)
         for sp in _tied_and_random_spaces():
             table = sp.peek_block(np.arange(sp.n), np.arange(sp.n))
-            for node in _tree(sp).nodes():
-                pts = node.points  # ascending, so the upper triangle holds d(min, max)
-                assert node.diameter == np.triu(table[np.ix_(pts, pts)], 1).max()
+            tree = _tree(sp)
+            for v in _nodes(tree):
+                pts = tree.points(v)  # ascending, so the upper triangle holds d(min, max)
+                assert tree.diameter[v] == np.triu(table[np.ix_(pts, pts)], 1).max()
 
     def test_single_point_leaf(self):
         sp = line_space([0])
         tree = _tree(sp)
-        assert tree.is_leaf and list(tree.points) == [0]
+        assert tree.root == 0 and _children(tree, 0) is None and list(tree.points(0)) == [0]
 
     def test_line_structure(self):
         sp = line_space([0, 1, 5])
         tree = _tree(sp)
-        assert sorted(tree.points) == [0, 1, 2]
-        kids = {tuple(sorted(tree.left.points)), tuple(sorted(tree.right.points))}
+        assert list(tree.points(tree.root)) == [0, 1, 2]
+        kids = {tuple(tree.points(c)) for c in _children(tree, tree.root)}
         assert kids == {(0, 1), (2,)}
 
     def test_children_partition_parent(self):
         for seed in range(6):
             sp = random_space(18, seed=seed)
             tree = _tree(sp)
-            for node in tree.nodes():
-                if not node.is_leaf:
-                    union = sorted(np.concatenate([node.left.points, node.right.points]))
-                    assert union == sorted(node.points)
-            leaves = [n for n in tree.nodes() if n.is_leaf]
+            for v in _nodes(tree):
+                if _children(tree, v) is not None:
+                    union = sorted(np.concatenate([tree.points(c) for c in _children(tree, v)]))
+                    assert union == list(tree.points(v))
+            leaves = [v for v in _nodes(tree) if _children(tree, v) is None]
             assert len(leaves) == 18
 
 
@@ -236,32 +267,38 @@ class TestNodeBetas:
         ]
         for sp in [*_tied_and_random_spaces(), *skewed]:
             table = sp.peek_block(np.arange(sp.n), np.arange(sp.n))
-            pairs = _bottom_up_betas(_tree(sp))
-            assert len(pairs) == 2 * sp.n - 1
-            for node, value in pairs:
-                pts = node.points  # ascending, so the upper triangle holds d(min, max)
-                assert node.diameter == np.triu(table[np.ix_(pts, pts)], 1).max()
-                if node.is_leaf:
-                    assert node.diameter == 0.0
+            tree = _tree(sp)
+            betas = _merge_betas(tree)
+            assert len(betas) == sp.n - 1
+            for v in _nodes(tree):
+                pts = tree.points(v)  # ascending, so the upper triangle holds d(min, max)
+                assert tree.diameter[v] == np.triu(table[np.ix_(pts, pts)], 1).max()
+                if v < sp.n:
+                    assert tree.diameter[v] == 0.0
+                # a leaf's beta is the DP's constant 0.0
+                value = betas[v - sp.n] if v >= sp.n else 0.0
                 if sp not in skewed:
-                    assert value == beta(sp, node.points)
+                    assert value == beta(sp, pts)
 
     def test_children_before_parents(self):
+        # the DP walks the merges in table order over the leaves
         sp = random_space(20, seed=4)
-        seen = set()
-        for node, _ in _bottom_up_betas(_tree(sp)):
-            if not node.is_leaf:
-                assert id(node.left) in seen and id(node.right) in seen
-            seen.add(id(node))
+        tree = _tree(sp)
+        seen = set(range(sp.n))
+        for j, (left, right) in enumerate(zip(tree.left, tree.right)):
+            assert left in seen and right in seen
+            seen.add(sp.n + j)
+        assert tree.root == sp.n + len(tree.left) - 1
 
     def test_weight_is_children_separation(self):
         sp = random_matrix_space(15, seed=2)
         D = sp.peek_block(np.arange(15), np.arange(15))
-        for node in _tree(sp).nodes():
-            if node.is_leaf:
-                assert node.weight is None
-                continue
-            assert node.weight == D[np.ix_(node.left.points, node.right.points)].min()
+        tree = _tree(sp)
+        assert len(tree.weight) == 14  # one per merge, none for a leaf
+        for v in _nodes(tree):
+            if _children(tree, v) is not None:
+                left, right = (tree.points(c) for c in _children(tree, v))
+                assert tree.weight[v - sp.n] == D[np.ix_(left, right)].min()
 
 
 class TestDpMinBeta:
@@ -282,15 +319,15 @@ class TestDpMinBeta:
     def test_matches_exhaustive_tree_enumeration(self):
         # independent oracle: expand every clustering the tree induces and
         # take the best beta, with no separation assumption at all
-        def induced(u, parts):
+        def induced(tree, v, parts):
             if parts == 1:
-                return [[u.points]]
-            if u.is_leaf:
+                return [[tree.points(v)]]
+            if _children(tree, v) is None:
                 return []
             out = []
             for i in range(1, parts):
-                for right in induced(u.right, i):
-                    for left in induced(u.left, parts - i):
+                for right in induced(tree, _children(tree, v)[1], i):
+                    for left in induced(tree, _children(tree, v)[0], parts - i):
                         out.append(right + left)
             return out
 
@@ -301,7 +338,7 @@ class TestDpMinBeta:
             got = dp_min_beta(tree, k)
             best = min(
                 max(beta(sp, c) for c in clusters)
-                for clusters in induced(tree, k)
+                for clusters in induced(tree, tree.root, k)
             )
             assert beta_clustering(sp, got) == pytest.approx(best, rel=1e-12)
 
@@ -309,30 +346,31 @@ class TestDpMinBeta:
         # reference: the DP that fills all k part counts for every node and
         # skips the infeasible (None) entries inside the loop
         def dp_all_counts(sp, tree, k):
-            table = {}
-            for u, node_beta in _bottom_up_betas(tree):
+            # a leaf's row from beta() itself, the merges' from their table order
+            table = [[(beta(sp, [p]), 0)] + [None] * (k - 1) for p in range(sp.n)]
+            for left_id, right_id, node_beta in zip(tree.left, tree.right, _merge_betas(tree)):
                 row = [None] * k
                 row[0] = (node_beta, 0)
-                if not u.is_leaf:
-                    right, left = table[id(u.right)], table[id(u.left)]
-                    for parts in range(2, k + 1):
-                        best = None
-                        for i in range(1, parts):
-                            r, l = right[i - 1], left[parts - i - 1]
-                            if r is None or l is None:
-                                continue
-                            if best is None or max(r[0], l[0]) < best[0]:
-                                best = (max(r[0], l[0]), i)
-                        row[parts - 1] = best
-                table[id(u)] = row
-            clusters, stack = [], [(tree, k)]
+                right, left = table[right_id], table[left_id]
+                for parts in range(2, k + 1):
+                    best = None
+                    for i in range(1, parts):
+                        r, l = right[i - 1], left[parts - i - 1]
+                        if r is None or l is None:
+                            continue
+                        if best is None or max(r[0], l[0]) < best[0]:
+                            best = (max(r[0], l[0]), i)
+                    row[parts - 1] = best
+                table.append(row)
+            clusters, stack = [], [(tree.root, k)]
             while stack:
-                u, parts = stack.pop()
+                v, parts = stack.pop()
                 if parts == 1:
-                    clusters.append(u.points)
+                    clusters.append(tree.points(v))
                     continue
-                i = table[id(u)][parts - 1][1]
-                stack += [(u.right, i), (u.left, parts - i)]
+                i = table[v][parts - 1][1]
+                left_id, right_id = _children(tree, v)
+                stack += [(right_id, i), (left_id, parts - i)]
             return from_members(clusters)
 
         for sp in _tied_and_random_spaces():
@@ -368,6 +406,17 @@ class TestStableCluster:
             stable_cluster(sp, 2)
             assert sp.query_counter - before == n * (n - 1) // 2
 
+    def test_stages_called_once_through_the_module(self, monkeypatch):
+        # stage timers (perfbench's spans) patch these module attributes
+        sp = random_space(30, seed=2)
+        expected = stable_cluster(sp, 3)
+        calls = []
+        for name in ("mst", "create_tree", "dp_min_beta"):
+            stage = getattr(stable_opt, name)
+            monkeypatch.setattr(stable_opt, name, lambda *a, _s=stage, _n=name: calls.append(_n) or _s(*a))
+        assert stable_cluster(sp, 3) == expected
+        assert calls == ["mst", "create_tree", "dp_min_beta"]
+
     def test_recovers_planted(self):
         out = generate(GenSpec("planted_separated", n=30, k=3, separation=0.1, seed=4))
         got = stable_cluster(out.space, 3)
@@ -394,7 +443,7 @@ class TestStableCluster:
             if beta_clustering(sp, planted) >= 1:
                 continue
             tree = _tree(sp)
-            node_sets = {frozenset(map(int, u.points)) for u in tree.nodes()}
+            node_sets = {frozenset(map(int, tree.points(v))) for v in _nodes(tree)}
             for m in planted.members():
                 assert frozenset(map(int, m)) in node_sets
 
