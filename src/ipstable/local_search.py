@@ -7,7 +7,9 @@ alpha >= 2*log2(n), which certifies termination.
 
 ``max_ip_local_search`` runs the same loop for the max objective with alpha
 fixed at 1; each move strictly decreases the lexicographic edge signature,
-so states never repeat even though no polynomial step bound is known.
+so states never repeat even though no polynomial step bound is known.  The
+step condition itself proves the decrease, so a step's signatures are built
+only when something reads them.
 
 ``search`` is that loop, shared with the merge-and-split searches of
 ``merge_split`` and ``median_ip``, which differ only in the step they take.
@@ -60,13 +62,31 @@ class LsConfig:
             raise ValueError("init='given' requires an initial clustering")
 
 
+class _State:
+    """One max-search state: a copy of its labels, and their edge signature
+    once something reads it.  Consecutive steps share the state between
+    them, so each state's signature is built at most once."""
+
+    __slots__ = ("order", "labels", "_signature")
+
+    def __init__(self, order: np.ndarray, labels: np.ndarray):
+        self.order, self.labels, self._signature = order, labels.copy(), None
+
+    def signature(self) -> MaxIpSignature:
+        if self._signature is None:
+            self._signature = signature_from_order(self.order, self.labels)
+        return self._signature
+
+
 @dataclass
 class Step:
     """One exact-search step: ``point`` is the most envious point, ``source``
     its cluster and ``target`` the cluster it envies most.  ``kind`` is "swap"
     or "merge_split".  A search leaves the fields it does not record at their
     defaults: ``phi_*`` for max, ``threshold`` for natural and max, and
-    ``sig_*`` for all but max.
+    ``states`` for all but max.  Max records the states before and after the
+    move; ``sig_before`` and ``sig_after`` build their signatures on first
+    read (None for the other searches).
     """
 
     kind: str
@@ -76,8 +96,15 @@ class Step:
     phi_before: float = math.nan
     phi_after: float = math.nan
     threshold: float = math.nan
-    sig_before: Optional[MaxIpSignature] = None
-    sig_after: Optional[MaxIpSignature] = None
+    states: tuple = field(default=(), repr=False)
+
+    @property
+    def sig_before(self) -> Optional[MaxIpSignature]:
+        return self.states[0].signature() if self.states else None
+
+    @property
+    def sig_after(self) -> Optional[MaxIpSignature]:
+        return self.states[1].signature() if self.states else None
 
 
 @dataclass
@@ -139,13 +166,32 @@ def natural_local_search(space: MetricSpace, k: int, config: LsConfig) -> tuple[
 
 
 def max_ip_local_search(space: MetricSpace, k: int, config: LsConfig) -> tuple[Clustering, LsTrace]:
-    """Local search for the max objective at alpha = 1; records signatures."""
+    """Local search for the max objective at alpha = 1.
+
+    Each move strictly lowers the edge signature over ``edge_order``, read
+    once here.  A move of p from src to dst turns off p's edges to src\\{p}
+    and turns on its edges to dst; no other bit changes.  The search moves p
+    only when max d(p, src\\{p}) > max d(p, dst) (its ratio exceeds 1, and
+    dst is its nearest foreign column), and that inequality is strict, so no
+    tie between the two sides decides it.  The first changed bit in edge
+    order is therefore an edge to src, and it turns off.  The argument reads
+    each edge at one length; a table that is symmetric only within the
+    loader's tolerance gives the search d(p, q) from p's row and
+    ``edge_order`` its upper-triangle entry, and a move between edges tied
+    within that tolerance can raise the signature.
+
+    So the search needs no signature; its steps record label snapshots, and
+    a step's signatures are built when first read.
+    """
     table = _table(space, k, config, "max")
     order = edge_order(space)
+    state = _State(order, table.assign)
 
     def swap(p, src, dst, phi):
-        before = signature_from_order(order, table.assign)
+        nonlocal state
+        before = state
         table.move(p, dst)
-        return Step("swap", p, src, dst, sig_before=before, sig_after=signature_from_order(order, table.assign))
+        state = _State(order, table.assign)
+        return Step("swap", p, src, dst, states=(before, state))
 
     return search(table, 1.0, config.max_steps, swap)

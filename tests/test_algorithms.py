@@ -9,10 +9,11 @@ from scipy.sparse.csgraph import shortest_path
 
 from ipstable import ALGORITHMS, Clustering, MetricSpace, cli, verify_stability
 from ipstable.clustering import _ObjectiveTable
+from ipstable.potential import edge_order
 from ipstable.stable_opt import beta_clustering
 
 from conftest import random_space, skewed
-from reference import brute_force_min_beta, max_ip_signature, most_envious
+from reference import bits, brute_force_min_beta, max_ip_signature, most_envious
 
 
 def test_registry_matches_cli_and_pins_each_certified_alpha():
@@ -65,6 +66,43 @@ def small_instances(draw):
     return space, k, seed
 
 
+def _check_signature_certificate(space, k, steps):
+    """Check max's decrease argument on every step along the round-robin
+    start's path.  The witness is p's first changed edge in edge order, the
+    longest of its edges to src\\{p} and to dst (ties by (i, j)), found from
+    |src| + |dst| table entries: it is the first bit where the loop oracle's
+    signatures before and after the move differ, and on an exactly symmetric
+    table it goes to src, so that bit turns off and the signature falls.
+    The step condition, read from p's row as the search reads it, is strict.
+    The lazily built signatures equal the oracle's."""
+    n = space.n
+    D = space.full()
+    symmetric = np.array_equal(D, D.T)
+    rank = np.empty(n * n, dtype=np.intp)
+    rank[edge_order(space)] = np.arange(n * (n - 1) // 2)
+    labels = np.arange(n) % k
+    for step in steps:
+        p = step.point
+        src = [q for q in np.flatnonzero(labels == step.source) if q != p]
+        dst = np.flatnonzero(labels == step.target)
+        assert max(D[p, src]) > max(D[p, dst])
+        _, i, j, to_src = min(
+            (-D[min(p, q), max(p, q)], min(p, q), max(p, q), side == "src")
+            for side, part in (("src", src), ("dst", dst))
+            for q in part
+        )
+        before = max_ip_signature(space, labels)
+        labels[p] = step.target
+        after = max_ip_signature(space, labels)
+        was, now = bits(before), bits(after)
+        first = np.flatnonzero(was != now)[0]
+        assert rank[i * n + j] == first
+        assert was[first] == to_src and now[first] == (not to_src)
+        if symmetric:
+            assert to_src and after < before
+        assert step.sig_before == before and step.sig_after == after
+
+
 @settings(max_examples=200, derandomize=True, deadline=None)
 @given(small_instances())
 def test_every_algorithm_is_deterministic_and_stable_on_small_instances(instance):
@@ -85,14 +123,8 @@ def test_every_algorithm_is_deterministic_and_stable_on_small_instances(instance
         if name == "natural":
             assert queries == n**2
         if name == "max":
-            # the table's full() and edge_order's; every step's two signatures
-            # are checked against the loop oracle along the round-robin start's path
-            assert queries == 2 * n**2
-            labels = np.arange(n) % k
-            for step in trace.steps:
-                assert step.sig_before == max_ip_signature(space, labels)
-                labels[step.point] = step.target
-                assert step.sig_after == max_ip_signature(space, labels)
+            assert queries == 2 * n**2  # the table's full() and edge_order's
+            _check_signature_certificate(space, k, trace.steps)
         if name == "dp":
             assert queries == dp_queries
             _, best = brute_force_min_beta(space, k)

@@ -7,7 +7,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from ipstable import algorithms, cli
 from ipstable.cli import EXIT_CAP, EXIT_INTERNAL, EXIT_OK, EXIT_UNSTABLE, EXIT_USAGE, main
@@ -656,15 +656,24 @@ def _csv(rows):
 
 @st.composite
 def malformed_inputs(draw):
-    """(files, argv) for one malformed points, matrix or clustering input; a
-    file's text of None puts a directory at its path."""
+    """(files, argv) for one malformed points, matrix or clustering input, or
+    one output path that cannot be written (an existing file as ``gen``'s
+    directory, a directory as ``bench``'s file); a file's text of None puts a
+    directory at its path."""
     n = draw(st.integers(2, 7))
     xs = draw(st.lists(st.integers(0, 9), min_size=n, max_size=n))
     points = [["x0", "x1"]] + [[str(x), str((3 * x) % 7)] for x in xs]
     table = [[str(abs(a - b)) for b in xs] for a in xs]
     alg = draw(st.sampled_from(tuple(cli.ALGORITHMS)))
-    kind = draw(st.sampled_from(["points", "matrix", "clustering"]))
-    defect = draw(st.sampled_from(["nan", "bad value", "ragged", "k", "directory"]))
+    kind = draw(st.sampled_from(["points", "matrix", "clustering", "gen", "bench"]))
+    if kind == "gen":
+        gen_kind = draw(st.sampled_from(["euclidean_mixture", "random_shortest_path", "planted_separated"]))
+        argv = ["gen", "--kind", gen_kind, "--n", str(n), "--k", "2", "--seed", "0", "--out", "{out}"]
+        return {"out": "an existing file\n"}, argv
+    if kind == "bench":
+        return {"out": None}, ["bench", "--alg", alg, "--n", str(n), "--k", "2", "--seeds", "0", "--out", "{out}"]
+    defects = ["nan", "bad value", "ragged", "k", "directory", "truncated"] + (["header"] if kind == "points" else [])
+    defect = draw(st.sampled_from(defects))
     bad_k = draw(st.sampled_from([-1, 0, 1, n + 1, n + 5, 10**23]))
     if kind == "clustering":
         assignment = [i % 2 for i in range(n)]
@@ -678,6 +687,8 @@ def malformed_inputs(draw):
         elif defect == "k":
             k = bad_k
         clustering = None if defect == "directory" else json.dumps({"k": k, "assignment": assignment})
+        if defect == "truncated":
+            clustering = clustering[: draw(st.integers(0, len(clustering) - 1))]
         files = {"instance": _csv(points), "clustering": clustering}
         return files, ["verify", "--in", "{instance}", "--format", "points", "--clustering", "{clustering}"]
     rows = points if kind == "points" else table
@@ -694,11 +705,24 @@ def malformed_inputs(draw):
         rows[r] = rows[r][:-1] if draw(st.booleans()) else rows[r] + ["1"]
     elif defect == "k":
         k = bad_k
+    elif defect == "header":  # wrong, reordered or missing
+        header = draw(st.sampled_from([["y0", "y1"], ["x0", "X1"], ["x1", "x0"], None]))
+        rows = rows[1:] if header is None else [header] + rows[1:]
     argv = ["cluster", "--in", "{instance}", "--format", kind, "--k", str(k), "--alg", alg, "--seed", "0"]
-    return {"instance": None if defect == "directory" else _csv(rows)}, argv
+    text = _csv(rows)
+    if defect == "truncated":  # the last row loses at least its last cell, and the file its last newline
+        last = rows[-1][: draw(st.integers(1, len(rows[-1]) - 1))]
+        text = _csv(rows[:-1]) + ",".join(last) + draw(st.sampled_from(["", ","]))
+    return {"instance": None if defect == "directory" else text}, argv
+
+
+def _tree(root):
+    """Every path under root, with its bytes (None for a directory)."""
+    return {path: path.read_bytes() if path.is_file() else None for path in Path(root).rglob("*")}
 
 
 class TestMalformedInputRoundTrip:
+    @settings(max_examples=150)
     @given(malformed_inputs())
     def test_exit_code_is_usage_error(self, case):
         files, argv = case
@@ -714,5 +738,7 @@ class TestMalformedInputRoundTrip:
             out = Path(tmp) / "run"
             if argv[0] == "cluster":
                 argv += ["--out", str(out)]
+            made = _tree(tmp)
             assert main(argv) == EXIT_USAGE
+            assert _tree(tmp) == made  # no file is created, and none is overwritten
             assert not out.exists()

@@ -476,6 +476,48 @@ class TestColumnStep:
         assert st.est.flags.f_contiguous and st.est.shape == (12, 5)
         assert st.phi[3] is None and st.phi[4] is None
 
+    def test_swap_after_merge_and_split_matches_a_fresh_state(self):
+        # a swap on columns that a merge-and-split renumbered changes the
+        # books exactly as on a state built fresh from the post-split labels
+        space = line_space(np.arange(12.0) ** 2)
+        st = EpochState(Clustering(np.array([3, 0, 1, 4, 2, 1, 0, 3, 4, 1, 2, 0]), 5), 0.1, 20.0)
+        st.recompute = []
+        for c in range(st.k):
+            _estimate(space, st, c)
+        st.t_star = 100.0 * st.alpha  # a column is queued once its error exceeds 1/|C|
+        columns = [frozenset(st.members(c)) for c in range(st.k)]
+        fast._merge_and_split(space, st, 1, 3, rng_from_seed(0))
+        assert st.counts["merge_split"] == 1 and st.recompute
+        while st.recompute:  # the epoch's re-estimates of the queued columns
+            _estimate(space, st, st.recompute.pop(0))
+
+        # p sits in a surviving column that the remap renumbered; dst is new
+        src = next(c for c in range(st.k) if frozenset(st.members(c)) in columns[c + 1 :])
+        p, dst = int(st.members(src)[0]), st.k - 1
+        assert len(st.members(src)) > 1 and dst != src
+        st.est[:] = 1.0  # no point violates: (m / (m - 1)) * 1 <= (alpha / 2) * 1
+        st.est[p, src], st.est[p, dst] = 5.0, 0.5
+
+        # every column estimated afresh: the survivors' carried books must match
+        fresh = EpochState(Clustering(st.assign, st.k), st.eps, st.alpha)
+        fresh.recompute, fresh.t_star = [], st.t_star
+        for c in range(fresh.k):
+            _estimate(space, fresh, c)
+        fresh.est[:] = st.est
+        names = ("error", "num_swaps", "size_hat", "phi")
+        assert [getattr(st, name) for name in names] == [getattr(fresh, name) for name in names]
+        assert st.sizes.tolist() == fresh.sizes.tolist()
+        assert st.find_violator() == fresh.find_violator() == (p, dst)
+        for state in (st, fresh):
+            fast._swap(state, p, src, dst)
+        assert np.array_equal(st.assign, fresh.assign) and st.assign[p] == dst
+        assert st.sizes.tolist() == fresh.sizes.tolist() == np.bincount(st.assign).tolist()
+        for name in ("error", "num_swaps", "phi", "recompute"):
+            assert getattr(st, name) == getattr(fresh, name), name
+        # src's error 5/|src| passes 1/|src|; dst's 0.5/|dst| does not
+        assert st.recompute == [src]
+        assert st.phi[src] is None and st.phi[dst] is None
+
     def test_auditor_follows_the_columns(self):
         # EpochAuditor keys its records by column; a merge-and-split moves them
         st = self.state()
@@ -489,6 +531,14 @@ class TestColumnStep:
         audit.every_iteration(None, st, 2)
         assert audit.tilde == {0: "tilde 2", 1: "tilde 4"}
         assert audit.progress == {0: 2.0, 1: 4.0}
+
+
+def _estimate(space, st, c):
+    """Re-estimate column c as an epoch does, with exact averages."""
+    members = st.members(c)
+    st.est[:, c] = exact_avg(space, members, np.arange(st.n))
+    st.error[c], st.size_hat[c], st.num_swaps[c] = 0.0, len(members), 0
+    st.phi[c] = math.log2(len(members)) * float(st.est[members, c].sum())
 
 
 class PhiCacheAuditor:

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from ipstable import local_search
 from ipstable.clustering import Clustering, verify_stability
 from ipstable.local_search import (
     CAP_EXCEEDED,
@@ -170,6 +171,33 @@ class TestMaxIpLocalSearch:
             for step in trace.steps:
                 assert step.sig_after < step.sig_before
             assert verify_stability(sp, out, "max", 1.0).passed
+
+    def test_signatures_are_built_only_when_read(self, monkeypatch):
+        calls = []
+        real = local_search.signature_from_order
+
+        def counted(order, assignment):
+            calls.append(None)
+            return real(order, assignment)
+
+        monkeypatch.setattr(local_search, "signature_from_order", counted)
+        sp = random_space(30, seed=0, k=3)
+        before = sp.query_counter
+        out, trace = max_ip_local_search(sp, 3, LsConfig())
+        unread = (out, trace.status, trace.counts, sp.query_counter - before)
+        assert calls == [] and trace.counts["swap"] > 1
+
+        before = sp.query_counter
+        out, trace = max_ip_local_search(sp, 3, LsConfig())
+        for step in trace.steps:
+            made = len(calls)
+            sigs = step.sig_before, step.sig_after
+            built = len(calls)
+            assert built - made <= 2
+            assert (step.sig_before, step.sig_after) == sigs and len(calls) == built
+        assert (out, trace.status, trace.counts, sp.query_counter - before) == unread
+        # consecutive steps share a state, so each state's signature is built once
+        assert len(calls) == len(trace.steps) + 1
 
     def test_no_state_repeats(self):
         sp = random_matrix_space(25, seed=2)
