@@ -77,6 +77,12 @@ class _State:
             self._signature = signature_from_order(self.order, self.labels)
         return self._signature
 
+    def __eq__(self, other):
+        # states compare by their signatures, as the steps' signatures did
+        if not isinstance(other, _State):
+            return NotImplemented
+        return self.signature() == other.signature()
+
 
 @dataclass
 class Step:

@@ -199,6 +199,13 @@ class TestMaxIpLocalSearch:
         # consecutive steps share a state, so each state's signature is built once
         assert len(calls) == len(trace.steps) + 1
 
+    def test_identical_runs_give_equal_steps(self):
+        sp = random_space(30, seed=0, k=3)
+        _, first = max_ip_local_search(sp, 3, LsConfig())
+        _, second = max_ip_local_search(sp, 3, LsConfig())
+        assert len(first.steps) > 1 and first.steps == second.steps
+        assert first.steps[0] != first.steps[1]
+
     def test_no_state_repeats(self):
         sp = random_matrix_space(25, seed=2)
         _, trace = max_ip_local_search(sp, 4, LsConfig())
