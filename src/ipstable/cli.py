@@ -139,27 +139,31 @@ def cmd_cluster(args) -> int:
     clustering, trace = algorithm.run(space, args.k, args.seed or 0, args.max_steps, **alpha)
     elapsed = time.perf_counter() - t0
     queries = space.query_counter - queries_before
+    # a max trace's states hold the search's distance table and every label
+    # snapshot; release them before the verifier reads its own table
+    alpha_target, counts, status = trace.alpha, trace.counts, trace.status
+    del trace
 
-    report_check = verify_stability(space, clustering, algorithm.objective, trace.alpha)
+    report_check = verify_stability(space, clustering, algorithm.objective, alpha_target)
     run_report = {
         "algorithm": args.alg,
         "k": args.k,
         "n": space.n,
         "seed": args.seed,
         "objective": algorithm.objective,
-        "alpha_target": trace.alpha,
+        "alpha_target": alpha_target,
         "alpha_achieved": report_check.alpha_achieved,
-        "steps": trace.counts,
+        "steps": counts,
         "queries": queries,
         "wall_time_s": 0.0 if args.no_time else elapsed,
-        "status": trace.status,
+        "status": status,
     }
-    if trace.alpha is None:  # dp certifies beta instead
+    if alpha_target is None:  # dp certifies beta instead
         run_report["beta_achieved"] = beta_clustering(space, clustering)
     report_text = strict_json(run_report, indent=2)
     (out / "clustering.json").write_text(clustering.to_json())
     (out / "report.json").write_text(report_text)
-    return _emit(report_text, EXIT_CAP if trace.status == CAP_EXCEEDED else EXIT_OK)
+    return _emit(report_text, EXIT_CAP if status == CAP_EXCEEDED else EXIT_OK)
 
 
 def cmd_verify(args) -> int:

@@ -211,17 +211,17 @@ class _ObjectiveTable(_Columns):
     """f(p, C) for every point p and cluster C under one objective, kept exact
     while a search moves points, merges clusters and splits them.
 
-    Built from one ``space.full()`` read.  Columns are the clusters in
-    creation order, moved by the column step of ``_Columns``, which fast's
-    ``EpochState`` shares.  Member arrays keep insertion order (a moved point
-    is appended, a merge concatenates), which is the order the randomized
-    split permutes.
+    Built from one ``space.pairs()`` read, an exactly symmetric table.
+    Columns are the clusters in creation order, moved by the column step of
+    ``_Columns``, which fast's ``EpochState`` shares.  Member arrays keep
+    insertion order (a moved point is appended, a merge concatenates), which
+    is the order the randomized split permutes.
 
-    A move of p updates the two columns it touches from the distances
-    ``D[:, p]`` alone.  For avg the table holds distance sums (f = sums /
-    size), which gain or lose that column.  For max the target column takes
-    its elementwise maximum with it, and the source column is recomputed only
-    on the rows whose maximum was d(r, p).  For median, every column keeps
+    A move of p updates the two columns it touches from p's row ``D[p]``
+    alone.  For avg the table holds distance sums (f = sums / size), which
+    gain or lose that column.  For max the target column takes its
+    elementwise maximum with it, and the source column is recomputed only on
+    the rows whose maximum was d(r, p).  For median, every column keeps
     its distance block sorted along each row (``_sorted[c]``, n x |C|; one
     n x n array over all columns, built with the table); a move deletes
     d(r, p) from each source row and inserts it into each target row, and
@@ -258,7 +258,7 @@ class _ObjectiveTable(_Columns):
         if objective not in OBJECTIVES:
             raise ValueError(f"unknown objective {objective!r}")
         self.objective = objective
-        self.D = space.full()
+        self.D = space.pairs()
         self.n = clustering.n
         self.assign = clustering.assignment.copy()
         self.members = list(clustering.members())
@@ -296,7 +296,7 @@ class _ObjectiveTable(_Columns):
         self.members[src] = self.members[src][self.members[src] != p]
         self.members[dst] = np.concatenate((self.members[dst], [p]))
         self._potential[src] = self._potential[dst] = None
-        dist = self.D[:, p]
+        dist = self.D[p]
         if self.objective == "avg":
             self.table[:, src] -= dist
             self.table[:, dst] += dist

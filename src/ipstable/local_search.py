@@ -17,6 +17,7 @@ only when something reads them.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -64,17 +65,18 @@ class LsConfig:
 
 class _State:
     """One max-search state: a copy of its labels, and their edge signature
-    once something reads it.  Consecutive steps share the state between
+    once something reads it.  ``order`` returns the search's edge order,
+    which all its states share.  Consecutive steps share the state between
     them, so each state's signature is built at most once."""
 
     __slots__ = ("order", "labels", "_signature")
 
-    def __init__(self, order: np.ndarray, labels: np.ndarray):
+    def __init__(self, order: Callable[[], np.ndarray], labels: np.ndarray):
         self.order, self.labels, self._signature = order, labels.copy(), None
 
     def signature(self) -> MaxIpSignature:
         if self._signature is None:
-            self._signature = signature_from_order(self.order, self.labels)
+            self._signature = signature_from_order(self.order(), self.labels)
         return self._signature
 
     def __eq__(self, other):
@@ -174,23 +176,22 @@ def natural_local_search(space: MetricSpace, k: int, config: LsConfig) -> tuple[
 def max_ip_local_search(space: MetricSpace, k: int, config: LsConfig) -> tuple[Clustering, LsTrace]:
     """Local search for the max objective at alpha = 1.
 
-    Each move strictly lowers the edge signature over ``edge_order``, read
-    once here.  A move of p from src to dst turns off p's edges to src\\{p}
-    and turns on its edges to dst; no other bit changes.  The search moves p
-    only when max d(p, src\\{p}) > max d(p, dst) (its ratio exceeds 1, and
-    dst is its nearest foreign column), and that inequality is strict, so no
-    tie between the two sides decides it.  The first changed bit in edge
-    order is therefore an edge to src, and it turns off.  The argument reads
-    each edge at one length; a table that is symmetric only within the
-    loader's tolerance gives the search d(p, q) from p's row and
-    ``edge_order`` its upper-triangle entry, and a move between edges tied
-    within that tolerance can raise the signature.
+    Each move strictly lowers the edge signature over ``edge_order``.  A
+    move of p from src to dst turns off p's edges to src\\{p} and turns on
+    its edges to dst; no other bit changes.  The search moves p only when
+    max d(p, src\\{p}) > max d(p, dst) (its ratio exceeds 1, and dst is its
+    nearest foreign column), and that inequality is strict, so no tie
+    between the two sides decides it.  The first changed bit in edge order
+    is therefore an edge to src, and it turns off.  The argument reads each
+    edge at one length, which the objective table's symmetric ``pairs()``
+    read gives.
 
     So the search needs no signature; its steps record label snapshots, and
-    a step's signatures are built when first read.
+    a step's signatures are built when first read.  The edge order is sorted
+    from the objective table's distances on the first read, once per search.
     """
     table = _table(space, k, config, "max")
-    order = edge_order(space)
+    order = functools.cache(lambda: edge_order(table.D))
     state = _State(order, table.assign)
 
     def swap(p, src, dst, phi):

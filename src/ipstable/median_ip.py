@@ -71,11 +71,12 @@ def _split_sharpest(table: _ObjectiveTable) -> None:
     the larger median distance to the rest of the cluster (ties to i).  The
     pair is the first largest block entry in row-major order over sorted
     members: the first row whose sorted maximum is the diameter, then that
-    row's first largest entry.  The medians are the table's own medians."""
+    row's first largest entry, which lies at or after that row, as the table
+    is symmetric.  The medians are the table's own medians."""
     best = max((c for c, m in enumerate(table.members) if len(m) > 1), key=lambda c: (table.diameter_of(c), -c))
     m = np.sort(table.members[best])
     r = int(np.argmax(table._sorted[best][m, -1] == table.diameter_of(best)))
-    i, j = m[sorted((r, int(np.argmax(table.D[m[r], m]))))]
+    i, j = m[r], m[np.argmax(table.D[m[r], m])]
     detach = i if table._own[i] >= table._own[j] else j
     table.split(best, m[m != detach], np.array([detach], dtype=np.intp))
 

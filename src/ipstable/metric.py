@@ -55,10 +55,11 @@ _CLOSURE_ROWS = 64
 class MetricSpace:
     """Immutable point set with a distance oracle and a query counter.
 
-    Backed either by an explicit symmetric distance table or by a coordinate
-    array with an L2/L1 norm.  Every distance read goes through one block
-    kernel; for coordinates it computes the block in bounded row chunks, so
-    its temporaries stay small whatever the block size.  Every accessor
+    Backed either by an explicit distance table, stored exactly symmetric as
+    its upper triangle mirrored, or by a coordinate array with an L2/L1
+    norm.  Every distance read goes through one block kernel; for
+    coordinates it computes the block in bounded row chunks, so its
+    temporaries stay small whatever the block size.  Every accessor
     rejects an index outside ``0..n-1`` with IndexError before it charges
     the counter.  The instance is safe to share across threads; the query
     counter is updated under a lock.
@@ -75,8 +76,10 @@ class MetricSpace:
                 raise ValueError(f"distance table must be square, got {mat.shape}")
             if validate:
                 _validate_table(mat)
-            mat = mat.copy()
-            mat += 0.0  # -0.0 entries become +0.0: x / -0.0 is -inf
+            # one length per pair, d(min(i, j), max(i, j)); the diagonal and
+            # any -0.0 become +0.0 (x / -0.0 is -inf)
+            mat = np.triu(mat, 1)
+            mat += mat.T
             mat.flags.writeable = False
             self._matrix = mat
             self._xt = None
@@ -160,14 +163,15 @@ class MetricSpace:
         """The symmetric n x n table d(min(i, j), max(i, j)), 0 on the diagonal;
         charges n(n-1)/2 queries, one per unordered pair.
 
-        Only the upper triangle is evaluated, in row tiles of at most
+        A table-backed space returns its stored read-only table.  Otherwise
+        only the upper triangle is evaluated, in row tiles of at most
         ``_BLOCK_CHUNK_ELEMS`` cells; each tile's values equal :meth:`full`'s,
-        and the lower triangle is mirrored from it in place.  A table-backed
-        space thus reads its stored upper triangle, also where the table is
-        asymmetric within the loader's tolerance.
+        and the lower triangle is mirrored from it in place.
         """
         n = self.n
         self.charge(n * (n - 1) // 2)
+        if self._matrix is not None:
+            return self._matrix
         idx = np.arange(n)
         out = np.empty((n, n))
         step = max(1, _BLOCK_CHUNK_ELEMS // n)

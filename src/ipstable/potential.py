@@ -61,30 +61,13 @@ class MaxIpSignature:
         return self.packed < other.packed
 
 
-def edge_order(space: MetricSpace) -> np.ndarray:
-    """Clique edges as flat cells ``i * n + j`` (i < j), sorted by
-    (-length, i, j); fixed per space.
-
-    The upper-triangle mask lists the cells by (i, j), so among ties the
-    order must be by position in that list.  An unstable sort on -length is
-    several times faster than a stable one; the positions inside each run of
-    equal lengths are then sorted back, where such runs exist.  Reads
-    ``space.full()`` once.
-    """
-    n = space.n
+def edge_order(D: np.ndarray) -> np.ndarray:
+    """Clique edges of the symmetric n x n table ``D`` as flat cells
+    ``i * n + j`` (i < j), sorted by (-length, i, j): the upper-triangle mask
+    lists the cells by (i, j), and a stable sort keeps that order among ties."""
+    n = len(D)
     upper = np.triu(np.ones((n, n), dtype=bool), 1)
-    cells = np.flatnonzero(upper)
-    keys = -space.full()[upper]
-    order = np.argsort(keys)
-    ranked = keys[order]
-    tied = ranked[1:] == ranked[:-1]
-    if tied.any():
-        # (run number, position) as one integer key: exact in int64 while
-        # the cell count is below 3e9 (n < 77,000, a 47 GB table)
-        run = np.cumsum(np.concatenate(([True], ~tied)))
-        inrun = np.flatnonzero(np.concatenate(([False], tied)) | np.concatenate((tied, [False])))
-        order[inrun] = order[inrun][np.argsort(run[inrun] * len(order) + order[inrun])]
-    return cells.take(order)
+    return np.flatnonzero(upper).take(np.argsort(-D[upper], kind="stable"))
 
 
 def signature_from_order(order: np.ndarray, assignment: np.ndarray) -> MaxIpSignature:

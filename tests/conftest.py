@@ -30,9 +30,11 @@ def table_spaces():
 
 def skewed(space, triangle="upper", rel=1e-10):
     """space's distance table with one triangle ("upper" or "lower") scaled
-    by 1 + rel, rel a scalar or an n x n array: symmetric only within the
-    1e-9 tolerance, so the orientation a pair is read in decides ties
-    between pairs."""
+    by 1 + rel, rel a scalar or an n x n array, loaded as a table: symmetric
+    only within the loader's 1e-9 tolerance.  The loader keeps the upper
+    triangle in both, so every read sees one length per pair: a skewed lower
+    triangle loads the unskewed table, and a skewed upper one a scaled
+    table."""
     n = space.n
     idx = np.arange(n)
     tri = np.triu(np.ones((n, n)), 1) if triangle == "upper" else np.tril(np.ones((n, n)), -1)

@@ -9,6 +9,7 @@ from scipy.sparse.csgraph import shortest_path
 
 from ipstable import ALGORITHMS, Clustering, MetricSpace, cli, verify_stability
 from ipstable.clustering import _ObjectiveTable
+from ipstable.local_search import LsConfig, max_ip_local_search
 from ipstable.potential import edge_order
 from ipstable.stable_opt import beta_clustering
 
@@ -66,21 +67,20 @@ def small_instances(draw):
     return space, k, seed
 
 
-def _check_signature_certificate(space, k, steps):
-    """Check max's decrease argument on every step along the round-robin
-    start's path.  The witness is p's first changed edge in edge order, the
-    longest of its edges to src\\{p} and to dst (ties by (i, j)), found from
-    |src| + |dst| table entries: it is the first bit where the loop oracle's
-    signatures before and after the move differ, and on an exactly symmetric
-    table it goes to src, so that bit turns off and the signature falls.
-    The step condition, read from p's row as the search reads it, is strict.
-    The lazily built signatures equal the oracle's."""
+def _check_signature_certificate(space, start, steps):
+    """Check max's decrease argument on every step along the path from the
+    ``start`` labels.  The witness is p's first changed edge in edge order,
+    the longest of its edges to src\\{p} and to dst (ties by (i, j)), found
+    from |src| + |dst| table entries: it is the first bit where the loop
+    oracle's signatures before and after the move differ, and it goes to
+    src, so that bit turns off and the signature falls.  The step condition,
+    read from p's row as the search reads it, is strict.  The lazily built
+    signatures equal the oracle's."""
     n = space.n
     D = space.full()
-    symmetric = np.array_equal(D, D.T)
     rank = np.empty(n * n, dtype=np.intp)
-    rank[edge_order(space)] = np.arange(n * (n - 1) // 2)
-    labels = np.arange(n) % k
+    rank[edge_order(space.pairs())] = np.arange(n * (n - 1) // 2)
+    labels = np.array(start)
     for step in steps:
         p = step.point
         src = [q for q in np.flatnonzero(labels == step.source) if q != p]
@@ -98,8 +98,7 @@ def _check_signature_certificate(space, k, steps):
         first = np.flatnonzero(was != now)[0]
         assert rank[i * n + j] == first
         assert was[first] == to_src and now[first] == (not to_src)
-        if symmetric:
-            assert to_src and after < before
+        assert to_src and after < before
         assert step.sig_before == before and step.sig_after == after
 
 
@@ -121,10 +120,10 @@ def test_every_algorithm_is_deterministic_and_stable_on_small_instances(instance
         assert out.k == k and out.n == space.n, name
         assert status == "converged", name
         if name == "natural":
-            assert queries == n**2
+            assert queries == n * (n - 1) // 2
         if name == "max":
-            assert queries == 2 * n**2  # the table's full() and edge_order's
-            _check_signature_certificate(space, k, trace.steps)
+            assert queries == n * (n - 1) // 2  # the table's pairs(); edge_order sorts that table
+            _check_signature_certificate(space, np.arange(n) % k, trace.steps)
         if name == "dp":
             assert queries == dp_queries
             _, best = brute_force_min_beta(space, k)
@@ -138,3 +137,15 @@ def test_every_algorithm_is_deterministic_and_stable_on_small_instances(instance
     for objective in ("avg", "median", "max"):
         table = _ObjectiveTable(space, start, objective)
         assert table.most_envious() == most_envious(space, start, objective), objective
+
+
+def test_max_certificate_holds_on_a_table_skewed_within_the_tolerance():
+    # points 1, 2, 3 on an l1 line with the upper triangle scaled by 1 + 1e-10:
+    # the loader keeps that triangle in both, so each edge has one length.
+    # Read in two orientations, d(1, 2) exceeded d(1, 0) and the search moved
+    # point 1 to point 0's cluster, raising the signature
+    space = skewed(MetricSpace.from_points(np.array([[1.0], [2.0], [3.0]]), norm="l1"), "upper")
+    start = [0, 1, 1]
+    out, trace = max_ip_local_search(space, 2, LsConfig(initial=Clustering(start, 2)))
+    _check_signature_certificate(space, start, trace.steps)
+    assert verify_stability(space, out, "max", 1.0).passed

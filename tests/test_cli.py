@@ -1,11 +1,15 @@
+import contextlib
 import errno
+import io
 import json
 import math
 import os
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -742,3 +746,57 @@ class TestMalformedInputRoundTrip:
             assert main(argv) == EXIT_USAGE
             assert _tree(tmp) == made  # no file is created, and none is overwritten
             assert not out.exists()
+
+
+@st.composite
+def valid_inputs(draw):
+    """(format, text, k) for one small valid instance: integer points in the
+    plane, or the l1 table of such points, which may be skewed within the
+    loader's 1e-9 symmetry tolerance (one triangle, or random cells)."""
+    n = draw(st.integers(3, 7))
+    xy = draw(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)), min_size=n, max_size=n))
+    k = draw(st.integers(2, n))
+    if draw(st.booleans()):
+        return "points", _csv([["x0", "x1"]] + [[str(x), str(y)] for x, y in xy]), k
+    pts = np.array(xy, dtype=float)
+    table = np.abs(pts[:, None] - pts[None]).sum(axis=2)
+    skew = draw(st.sampled_from([None, "upper", "lower", "cells"]))
+    if skew == "upper":
+        table *= 1.0 + np.triu(np.full((n, n), 1e-10), 1)
+    elif skew == "lower":
+        table *= 1.0 + np.tril(np.full((n, n), 1e-10), -1)
+    elif skew == "cells":
+        seed = draw(st.integers(0, 2**16))
+        table *= 1.0 + np.random.default_rng(seed).uniform(-2.5e-10, 2.5e-10, size=(n, n))
+    return "matrix", _csv([[format(v, ".17g") for v in row] for row in table]), k
+
+
+class TestValidInputRoundTrip:
+    @staticmethod
+    def _main(argv):
+        """(exit code, stdout) of one run, with warnings raised as errors."""
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(argv)
+        return code, out.getvalue()
+
+    @settings(max_examples=25)
+    @given(valid_inputs())
+    def test_every_algorithm_and_objective_exits_cleanly_with_strict_json(self, case):
+        fmt, text, k = case
+        with tempfile.TemporaryDirectory() as tmp:
+            inst = Path(tmp) / "instance.csv"
+            inst.write_text(text)
+            for alg in cli.ALGORITHMS:
+                out = Path(tmp) / alg
+                code, stdout = self._main(["cluster", "--in", str(inst), "--format", fmt, "--k", str(k),
+                                           "--alg", alg, "--seed", "0", "--no-time", "--out", str(out)])
+                assert code in (EXIT_OK, EXIT_UNSTABLE, EXIT_CAP), alg
+                assert _strict_loads(stdout) == _strict_loads((out / "report.json").read_text())
+                assert _strict_loads((out / "clustering.json").read_text())["k"] == k
+                for objective in ("avg", "median", "max"):
+                    code, stdout = self._main(["verify", "--in", str(inst), "--format", fmt, "--objective", objective,
+                                               "--clustering", str(out / "clustering.json"), "--alpha", "1"])
+                    assert code in (EXIT_OK, EXIT_UNSTABLE, EXIT_CAP), (alg, objective)
+                    assert _strict_loads(stdout)["objective"] == objective

@@ -103,7 +103,7 @@ def test_merge_heavy_steps():
     assert res.status == IP_STABLE
     assert res.counts == {"swap": 0, "recompute": 6, "merge_split": 1}
     assert _digits(res.clustering) == "33323232333322322222111111100000000000000000000"
-    assert sp.query_counter == 28287681488  # merge_split_ls's n^2 = 2209, then the epoch's
+    assert sp.query_counter == 28287680360  # merge_split_ls's n(n-1)/2 = 1081, then the epoch's
 
     # clusters 0 and 3 have the same diameter: the split detaches a point of
     # the older one, cluster 0

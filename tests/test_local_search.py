@@ -173,19 +173,24 @@ class TestMaxIpLocalSearch:
             assert verify_stability(sp, out, "max", 1.0).passed
 
     def test_signatures_are_built_only_when_read(self, monkeypatch):
-        calls = []
-        real = local_search.signature_from_order
+        calls, orders = [], []
+        real, real_order = local_search.signature_from_order, local_search.edge_order
 
         def counted(order, assignment):
             calls.append(None)
             return real(order, assignment)
 
+        def counted_order(D):
+            orders.append(None)
+            return real_order(D)
+
         monkeypatch.setattr(local_search, "signature_from_order", counted)
+        monkeypatch.setattr(local_search, "edge_order", counted_order)
         sp = random_space(30, seed=0, k=3)
         before = sp.query_counter
         out, trace = max_ip_local_search(sp, 3, LsConfig())
         unread = (out, trace.status, trace.counts, sp.query_counter - before)
-        assert calls == [] and trace.counts["swap"] > 1
+        assert calls == [] and orders == [] and trace.counts["swap"] > 1
 
         before = sp.query_counter
         out, trace = max_ip_local_search(sp, 3, LsConfig())
@@ -196,8 +201,12 @@ class TestMaxIpLocalSearch:
             assert built - made <= 2
             assert (step.sig_before, step.sig_after) == sigs and len(calls) == built
         assert (out, trace.status, trace.counts, sp.query_counter - before) == unread
-        # consecutive steps share a state, so each state's signature is built once
-        assert len(calls) == len(trace.steps) + 1
+        # consecutive steps share a state, so each state's signature is built
+        # once, and all of them share one edge order
+        assert len(calls) == len(trace.steps) + 1 and len(orders) == 1
+        # a search that reads one step sorts its own edge order once
+        _, trace = max_ip_local_search(sp, 3, LsConfig())
+        assert trace.steps[-1].sig_after is not None and len(orders) == 2
 
     def test_identical_runs_give_equal_steps(self):
         sp = random_space(30, seed=0, k=3)

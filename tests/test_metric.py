@@ -237,6 +237,47 @@ class TestBlockKernel:
         assert np.array_equal(sp.row(2), sp.full()[2])
 
 
+class TestTableLoad:
+    @pytest.mark.parametrize("skew", ["upper", "lower", "cells"])
+    def test_every_read_sees_the_mirrored_upper_triangle(self, skew):
+        n = 25
+        rng = np.random.default_rng(6)
+        rel = {
+            "upper": np.triu(np.full((n, n), 1e-10), 1),
+            "lower": np.tril(np.full((n, n), 1e-10), -1),
+            "cells": rng.uniform(-2.5e-10, 2.5e-10, size=(n, n)),
+        }[skew]
+        loaded = random_matrix_space(n, seed=6).full() * (1.0 + rel)
+        sp = MetricSpace.from_matrix(loaded)  # within the loader's 1e-9
+        want = np.triu(loaded, 1)
+        want += want.T
+        rows, cols = rng.integers(0, n, size=9), rng.integers(0, n, size=13)
+        assert np.array_equal(sp.full(), want)
+        assert np.array_equal(sp.pairs(), want)
+        assert np.array_equal(sp.block(rows, cols), want[np.ix_(rows, cols)])
+        assert np.array_equal(sp.peek_block(cols, rows), want[np.ix_(cols, rows)])
+        assert all(np.array_equal(sp.row(i), want[i]) for i in range(n))
+        assert all(np.array_equal(sp.row(i, cols), want[i, cols]) for i in range(n))
+
+    def test_negative_zero_reads_as_positive_zero(self):
+        D = np.array([[-0.0, -0.0, 5.0], [0.0, 0.0, 5.0], [5.0, 5.0, -0.0]])
+        sp = MetricSpace.from_matrix(D)
+        every = np.arange(3)
+        for got in (sp.full(), sp.pairs(), sp.block(every, every), sp.peek_block(every, every)):
+            assert np.array_equal(got, D) and not np.signbit(got).any()
+        for i in every:
+            assert np.array_equal(sp.row(i), D[i]) and not np.signbit(sp.row(i)).any()
+
+    def test_pairs_returns_the_stored_table(self):
+        sp = random_matrix_space(20, seed=2)
+        before = sp.query_counter
+        first, second = sp.pairs(), sp.pairs()
+        assert first is second and not first.flags.writeable
+        assert sp.query_counter - before == 2 * (20 * 19 // 2)
+        with pytest.raises(ValueError, match="read-only"):
+            first[0, 1] = 1.0
+
+
 class TestValidation:
     def test_rejects_asymmetric(self):
         mat = np.array([[0.0, 1.0], [2.0, 0.0]])

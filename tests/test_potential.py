@@ -201,12 +201,12 @@ class TestMaxIpSignature:
         iu, ju = np.triu_indices(space.n, k=1)
         w = space.full()[iu, ju]
         order = np.lexsort((ju, iu, -w))
-        assert np.array_equal(edge_order(space), (iu * space.n + ju)[order])
+        assert np.array_equal(edge_order(space.pairs()), (iu * space.n + ju)[order])
 
     def test_kernel_matches_loop_oracle(self):
         rng = np.random.default_rng(8)
         for space in _signature_spaces():
-            order = edge_order(space)
+            order = edge_order(space.pairs())
             for k in (1, 2, 3, space.n):
                 labels = rng.permutation(np.arange(space.n) % k)
                 assert signature_from_order(order, labels) == max_ip_signature(space, labels), k
@@ -215,7 +215,7 @@ class TestMaxIpSignature:
         # labels up to 255 fit the kernel's uint8 table, 256 and up need uint16
         rng = np.random.default_rng(9)
         line = MetricSpace.from_points(rng.integers(0, 20, size=(300, 1)).astype(float))
-        order = edge_order(line)
+        order = edge_order(line.pairs())
         for k in (255, 256, 257, 300):
             labels = rng.permutation(np.arange(300) % k)
             assert signature_from_order(order, labels) == max_ip_signature(line, labels), k
