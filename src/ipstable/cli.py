@@ -139,31 +139,27 @@ def cmd_cluster(args) -> int:
     clustering, trace = algorithm.run(space, args.k, args.seed or 0, args.max_steps, **alpha)
     elapsed = time.perf_counter() - t0
     queries = space.query_counter - queries_before
-    # a max trace's states hold the search's distance table and every label
-    # snapshot; release them before the verifier reads its own table
-    alpha_target, counts, status = trace.alpha, trace.counts, trace.status
-    del trace
 
-    report_check = verify_stability(space, clustering, algorithm.objective, alpha_target)
+    report_check = verify_stability(space, clustering, algorithm.objective, trace.alpha)
     run_report = {
         "algorithm": args.alg,
         "k": args.k,
         "n": space.n,
         "seed": args.seed,
         "objective": algorithm.objective,
-        "alpha_target": alpha_target,
+        "alpha_target": trace.alpha,
         "alpha_achieved": report_check.alpha_achieved,
-        "steps": counts,
+        "steps": trace.counts,
         "queries": queries,
         "wall_time_s": 0.0 if args.no_time else elapsed,
-        "status": status,
+        "status": trace.status,
     }
-    if alpha_target is None:  # dp certifies beta instead
+    if trace.alpha is None:  # dp certifies beta instead
         run_report["beta_achieved"] = beta_clustering(space, clustering)
     report_text = strict_json(run_report, indent=2)
     (out / "clustering.json").write_text(clustering.to_json())
     (out / "report.json").write_text(report_text)
-    return _emit(report_text, EXIT_CAP if status == CAP_EXCEEDED else EXIT_OK)
+    return _emit(report_text, EXIT_CAP if trace.status == CAP_EXCEEDED else EXIT_OK)
 
 
 def cmd_verify(args) -> int:

@@ -8,8 +8,9 @@ alpha >= 2*log2(n), which certifies termination.
 ``max_ip_local_search`` runs the same loop for the max objective with alpha
 fixed at 1; each move strictly decreases the lexicographic edge signature,
 so states never repeat even though no polynomial step bound is known.  The
-step condition itself proves the decrease, so a step's signatures are built
-only when something reads them.
+step condition itself proves the decrease, so the search builds no
+signature; ``max_ip_signatures`` rebuilds a run's signatures from its output
+and its steps when something asks for them.
 
 ``search`` is that loop, shared with the merge-and-split searches of
 ``merge_split`` and ``median_ip``, which differ only in the step they take.
@@ -17,10 +18,9 @@ only when something reads them.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -28,7 +28,7 @@ from .clustering import Clustering, _ObjectiveTable, check_start
 from .metric import MetricSpace
 from .potential import MaxIpSignature, edge_order, signature_from_order
 
-__all__ = ["LsConfig", "LsTrace", "Step", "natural_local_search", "max_ip_local_search"]
+__all__ = ["LsConfig", "LsTrace", "Step", "natural_local_search", "max_ip_local_search", "max_ip_signatures"]
 
 # Multiplies the right-hand side of the avg envy comparison so exactly-tied
 # averages do not ping-pong under floating rounding.
@@ -63,38 +63,12 @@ class LsConfig:
             raise ValueError("init='given' requires an initial clustering")
 
 
-class _State:
-    """One max-search state: a copy of its labels, and their edge signature
-    once something reads it.  ``order`` returns the search's edge order,
-    which all its states share.  Consecutive steps share the state between
-    them, so each state's signature is built at most once."""
-
-    __slots__ = ("order", "labels", "_signature")
-
-    def __init__(self, order: Callable[[], np.ndarray], labels: np.ndarray):
-        self.order, self.labels, self._signature = order, labels.copy(), None
-
-    def signature(self) -> MaxIpSignature:
-        if self._signature is None:
-            self._signature = signature_from_order(self.order(), self.labels)
-        return self._signature
-
-    def __eq__(self, other):
-        # states compare by their signatures, as the steps' signatures did
-        if not isinstance(other, _State):
-            return NotImplemented
-        return self.signature() == other.signature()
-
-
 @dataclass
 class Step:
     """One exact-search step: ``point`` is the most envious point, ``source``
     its cluster and ``target`` the cluster it envies most.  ``kind`` is "swap"
     or "merge_split".  A search leaves the fields it does not record at their
-    defaults: ``phi_*`` for max, ``threshold`` for natural and max, and
-    ``states`` for all but max.  Max records the states before and after the
-    move; ``sig_before`` and ``sig_after`` build their signatures on first
-    read (None for the other searches).
+    defaults: ``phi_*`` for max, and ``threshold`` for natural and max.
     """
 
     kind: str
@@ -104,15 +78,6 @@ class Step:
     phi_before: float = math.nan
     phi_after: float = math.nan
     threshold: float = math.nan
-    states: tuple = field(default=(), repr=False)
-
-    @property
-    def sig_before(self) -> Optional[MaxIpSignature]:
-        return self.states[0].signature() if self.states else None
-
-    @property
-    def sig_after(self) -> Optional[MaxIpSignature]:
-        return self.states[1].signature() if self.states else None
 
 
 @dataclass
@@ -161,16 +126,21 @@ def _table(space: MetricSpace, k: int, config: LsConfig, objective: str) -> _Obj
     return _ObjectiveTable(space, start, objective)
 
 
-def natural_local_search(space: MetricSpace, k: int, config: LsConfig) -> tuple[Clustering, LsTrace]:
-    """Move envious points until the clustering is alpha-stable for avg."""
-    table = _table(space, k, config, "avg")
-    alpha = config.alpha if config.alpha is not None else 2.0 * math.log2(space.n)
+def _swap(table: _ObjectiveTable) -> Callable[[int, int, int, float], Step]:
+    """The step natural and max share: move p to the cluster it envies most."""
 
     def swap(p, src, dst, phi):
         table.move(p, dst)
         return Step("swap", p, src, dst)
 
-    return search(table, alpha, config.max_steps, swap, table.phi, slack=DEFAULT_SLACK)
+    return swap
+
+
+def natural_local_search(space: MetricSpace, k: int, config: LsConfig) -> tuple[Clustering, LsTrace]:
+    """Move envious points until the clustering is alpha-stable for avg."""
+    table = _table(space, k, config, "avg")
+    alpha = config.alpha if config.alpha is not None else 2.0 * math.log2(space.n)
+    return search(table, alpha, config.max_steps, _swap(table), table.phi, slack=DEFAULT_SLACK)
 
 
 def max_ip_local_search(space: MetricSpace, k: int, config: LsConfig) -> tuple[Clustering, LsTrace]:
@@ -186,19 +156,28 @@ def max_ip_local_search(space: MetricSpace, k: int, config: LsConfig) -> tuple[C
     edge at one length, which the objective table's symmetric ``pairs()``
     read gives.
 
-    So the search needs no signature; its steps record label snapshots, and
-    a step's signatures are built when first read.  The edge order is sorted
-    from the objective table's distances on the first read, once per search.
+    So the search builds no signature, and its steps record their moves
+    only; ``max_ip_signatures`` replays them.
     """
     table = _table(space, k, config, "max")
-    order = functools.cache(lambda: edge_order(table.D))
-    state = _State(order, table.assign)
+    return search(table, 1.0, config.max_steps, _swap(table))
 
-    def swap(p, src, dst, phi):
-        nonlocal state
-        before = state
-        table.move(p, dst)
-        state = _State(order, table.assign)
-        return Step("swap", p, src, dst, states=(before, state))
 
-    return search(table, 1.0, config.max_steps, swap)
+def max_ip_signatures(space: MetricSpace, clustering: Clustering, steps: list) -> Iterator[MaxIpSignature]:
+    """The edge signatures of a max run's states, start first: len(steps) + 1
+    of them, the last ``clustering``'s, for the run that returned
+    ``clustering`` and ``steps``.
+
+    The start is rebuilt by undoing the steps from the output, so the caller
+    needs no start.  ``edge_order`` sorts ``space.pairs()`` once (n(n-1)/2
+    queries) on the first read, and each state's signature is built when it
+    is reached, from one label array that replays each step's move.
+    """
+    labels = clustering.assignment.copy()
+    for step in reversed(steps):
+        labels[step.point] = step.source
+    order = edge_order(space.pairs())
+    yield signature_from_order(order, labels)
+    for step in steps:
+        labels[step.point] = step.target
+        yield signature_from_order(order, labels)

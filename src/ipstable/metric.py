@@ -506,7 +506,7 @@ def load_points_csv(path, norm="l2") -> MetricSpace:
 
 
 def save_matrix_csv(path, space: MetricSpace) -> None:
-    np.savetxt(path, space.full(), delimiter=",", fmt="%.17g")
+    np.savetxt(path, space.pairs(), delimiter=",", fmt="%.17g")
 
 
 def save_points_csv(path, coords: np.ndarray) -> None:

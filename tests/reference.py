@@ -211,7 +211,7 @@ def max_ip_signature(space: MetricSpace, assignment) -> MaxIpSignature:
     """The max-IP edge signature by plain loops: the edges (i, j), i < j,
     sorted by (-d(i, j), i, j), one bit per edge, 1 iff i and j share a
     label; packed eight bits to a byte, the first edge in the high bit."""
-    D = space.full()
+    D = space.pairs()
     n = space.n
     edges = sorted((-float(D[i, j]), i, j) for i in range(n) for j in range(i + 1, n))
     bits = [int(assignment[i] == assignment[j]) for _, i, j in edges]
@@ -316,7 +316,7 @@ def brute_force_min_beta(space: MetricSpace, k: int) -> tuple[Clustering, float]
     if k == 1:
         return Clustering(np.zeros(n, dtype=np.intp), 1), 0.0
     parts = _all_partitions(n, k)
-    D = space.full()
+    D = space.pairs()
     iu, ju = np.triu_indices(n, k=1)
     dpair = D[iu, ju]
     left, right = parts[:, iu], parts[:, ju]

@@ -16,7 +16,7 @@ from ipstable.fast import (
     epoch,
     fast_ls,
 )
-from ipstable.local_search import CONVERGED, LsConfig, max_ip_local_search, natural_local_search
+from ipstable.local_search import CONVERGED, LsConfig, max_ip_local_search, max_ip_signatures, natural_local_search
 from ipstable.median_ip import MedianConfig, median_ip_cluster, merge_bound_factor
 from ipstable.merge_split import merge_split_ls
 from ipstable.metric import GenSpec, MetricSpace, generate, rng_from_seed
@@ -337,8 +337,9 @@ def test_criterion_08_max_ip():
         else:
             cfg = LsConfig()
         out, trace = max_ip_local_search(sp, k, cfg)
-        for step in trace.steps:
-            assert step.sig_after < step.sig_before
+        sigs = list(max_ip_signatures(sp, out, trace.steps))
+        for before, after in zip(sigs, sigs[1:]):
+            assert after < before
             steps_checked += 1
         if trace.status == CONVERGED:
             converged += 1

@@ -9,7 +9,7 @@ from scipy.sparse.csgraph import shortest_path
 
 from ipstable import ALGORITHMS, Clustering, MetricSpace, cli, verify_stability
 from ipstable.clustering import _ObjectiveTable
-from ipstable.local_search import LsConfig, max_ip_local_search
+from ipstable.local_search import LsConfig, max_ip_local_search, max_ip_signatures
 from ipstable.potential import edge_order
 from ipstable.stable_opt import beta_clustering
 
@@ -67,21 +67,25 @@ def small_instances(draw):
     return space, k, seed
 
 
-def _check_signature_certificate(space, start, steps):
+def _check_signature_certificate(space, start, out, steps):
     """Check max's decrease argument on every step along the path from the
     ``start`` labels.  The witness is p's first changed edge in edge order,
     the longest of its edges to src\\{p} and to dst (ties by (i, j)), found
     from |src| + |dst| table entries: it is the first bit where the loop
     oracle's signatures before and after the move differ, and it goes to
     src, so that bit turns off and the signature falls.  The step condition,
-    read from p's row as the search reads it, is strict.  The lazily built
-    signatures equal the oracle's."""
+    read from p's row as the search reads it, is strict.  The signatures
+    ``max_ip_signatures`` replays from the output ``out`` equal the oracle's
+    at every state, the start and the output included."""
     n = space.n
-    D = space.full()
+    D = space.pairs()
     rank = np.empty(n * n, dtype=np.intp)
-    rank[edge_order(space.pairs())] = np.arange(n * (n - 1) // 2)
+    rank[edge_order(D)] = np.arange(n * (n - 1) // 2)
     labels = np.array(start)
-    for step in steps:
+    replayed = list(max_ip_signatures(space, out, steps))
+    assert len(replayed) == len(steps) + 1
+    assert replayed[0] == max_ip_signature(space, labels)
+    for step, replayed_after in zip(steps, replayed[1:]):
         p = step.point
         src = [q for q in np.flatnonzero(labels == step.source) if q != p]
         dst = np.flatnonzero(labels == step.target)
@@ -99,7 +103,8 @@ def _check_signature_certificate(space, start, steps):
         assert rank[i * n + j] == first
         assert was[first] == to_src and now[first] == (not to_src)
         assert to_src and after < before
-        assert step.sig_before == before and step.sig_after == after
+        assert replayed_after == after
+    assert np.array_equal(labels, out.assignment)
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)
@@ -122,8 +127,8 @@ def test_every_algorithm_is_deterministic_and_stable_on_small_instances(instance
         if name == "natural":
             assert queries == n * (n - 1) // 2
         if name == "max":
-            assert queries == n * (n - 1) // 2  # the table's pairs(); edge_order sorts that table
-            _check_signature_certificate(space, np.arange(n) % k, trace.steps)
+            assert queries == n * (n - 1) // 2  # the table's pairs(); the search sorts no edges
+            _check_signature_certificate(space, np.arange(n) % k, out, trace.steps)
         if name == "dp":
             assert queries == dp_queries
             _, best = brute_force_min_beta(space, k)
@@ -147,5 +152,5 @@ def test_max_certificate_holds_on_a_table_skewed_within_the_tolerance():
     space = skewed(MetricSpace.from_points(np.array([[1.0], [2.0], [3.0]]), norm="l1"), "upper")
     start = [0, 1, 1]
     out, trace = max_ip_local_search(space, 2, LsConfig(initial=Clustering(start, 2)))
-    _check_signature_certificate(space, start, trace.steps)
+    _check_signature_certificate(space, start, out, trace.steps)
     assert verify_stability(space, out, "max", 1.0).passed

@@ -269,7 +269,7 @@ def _assert_matches_fresh(space, table):
     assert [sorted(m.tolist()) for m in table.members] == [m.tolist() for m in fresh.members]
     # the kept envy state against a derivation from the current columns, bit for bit
     ratio, foreign = table.envy()
-    want_ratio, want_foreign = envy_from_columns(table.objective, table.table, table.sizes, table.assign, space.full())
+    want_ratio, want_foreign = envy_from_columns(table.objective, table.table, table.sizes, table.assign, space.pairs())
     assert np.array_equal(ratio, want_ratio) and np.array_equal(foreign, want_foreign)
     if table.objective == "avg":
         np.testing.assert_allclose(table.table, fresh.table, rtol=1e-9, atol=1e-9)
@@ -408,7 +408,7 @@ def _reference_objective_table(space, clustering, objective):
     """The verifier's table before the searches and the verifier shared one:
     (own_excl, foreign) with foreign[p, c] = f(p, C_c)."""
     n, k = clustering.n, clustering.k
-    D = space.full()
+    D = space.pairs()
     members = clustering.members()
     sizes = clustering.sizes()
     own = clustering.assignment

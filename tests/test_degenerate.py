@@ -49,7 +49,7 @@ def test_negative_zero_distances_read_as_zero():
     # {0, 2, 3}, {1} point 0 envies the singleton {1} infinitely
     D = np.array([[0, -0.0, 5, 5], [-0.0, 0, 5, 5], [5, 5, 0, 1], [5, 5, 1, 0]])
     sp = MetricSpace.from_matrix(D)
-    assert not np.signbit(sp.full()).any()
+    assert not np.signbit(sp.pairs()).any()
     start = Clustering([0, 1, 0, 0], 2)
     for objective, (out, trace) in (
         ("max", max_ip_local_search(sp, 2, LsConfig(initial=start))),

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import pytest
 
@@ -9,6 +10,7 @@ from ipstable.local_search import (
     CONVERGED,
     LsConfig,
     max_ip_local_search,
+    max_ip_signatures,
     natural_local_search,
 )
 from ipstable.merge_split import kcenter_init
@@ -168,45 +170,44 @@ class TestMaxIpLocalSearch:
             sp = random_space(30, seed=seed, k=3)
             out, trace = max_ip_local_search(sp, 3, LsConfig())
             assert trace.status == CONVERGED
-            for step in trace.steps:
-                assert step.sig_after < step.sig_before
+            sigs = list(max_ip_signatures(sp, out, trace.steps))
+            for before, after in zip(sigs, sigs[1:]):
+                assert after < before
             assert verify_stability(sp, out, "max", 1.0).passed
 
     def test_signatures_are_built_only_when_read(self, monkeypatch):
-        calls, orders = [], []
-        real, real_order = local_search.signature_from_order, local_search.edge_order
+        calls = {"edge_order": 0, "signature_from_order": 0}
+        for name in calls:
 
-        def counted(order, assignment):
-            calls.append(None)
-            return real(order, assignment)
+            def counted(*args, name=name, real=getattr(local_search, name)):
+                calls[name] += 1
+                return real(*args)
 
-        def counted_order(D):
-            orders.append(None)
-            return real_order(D)
-
-        monkeypatch.setattr(local_search, "signature_from_order", counted)
-        monkeypatch.setattr(local_search, "edge_order", counted_order)
+            monkeypatch.setattr(local_search, name, counted)
         sp = random_space(30, seed=0, k=3)
-        before = sp.query_counter
         out, trace = max_ip_local_search(sp, 3, LsConfig())
-        unread = (out, trace.status, trace.counts, sp.query_counter - before)
-        assert calls == [] and orders == [] and trace.counts["swap"] > 1
+        assert trace.counts["swap"] > 1
+        assert calls == {"edge_order": 0, "signature_from_order": 0}
+        # reading the replay sorts the edges once and builds each state's signature once
+        before = sp.query_counter
+        sigs = list(max_ip_signatures(sp, out, trace.steps))
+        assert len(sigs) == len(trace.steps) + 1
+        assert calls == {"edge_order": 1, "signature_from_order": len(trace.steps) + 1}
+        assert sp.query_counter - before == 30 * 29 // 2
 
-        before = sp.query_counter
-        out, trace = max_ip_local_search(sp, 3, LsConfig())
-        for step in trace.steps:
-            made = len(calls)
-            sigs = step.sig_before, step.sig_after
-            built = len(calls)
-            assert built - made <= 2
-            assert (step.sig_before, step.sig_after) == sigs and len(calls) == built
-        assert (out, trace.status, trace.counts, sp.query_counter - before) == unread
-        # consecutive steps share a state, so each state's signature is built
-        # once, and all of them share one edge order
-        assert len(calls) == len(trace.steps) + 1 and len(orders) == 1
-        # a search that reads one step sorts its own edge order once
-        _, trace = max_ip_local_search(sp, 3, LsConfig())
-        assert trace.steps[-1].sig_after is not None and len(orders) == 2
+    def test_memory_stays_near_the_distance_table(self):
+        # 1,027 steps from round-robin; a label copy per step would hold
+        # about twice the table again
+        n = 500
+        sp = random_space(n, seed=1, k=10, dim=4)
+        tracemalloc.start()
+        try:
+            _, trace = max_ip_local_search(sp, 10, LsConfig())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert trace.status == CONVERGED and len(trace.steps) > 1000
+        assert peak < 2 * n * n * 8
 
     def test_identical_runs_give_equal_steps(self):
         sp = random_space(30, seed=0, k=3)
@@ -217,6 +218,6 @@ class TestMaxIpLocalSearch:
 
     def test_no_state_repeats(self):
         sp = random_matrix_space(25, seed=2)
-        _, trace = max_ip_local_search(sp, 4, LsConfig())
-        seen = [s.sig_before.packed for s in trace.steps]
+        out, trace = max_ip_local_search(sp, 4, LsConfig())
+        seen = [sig.packed for sig in max_ip_signatures(sp, out, trace.steps)]
         assert len(seen) == len(set(seen))

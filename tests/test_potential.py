@@ -199,7 +199,7 @@ class TestMaxIpSignature:
         # the tied integer line: many equal lengths, so the endpoint keys decide
         space = table_spaces()[0]
         iu, ju = np.triu_indices(space.n, k=1)
-        w = space.full()[iu, ju]
+        w = space.pairs()[iu, ju]
         order = np.lexsort((ju, iu, -w))
         assert np.array_equal(edge_order(space.pairs()), (iu * space.n + ju)[order])
 

@@ -146,7 +146,7 @@ class TestMst:
 
     def test_weight_read_from_upper_triangle(self):
         # tables are accepted with asymmetry up to a relative 1e-9
-        D = random_matrix_space(20, seed=3).full()
+        D = random_matrix_space(20, seed=3).pairs()
         sp = MetricSpace.from_matrix(np.triu(D) * (1 + 1e-12) + np.tril(D))
         assert mst(sp.pairs()) == _kruskal(sp)
 
@@ -260,7 +260,7 @@ class TestNodeBetas:
         # tables are accepted with asymmetry up to a relative 1e-9; beta()
         # reads both triangles, so it is the reference on symmetric spaces,
         # and a node's diameter is the largest d(min, max) on every space
-        D = random_matrix_space(20, seed=3).full()
+        D = random_matrix_space(20, seed=3).pairs()
         skewed = [
             MetricSpace.from_matrix(np.triu(D) * (1 + 1e-12) + np.tril(D)),
             MetricSpace.from_matrix(np.triu(D) + np.tril(D) * (1 + 1e-12)),
