@@ -225,13 +225,13 @@ class _ObjectiveTable(_Columns):
     its distance block sorted along each row (``_sorted[c]``, n x |C|; one
     n x n array over all columns, built with the table); a move deletes
     d(r, p) from each source row and inserts it into each target row, and
-    the medians and diameters are read at their ranks.  A merge combines the
-    two columns it replaces: avg adds the sums, max takes their elementwise
-    maximum, and median merges the two sorted blocks.  A split fills its two
-    new columns from the distance table.  For max and median every stored
-    value is an entry of the distance table picked by the same rank rule as
-    a fresh fill, so the table equals a fresh one exactly; avg's sums agree
-    up to rounding.
+    the medians and diameters are read at their ranks.  A merge or a split
+    deletes the columns it replaces and fills each new one afresh from the
+    distance table (``_renew``), so avg's sums are exact after either.  For
+    max and median every stored value is an entry of the distance table
+    picked by the same rank rule as a fresh fill, so the table equals a
+    fresh one exactly; avg's sums agree up to the rounding of the moves
+    since a column's fill.
 
     The envy state is kept with the table.  ``_foreign`` (n x k, column-major)
     holds f(p, C_c) in column c, with each point's own entry set to inf;
@@ -239,8 +239,8 @@ class _ObjectiveTable(_Columns):
     (for median, read at the median's rank in the member's sorted row).
     ``_refresh(c)`` is their only writer: it rebuilds column c of
     ``_foreign`` and the ``_own`` entries of c's members, and runs on every
-    column that a fill, move or merge writes.  A merge or split keeps the
-    surviving columns, so its envy update costs O(n) per new column; a
+    column that a fill or move writes.  A merge or split keeps the
+    surviving columns, so it costs one O(n x |C|) fill per new column; a
     search step costs one row-min and one divide over n x k plus two column
     refreshes.  ``envy`` returns the live ``_foreign``, which callers must
     treat as read-only.
@@ -330,27 +330,18 @@ class _ObjectiveTable(_Columns):
             self._own[m] = self._sorted[c][m, len(m) // 2]  # the median's rank shifted by the self-zero
 
     def merge(self, a: int, b: int) -> None:
-        """Replace columns a and b by one column for their union, appended last."""
-        merged = np.concatenate([self.members[a], self.members[b]])
-        pair, blocks = self.table[:, [a, b]], (self._sorted[a], self._sorted[b])
-        c = self._replace((a, b), [merged])
-        self.members[c] = merged
-        if self.objective == "avg":
-            np.add(pair[:, 0], pair[:, 1], out=self.table[:, c])
-        elif self.objective == "max":
-            np.maximum(pair[:, 0], pair[:, 1], out=self.table[:, c])
-        else:
-            # a stable sort of two sorted runs is a merge
-            self._sorted[c] = np.sort(np.concatenate(blocks, axis=1), axis=1, kind="stable")
-            self._read_median(c)
-        self._refresh(c)
+        """Replace columns a and b by one column, a's members then b's, appended last."""
+        self._renew((a, b), [np.concatenate([self.members[a], self.members[b]])])
 
     def split(self, c: int, half_a: np.ndarray, half_b: np.ndarray) -> None:
         """Replace column c by two columns, ``half_a`` then ``half_b``, appended last."""
-        first = self._replace((c,), [half_a, half_b])
-        self.members[first:] = half_a, half_b
-        self._fill(first)
-        self._fill(first + 1)
+        self._renew((c,), [half_a, half_b])
+
+    def _renew(self, dead, parts) -> None:
+        """Replace the ``dead`` columns by one column per part, filled afresh."""
+        for c, m in enumerate(parts, self._replace(dead, parts)):
+            self.members[c] = m
+            self._fill(c)
 
     def envy(self) -> tuple[np.ndarray, np.ndarray]:
         """(ratio, foreign): each point's worst envy ratio, ``_own`` over its
@@ -369,11 +360,16 @@ class _ObjectiveTable(_Columns):
         p = int(np.argmax(ratio))
         return p, int(foreign[p].argmin()), float(ratio[p])
 
+    def row_max(self, c: int) -> np.ndarray:
+        """median only: each point's largest distance to column c, the last
+        entry of its sorted row (a view: read it, do not write it)."""
+        return self._sorted[c][:, -1]
+
     def diameter_of(self, c: int) -> float:
-        """median only: the largest distance within column c, read from its
-        members' rows of the sorted block (0 for a singleton); cached."""
+        """median only: the largest distance within column c, the largest
+        ``row_max`` over its members (0 for a singleton); cached."""
         if self._potential[c] is None:
-            self._potential[c] = float(self._sorted[c][self.members[c], -1].max())
+            self._potential[c] = float(self.row_max(c)[self.members[c]].max())
         return self._potential[c]
 
     def phi_of(self, c: int) -> float:

@@ -265,7 +265,6 @@ def epoch(
     space: MetricSpace,
     clustering: Clustering,
     rng: np.random.Generator,
-    step_cap: int = EPOCH_STEP_CAP,
     audit=None,
 ) -> EpochResult:
     """One epoch of the fast local search.
@@ -292,7 +291,7 @@ def epoch(
     iteration = 0
     while True:
         iteration += 1
-        if iteration > step_cap:
+        if iteration > EPOCH_STEP_CAP:
             raise RuntimeError("epoch exceeded its internal step cap; constants are off")
         if audit is not None:
             audit.every_iteration(space, st, iteration)

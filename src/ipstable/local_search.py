@@ -159,6 +159,8 @@ def max_ip_local_search(space: MetricSpace, k: int, config: LsConfig) -> tuple[C
     So the search builds no signature, and its steps record their moves
     only; ``max_ip_signatures`` replays them.
     """
+    if config.alpha not in (None, 1.0):
+        raise ValueError("max runs at alpha = 1 only")
     table = _table(space, k, config, "max")
     return search(table, 1.0, config.max_steps, _swap(table))
 

@@ -41,8 +41,10 @@ class MedianConfig:
     seed: int = 0  # unused: the search and its k-center start are deterministic
 
     def __post_init__(self):
-        if self.c <= 1:
+        if not self.c > 1:  # NaN-safe
             raise ValueError("c must exceed 1")
+        if not self.alpha_base > 0:
+            raise ValueError("alpha_base must be positive")
         if self.max_steps < 1:
             raise ValueError("max_steps must be at least 1")
 
@@ -70,12 +72,12 @@ def _split_sharpest(table: _ObjectiveTable) -> None:
     to the older one): of its farthest pair i < j, detach the endpoint with
     the larger median distance to the rest of the cluster (ties to i).  The
     pair is the first largest block entry in row-major order over sorted
-    members: the first row whose sorted maximum is the diameter, then that
-    row's first largest entry, which lies at or after that row, as the table
-    is symmetric.  The medians are the table's own medians."""
+    members: the first row whose maximum over the cluster (``row_max``) is
+    the diameter, then that row's first largest entry, which lies at or after
+    that row, as the table is symmetric.  The medians are the table's own."""
     best = max((c for c, m in enumerate(table.members) if len(m) > 1), key=lambda c: (table.diameter_of(c), -c))
     m = np.sort(table.members[best])
-    r = int(np.argmax(table._sorted[best][m, -1] == table.diameter_of(best)))
+    r = int(np.argmax(table.row_max(best)[m] == table.diameter_of(best)))
     i, j = m[r], m[np.argmax(table.D[m[r], m])]
     detach = i if table._own[i] >= table._own[j] else j
     table.split(best, m[m != detach], np.array([detach], dtype=np.intp))

@@ -68,15 +68,24 @@ def perturbed_planted(n, k, separation, seed, moves=3):
     return out.space, out.planted, Clustering(a, k)
 
 
-def merge_heavy_instance(width=200.0):
-    """A wide cluster holds nearly all potential while a tight pair envies a
-    coincident clump; the violator's own average sits below the swap
-    threshold, forcing a merge-and-split step."""
+def gadget_line(w, g, width=200.0):
+    """w points ``width`` apart on a line from 1000 hold nearly all the
+    potential, and each of g gadgets forces a merge-and-split step: gadget
+    j is a tight pair at -100j and -100j + 0.5 whose violator envies a clump
+    of 5 coincident points at -100j + 0.001, while its own average sits
+    below the swap threshold.  The start labels the wide points 0 and
+    gadget j's pair and clump 1 + 2j and 2 + 2j, so n = w + 7g and
+    k = 1 + 2g."""
     from ipstable.clustering import Clustering
 
-    coords = [1000.0 + width * i for i in range(20)]
-    coords += [0.0, 0.5]
-    coords += [0.001] * 5
+    coords, labels = [1000.0 + width * i for i in range(w)], [0] * w
+    for j in range(g):
+        coords += [x - 100.0 * j for x in (0.0, 0.5) + (0.001,) * 5]
+        labels += [1 + 2 * j] * 2 + [2 + 2 * j] * 5
     space = MetricSpace.from_points(np.array(coords).reshape(-1, 1))
-    bad = Clustering(np.array([0] * 20 + [1] * 2 + [2] * 5), 3)
-    return space, bad
+    return space, Clustering(np.array(labels), 1 + 2 * g)
+
+
+def merge_heavy_instance(width=200.0):
+    """The smallest gadget line: 20 wide points and one gadget."""
+    return gadget_line(20, 1, width)

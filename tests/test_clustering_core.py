@@ -373,6 +373,24 @@ class TestObjectiveTable:
             table.move(int(merged[0]), 0)  # the merged block keeps serving moves
             _assert_matches_fresh(space, table)
 
+    @pytest.mark.parametrize("objective", ["avg", "max", "median"])
+    def test_merged_column_is_a_fresh_fill(self, objective):
+        # 40 moves leave avg's running sums a rounding away from a fresh sum;
+        # the merge fills its column from the distance table, as a split does
+        for seed, space in enumerate(table_spaces()):
+            rng = np.random.default_rng(200 + seed)
+            table = _ObjectiveTable(space, Clustering(np.arange(space.n) % 4, 4), objective)
+            for _ in range(40):
+                p = int(rng.choice(np.flatnonzero(table.sizes[table.assign] > 1)))
+                dst = int(rng.choice([c for c in range(table.k) if c != table.assign[p]]))
+                table.move(p, dst)
+            table.merge(0, 1)
+            if objective == "avg":
+                want = table.D[:, table.members[-1]].sum(axis=1)
+            else:
+                want = _ObjectiveTable(space, table.clustering(), objective).table[:, -1]
+            assert np.array_equal(table.table[:, -1].view(np.uint64), want.view(np.uint64))
+
     def test_surviving_columns_keep_their_order(self):
         space = line_space(range(10))
         table = _ObjectiveTable(space, Clustering(np.arange(10) % 5, 5), "avg")

@@ -412,10 +412,11 @@ class TestEpoch:
             else:
                 assert verify_stability(sp, res.clustering, "avg", 16 * math.log2(sp.n)).passed
 
-    def test_step_cap_is_a_hard_error(self, rng):
+    def test_step_cap_is_a_hard_error(self, rng, monkeypatch):
         sp = random_space(30, seed=1)
+        monkeypatch.setattr(fast, "EPOCH_STEP_CAP", 2)
         with pytest.raises(RuntimeError):
-            epoch(sp, kcenter_init(sp, 4), rng, step_cap=2)
+            epoch(sp, kcenter_init(sp, 4), rng)
 
     def test_potential_dropped_confirmed_exactly(self, rng):
         # with many misplaced points the potential collapses mid-epoch and

@@ -6,8 +6,11 @@ cluster 0); the shortest-path table runs natural at alpha = 1 and median at
 a tight alpha so the searches take steps there too.  The merge-heavy cases
 take one merge-and-split step each, and each exact search splits the older
 of two clusters that tie on the split key; the fast epoch's merge-and-split
-is pinned on the first of them.
+is pinned on the first of them.  The gadget line takes four merge-and-split
+steps in each exact search; its 628-digit assignments are pinned by digest.
 """
+
+import hashlib
 
 import numpy as np
 import pytest
@@ -27,7 +30,7 @@ from ipstable import (
 from ipstable.fast import IP_STABLE, epoch
 from ipstable.metric import GenSpec, generate, rng_from_seed
 
-from conftest import perturbed_planted, skewed
+from conftest import gadget_line, perturbed_planted, skewed
 
 PLANTED = {
     "natural": "000000000000000111111111111111222222222222222333333333333333",
@@ -50,6 +53,10 @@ PATHS = {
 
 def _digits(clustering):
     return "".join(map(str, clustering.assignment))
+
+
+def _digest(clustering):
+    return hashlib.sha256(_digits(clustering).encode()).hexdigest()
 
 
 def _planted_runs():
@@ -114,6 +121,20 @@ def test_merge_heavy_steps():
     out, trace = median_ip_cluster(sp, 4, MedianConfig(), initial=bad)
     assert trace.counts == {"swap": 0, "merge_split": 1}
     assert _digits(out) == "322222111111000000"
+
+
+def test_gadget_line():
+    # 600 wide points and 4 gadgets (n = 628, k = 9): each gadget forces a
+    # merge-and-split step, in both searches
+    sp, start = gadget_line(600, 4)
+    out, trace = merge_split_ls(sp, 9, seed=0, initial=start)
+    assert trace.counts == {"swap": 8, "merge_split": 4}
+    assert _digest(out) == "af3f1d3d548f283672d947f9c706389e77e9818dbdc12e43ad3f4913461da05d"
+
+    sp, start = gadget_line(600, 4)
+    out, trace = median_ip_cluster(sp, 9, initial=start)
+    assert trace.counts == {"swap": 0, "merge_split": 4}
+    assert _digest(out) == "3029057f57b593837983c95c16b68e430a602a072083a009db160b8576c0dd36"
 
 
 def test_median_on_asymmetric_table():

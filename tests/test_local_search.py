@@ -145,6 +145,11 @@ class TestLsConfig:
 
 
 class TestMaxIpLocalSearch:
+    @pytest.mark.parametrize("alpha", [5.0, 1.5])
+    def test_alpha_other_than_one_rejected(self, alpha):
+        with pytest.raises(ValueError, match="alpha = 1"):
+            max_ip_local_search(line_space([0, 1, 10, 11]), 2, LsConfig(alpha=alpha))
+
     def test_four_point_line(self):
         sp = line_space([0, 1, 10, 11])
         start = Clustering([0, 1, 0, 1], 2)

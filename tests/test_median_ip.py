@@ -30,6 +30,16 @@ class TestMedianConfig:
         with pytest.raises(ValueError):
             MedianConfig(c=1.0)
 
+    def test_nan_c_rejected(self):
+        with pytest.raises(ValueError, match="c must exceed 1"):
+            MedianConfig(c=math.nan)
+
+    @pytest.mark.parametrize("alpha_base", [math.nan, 0.0, -1.0])
+    def test_alpha_base_must_be_positive(self, alpha_base):
+        # squaring would turn -1 into a median alpha of 4
+        with pytest.raises(ValueError, match="alpha_base"):
+            MedianConfig(alpha_base=alpha_base)
+
     def test_step_cap_below_one_rejected(self):
         with pytest.raises(ValueError, match="max_steps"):
             MedianConfig(max_steps=0)
