@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .metric import MetricSpace
+from .metric import _BLOCK_CHUNK_ELEMS, MetricSpace
 
 __all__ = ["Clustering", "StabilityReport", "verify_stability"]
 
@@ -147,26 +147,35 @@ def check_start(n: int, k: int, initial: Clustering | None = None) -> None:
         raise ValueError("initial clustering does not match the space or k")
 
 
+# A median column wider than WINDOW_CAP keeps each row's sorted distances at
+# WINDOW_CAP ranks only, around the median; one whose window a move has
+# narrowed below WINDOW_FLOOR (at least 2, the median's two ranks) is
+# filled afresh.  Both are read at call time.
+WINDOW_CAP = 64
+WINDOW_FLOOR = 16
+
+
 def _delete_sorted(block: np.ndarray, vals: np.ndarray) -> np.ndarray:
-    """Delete one copy of vals[r] from each sorted row of block: column j
-    keeps block[:, j] where that is below vals, else takes block[:, j + 1]."""
-    below = block < vals[:, None]
-    out = block[:, 1:].copy()
-    np.copyto(out, block[:, :-1], where=below[:, :-1])
+    """Delete one copy of vals[r] from each sorted column r of the rank-major
+    block: rank j keeps block[j] where that is below vals, else takes
+    block[j + 1].  On a window of ranks it deletes from the whole row, keeping
+    the window's first rank."""
+    out = block[1:].copy()
+    np.copyto(out, block[:-1], where=block[:-1] < vals)
     return out
 
 
 def _insert_sorted(block: np.ndarray, vals: np.ndarray) -> np.ndarray:
-    """Insert vals[r] into each sorted row of block, keeping it sorted:
-    column j keeps block[:, j] where that is below vals, else takes
-    max(block[:, j - 1], vals) (vals itself in column 0).  Equal distances
-    have equal bits (a ``MetricSpace`` holds no -0.0), so the max of a tie
-    is the entry a shift would give."""
-    n, width = block.shape
-    out = np.empty((n, width + 1))
-    out[:, 0] = vals
-    np.maximum(block, vals[:, None], out=out[:, 1:])
-    np.copyto(out[:, :-1], block, where=block < vals[:, None])
+    """Insert vals[r] into each sorted column r of the rank-major block:
+    rank 0 takes min(block[0], vals), rank j max(min(block[j], vals),
+    block[j - 1]) and the new last rank max(block[-1], vals).  Equal
+    distances have equal bits (a ``MetricSpace`` holds no -0.0), so a tie
+    gives the entry a shift would give."""
+    width = len(block)
+    out = np.empty((width + 1, block.shape[1]))
+    np.minimum(block, vals, out=out[:width])
+    np.maximum(out[1:width], block[:-1], out=out[1:width])
+    np.maximum(block[-1], vals, out=out[width])
     return out
 
 
@@ -221,22 +230,29 @@ class _ObjectiveTable(_Columns):
     alone.  For avg the table holds distance sums (f = sums / size), which
     gain or lose that column.  For max the target column takes its
     elementwise maximum with it, and the source column is recomputed only on
-    the rows whose maximum was d(r, p).  For median, every column keeps
-    its distance block sorted along each row (``_sorted[c]``, n x |C|; one
-    n x n array over all columns, built with the table); a move deletes
-    d(r, p) from each source row and inserts it into each target row, and
-    the medians and diameters are read at their ranks.  A merge or a split
-    deletes the columns it replaces and fills each new one afresh from the
-    distance table (``_renew``), so avg's sums are exact after either.  For
-    max and median every stored value is an entry of the distance table
-    picked by the same rank rule as a fresh fill, so the table equals a
-    fresh one exactly; avg's sums agree up to the rounding of the moves
-    since a column's fill.
+    the rows whose maximum was d(r, p).  For median, every column keeps a
+    window of each row's sorted distances to its members, rank-major
+    (``_sorted[c]``, w x n, so a rank is one contiguous n-vector): the ranks
+    ``_lo[c][r]`` to ``_lo[c][r] + w`` of row r, all |C| ranks while
+    |C| <= ``WINDOW_CAP``, and at most ``WINDOW_CAP`` around the median
+    above it, O(n x k x WINDOW_CAP) floats in all.  Beside them ``_rowmax``
+    (n x k) holds each row's largest distance to each column, kept on a
+    move as max's table is.  A move deletes d(r, p) from each source row's
+    window and inserts it into each target row's (``_insert``), each an
+    O(n x w) edit; a row whose median ranks leave its window is refilled
+    from the distance table, and a whole column once its window has narrowed
+    below ``WINDOW_FLOOR`` (``_recentre``).  A merge or a split deletes the
+    columns it replaces and fills each new one afresh from the distance
+    table (``_renew``), so avg's sums are exact after either.  For max and
+    median every stored value is an entry of the distance table picked by
+    the same rank rule as a fresh fill, so the table equals a fresh one
+    exactly; avg's sums agree up to the rounding of the moves since a
+    column's fill.
 
     The envy state is kept with the table.  ``_foreign`` (n x k, column-major)
     holds f(p, C_c) in column c, with each point's own entry set to inf;
     ``_own`` holds f(p, C(p)\\{p}), 0 for a point of a singleton cluster
-    (for median, read at the median's rank in the member's sorted row).
+    (for median, read at the median's rank in the member's window).
     ``_refresh(c)`` is their only writer: it rebuilds column c of
     ``_foreign`` and the ``_own`` entries of c's members, and runs on every
     column that a fill or move writes.  A merge or split keeps the
@@ -252,7 +268,7 @@ class _ObjectiveTable(_Columns):
     a merge or split drops the entries of the columns it deletes.
     """
 
-    _carried = ("members", "table", "_foreign", "_potential", "_sorted")
+    _carried = ("members", "table", "_foreign", "_potential")
 
     def __init__(self, space: MetricSpace, clustering: Clustering, objective: str):
         if objective not in OBJECTIVES:
@@ -267,25 +283,88 @@ class _ObjectiveTable(_Columns):
         self._foreign = np.empty((self.n, clustering.k), order="F")
         self._own = np.zeros(self.n)
         self._potential = [None] * clustering.k  # cached phi_of / diameter_of per column
-        self._sorted = [None] * clustering.k  # median only: row-sorted D[:, members[c]]
+        if objective == "median":
+            self._carried += ("_sorted", "_lo", "_rowmax")
+            self._sorted = [None] * clustering.k
+            self._lo = [None] * clustering.k
+            self._rowmax = np.empty((self.n, clustering.k), order="F")
         for c in range(clustering.k):
             self._fill(c)
 
     def _fill(self, c: int) -> None:
         """Compute column c, and refresh its envy state, from the distance table."""
-        block = self.D[:, self.members[c]]
-        if self.objective == "avg":
-            self.table[:, c] = block.sum(axis=1)
-        elif self.objective == "max":
-            self.table[:, c] = block.max(axis=1)
-        else:
-            self._sorted[c] = np.sort(block, axis=1)
+        if self.objective == "median":
+            self._window(c)
             self._read_median(c)
+        else:
+            block = self.D[:, self.members[c]]
+            self.table[:, c] = block.sum(axis=1) if self.objective == "avg" else block.max(axis=1)
         self._refresh(c)
 
+    def _window(self, c: int) -> None:
+        """Fill column c's window and row maxima from the distance table: of
+        each row's sorted distances to the members, at most ``WINDOW_CAP``
+        ranks centred on the median.  The rows are sorted in chunks of at
+        most ``_BLOCK_CHUNK_ELEMS`` cells, so no n x |C| block is built."""
+        m = self.members[c]
+        size = len(m)
+        width = min(size, WINDOW_CAP)
+        first = (size - width) // 2
+        window = np.empty((width, self.n))
+        step = max(1, _BLOCK_CHUNK_ELEMS // size)
+        for start in range(0, self.n, step):
+            ranked = self.D[m, start : start + step]  # the table is exactly symmetric: column r is row r
+            ranked.sort(axis=0)
+            window[:, start : start + step] = ranked[first : first + width]
+            self._rowmax[start : start + step, c] = ranked[-1]
+        self._sorted[c] = window
+        self._lo[c] = np.full(self.n, first)
+
     def _read_median(self, c: int) -> None:
-        """Read column c from its sorted block."""
-        self.table[:, c] = self._sorted[c][:, (len(self.members[c]) + 1) // 2 - 1]
+        """Read column c from its window."""
+        rank = (len(self.members[c]) + 1) // 2 - 1
+        self.table[:, c] = self._sorted[c][rank - self._lo[c], np.arange(self.n)]
+
+    def _insert(self, c: int, vals: np.ndarray) -> None:
+        """Insert vals[r] into row r of column c's window, one rank wider.
+        Once the window is ``WINDOW_CAP`` wide, or where vals[r] lies outside
+        it on some row, each row drops one end instead: the left where
+        vals[r] lies below the window, the right where above it, else the end
+        farther from the median's two ranks."""
+        block, lo = self._sorted[c], self._lo[c]
+        size, width = len(self.members[c]), len(block)  # size counts the inserted point
+        out = _insert_sorted(block, vals)
+        below = (vals < block[0]) & (lo > 0)
+        above = (vals > block[-1]) & (lo + width < size - 1)
+        if width < WINDOW_CAP and not (below | above).any():
+            self._sorted[c] = out
+            return
+        drop_left = below | ~above & (2 * lo + width < (size + 1) // 2 - 1 + size // 2)
+        self._sorted[c] = np.where(drop_left, out[1:], out[:-1])
+        self._lo[c] = lo + drop_left
+
+    def _recentre(self, c: int) -> None:
+        """Refill from the distance table the rows of column c's window that
+        no longer hold the median's two ranks, at the window's width; the
+        whole column once a window has narrowed below ``WINDOW_FLOOR``."""
+        block, lo, m = self._sorted[c], self._lo[c], self.members[c]
+        size, width = len(m), len(block)
+        if width < min(size, WINDOW_FLOOR):
+            self._window(c)
+            return
+        rows = np.flatnonzero((lo > (size + 1) // 2 - 1) | (lo + width <= size // 2))
+        if rows.size:
+            first = (size - width) // 2
+            block[:, rows] = np.sort(self.D[np.ix_(rows, m)], axis=1)[:, first : first + width].T
+            lo[rows] = first
+
+    def _move_max(self, maxima: np.ndarray, src: int, dst: int, dist: np.ndarray) -> None:
+        """Update columns src and dst of the row maxima ``maxima`` for a move
+        whose distance row is ``dist``: the target takes the elementwise
+        maximum, the source is recomputed on the rows whose maximum left."""
+        np.maximum(maxima[:, dst], dist, out=maxima[:, dst])
+        rows = np.flatnonzero(dist == maxima[:, src])
+        maxima[rows, src] = self.D[np.ix_(rows, self.members[src])].max(axis=1)
 
     def move(self, p: int, dst: int) -> None:
         """Move point p into column dst."""
@@ -301,19 +380,20 @@ class _ObjectiveTable(_Columns):
             self.table[:, src] -= dist
             self.table[:, dst] += dist
         elif self.objective == "max":
-            self.table[:, dst] = np.maximum(self.table[:, dst], dist)
-            rows = np.flatnonzero(dist == self.table[:, src])
-            self.table[rows, src] = self.D[np.ix_(rows, self.members[src])].max(axis=1)
+            self._move_max(self.table, src, dst, dist)
         else:
-            for c, edit in ((src, _delete_sorted), (dst, _insert_sorted)):
-                self._sorted[c] = edit(self._sorted[c], dist)
+            self._move_max(self._rowmax, src, dst, dist)
+            self._sorted[src] = _delete_sorted(self._sorted[src], dist)
+            self._insert(dst, dist)
+            for c in (src, dst):
+                self._recentre(c)
                 self._read_median(c)
         self._refresh(src)
         self._refresh(dst)
 
     def _refresh(self, c: int) -> None:
         """Rebuild column c of ``_foreign`` and its members' ``_own`` entries
-        from column c of the table (and, for median, its sorted block)."""
+        from column c of the table (and, for median, its window)."""
         col, m, values = self._foreign[:, c], self.members[c], self.table[:, c]
         if self.objective == "avg":
             np.divide(values, self.sizes[c], out=col)
@@ -327,7 +407,8 @@ class _ObjectiveTable(_Columns):
         elif self.objective == "max":
             self._own[m] = values[m]  # the self-distance 0 never determines a max over >= 2 points
         else:
-            self._own[m] = self._sorted[c][m, len(m) // 2]  # the median's rank shifted by the self-zero
+            # the median's rank shifted by the self-zero
+            self._own[m] = self._sorted[c][len(m) // 2 - self._lo[c][m], m]
 
     def merge(self, a: int, b: int) -> None:
         """Replace columns a and b by one column, a's members then b's, appended last."""
@@ -361,9 +442,9 @@ class _ObjectiveTable(_Columns):
         return p, int(foreign[p].argmin()), float(ratio[p])
 
     def row_max(self, c: int) -> np.ndarray:
-        """median only: each point's largest distance to column c, the last
-        entry of its sorted row (a view: read it, do not write it)."""
-        return self._sorted[c][:, -1]
+        """median only: each point's largest distance to column c (a view:
+        read it, do not write it)."""
+        return self._rowmax[:, c]
 
     def diameter_of(self, c: int) -> float:
         """median only: the largest distance within column c, the largest

@@ -92,9 +92,9 @@ def median_ip_cluster(
     """Merge-and-split local search for the median objective.
 
     Starts from the greedy k-center clustering unless ``initial`` overrides it.
-    The objective table is the search's only state: the medians, and the
-    diameters behind the sqrt-diameter surrogate and the split, are read
-    from its sorted median blocks.
+    The objective table is the search's only state: the medians are read
+    from its windows of each row's sorted distances, and the diameters behind
+    the sqrt-diameter surrogate and the split from its row maxima.
     """
     n = space.n
     check_start(n, k, initial)

@@ -155,19 +155,23 @@ def envy_from_columns(objective: str, table: np.ndarray, sizes, assign, D: np.nd
 
 
 def delete_sorted(block: np.ndarray, vals: np.ndarray) -> np.ndarray:
-    """Delete the first copy of vals[r] from each sorted row of block, by
-    ``np.delete`` at the flat positions of the copies."""
-    n, width = block.shape
-    at = np.count_nonzero(block < vals[:, None], axis=1)
-    return np.delete(block.ravel(), np.arange(n) * width + at).reshape(n, width - 1)
+    """Delete the first copy of vals[r] from each sorted column r of the
+    rank-major block, by ``np.delete`` at the flat positions of the copies
+    in the transposed (row-major) block."""
+    width, n = block.shape
+    rows = block.T
+    at = np.count_nonzero(rows < vals[:, None], axis=1)
+    return np.delete(rows.ravel(), np.arange(n) * width + at).reshape(n, width - 1).T
 
 
 def insert_sorted(block: np.ndarray, vals: np.ndarray) -> np.ndarray:
-    """Insert vals[r] into each sorted row of block before its first entry
-    not below vals[r], by ``np.insert`` at those flat positions."""
-    n, width = block.shape
-    at = np.count_nonzero(block < vals[:, None], axis=1)
-    return np.insert(block.ravel(), np.arange(n) * width + at, vals).reshape(n, width + 1)
+    """Insert vals[r] into each sorted column r of the rank-major block
+    before its first entry not below vals[r], by ``np.insert`` at those flat
+    positions in the transposed (row-major) block."""
+    width, n = block.shape
+    rows = block.T
+    at = np.count_nonzero(rows < vals[:, None], axis=1)
+    return np.insert(rows.ravel(), np.arange(n) * width + at, vals).reshape(n, width + 1).T
 
 
 # -- potentials -----------------------------------------------------------------

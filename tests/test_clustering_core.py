@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from ipstable import clustering
 from ipstable.clustering import (
     Clustering,
     _delete_sorted,
@@ -287,6 +288,14 @@ def _assert_matches_fresh(space, table):
         assert table.most_envious() == most_envious(space, table.clustering(), table.objective)
     if table.objective == "median":
         assert [table.diameter_of(c) for c in range(table.k)] == [fresh.diameter_of(c) for c in range(table.k)]
+        assert np.array_equal(table._rowmax, fresh._rowmax)
+        # each window holds its rows' sorted distances at their ranks, bit for bit
+        for c, m in enumerate(table.members):
+            window, lo = table._sorted[c], table._lo[c]
+            assert (lo >= 0).all() and (lo + len(window) <= len(m)).all()
+            ranked = np.sort(space.pairs()[:, m], axis=1)
+            ranks = lo + np.arange(len(window))[:, None]
+            assert np.array_equal(window.view(np.uint64), ranked[np.arange(space.n), ranks].view(np.uint64))
     ratio = table.most_envious()[2]
     alpha = verify_stability(space, fresh.clustering(), table.objective).alpha_achieved
     assert ratio == pytest.approx(alpha, rel=1e-9) or ratio == alpha
@@ -323,7 +332,7 @@ class TestObjectiveTable:
 
     @pytest.mark.parametrize("objective", ["avg", "max", "median"])
     def test_long_move_sequence_matches_fresh_table(self, objective):
-        # moves only, so the median columns edit their sorted blocks, and
+        # moves only, so the median columns edit their windows, and
         # every objective refreshes its envy columns, hundreds of times
         # between fills
         for seed, space in enumerate(table_spaces()):
@@ -334,8 +343,31 @@ class TestObjectiveTable:
                 dst = int(rng.choice([c for c in range(table.k) if c != table.assign[p]]))
                 table.move(p, dst)
                 _assert_matches_fresh(space, table)
-            if objective == "median":
-                assert all(block is not None for block in table._sorted)
+            if objective == "median":  # rank-major: each rank is one contiguous n-vector
+                assert all(window.shape[1] == space.n and window.flags.c_contiguous for window in table._sorted)
+
+    @pytest.mark.parametrize("cap", [2, 3, 4])
+    def test_narrow_median_windows_match_fresh_table(self, cap, monkeypatch):
+        # table_spaces() has at most about 8 points per column, below the
+        # unpatched WINDOW_CAP; windows of 2 to 4 ranks make the moves refill
+        # rows and whole columns, drop forced ends and meet ties at the edges
+        monkeypatch.setattr(clustering, "WINDOW_CAP", cap)
+        monkeypatch.setattr(clustering, "WINDOW_FLOOR", 2)
+        self.test_long_move_sequence_matches_fresh_table("median")
+        self.test_operations_match_fresh_table("median")
+        self.test_merged_column_is_a_fresh_fill("median")
+
+    def test_wide_median_columns_match_fresh_table(self):
+        # two columns of about 150 points on a tied integer line, each wider
+        # than the unpatched WINDOW_CAP
+        space = line_space(np.random.default_rng(7).integers(0, 20, size=300))
+        rng = np.random.default_rng(8)
+        table = _ObjectiveTable(space, Clustering(np.arange(300) % 2, 2), "median")
+        assert all(len(window) == clustering.WINDOW_CAP for window in table._sorted)
+        for _ in range(300):
+            p = int(rng.integers(300))
+            table.move(p, 1 - table.assign[p])
+            _assert_matches_fresh(space, table)
 
     def test_phi_fills_missing_terms_and_sums_in_order(self):
         space = table_spaces()[1]
@@ -349,28 +381,36 @@ class TestObjectiveTable:
         assert None not in table._potential
 
     def test_sorted_row_edits_match_delete_and_insert(self):
-        # rows of small integers, so most values repeat within a row and
-        # between a row and the value deleted or inserted
+        # rank-major blocks of small integers, so most values repeat within a
+        # row and between a row and the value deleted or inserted; each edit
+        # must equal the reference and a fresh sort of the edited multiset
         rng = np.random.default_rng(6)
-        for width in range(1, 8):
-            block = np.sort(rng.integers(0, 4, size=(2000, width)).astype(float), axis=1)
-            member = block[np.arange(2000), rng.integers(0, width, size=2000)]
+        for width in range(1, 9):
+            rows = np.sort(rng.integers(0, 4, size=(2000, width)).astype(float), axis=1)
+            block = np.ascontiguousarray(rows.T)
+            at = rng.integers(0, width, size=2000)
+            member = rows[np.arange(2000), at]
             other = rng.integers(0, 5, size=2000).astype(float)
-            for got, want in (
-                (_delete_sorted(block, member), delete_sorted(block, member)),
-                (_insert_sorted(block, other), insert_sorted(block, other)),
+            kept = rows[np.arange(width) != at[:, None]].reshape(2000, width - 1)
+            for got, want, fresh in (
+                (_delete_sorted(block, member), delete_sorted(block, member), kept),
+                (_insert_sorted(block, other), insert_sorted(block, other), np.column_stack((rows, other))),
             ):
-                assert got.shape == want.shape and np.array_equal(got.view(np.uint64), want.view(np.uint64))
+                fresh = np.sort(fresh, axis=1).T
+                assert got.shape == want.shape == fresh.shape
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+                assert np.array_equal(got.view(np.uint64), fresh.view(np.uint64))
 
     def test_merge_of_two_sorted_blocks(self):
         for space in table_spaces():
             table = _ObjectiveTable(space, Clustering(np.arange(space.n) % 4, 4), "median")
-            table.move(0, 1)  # edits the blocks of columns 0 and 1
+            table.move(0, 1)  # edits the windows of columns 0 and 1
             table.merge(0, 1)
             merged = table.members[-1]
-            assert np.array_equal(table._sorted[-1], np.sort(table.D[:, merged], axis=1))
+            assert np.array_equal(table._sorted[-1], np.sort(table.D[:, merged], axis=1).T)
+            assert not table._lo[-1].any()
             _assert_matches_fresh(space, table)
-            table.move(int(merged[0]), 0)  # the merged block keeps serving moves
+            table.move(int(merged[0]), 0)  # the merged window keeps serving moves
             _assert_matches_fresh(space, table)
 
     @pytest.mark.parametrize("objective", ["avg", "max", "median"])

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -308,6 +309,20 @@ class TestMedianIpCluster:
             before = sum(phi_sqrt_median_exact(sp, m) for m in bad.members())
             after = sum(phi_sqrt_median_exact(sp, m) for m in out.members())
             assert after < before
+
+    def test_memory_stays_near_the_distance_table(self):
+        # row-sorted n x |C| blocks would hold about the table again; the
+        # windows hold O(n x k x WINDOW_CAP)
+        n = 500
+        sp = random_space(n, seed=1, k=4, dim=4)
+        tracemalloc.start()
+        try:
+            _, trace = median_ip_cluster(sp, 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert trace.status == CONVERGED
+        assert peak < 2 * n * n * 8
 
     def test_squaring_identity(self):
         # a clustering alpha-stable for sqrt(median) is alpha^2-stable for median
