@@ -11,7 +11,7 @@ from contextlib import contextmanager
 from pathlib import Path
 
 from .algorithms import ALGORITHMS
-from .clustering import Clustering, check_start, strict_json, verify_stability
+from .clustering import TABLES, Clustering, check_start, strict_json, verify_stability
 from .local_search import CAP_EXCEEDED
 from .metric import (
     GenSpec,
@@ -248,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--format", choices=("auto", "matrix", "points"), default="auto")
     v.add_argument("--norm", choices=("l2", "l1"), default="l2")
     v.add_argument("--clustering", required=True)
-    v.add_argument("--objective", choices=("avg", "median", "max"), default="avg")
+    v.add_argument("--objective", choices=TABLES, default="avg")
     v.add_argument("--alpha", type=float, default=None)
     v.set_defaults(func=cmd_verify)
 

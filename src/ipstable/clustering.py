@@ -2,9 +2,11 @@
 
 A clustering is alpha-stable for an objective f when no point p with a
 non-singleton cluster has f(p, C(p)\\{p}) > alpha * f(p, C') for any other
-cluster C'.  ``_ObjectiveTable.envy`` computes each point's envy ratio, for
-the searches and the verifier alike; the median and max objectives use the
-same exclude-self convention as avg.
+cluster C'.  Each objective has one table class in ``TABLES``, which keeps
+f(p, C) for every point and cluster while a search moves points; the
+table's ``envy`` computes each point's envy ratio, for the searches and the
+verifier alike.  The median and max objectives use the same exclude-self
+convention as avg.
 """
 
 from __future__ import annotations
@@ -18,9 +20,6 @@ import numpy as np
 from .metric import _BLOCK_CHUNK_ELEMS, MetricSpace
 
 __all__ = ["Clustering", "StabilityReport", "verify_stability"]
-
-OBJECTIVES = ("avg", "median", "max")
-
 
 class Clustering:
     """A partition of point indices 0..n-1 into k non-empty clusters."""
@@ -216,9 +215,10 @@ class _Columns:
         return Clustering(self.assign.copy(), self.k)
 
 
-class _ObjectiveTable(_Columns):
+class _Table(_Columns):
     """f(p, C) for every point p and cluster C under one objective, kept exact
-    while a search moves points, merges clusters and splits them.
+    while a search moves points, merges clusters and splits them; one
+    subclass per objective (``TABLES``).
 
     Built from one ``space.pairs()`` read, an exactly symmetric table.
     Columns are the clusters in creation order, moved by the column step of
@@ -226,33 +226,17 @@ class _ObjectiveTable(_Columns):
     insertion order (a moved point is appended, a merge concatenates), which
     is the order the randomized split permutes.
 
-    A move of p updates the two columns it touches from p's row ``D[p]``
-    alone.  For avg the table holds distance sums (f = sums / size), which
-    gain or lose that column.  For max the target column takes its
-    elementwise maximum with it, and the source column is recomputed only on
-    the rows whose maximum was d(r, p).  For median, every column keeps a
-    window of each row's sorted distances to its members, rank-major
-    (``_sorted[c]``, w x n, so a rank is one contiguous n-vector): the ranks
-    ``_lo[c][r]`` to ``_lo[c][r] + w`` of row r, all |C| ranks while
-    |C| <= ``WINDOW_CAP``, and at most ``WINDOW_CAP`` around the median
-    above it, O(n x k x WINDOW_CAP) floats in all.  Beside them ``_rowmax``
-    (n x k) holds each row's largest distance to each column, kept on a
-    move as max's table is.  A move deletes d(r, p) from each source row's
-    window and inserts it into each target row's (``_insert``), each an
-    O(n x w) edit; a row whose median ranks leave its window is refilled
-    from the distance table, and a whole column once its window has narrowed
-    below ``WINDOW_FLOOR`` (``_recentre``).  A merge or a split deletes the
-    columns it replaces and fills each new one afresh from the distance
-    table (``_renew``), so avg's sums are exact after either.  For max and
-    median every stored value is an entry of the distance table picked by
-    the same rank rule as a fresh fill, so the table equals a fresh one
-    exactly; avg's sums agree up to the rounding of the moves since a
-    column's fill.
+    A subclass fills a column from the distance table (``_fill``), updates
+    the two columns a move of p touches from p's row ``D[p]`` alone
+    (``_move``), and reads f for every row (``_f``) and the members' own
+    values (``_own_of``) from a column.  Each name it adds to ``_carried``
+    is a list with one entry per column, ``None`` until filled.  A merge or
+    a split deletes the columns it replaces and fills each new one afresh
+    from the distance table (``_renew``).
 
     The envy state is kept with the table.  ``_foreign`` (n x k, column-major)
     holds f(p, C_c) in column c, with each point's own entry set to inf;
-    ``_own`` holds f(p, C(p)\\{p}), 0 for a point of a singleton cluster
-    (for median, read at the median's rank in the member's window).
+    ``_own`` holds f(p, C(p)\\{p}), 0 for a point of a singleton cluster.
     ``_refresh(c)`` is their only writer: it rebuilds column c of
     ``_foreign`` and the ``_own`` entries of c's members, and runs on every
     column that a fill or move writes.  A merge or split keeps the
@@ -262,18 +246,12 @@ class _ObjectiveTable(_Columns):
     treat as read-only.
 
     ``table`` is column-major (``order="F"``): a move's two column edits and
-    refreshes, and a fill, read contiguous memory.  Each column's potential
-    term (``phi_of`` for avg, ``diameter_of`` for median) is computed on
-    first use and cached; a move drops the entries of its two columns, and
-    a merge or split drops the entries of the columns it deletes.
+    refreshes, and a fill, read contiguous memory.
     """
 
-    _carried = ("members", "table", "_foreign", "_potential")
+    _carried = ("members", "table", "_foreign")
 
-    def __init__(self, space: MetricSpace, clustering: Clustering, objective: str):
-        if objective not in OBJECTIVES:
-            raise ValueError(f"unknown objective {objective!r}")
-        self.objective = objective
+    def __init__(self, space: MetricSpace, clustering: Clustering):
         self.D = space.pairs()
         self.n = clustering.n
         self.assign = clustering.assignment.copy()
@@ -282,43 +260,175 @@ class _ObjectiveTable(_Columns):
         self.table = np.empty((self.n, clustering.k), order="F")
         self._foreign = np.empty((self.n, clustering.k), order="F")
         self._own = np.zeros(self.n)
-        self._potential = [None] * clustering.k  # cached phi_of / diameter_of per column
-        if objective == "median":
-            self._carried += ("_sorted", "_lo", "_rowmax")
-            self._sorted = [None] * clustering.k
-            self._lo = [None] * clustering.k
-            self._rowmax = np.empty((self.n, clustering.k), order="F")
+        for name in self._carried[len(_Table._carried) :]:
+            setattr(self, name, [None] * clustering.k)
         for c in range(clustering.k):
             self._fill(c)
+            self._refresh(c)
+
+    def move(self, p: int, dst: int) -> None:
+        """Move point p into column dst."""
+        src = self.assign[p]
+        self.assign[p] = dst
+        self.sizes[src] -= 1
+        self.sizes[dst] += 1
+        self.members[src] = self.members[src][self.members[src] != p]
+        self.members[dst] = np.concatenate((self.members[dst], [p]))
+        self._move(src, dst, self.D[p])
+        self._refresh(src)
+        self._refresh(dst)
+
+    def _move_max(self, at_src: np.ndarray, at_dst: np.ndarray, src: int, dist: np.ndarray) -> None:
+        """Update two columns of row maxima, source ``at_src`` and target
+        ``at_dst``, for a move whose distance row is ``dist``: the target
+        takes the elementwise maximum, the source is recomputed on the rows
+        whose maximum left."""
+        np.maximum(at_dst, dist, out=at_dst)
+        rows = np.flatnonzero(dist == at_src)
+        at_src[rows] = self.D[np.ix_(rows, self.members[src])].max(axis=1)
+
+    def _refresh(self, c: int) -> None:
+        """Rebuild column c of ``_foreign`` and its members' ``_own`` entries."""
+        col, m = self._foreign[:, c], self.members[c]
+        col[:] = self._f(c)
+        col[m] = np.inf
+        self._own[m] = self._own_of(c, m) if len(m) > 1 else 0.0
+
+    def _f(self, c: int) -> np.ndarray:
+        """f(r, C_c) for every row r: column c itself, unless a subclass
+        stores something else there."""
+        return self.table[:, c]
+
+    def merge(self, a: int, b: int) -> None:
+        """Replace columns a and b by one column, a's members then b's, appended last."""
+        self._renew((a, b), [np.concatenate([self.members[a], self.members[b]])])
+
+    def split(self, c: int, half_a: np.ndarray, half_b: np.ndarray) -> None:
+        """Replace column c by two columns, ``half_a`` then ``half_b``, appended last."""
+        self._renew((c,), [half_a, half_b])
+
+    def _renew(self, dead, parts) -> None:
+        """Replace the ``dead`` columns by one column per part, filled afresh."""
+        for c, m in enumerate(parts, self._replace(dead, parts)):
+            self.members[c] = m
+            self._fill(c)
+            self._refresh(c)
+
+    def envy(self) -> tuple[np.ndarray, np.ndarray]:
+        """(ratio, foreign): each point's worst envy ratio, ``_own`` over its
+        smallest foreign value (0/0 = 0, x/0 = inf; 0 for a point of a
+        singleton cluster, as its ``_own`` is 0), and ``_foreign`` itself
+        (live: read it, do not write it)."""
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = self._own / self._foreign.min(axis=1)  # x/0 = inf
+        ratio[np.isnan(ratio)] = 0.0  # 0/0
+        return ratio, self._foreign
+
+    def most_envious(self) -> tuple[int, int, float]:
+        """(point, nearest foreign column, ratio) of the largest envy ratio;
+        ties go to the smallest point, then the smallest column."""
+        ratio, foreign = self.envy()
+        p = int(np.argmax(ratio))
+        return p, int(foreign[p].argmin()), float(ratio[p])
+
+
+class _AvgTable(_Table):
+    """avg: column c holds each row's distance sum to C_c (f = sums / |C_c|),
+    which a move changes by p's row; the sums agree with a fresh fill up to
+    the rounding of the moves since the column's fill.  ``_phi`` caches each
+    column's potential term (``phi_of``) on first use; a move drops the
+    entries of its two columns."""
+
+    objective = "avg"
+    _carried = _Table._carried + ("_phi",)
 
     def _fill(self, c: int) -> None:
-        """Compute column c, and refresh its envy state, from the distance table."""
-        if self.objective == "median":
-            self._window(c)
-            self._read_median(c)
-        else:
-            block = self.D[:, self.members[c]]
-            self.table[:, c] = block.sum(axis=1) if self.objective == "avg" else block.max(axis=1)
-        self._refresh(c)
+        self.table[:, c] = self.D[:, self.members[c]].sum(axis=1)
 
-    def _window(self, c: int) -> None:
-        """Fill column c's window and row maxima from the distance table: of
-        each row's sorted distances to the members, at most ``WINDOW_CAP``
-        ranks centred on the median.  The rows are sorted in chunks of at
-        most ``_BLOCK_CHUNK_ELEMS`` cells, so no n x |C| block is built."""
+    def _move(self, src: int, dst: int, dist: np.ndarray) -> None:
+        self.table[:, src] -= dist
+        self.table[:, dst] += dist
+        self._phi[src] = self._phi[dst] = None
+
+    def _f(self, c: int) -> np.ndarray:
+        return self.table[:, c] / self.sizes[c]
+
+    def _own_of(self, c: int, m: np.ndarray) -> np.ndarray:
+        return self.table[m, c] / (self.sizes[c] - 1)
+
+    def phi_of(self, c: int) -> float:
+        """log2|C| / |C| times the sum of d over ordered pairs of column c; cached."""
+        if self._phi[c] is None:
+            m = self.members[c]
+            pair_sum = float(self.table[:, c][m].sum())
+            self._phi[c] = math.log2(len(m)) / len(m) * pair_sum if len(m) > 1 else 0.0
+        return self._phi[c]
+
+    def phi(self) -> float:
+        """The clustering potential, summed over columns in order."""
+        return sum(self.phi_of(c) for c in range(self.k))
+
+
+class _MaxTable(_Table):
+    """max: column c holds each row's largest distance to C_c.  A move's
+    target column takes its elementwise maximum with p's row, and the source
+    column is recomputed only on the rows whose maximum was d(r, p), so every
+    entry is the distance table's, as a fresh fill's is."""
+
+    objective = "max"
+
+    def _fill(self, c: int) -> None:
+        self.table[:, c] = self.D[:, self.members[c]].max(axis=1)
+
+    def _move(self, src: int, dst: int, dist: np.ndarray) -> None:
+        self._move_max(self.table[:, src], self.table[:, dst], src, dist)
+
+    def _own_of(self, c: int, m: np.ndarray) -> np.ndarray:
+        return self.table[m, c]  # the self-distance 0 never determines a max over >= 2 points
+
+
+class _MedianTable(_Table):
+    """median: every column keeps a window of each row's sorted distances to
+    its members, rank-major (``_sorted[c]``, w x n, so a rank is one
+    contiguous n-vector): the ranks ``_lo[c][r]`` to ``_lo[c][r] + w`` of
+    row r, all |C| ranks while |C| <= ``WINDOW_CAP``, and at most
+    ``WINDOW_CAP`` around the median above it, O(n x k x WINDOW_CAP) floats
+    in all.  Column c of the table is read from the window at the median's
+    rank, and a member's own value at that rank shifted by its self-zero.
+
+    Beside them ``_rowmax[c]`` (an n-vector) holds each row's largest
+    distance to column c, kept on a move as max's table is, and
+    ``_diameter`` caches ``diameter_of``.  A move deletes d(r, p) from each
+    source row's window and inserts it into each target row's (``_insert``),
+    each an O(n x w) edit; a row whose median ranks leave its window is
+    refilled from the distance table, and a whole column once its window has
+    narrowed below ``WINDOW_FLOOR`` (``_recentre``).  Every stored value is
+    an entry of the distance table picked by the same rank rule as a fresh
+    fill, so the table equals a fresh one exactly."""
+
+    objective = "median"
+    _carried = _Table._carried + ("_sorted", "_lo", "_rowmax", "_diameter")
+
+    def _fill(self, c: int) -> None:
+        """Fill column c's window and row maxima from the distance table, and
+        read the column from the window: of each row's sorted distances to the
+        members, at most ``WINDOW_CAP`` ranks centred on the median.  The rows
+        are sorted in chunks of at most ``_BLOCK_CHUNK_ELEMS`` cells, so no
+        n x |C| block is built."""
         m = self.members[c]
         size = len(m)
         width = min(size, WINDOW_CAP)
         first = (size - width) // 2
-        window = np.empty((width, self.n))
+        window, rowmax = np.empty((width, self.n)), np.empty(self.n)
         step = max(1, _BLOCK_CHUNK_ELEMS // size)
         for start in range(0, self.n, step):
             ranked = self.D[m, start : start + step]  # the table is exactly symmetric: column r is row r
             ranked.sort(axis=0)
             window[:, start : start + step] = ranked[first : first + width]
-            self._rowmax[start : start + step, c] = ranked[-1]
-        self._sorted[c] = window
+            rowmax[start : start + step] = ranked[-1]
+        self._sorted[c], self._rowmax[c] = window, rowmax
         self._lo[c] = np.full(self.n, first)
+        self._read_median(c)
 
     def _read_median(self, c: int) -> None:
         """Read column c from its window."""
@@ -350,7 +460,7 @@ class _ObjectiveTable(_Columns):
         block, lo, m = self._sorted[c], self._lo[c], self.members[c]
         size, width = len(m), len(block)
         if width < min(size, WINDOW_FLOOR):
-            self._window(c)
+            self._fill(c)
             return
         rows = np.flatnonzero((lo > (size + 1) // 2 - 1) | (lo + width <= size // 2))
         if rows.size:
@@ -358,115 +468,31 @@ class _ObjectiveTable(_Columns):
             block[:, rows] = np.sort(self.D[np.ix_(rows, m)], axis=1)[:, first : first + width].T
             lo[rows] = first
 
-    def _move_max(self, maxima: np.ndarray, src: int, dst: int, dist: np.ndarray) -> None:
-        """Update columns src and dst of the row maxima ``maxima`` for a move
-        whose distance row is ``dist``: the target takes the elementwise
-        maximum, the source is recomputed on the rows whose maximum left."""
-        np.maximum(maxima[:, dst], dist, out=maxima[:, dst])
-        rows = np.flatnonzero(dist == maxima[:, src])
-        maxima[rows, src] = self.D[np.ix_(rows, self.members[src])].max(axis=1)
+    def _move(self, src: int, dst: int, dist: np.ndarray) -> None:
+        self._move_max(self._rowmax[src], self._rowmax[dst], src, dist)
+        self._sorted[src] = _delete_sorted(self._sorted[src], dist)
+        self._insert(dst, dist)
+        for c in (src, dst):
+            self._recentre(c)
+            self._read_median(c)
+        self._diameter[src] = self._diameter[dst] = None
 
-    def move(self, p: int, dst: int) -> None:
-        """Move point p into column dst."""
-        src = self.assign[p]
-        self.assign[p] = dst
-        self.sizes[src] -= 1
-        self.sizes[dst] += 1
-        self.members[src] = self.members[src][self.members[src] != p]
-        self.members[dst] = np.concatenate((self.members[dst], [p]))
-        self._potential[src] = self._potential[dst] = None
-        dist = self.D[p]
-        if self.objective == "avg":
-            self.table[:, src] -= dist
-            self.table[:, dst] += dist
-        elif self.objective == "max":
-            self._move_max(self.table, src, dst, dist)
-        else:
-            self._move_max(self._rowmax, src, dst, dist)
-            self._sorted[src] = _delete_sorted(self._sorted[src], dist)
-            self._insert(dst, dist)
-            for c in (src, dst):
-                self._recentre(c)
-                self._read_median(c)
-        self._refresh(src)
-        self._refresh(dst)
-
-    def _refresh(self, c: int) -> None:
-        """Rebuild column c of ``_foreign`` and its members' ``_own`` entries
-        from column c of the table (and, for median, its window)."""
-        col, m, values = self._foreign[:, c], self.members[c], self.table[:, c]
-        if self.objective == "avg":
-            np.divide(values, self.sizes[c], out=col)
-        else:
-            col[:] = values
-        col[m] = np.inf
-        if len(m) == 1:
-            self._own[m] = 0.0
-        elif self.objective == "avg":
-            self._own[m] = values[m] / (self.sizes[c] - 1)
-        elif self.objective == "max":
-            self._own[m] = values[m]  # the self-distance 0 never determines a max over >= 2 points
-        else:
-            # the median's rank shifted by the self-zero
-            self._own[m] = self._sorted[c][len(m) // 2 - self._lo[c][m], m]
-
-    def merge(self, a: int, b: int) -> None:
-        """Replace columns a and b by one column, a's members then b's, appended last."""
-        self._renew((a, b), [np.concatenate([self.members[a], self.members[b]])])
-
-    def split(self, c: int, half_a: np.ndarray, half_b: np.ndarray) -> None:
-        """Replace column c by two columns, ``half_a`` then ``half_b``, appended last."""
-        self._renew((c,), [half_a, half_b])
-
-    def _renew(self, dead, parts) -> None:
-        """Replace the ``dead`` columns by one column per part, filled afresh."""
-        for c, m in enumerate(parts, self._replace(dead, parts)):
-            self.members[c] = m
-            self._fill(c)
-
-    def envy(self) -> tuple[np.ndarray, np.ndarray]:
-        """(ratio, foreign): each point's worst envy ratio, ``_own`` over its
-        smallest foreign value (0/0 = 0, x/0 = inf; 0 for a point of a
-        singleton cluster, as its ``_own`` is 0), and ``_foreign`` itself
-        (live: read it, do not write it)."""
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = self._own / self._foreign.min(axis=1)  # x/0 = inf
-        ratio[np.isnan(ratio)] = 0.0  # 0/0
-        return ratio, self._foreign
-
-    def most_envious(self) -> tuple[int, int, float]:
-        """(point, nearest foreign column, ratio) of the largest envy ratio;
-        ties go to the smallest point, then the smallest column."""
-        ratio, foreign = self.envy()
-        p = int(np.argmax(ratio))
-        return p, int(foreign[p].argmin()), float(ratio[p])
+    def _own_of(self, c: int, m: np.ndarray) -> np.ndarray:
+        return self._sorted[c][len(m) // 2 - self._lo[c][m], m]  # the median's rank shifted by the self-zero
 
     def row_max(self, c: int) -> np.ndarray:
-        """median only: each point's largest distance to column c (a view:
-        read it, do not write it)."""
-        return self._rowmax[:, c]
+        """Each point's largest distance to column c (live: read it, do not write it)."""
+        return self._rowmax[c]
 
     def diameter_of(self, c: int) -> float:
-        """median only: the largest distance within column c, the largest
-        ``row_max`` over its members (0 for a singleton); cached."""
-        if self._potential[c] is None:
-            self._potential[c] = float(self.row_max(c)[self.members[c]].max())
-        return self._potential[c]
+        """The largest distance within column c, the largest ``row_max`` over
+        its members (0 for a singleton); cached."""
+        if self._diameter[c] is None:
+            self._diameter[c] = float(self._rowmax[c][self.members[c]].max())
+        return self._diameter[c]
 
-    def phi_of(self, c: int) -> float:
-        """avg only: log2|C| / |C| times the sum of d over ordered pairs of column c; cached."""
-        if self._potential[c] is None:
-            m = self.members[c]
-            pair_sum = float(self.table[:, c][m].sum())
-            self._potential[c] = math.log2(len(m)) / len(m) * pair_sum if len(m) > 1 else 0.0
-        return self._potential[c]
 
-    def phi(self) -> float:
-        """avg only: the clustering potential, summed over columns in order."""
-        for c, term in enumerate(self._potential):
-            if term is None:
-                self.phi_of(c)
-        return sum(self._potential)
+TABLES = {"avg": _AvgTable, "median": _MedianTable, "max": _MaxTable}
 
 
 def verify_stability(
@@ -480,12 +506,12 @@ def verify_stability(
     nearest foreign cluster (``None`` if that point's cluster is a singleton)."""
     if clustering.n != space.n:
         raise ValueError("clustering size does not match the space")
-    if objective not in OBJECTIVES:  # checked here too: k = 1 builds no table
+    if objective not in TABLES:
         raise ValueError(f"unknown objective {objective!r}")
-    if clustering.k == 1:
+    if clustering.k == 1:  # stable, and no table is built
         return StabilityReport(objective, 0.0, None, np.zeros(clustering.n), alpha)
 
-    table = _ObjectiveTable(space, clustering, objective)
+    table = TABLES[objective](space, clustering)
     per_point, foreign = table.envy()
     p = int(np.argmax(per_point))
     witness = None if table.sizes[table.assign[p]] == 1 else (p, int(foreign[p].argmin()))

@@ -24,7 +24,7 @@ from typing import Callable, Iterator, Optional
 
 import numpy as np
 
-from .clustering import Clustering, _ObjectiveTable, check_start
+from .clustering import Clustering, _AvgTable, _MaxTable, _Table, check_start
 from .metric import MetricSpace
 from .potential import MaxIpSignature, edge_order, signature_from_order
 
@@ -89,7 +89,7 @@ class LsTrace:
 
 
 def search(
-    table: _ObjectiveTable,
+    table: _Table,
     alpha: float,
     max_steps: int,
     step: Callable[[int, int, int, float], Step],
@@ -120,13 +120,13 @@ def search(
     return table.clustering(), trace
 
 
-def _table(space: MetricSpace, k: int, config: LsConfig, objective: str) -> _ObjectiveTable:
+def _table(space: MetricSpace, k: int, config: LsConfig, table_class: type[_Table]) -> _Table:
     check_start(space.n, k, config.initial)
     start = config.initial if config.initial is not None else Clustering(np.arange(space.n) % k, k)
-    return _ObjectiveTable(space, start, objective)
+    return table_class(space, start)
 
 
-def _swap(table: _ObjectiveTable) -> Callable[[int, int, int, float], Step]:
+def _swap(table: _Table) -> Callable[[int, int, int, float], Step]:
     """The step natural and max share: move p to the cluster it envies most."""
 
     def swap(p, src, dst, phi):
@@ -138,7 +138,7 @@ def _swap(table: _ObjectiveTable) -> Callable[[int, int, int, float], Step]:
 
 def natural_local_search(space: MetricSpace, k: int, config: LsConfig) -> tuple[Clustering, LsTrace]:
     """Move envious points until the clustering is alpha-stable for avg."""
-    table = _table(space, k, config, "avg")
+    table = _table(space, k, config, _AvgTable)
     alpha = config.alpha if config.alpha is not None else 2.0 * math.log2(space.n)
     return search(table, alpha, config.max_steps, _swap(table), table.phi, slack=DEFAULT_SLACK)
 
@@ -161,7 +161,7 @@ def max_ip_local_search(space: MetricSpace, k: int, config: LsConfig) -> tuple[C
     """
     if config.alpha not in (None, 1.0):
         raise ValueError("max runs at alpha = 1 only")
-    table = _table(space, k, config, "max")
+    table = _table(space, k, config, _MaxTable)
     return search(table, 1.0, config.max_steps, _swap(table))
 
 

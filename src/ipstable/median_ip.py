@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clustering import Clustering, _ObjectiveTable, check_start
+from .clustering import Clustering, _MedianTable, check_start
 from .local_search import LsTrace, Step, search
 from .merge_split import kcenter_init
 from .metric import MetricSpace
@@ -67,7 +67,7 @@ def _merge_cost(n: int, med_a: float, med_b: float) -> float:
     return merge_bound_factor(n) * (math.sqrt(med_a) + math.sqrt(med_b))
 
 
-def _split_sharpest(table: _ObjectiveTable) -> None:
+def _split_sharpest(table: _MedianTable) -> None:
     """Apply the deterministic one-point split to the widest cluster (ties go
     to the older one): of its farthest pair i < j, detach the endpoint with
     the larger median distance to the rest of the cluster (ties to i).  The
@@ -98,7 +98,7 @@ def median_ip_cluster(
     """
     n = space.n
     check_start(n, k, initial)
-    table = _ObjectiveTable(space, initial if initial is not None else kcenter_init(space, k), "median")
+    table = _MedianTable(space, initial if initial is not None else kcenter_init(space, k))
 
     def diameters():
         return [table.diameter_of(c) for c in range(table.k)]

@@ -17,7 +17,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .clustering import Clustering, _ObjectiveTable, check_start
+from .clustering import Clustering, _AvgTable, check_start
 from .local_search import DEFAULT_SLACK, LsTrace, Step, search
 from .metric import MetricSpace, rng_from_seed
 
@@ -117,7 +117,7 @@ def merge_split_ls(
     if max_steps < 1:
         raise ValueError("max_steps must be at least 1")
     rng = rng_from_seed(seed)
-    table = _ObjectiveTable(space, initial if initial is not None else kcenter_init(space, k), "avg")
+    table = _AvgTable(space, initial if initial is not None else kcenter_init(space, k))
 
     def pair_phi(idx: np.ndarray) -> float:
         return math.log2(len(idx)) / len(idx) * float(table.D[np.ix_(idx, idx)].sum())

@@ -141,11 +141,10 @@ class MetricSpace:
 
     def row(self, i: int, idx=None) -> np.ndarray:
         """Distances from point i to idx (default: all points); one query each."""
-        if not 0 <= i < self.n:
-            raise IndexError(f"point index out of range: {i} with n={self.n}")
+        i = self._indices([i])
         idx = np.arange(self.n) if idx is None else self._indices(idx)
         self.charge(len(idx))
-        return self._eval_block(np.array([i], dtype=np.intp), idx)[0]
+        return self._eval_block(i, idx)[0]
 
     def block(self, rows, cols) -> np.ndarray:
         """|rows| x |cols| distance block; charges |rows|*|cols| queries."""
@@ -196,8 +195,13 @@ class MetricSpace:
         return self._eval_block(self._indices(rows), self._indices(cols))
 
     def _indices(self, idx) -> np.ndarray:
-        """``idx`` as an intp array; IndexError unless every entry is a point."""
-        idx = np.asarray(idx, dtype=np.intp)
+        """``idx`` as an intp array; IndexError unless every entry is a point.
+        A float or boolean entry names no point, even one that casts to an
+        integer; an empty index (numpy reads ``[]`` as float64) names none."""
+        idx = np.asarray(idx)
+        if idx.size and idx.dtype.kind not in "iu":
+            raise IndexError(f"point indices must be integers, got {idx.dtype}")
+        idx = idx.astype(np.intp, copy=False)
         # read as unsigned, a negative index is a huge one: one max checks both ends
         if idx.view(np.uintp).max(initial=0) >= self.n:
             bad = idx[(idx < 0) | (idx >= self.n)]

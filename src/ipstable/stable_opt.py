@@ -52,10 +52,10 @@ def beta(space: MetricSpace, C) -> float:
     C = np.asarray(C, dtype=np.intp)
     if len(C) == 0:
         raise ValueError("cluster must be non-empty")
-    if len(C) == space.n:
-        return 0.0
     inside = np.zeros(space.n, dtype=bool)
     inside[C] = True
+    if inside.all():
+        return 0.0
     outside = np.nonzero(~inside)[0]
     diam = float(space.block(C, C).max()) if len(C) > 1 else 0.0
     sep = float(space.block(C, outside).min())

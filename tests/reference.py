@@ -98,7 +98,7 @@ OBJECTIVE_DIST = {"avg": avg_dist, "median": median_dist, "max": max_dist}
 
 
 def most_envious(space: MetricSpace, clustering: Clustering, objective: str) -> tuple[int, int, float]:
-    """(point, column, ratio) that ``_ObjectiveTable.most_envious`` returns,
+    """(point, column, ratio) that an objective table's ``most_envious`` returns,
     by plain loops: each point envies its nearest foreign cluster (ties to
     the smallest cluster id) by f(p, C(p)\\{p}) / f(p, C'), 0 for a point of
     a singleton cluster; the largest ratio wins, ties to the smallest point."""
@@ -125,7 +125,7 @@ def most_envious(space: MetricSpace, clustering: Clustering, objective: str) -> 
 
 
 def envy_from_columns(objective: str, table: np.ndarray, sizes, assign, D: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(ratio, foreign) that ``_ObjectiveTable.envy`` returns, derived in one
+    """(ratio, foreign) that an objective table's ``envy`` returns, derived in one
     vectorized pass from an objective table's columns (``table``: distance
     sums for avg, f(p, C_c) otherwise), its cluster sizes and its assignment;
     each point's own median comes from the distance table ``D``, at rank

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.sparse.csgraph import shortest_path
 
 from ipstable import ALGORITHMS, Clustering, MetricSpace, cli, verify_stability
-from ipstable.clustering import _ObjectiveTable
+from ipstable.clustering import TABLES
 from ipstable.local_search import LsConfig, max_ip_local_search, max_ip_signatures
 from ipstable.potential import edge_order
 from ipstable.stable_opt import beta_clustering
@@ -140,7 +140,7 @@ def test_every_algorithm_is_deterministic_and_stable_on_small_instances(instance
     # the searches' tie-breaks: the most envious point and the cluster it envies
     start = Clustering(np.arange(n) % k, k)
     for objective in ("avg", "median", "max"):
-        table = _ObjectiveTable(space, start, objective)
+        table = TABLES[objective](space, start)
         assert table.most_envious() == most_envious(space, start, objective), objective
 
 

@@ -7,10 +7,10 @@ from hypothesis import given, strategies as st
 
 from ipstable import clustering
 from ipstable.clustering import (
+    TABLES,
     Clustering,
     _delete_sorted,
     _insert_sorted,
-    _ObjectiveTable,
     verify_stability,
 )
 from ipstable.metric import MetricSpace
@@ -178,7 +178,7 @@ class TestVerifyStability:
         assert rep.alpha_achieved == math.inf
         assert rep.witness == (0, 1)
         for objective in ("avg", "max", "median"):  # the search's scan: x/0 = inf
-            assert _ObjectiveTable(sp, cl, objective).most_envious() == (0, 1, math.inf)
+            assert TABLES[objective](sp, cl).most_envious() == (0, 1, math.inf)
 
     def test_alpha_gate(self):
         sp = line_space([0, 1, 10, 11])
@@ -264,10 +264,18 @@ class TestAveragingFacts:
 
 
 def _assert_matches_fresh(space, table):
-    fresh = _ObjectiveTable(space, table.clustering(), table.objective)
+    fresh = TABLES[table.objective](space, table.clustering())
     assert np.array_equal(table.assign, fresh.assign)
     assert np.array_equal(table.sizes, fresh.sizes)
     assert [sorted(m.tolist()) for m in table.members] == [m.tolist() for m in fresh.members]
+    # each carried name holds one entry per column, and a table holds its own objective's state only
+    for name in type(table)._carried:
+        held = getattr(table, name)
+        assert (held.shape[1] if isinstance(held, np.ndarray) else len(held)) == table.k
+    own_state = {"avg": {"_phi"}, "max": set(), "median": {"_sorted", "_lo", "_rowmax", "_diameter"}}
+    assert own_state[table.objective] <= set(type(table)._carried)
+    for objective, names in own_state.items():
+        assert all(hasattr(table, name) == (objective == table.objective) for name in names)
     # the kept envy state against a derivation from the current columns, bit for bit
     ratio, foreign = table.envy()
     want_ratio, want_foreign = envy_from_columns(table.objective, table.table, table.sizes, table.assign, space.pairs())
@@ -307,7 +315,7 @@ class TestObjectiveTable:
         for seed, space in enumerate(table_spaces()):
             rng = np.random.default_rng(seed)
             n = space.n
-            table = _ObjectiveTable(space, Clustering(np.arange(n) % 4, 4), objective)
+            table = TABLES[objective](space, Clustering(np.arange(n) % 4, 4))
             for _ in range(60):
                 op = rng.choice(["move", "move", "merge", "split"])
                 k = table.k
@@ -337,7 +345,7 @@ class TestObjectiveTable:
         # between fills
         for seed, space in enumerate(table_spaces()):
             rng = np.random.default_rng(100 + seed)
-            table = _ObjectiveTable(space, Clustering(np.arange(space.n) % 4, 4), objective)
+            table = TABLES[objective](space, Clustering(np.arange(space.n) % 4, 4))
             for _ in range(400):
                 p = int(rng.choice(np.flatnonzero(table.sizes[table.assign] > 1)))
                 dst = int(rng.choice([c for c in range(table.k) if c != table.assign[p]]))
@@ -362,7 +370,7 @@ class TestObjectiveTable:
         # than the unpatched WINDOW_CAP
         space = line_space(np.random.default_rng(7).integers(0, 20, size=300))
         rng = np.random.default_rng(8)
-        table = _ObjectiveTable(space, Clustering(np.arange(300) % 2, 2), "median")
+        table = TABLES["median"](space, Clustering(np.arange(300) % 2, 2))
         assert all(len(window) == clustering.WINDOW_CAP for window in table._sorted)
         for _ in range(300):
             p = int(rng.integers(300))
@@ -372,13 +380,13 @@ class TestObjectiveTable:
     def test_phi_fills_missing_terms_and_sums_in_order(self):
         space = table_spaces()[1]
         start = Clustering(np.arange(space.n) % 5, 5)
-        table, twin = _ObjectiveTable(space, start, "avg"), _ObjectiveTable(space, start, "avg")
+        table, twin = TABLES["avg"](space, start), TABLES["avg"](space, start)
         for t in (table, twin):
             t.phi()
             t.move(0, 3)  # drops the cached terms of columns 0 and 3
-        assert [term is None for term in table._potential] == [True, False, False, True, False]
+        assert [term is None for term in table._phi] == [True, False, False, True, False]
         assert table.phi() == sum(twin.phi_of(c) for c in range(twin.k))
-        assert None not in table._potential
+        assert None not in table._phi
 
     def test_sorted_row_edits_match_delete_and_insert(self):
         # rank-major blocks of small integers, so most values repeat within a
@@ -403,7 +411,7 @@ class TestObjectiveTable:
 
     def test_merge_of_two_sorted_blocks(self):
         for space in table_spaces():
-            table = _ObjectiveTable(space, Clustering(np.arange(space.n) % 4, 4), "median")
+            table = TABLES["median"](space, Clustering(np.arange(space.n) % 4, 4))
             table.move(0, 1)  # edits the windows of columns 0 and 1
             table.merge(0, 1)
             merged = table.members[-1]
@@ -419,7 +427,7 @@ class TestObjectiveTable:
         # the merge fills its column from the distance table, as a split does
         for seed, space in enumerate(table_spaces()):
             rng = np.random.default_rng(200 + seed)
-            table = _ObjectiveTable(space, Clustering(np.arange(space.n) % 4, 4), objective)
+            table = TABLES[objective](space, Clustering(np.arange(space.n) % 4, 4))
             for _ in range(40):
                 p = int(rng.choice(np.flatnonzero(table.sizes[table.assign] > 1)))
                 dst = int(rng.choice([c for c in range(table.k) if c != table.assign[p]]))
@@ -428,12 +436,12 @@ class TestObjectiveTable:
             if objective == "avg":
                 want = table.D[:, table.members[-1]].sum(axis=1)
             else:
-                want = _ObjectiveTable(space, table.clustering(), objective).table[:, -1]
+                want = TABLES[objective](space, table.clustering()).table[:, -1]
             assert np.array_equal(table.table[:, -1].view(np.uint64), want.view(np.uint64))
 
     def test_surviving_columns_keep_their_order(self):
         space = line_space(range(10))
-        table = _ObjectiveTable(space, Clustering(np.arange(10) % 5, 5), "avg")
+        table = TABLES["avg"](space, Clustering(np.arange(10) % 5, 5))
         table.merge(3, 1)
         assert [m.tolist() for m in table.members] == [[0, 5], [2, 7], [4, 9], [3, 8, 1, 6]]
         table.split(0, np.array([5]), np.array([0]))
@@ -443,13 +451,13 @@ class TestObjectiveTable:
     def test_most_envious_ties(self):
         # points 0..3 on a line, clusters {0, 3} and {1, 2}: points 0 and 3
         # are equally envious, point 0 wins
-        table = _ObjectiveTable(line_space([0, 1, 2, 3]), Clustering([0, 1, 1, 0], 2), "avg")
+        table = TABLES["avg"](line_space([0, 1, 2, 3]), Clustering([0, 1, 1, 0], 2))
         assert table.most_envious() == (0, 1, 2.0)
 
     @pytest.mark.parametrize("objective", ["avg", "max", "median"])
     def test_most_envious_zero_over_zero_is_zero(self, objective):
         # four coincident points: every own and foreign value is 0
-        table = _ObjectiveTable(line_space([2, 2, 2, 2]), Clustering([0, 0, 1, 1], 2), objective)
+        table = TABLES[objective](line_space([2, 2, 2, 2]), Clustering([0, 0, 1, 1], 2))
         assert table.most_envious() == (0, 1, 0.0)
 
     def test_unknown_objective(self):

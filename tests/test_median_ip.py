@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ipstable import median_ip
-from ipstable.clustering import Clustering, _ObjectiveTable, verify_stability
+from ipstable.clustering import TABLES, Clustering, verify_stability
 from ipstable.local_search import CONVERGED
 from ipstable.median_ip import (
     MedianConfig,
@@ -127,7 +127,7 @@ class TestSearchSharesTheProcedures:
 
     def test_merge_cost_matches_median_merge_bound(self):
         for sp, cl in _random_clusterings(12, seed=3):
-            table = _ObjectiveTable(sp, cl, "median")
+            table = TABLES["median"](sp, cl)
             members = cl.members()
             for p in range(sp.n):
                 for a in range(cl.k):  # a = p's own cluster included
@@ -161,7 +161,7 @@ class TestSearchSharesTheProcedures:
         for sp, cl in cases:
             if cl.sizes().max() < 2:
                 continue
-            table = _ObjectiveTable(sp, cl, "median")
+            table = TABLES["median"](sp, cl)
             _split_sharpest(table)
             res = median_split(sp, cl)
             kept = [m for c, m in enumerate(cl.members()) if c != res.cluster_id]

@@ -236,6 +236,22 @@ class TestBlockKernel:
         assert sp.query_counter == 0
         assert np.array_equal(sp.row(2), sp.full()[2])
 
+    @pytest.mark.parametrize("make", [lambda: _coord_space(3, 2, "l2", 0), lambda: random_matrix_space(3, 0)])
+    def test_non_integer_reads_raise_and_charge_nothing(self, make):
+        # each of these casts to an in-range integer; booleans are not a mask either
+        sp = make()
+        for read in (lambda: sp.row(1.5), lambda: sp.row(True), lambda: sp.row(0, [0.5]),
+                     lambda: sp.block([0.5], [1.7]), lambda: sp.block([True, False], [1]),
+                     lambda: sp.peek_block([1.9], [0]), lambda: sp.peek_block([0], np.array([1.0]))):
+            with pytest.raises(IndexError, match="integers"):
+                read()
+        assert sp.query_counter == 0
+        # an empty list is still an empty index, though numpy reads it as float64
+        assert sp.block([], [0, 1]).shape == (0, 2)
+        assert sp.block([0], []).shape == (1, 0)
+        assert sp.row(0, []).shape == (0,)
+        assert sp.query_counter == 0
+
 
 class TestTableLoad:
     @pytest.mark.parametrize("skew", ["upper", "lower", "cells"])

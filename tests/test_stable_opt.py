@@ -26,6 +26,11 @@ class TestBeta:
         sp = line_space([0, 1, 5])
         assert beta(sp, [0, 1, 2]) == 0.0
 
+    def test_repeated_indices_are_not_the_whole_space(self):
+        # five entries on five points, but only three points: the gap to point 3 counts
+        sp = line_space([0, 1, 2, 3, 4])
+        assert beta(sp, [0, 0, 1, 1, 2]) == beta(sp, [0, 1, 2]) == 2.0
+
     def test_pair_with_outsider(self):
         sp = line_space([0, 1, 5])
         assert beta(sp, [0, 1]) == pytest.approx(0.25)
