@@ -3,7 +3,9 @@
 from .algorithms import ALGORITHMS
 from .clustering import Clustering, StabilityReport, verify_stability
 from .fast import calc_average, calc_central_point, calc_potential, epoch, fast_ls
-from .local_search import LsConfig, LsTrace, Step, max_ip_local_search, max_ip_signatures, natural_local_search
+from .local_search import (
+    LsConfig, LsTrace, Step, avg_potentials, max_ip_local_search, max_ip_signatures, natural_local_search,
+)
 from .median_ip import MedianConfig, median_ip_cluster
 from .merge_split import kcenter_init, merge_split_ls
 from .metric import GenSpec, Generated, MetricSpace, generate
@@ -28,6 +30,7 @@ __all__ = [
     "Step",
     "natural_local_search",
     "max_ip_local_search",
+    "avg_potentials",
     "max_ip_signatures",
     "kcenter_init",
     "merge_split_ls",

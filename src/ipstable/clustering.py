@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -137,13 +138,30 @@ def strict_json(obj, **kwargs) -> str:
     return json.dumps(_encode_inf(obj), allow_nan=False, **kwargs)
 
 
+def _check_integer(name: str, value) -> None:
+    """Reject a value that is not an integer (numpy integers are), before any
+    work is charged for it."""
+    try:
+        operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 def check_start(n: int, k: int, initial: Clustering | None = None) -> None:
-    """Reject a cluster count outside 2..n, and a given start clustering that
-    is not a k-clustering of the n points."""
+    """Reject a cluster count that is not an integer in 2..n, and a given
+    start clustering that is not a k-clustering of the n points."""
+    _check_integer("k", k)
     if not 2 <= k <= n:
         raise ValueError(f"need 2 <= k <= n, got k={k}, n={n}")
     if initial is not None and (initial.n != n or initial.k != k):
         raise ValueError("initial clustering does not match the space or k")
+
+
+def check_max_steps(max_steps: int) -> None:
+    """Reject a step cap that is not an integer of at least 1."""
+    _check_integer("max_steps", max_steps)
+    if max_steps < 1:
+        raise ValueError("max_steps must be at least 1")
 
 
 # A median column wider than WINDOW_CAP keeps each row's sorted distances at

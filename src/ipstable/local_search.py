@@ -1,9 +1,11 @@
-"""Swap-based local searches with step-by-step certificates.
+"""Swap-based local searches, and their certificates replayed on request.
 
 ``natural_local_search`` repeatedly moves the most envious point (for the
 average objective) until no point's envy ratio exceeds alpha; each executed
 move strictly decreases the clustering potential whenever
-alpha >= 2*log2(n), which certifies termination.
+alpha >= 2*log2(n), which certifies termination.  The search computes no
+potential, and its steps record their moves only; ``avg_potentials``
+replays a run's potentials from its output and its steps.
 
 ``max_ip_local_search`` runs the same loop for the max objective with alpha
 fixed at 1; each move strictly decreases the lexicographic edge signature,
@@ -14,6 +16,8 @@ and its steps when something asks for them.
 
 ``search`` is that loop, shared with the merge-and-split searches of
 ``merge_split`` and ``median_ip``, which differ only in the step they take.
+It computes no certificate; mergesplit's step, which reads the potential,
+records it.
 """
 
 from __future__ import annotations
@@ -24,11 +28,13 @@ from typing import Callable, Iterator, Optional
 
 import numpy as np
 
-from .clustering import Clustering, _AvgTable, _MaxTable, _Table, check_start
+from .clustering import Clustering, _AvgTable, _MaxTable, _Table, check_max_steps, check_start
 from .metric import MetricSpace
 from .potential import MaxIpSignature, edge_order, signature_from_order
 
-__all__ = ["LsConfig", "LsTrace", "Step", "natural_local_search", "max_ip_local_search", "max_ip_signatures"]
+__all__ = [
+    "LsConfig", "LsTrace", "Step", "natural_local_search", "max_ip_local_search", "avg_potentials", "max_ip_signatures",
+]
 
 # Multiplies the right-hand side of the avg envy comparison so exactly-tied
 # averages do not ping-pong under floating rounding.
@@ -55,8 +61,7 @@ class LsConfig:
     def __post_init__(self):
         if self.alpha is not None and not self.alpha >= 1:
             raise ValueError("alpha must be at least 1")
-        if self.max_steps < 1:
-            raise ValueError("max_steps must be at least 1")
+        check_max_steps(self.max_steps)
         if self.init not in ("arbitrary_round_robin", "given"):
             raise ValueError(f"unknown init {self.init!r}")
         if self.init == "given" and self.initial is None:
@@ -68,7 +73,8 @@ class Step:
     """One exact-search step: ``point`` is the most envious point, ``source``
     its cluster and ``target`` the cluster it envies most.  ``kind`` is "swap"
     or "merge_split".  A search leaves the fields it does not record at their
-    defaults: ``phi_*`` for max, and ``threshold`` for natural and max.
+    defaults: ``phi_*`` are recorded by mergesplit only, and ``threshold`` by
+    mergesplit and median.
     """
 
     kind: str
@@ -92,27 +98,21 @@ def search(
     table: _Table,
     alpha: float,
     max_steps: int,
-    step: Callable[[int, int, int, float], Step],
-    phi: Optional[Callable[[], float]] = None,
+    step: Callable[[int, int, int], Step],
     kinds: tuple = ("swap",),
     slack: float = 1.0,
 ) -> tuple[Clustering, LsTrace]:
     """The exact search loop: while the most envious point's ratio exceeds
-    ``alpha * slack``, call ``step(point, source, target, phi_before)`` and
-    record it.  The trace certifies ``alpha``.
-
-    ``phi`` is evaluated once per state; ``counts`` holds one entry per kind.
+    ``alpha * slack``, call ``step(point, source, target)`` and record the
+    ``Step`` it returns.  The trace certifies ``alpha``; ``counts`` holds one
+    entry per kind.
     """
     trace = LsTrace(status=CONVERGED, counts=dict.fromkeys(kinds, 0), alpha=alpha)
-    phi_now = phi() if phi is not None else math.nan
     for _ in range(max_steps):
         p, dst, ratio = table.most_envious()
         if not ratio > alpha * slack:
             break
-        rec = step(p, int(table.assign[p]), dst, phi_now)
-        rec.phi_before = phi_now
-        if phi is not None:
-            phi_now = rec.phi_after = phi()
+        rec = step(p, int(table.assign[p]), dst)
         trace.counts[rec.kind] += 1
         trace.steps.append(rec)
     else:
@@ -126,10 +126,10 @@ def _table(space: MetricSpace, k: int, config: LsConfig, table_class: type[_Tabl
     return table_class(space, start)
 
 
-def _swap(table: _Table) -> Callable[[int, int, int, float], Step]:
+def _swap(table: _Table) -> Callable[[int, int, int], Step]:
     """The step natural and max share: move p to the cluster it envies most."""
 
-    def swap(p, src, dst, phi):
+    def swap(p, src, dst):
         table.move(p, dst)
         return Step("swap", p, src, dst)
 
@@ -140,7 +140,7 @@ def natural_local_search(space: MetricSpace, k: int, config: LsConfig) -> tuple[
     """Move envious points until the clustering is alpha-stable for avg."""
     table = _table(space, k, config, _AvgTable)
     alpha = config.alpha if config.alpha is not None else 2.0 * math.log2(space.n)
-    return search(table, alpha, config.max_steps, _swap(table), table.phi, slack=DEFAULT_SLACK)
+    return search(table, alpha, config.max_steps, _swap(table), slack=DEFAULT_SLACK)
 
 
 def max_ip_local_search(space: MetricSpace, k: int, config: LsConfig) -> tuple[Clustering, LsTrace]:
@@ -165,6 +165,26 @@ def max_ip_local_search(space: MetricSpace, k: int, config: LsConfig) -> tuple[C
     return search(table, 1.0, config.max_steps, _swap(table))
 
 
+def _start(clustering: Clustering, steps: list) -> np.ndarray:
+    """The start labels of a swap-only run: its output with the steps undone."""
+    labels = clustering.assignment.copy()
+    for step in reversed(steps):
+        labels[step.point] = step.source
+    return labels
+
+
+def avg_potentials(space: MetricSpace, clustering: Clustering, steps: list) -> Iterator[float]:
+    """The avg potentials of a natural run's states, start first, as
+    ``max_ip_signatures`` gives max's: an ``_AvgTable`` on the start (n(n-1)/2
+    queries, on the first read) replays the steps' moves, so each value is
+    the one the search's own table would sum."""
+    table = _AvgTable(space, Clustering(_start(clustering, steps), clustering.k))
+    yield table.phi()
+    for step in steps:
+        table.move(step.point, step.target)
+        yield table.phi()
+
+
 def max_ip_signatures(space: MetricSpace, clustering: Clustering, steps: list) -> Iterator[MaxIpSignature]:
     """The edge signatures of a max run's states, start first: len(steps) + 1
     of them, the last ``clustering``'s, for the run that returned
@@ -175,9 +195,7 @@ def max_ip_signatures(space: MetricSpace, clustering: Clustering, steps: list) -
     queries) on the first read, and each state's signature is built when it
     is reached, from one label array that replays each step's move.
     """
-    labels = clustering.assignment.copy()
-    for step in reversed(steps):
-        labels[step.point] = step.source
+    labels = _start(clustering, steps)
     order = edge_order(space.pairs())
     yield signature_from_order(order, labels)
     for step in steps:

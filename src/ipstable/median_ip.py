@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clustering import Clustering, _MedianTable, check_start
+from .clustering import Clustering, _MedianTable, check_max_steps, check_start
 from .local_search import LsTrace, Step, search
 from .merge_split import kcenter_init
 from .metric import MetricSpace
@@ -45,8 +45,7 @@ class MedianConfig:
             raise ValueError("c must exceed 1")
         if not self.alpha_base > 0:
             raise ValueError("alpha_base must be positive")
-        if self.max_steps < 1:
-            raise ValueError("max_steps must be at least 1")
+        check_max_steps(self.max_steps)
 
     @property
     def sqrt_alpha(self) -> float:
@@ -94,17 +93,15 @@ def median_ip_cluster(
     Starts from the greedy k-center clustering unless ``initial`` overrides it.
     The objective table is the search's only state: the medians are read
     from its windows of each row's sorted distances, and the diameters behind
-    the sqrt-diameter surrogate and the split from its row maxima.
+    the split gain and the split itself from its row maxima.  The search
+    computes no potential; its steps record their moves and thresholds.
     """
     n = space.n
     check_start(n, k, initial)
     table = _MedianTable(space, initial if initial is not None else kcenter_init(space, k))
 
-    def diameters():
-        return [table.diameter_of(c) for c in range(table.k)]
-
-    def step(p, src, dst, phi):
-        gain = math.sqrt(max(diameters()) / 2.0) * SQRT_MEDIAN_SCALE
+    def step(p, src, dst):
+        gain = math.sqrt(max(table.diameter_of(c) for c in range(table.k)) / 2.0) * SQRT_MEDIAN_SCALE
         # p's median to its own cluster src counts p's own zero
         if _merge_cost(n, table.table[p, src], table.table[p, dst]) < gain / 2.0:
             table.merge(src, dst)
@@ -115,8 +112,5 @@ def median_ip_cluster(
             kind = "swap"
         return Step(kind, p, src, dst, threshold=gain / 2.0)
 
-    def surrogate_phi():
-        return sum(math.sqrt(d) for d in diameters())
-
     # the violation threshold is in (un-rooted) median space
-    return search(table, config.median_alpha, config.max_steps, step, surrogate_phi, ("swap", "merge_split"))
+    return search(table, config.median_alpha, config.max_steps, step, ("swap", "merge_split"))

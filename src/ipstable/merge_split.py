@@ -17,7 +17,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .clustering import Clustering, _AvgTable, check_start
+from .clustering import Clustering, _AvgTable, check_max_steps, check_start
 from .local_search import DEFAULT_SLACK, LsTrace, Step, search
 from .metric import MetricSpace, rng_from_seed
 
@@ -114,25 +114,25 @@ def merge_split_ls(
     """
     n = space.n
     check_start(n, k, initial)
-    if max_steps < 1:
-        raise ValueError("max_steps must be at least 1")
+    check_max_steps(max_steps)
     rng = rng_from_seed(seed)
     table = _AvgTable(space, initial if initial is not None else kcenter_init(space, k))
 
     def pair_phi(idx: np.ndarray) -> float:
         return math.log2(len(idx)) / len(idx) * float(table.D[np.ix_(idx, idx)].sum())
 
-    def step(p, src, dst, phi):
+    def step(p, src, dst):
+        phi = table.phi()  # the last step's phi_after, summed from cached terms
         threshold = phi / (4.0 * k * math.log2(n)) / (5.0 * n * math.log2(n))
         # p's average distance to the rest of src (p is the most envious
         # point, so src is no singleton)
         if table._own[p] >= threshold:
             table.move(p, dst)
-            return Step("swap", p, src, dst, threshold=threshold)
+            return Step("swap", p, src, dst, phi, table.phi(), threshold)
         table.merge(src, dst)
         candidates = [(c, m, table.phi_of(c)) for c, m in enumerate(table.members)]
         result = _split_core(n, candidates, pair_phi, split_accept_factor(n), rng)
         table.split(result.cluster_id, result.half_a, result.half_b)
-        return Step("merge_split", p, src, dst, threshold=threshold)
+        return Step("merge_split", p, src, dst, phi, table.phi(), threshold)
 
-    return search(table, 4.0 * math.log2(n), max_steps, step, table.phi, ("swap", "merge_split"), DEFAULT_SLACK)
+    return search(table, 4.0 * math.log2(n), max_steps, step, ("swap", "merge_split"), DEFAULT_SLACK)

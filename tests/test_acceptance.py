@@ -16,7 +16,14 @@ from ipstable.fast import (
     epoch,
     fast_ls,
 )
-from ipstable.local_search import CONVERGED, LsConfig, max_ip_local_search, max_ip_signatures, natural_local_search
+from ipstable.local_search import (
+    CONVERGED,
+    LsConfig,
+    avg_potentials,
+    max_ip_local_search,
+    max_ip_signatures,
+    natural_local_search,
+)
 from ipstable.median_ip import MedianConfig, median_ip_cluster, merge_bound_factor
 from ipstable.merge_split import merge_split_ls
 from ipstable.metric import GenSpec, MetricSpace, generate, rng_from_seed
@@ -125,8 +132,9 @@ def test_criterion_02_natural_local_search():
         out, trace = natural_local_search(sp, k, cfg)
         assert trace.status == CONVERGED
         converged += 1
-        for step in trace.steps:
-            assert step.phi_after < step.phi_before
+        phis = list(avg_potentials(sp, out, trace.steps))
+        for before, after in zip(phis, phis[1:]):
+            assert after < before
         total_steps += len(trace.steps)
         assert verify_stability(sp, out, "avg", 2 * math.log2(sp.n)).passed
     assert converged == len(runs)
@@ -159,6 +167,9 @@ def test_criterion_03_merge_split():
         assert trace.status == CONVERGED
         n = sp.n
         assert verify_stability(sp, out, "avg", 4 * math.log2(n)).passed
+        # each step starts from the potential the step before it left
+        for prev, rec in zip(trace.steps, trace.steps[1:]):
+            assert rec.phi_before == prev.phi_after
         for rec in trace.steps:
             drop = rec.phi_before - rec.phi_after
             if rec.kind == "swap":

@@ -4,16 +4,19 @@ import argparse
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.sparse.csgraph import shortest_path
 
 from ipstable import ALGORITHMS, Clustering, MetricSpace, cli, verify_stability
 from ipstable.clustering import TABLES
-from ipstable.local_search import LsConfig, max_ip_local_search, max_ip_signatures
+from ipstable.local_search import LsConfig, max_ip_local_search, max_ip_signatures, natural_local_search
+from ipstable.median_ip import median_ip_cluster
+from ipstable.merge_split import merge_split_ls
 from ipstable.potential import edge_order
 from ipstable.stable_opt import beta_clustering
 
-from conftest import random_space, skewed
+from conftest import perturbed_planted, random_space, skewed
 from reference import bits, brute_force_min_beta, max_ip_signature, most_envious
 
 
@@ -40,6 +43,51 @@ def test_registry_matches_cli_and_pins_each_certified_alpha():
         assert trace.status == "converged", name
         if trace.alpha is not None:
             assert verify_stability(sp, out, alg.objective, trace.alpha).passed, name
+
+
+@pytest.mark.parametrize("name", list(ALGORITHMS))
+def test_non_integer_k_rejected_before_any_query(name):
+    sp = random_space(20, seed=0)
+    for k in (2.5, 3.0):
+        with pytest.raises(ValueError, match="k must be an integer"):
+            ALGORITHMS[name].run(sp, k, 1, 10**6)
+    assert sp.query_counter == 0
+    out, _ = ALGORITHMS[name].run(sp, np.int64(3), 1, 10**6)
+    assert out.k == 3
+
+
+@pytest.mark.parametrize("name", ["natural", "mergesplit", "median", "max"])
+def test_non_integer_max_steps_rejected_before_any_query(name):
+    sp = random_space(20, seed=0)
+    with pytest.raises(ValueError, match="max_steps must be an integer"):
+        ALGORITHMS[name].run(sp, 3, 1, 1.5)
+    assert sp.query_counter == 0
+    out, _ = ALGORITHMS[name].run(sp, 3, 1, np.int64(10**6))
+    assert out.k == 3
+
+
+SEARCHES = {
+    "natural": lambda sp, k, start: natural_local_search(sp, k, LsConfig(initial=start)),
+    "mergesplit": lambda sp, k, start: merge_split_ls(sp, k, initial=start),
+    "median": lambda sp, k, start: median_ip_cluster(sp, k, initial=start),
+    "max": lambda sp, k, start: max_ip_local_search(sp, k, LsConfig(initial=start)),
+}
+
+
+@pytest.mark.parametrize("name", list(SEARCHES))
+def test_only_mergesplit_steps_record_the_potential(name):
+    sp, _, start = perturbed_planted(60, 4, 0.01, seed=1, moves=5)
+    _, trace = SEARCHES[name](sp, 4, start)
+    assert len(trace.steps) > 1
+    before = [step.phi_before for step in trace.steps]
+    after = [step.phi_after for step in trace.steps]
+    if name != "mergesplit":
+        assert all(math.isnan(phi) for phi in before + after)
+        return
+    # the step reads the potential its table holds, the one the step before left
+    assert before[0] == TABLES["avg"](sp, start).phi()
+    assert before[1:] == after[:-1]
+    assert all(a < b for b, a in zip(before, after))
 
 
 @st.composite

@@ -4,11 +4,12 @@ import tracemalloc
 import pytest
 
 from ipstable import local_search
-from ipstable.clustering import Clustering, verify_stability
+from ipstable.clustering import Clustering, _AvgTable, verify_stability
 from ipstable.local_search import (
     CAP_EXCEEDED,
     CONVERGED,
     LsConfig,
+    avg_potentials,
     max_ip_local_search,
     max_ip_signatures,
     natural_local_search,
@@ -16,7 +17,7 @@ from ipstable.local_search import (
 from ipstable.merge_split import kcenter_init
 from ipstable.potential import phi_avg_clustering
 
-from conftest import line_space, random_matrix_space, random_space
+from conftest import line_space, perturbed_planted, random_matrix_space, random_space
 
 
 def members_as_sets(clustering):
@@ -58,19 +59,33 @@ class TestNaturalLocalSearch:
             sp = random_matrix_space(40, seed=seed)
             out, trace = natural_local_search(sp, 5, LsConfig(init="given", initial=kcenter_init(sp, 5)))
             assert trace.status == CONVERGED
-            for step in trace.steps:
-                assert step.phi_after < step.phi_before
+            phis = list(avg_potentials(sp, out, trace.steps))
+            for before, after in zip(phis, phis[1:]):
+                assert after < before
             if trace.steps:
                 saw_steps = True
-                # recorded values match an independent recomputation
-                assert phi_avg_clustering(sp, out) == pytest.approx(
-                    trace.steps[-1].phi_after, rel=1e-9
-                )
+                # replayed values match an independent recomputation
+                assert phi_avg_clustering(sp, out) == pytest.approx(phis[-1], rel=1e-9)
         interleaved = random_matrix_space(40, seed=100)
         out, trace = natural_local_search(interleaved, 5, LsConfig())
-        for step in trace.steps:
-            assert step.phi_after < step.phi_before
+        phis = list(avg_potentials(interleaved, out, trace.steps))
+        for before, after in zip(phis, phis[1:]):
+            assert after < before
         saw_steps = saw_steps or bool(trace.steps)
+
+    def test_potentials_are_replayed_only_when_read(self):
+        sp, _, start = perturbed_planted(60, 4, 0.01, seed=1, moves=5)
+        out, trace = natural_local_search(sp, 4, LsConfig(initial=start))
+        assert len(trace.steps) > 1
+        # the replay builds its table on the start, charging each pair once, on the first read
+        before = sp.query_counter
+        phis = avg_potentials(sp, out, trace.steps)
+        assert sp.query_counter == before
+        first = next(phis)
+        assert sp.query_counter - before == 60 * 59 // 2
+        assert len([first, *phis]) == len(trace.steps) + 1
+        assert sp.query_counter - before == 60 * 59 // 2
+        assert first == _AvgTable(sp, start).phi()
 
     def test_converges_at_guaranteed_alpha(self):
         for seed in range(5):

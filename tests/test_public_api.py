@@ -24,6 +24,7 @@ PUBLIC = [
     "Step",
     "natural_local_search",
     "max_ip_local_search",
+    "avg_potentials",
     "max_ip_signatures",
     "kcenter_init",
     "merge_split_ls",
