@@ -247,10 +247,12 @@ class _Table(_Columns):
     A subclass fills a column from the distance table (``_fill``), updates
     the two columns a move of p touches from p's row ``D[p]`` alone
     (``_move``), and reads f for every row (``_f``) and the members' own
-    values (``_own_of``) from a column.  Each name it adds to ``_carried``
-    is a list with one entry per column, ``None`` until filled.  A merge or
-    a split deletes the columns it replaces and fills each new one afresh
-    from the distance table (``_renew``).
+    values (``_own_of``) from a column.  Every read of a column's member
+    block, a fill's or a partial refill's, goes through ``_tiles``: the
+    members' rows, in tiles of bounded size.  Each name a subclass adds to
+    ``_carried`` is a list with one entry per column, ``None`` until filled.
+    A merge or a split deletes the columns it replaces and fills each new
+    one afresh from the distance table (``_renew``).
 
     The envy state is kept with the table.  ``_foreign`` (n x k, column-major)
     holds f(p, C_c) in column c, with each point's own entry set to inf;
@@ -302,8 +304,36 @@ class _Table(_Columns):
         takes the elementwise maximum, the source is recomputed on the rows
         whose maximum left."""
         np.maximum(at_dst, dist, out=at_dst)
-        rows = np.flatnonzero(dist == at_src)
-        at_src[rows] = self.D[np.ix_(rows, self.members[src])].max(axis=1)
+        for at, tile in self._tiles(src, np.flatnonzero(dist == at_src)):
+            at_src[at] = tile.max(axis=0)
+
+    def _tiles(self, c: int, rows: np.ndarray | None = None):
+        """Yield ``(at, tile)`` over every point (``rows`` None) or over the
+        points ``rows``: ``tile`` is ``D[members[c]][:, at]``, member-major,
+        so column j holds point at[j]'s distances to the members, gathered
+        from the members' contiguous rows (the table is exactly symmetric).
+        A tile covers ``_BLOCK_CHUNK_ELEMS // |C|`` points, at least two, so
+        no n x |C| block is built.
+
+        Summed along axis 0, a tile adds the members left to right, as a
+        running sum does, unless it covers one point: numpy sums that one
+        pairwise.  So a tile covers one point only when the read does; a
+        one-point remainder joins the tile before it."""
+        m = self.members[c]
+        count = self.n if rows is None else len(rows)
+        step = max(2, _BLOCK_CHUNK_ELEMS // len(m))
+        start = 0
+        while start < count:
+            stop = start + step
+            if stop == count - 1:
+                stop = count
+            if rows is None:
+                at = slice(start, stop)
+                yield at, self.D[m, at]
+            else:
+                at = rows[start:stop]
+                yield at, self.D[m[:, None], at]
+            start = stop
 
     def _refresh(self, c: int) -> None:
         """Rebuild column c of ``_foreign`` and its members' ``_own`` entries."""
@@ -361,7 +391,8 @@ class _AvgTable(_Table):
     _carried = _Table._carried + ("_phi",)
 
     def _fill(self, c: int) -> None:
-        self.table[:, c] = self.D[:, self.members[c]].sum(axis=1)
+        for at, tile in self._tiles(c):
+            self.table[at, c] = tile.sum(axis=0)
 
     def _move(self, src: int, dst: int, dist: np.ndarray) -> None:
         self.table[:, src] -= dist
@@ -396,7 +427,8 @@ class _MaxTable(_Table):
     objective = "max"
 
     def _fill(self, c: int) -> None:
-        self.table[:, c] = self.D[:, self.members[c]].max(axis=1)
+        for at, tile in self._tiles(c):
+            self.table[at, c] = tile.max(axis=0)
 
     def _move(self, src: int, dst: int, dist: np.ndarray) -> None:
         self._move_max(self.table[:, src], self.table[:, dst], src, dist)
@@ -430,20 +462,16 @@ class _MedianTable(_Table):
     def _fill(self, c: int) -> None:
         """Fill column c's window and row maxima from the distance table, and
         read the column from the window: of each row's sorted distances to the
-        members, at most ``WINDOW_CAP`` ranks centred on the median.  The rows
-        are sorted in chunks of at most ``_BLOCK_CHUNK_ELEMS`` cells, so no
-        n x |C| block is built."""
-        m = self.members[c]
-        size = len(m)
+        members, at most ``WINDOW_CAP`` ranks centred on the median, sorted
+        tile by tile."""
+        size = len(self.members[c])
         width = min(size, WINDOW_CAP)
         first = (size - width) // 2
         window, rowmax = np.empty((width, self.n)), np.empty(self.n)
-        step = max(1, _BLOCK_CHUNK_ELEMS // size)
-        for start in range(0, self.n, step):
-            ranked = self.D[m, start : start + step]  # the table is exactly symmetric: column r is row r
+        for at, ranked in self._tiles(c):
             ranked.sort(axis=0)
-            window[:, start : start + step] = ranked[first : first + width]
-            rowmax[start : start + step] = ranked[-1]
+            window[:, at] = ranked[first : first + width]
+            rowmax[at] = ranked[-1]
         self._sorted[c], self._rowmax[c] = window, rowmax
         self._lo[c] = np.full(self.n, first)
         self._read_median(c)
@@ -475,16 +503,17 @@ class _MedianTable(_Table):
         """Refill from the distance table the rows of column c's window that
         no longer hold the median's two ranks, at the window's width; the
         whole column once a window has narrowed below ``WINDOW_FLOOR``."""
-        block, lo, m = self._sorted[c], self._lo[c], self.members[c]
-        size, width = len(m), len(block)
+        block, lo = self._sorted[c], self._lo[c]
+        size, width = len(self.members[c]), len(block)
         if width < min(size, WINDOW_FLOOR):
             self._fill(c)
             return
         rows = np.flatnonzero((lo > (size + 1) // 2 - 1) | (lo + width <= size // 2))
-        if rows.size:
-            first = (size - width) // 2
-            block[:, rows] = np.sort(self.D[np.ix_(rows, m)], axis=1)[:, first : first + width].T
-            lo[rows] = first
+        first = (size - width) // 2
+        for at, ranked in self._tiles(c, rows):
+            ranked.sort(axis=0)
+            block[:, at] = ranked[first : first + width]
+        lo[rows] = first
 
     def _move(self, src: int, dst: int, dist: np.ndarray) -> None:
         self._move_max(self._rowmax[src], self._rowmax[dst], src, dist)

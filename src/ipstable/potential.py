@@ -12,7 +12,9 @@ Two certificates live here, and the scale of a third:
 * ``SQRT_MEDIAN_SCALE``: 1/(2 - sqrt(2)), the factor of the median search's
   potential, the maximum-length travelling-salesman tour under
   square-rooted edge lengths.  Maximum TSP is intractable, so the search
-  never computes it; it tracks the sqrt-diameter surrogate instead.
+  computes no potential: it scales the square root of half the largest
+  cluster diameter by this factor into its merge threshold, and the merge
+  bound's poly(n) factor carries it too.
 """
 
 from __future__ import annotations

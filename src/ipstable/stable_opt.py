@@ -48,7 +48,12 @@ def _ratio(diam: float, sep: float) -> float:
 
 
 def beta(space: MetricSpace, C) -> float:
-    """diameter(C) / min distance from C to X \\ C; 0 for C = X, 0/0 -> 0."""
+    """diameter(C) / min distance from C to X \\ C; 0 for C = X, 0/0 -> 0.
+
+    The blocks C x C and C x (X \\ C) are read in row tiles of at most
+    ``_BLOCK_CHUNK_ELEMS`` cells, as :func:`create_tree` reads its cross
+    blocks; max and min are exact in any order, and the tiles charge
+    |C|^2 + |C|(n - |C|) queries, as the whole blocks would."""
     C = np.asarray(C, dtype=np.intp)
     if len(C) == 0:
         raise ValueError("cluster must be non-empty")
@@ -57,8 +62,13 @@ def beta(space: MetricSpace, C) -> float:
     if inside.all():
         return 0.0
     outside = np.nonzero(~inside)[0]
-    diam = float(space.block(C, C).max()) if len(C) > 1 else 0.0
-    sep = float(space.block(C, outside).min())
+    diam, sep = 0.0, math.inf
+    step = max(1, _BLOCK_CHUNK_ELEMS // space.n)
+    for lo in range(0, len(C), step):
+        rows = C[lo : lo + step]
+        if len(C) > 1:
+            diam = max(diam, float(space.block(rows, C).max()))
+        sep = min(sep, float(space.block(rows, outside).min()))
     return _ratio(diam, sep)
 
 

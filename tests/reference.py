@@ -174,6 +174,18 @@ def insert_sorted(block: np.ndarray, vals: np.ndarray) -> np.ndarray:
     return np.insert(rows.ravel(), np.arange(n) * width + at, vals).reshape(n, width + 1).T
 
 
+def gather_sums(space: MetricSpace, members) -> np.ndarray:
+    """Each point's distance sum to ``members``, by the n x |C| column gather
+    of the ``pairs()`` table: numpy returns the gather F-ordered, so each
+    row adds the members left to right, in the order given."""
+    return space.pairs()[:, members].sum(axis=1)
+
+
+def gather_maxima(space: MetricSpace, members) -> np.ndarray:
+    """Each point's largest distance to ``members``, by the same gather."""
+    return space.pairs()[:, members].max(axis=1)
+
+
 # -- potentials -----------------------------------------------------------------
 
 

@@ -21,6 +21,8 @@ from reference import (
     delete_sorted,
     envy_from_columns,
     from_members,
+    gather_maxima,
+    gather_sums,
     insert_sorted,
     max_dist,
     median_dist,
@@ -376,6 +378,43 @@ class TestObjectiveTable:
             p = int(rng.integers(300))
             table.move(p, 1 - table.assign[p])
             _assert_matches_fresh(space, table)
+
+    @pytest.mark.parametrize("objective", ["avg", "max", "median"])
+    def test_columns_equal_the_column_gather_bit_for_bit(self, objective, monkeypatch):
+        # Every member block is read in tiles of the members' rows.  With the
+        # bound shrunk, each column's fill spans several tiles, and avg's fill
+        # of one column ends in a one-point remainder, which must join the
+        # tile before it: numpy sums a one-point tile pairwise, not member by
+        # member.  Below 8 members numpy adds in order either way, so every
+        # column here has more.  The other table tests compare a table with
+        # its own fill, so only this one sees a change of bits.
+        bound = 300
+        monkeypatch.setattr(clustering, "_BLOCK_CHUNK_ELEMS", bound)
+        monkeypatch.setattr(clustering, "WINDOW_CAP", 8)  # median's moves refill rows in tiles too
+        space = random_space(151, seed=9)
+        n = space.n
+        rng = np.random.default_rng(9)
+        table = TABLES[objective](space, Clustering(np.arange(n) % 3, 3))
+        for p in rng.choice(n, 30, replace=False):
+            table.move(int(p), int(table.assign[p] + 1) % 3)
+        table.merge(0, 1)
+        perm = rng.permutation(table.members[-1])
+        table.split(table.k - 1, perm[:40], perm[40:])
+        for p in rng.choice(n, 30, replace=False):
+            if table.sizes[table.assign[p]] > 9:
+                table.move(int(p), int(table.assign[p] + 1) % 3)
+        _assert_matches_fresh(space, table)
+        sizes = [len(m) for m in table.members]
+        assert min(sizes) > 8 and all(n > bound // size for size in sizes)
+        assert any(n % (bound // size) == 1 for size in sizes)
+        for c, m in enumerate(table.members):  # members in insertion order: moved points last
+            if objective == "avg":
+                table._fill(c)  # the moves' running sums, refilled from the members
+                got, want = table.table[:, c], gather_sums(space, m)
+            else:
+                got = table.table[:, c] if objective == "max" else table.row_max(c)
+                want = gather_maxima(space, m)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_phi_fills_missing_terms_and_sums_in_order(self):
         space = table_spaces()[1]

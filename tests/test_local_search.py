@@ -72,6 +72,16 @@ class TestNaturalLocalSearch:
         for before, after in zip(phis, phis[1:]):
             assert after < before
         saw_steps = saw_steps or bool(trace.steps)
+        # the runs above may all stop at their start; an adversarial one takes 5 steps
+        sp, _, start = perturbed_planted(60, 4, 0.01, seed=1, moves=5)
+        out, trace = natural_local_search(sp, 4, LsConfig(initial=start))
+        assert trace.status == CONVERGED
+        phis = list(avg_potentials(sp, out, trace.steps))
+        for before, after in zip(phis, phis[1:]):
+            assert after < before
+        assert phi_avg_clustering(sp, out) == pytest.approx(phis[-1], rel=1e-9)
+        saw_steps = saw_steps or bool(trace.steps)
+        assert saw_steps
 
     def test_potentials_are_replayed_only_when_read(self):
         sp, _, start = perturbed_planted(60, 4, 0.01, seed=1, moves=5)

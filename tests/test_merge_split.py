@@ -10,7 +10,7 @@ from ipstable.merge_split import kcenter_init, merge_split_ls, split_accept_fact
 from ipstable.metric import GenSpec, generate
 from ipstable.potential import phi_avg, phi_avg_clustering
 
-from conftest import line_space, random_matrix_space, random_space
+from conftest import line_space, merge_heavy_instance, perturbed_planted, random_matrix_space, random_space
 from reference import singletons, split
 
 
@@ -119,17 +119,25 @@ class TestMergeSplitLs:
 
     def test_step_progress_bounds(self):
         # swap steps drop the potential by at least T/2; merge-and-split
-        # steps by at least Phi/(8 k log2 n)
-        for seed in range(4):
-            sp = random_matrix_space(60, seed=seed)
-            k = 4
-            out, trace = merge_split_ls(sp, k, seed=seed)
+        # steps by at least Phi/(8 k log2 n).  The k-center starts may take no
+        # step; the adversarial start takes swaps, and the gadget line one
+        # merge-and-split
+        runs = [(random_matrix_space(60, seed=seed), 4, seed, None) for seed in range(4)]
+        sp, _, start = perturbed_planted(60, 4, 0.01, seed=1, moves=5)
+        runs.append((sp, 4, 1, start))
+        sp, start = merge_heavy_instance()
+        runs.append((sp, start.k, 0, start))
+        checked = {"swap": 0, "merge_split": 0}
+        for sp, k, seed, start in runs:
+            out, trace = merge_split_ls(sp, k, seed=seed, initial=start)
             for rec in trace.steps:
                 drop = rec.phi_before - rec.phi_after
                 if rec.kind == "swap":
                     assert drop >= rec.threshold / 2 * (1 - 1e-9)
                 else:
                     assert drop >= rec.phi_before / (8 * k * math.log2(sp.n)) * (1 - 1e-9)
+                checked[rec.kind] += 1
+        assert checked["swap"] >= 1 and checked["merge_split"] >= 1
 
     def test_stable_start_counts_zero_steps(self):
         sp = line_space([0, 1, 10, 11])
@@ -143,7 +151,6 @@ class TestMergeSplitLs:
             merge_split_ls(random_matrix_space(10, seed=0), 2, max_steps=0)
 
     def test_round_cap_returns_cap_exceeded(self):
-        from conftest import perturbed_planted
         from ipstable.local_search import CAP_EXCEEDED
 
         sp, _, bad = perturbed_planted(40, 4, 0.001, seed=5, moves=4)

@@ -55,6 +55,36 @@ class TestBeta:
             rep = verify_stability(sp, cl, "avg")
             assert rep.alpha_achieved <= beta_clustering(sp, cl) * (1 + 1e-9)
 
+    def test_row_tiles_keep_values_and_queries(self, monkeypatch):
+        # with the bound shrunk to three rows a tile, each block read stays
+        # within it, and the value and the queries charged are the whole
+        # blocks': |C|^2 (none for a singleton) plus |C|(n - |C|)
+        for sp in (random_space(40, seed=3), random_matrix_space(35, seed=4)):
+            n, D = sp.n, sp.pairs()
+            bound = 3 * n
+            monkeypatch.setattr(stable_opt, "_BLOCK_CHUNK_ELEMS", bound)
+            cells = []
+            read = sp.block
+
+            def block(rows, cols):
+                out = read(rows, cols)
+                cells.append(out.size)
+                return out
+
+            monkeypatch.setattr(sp, "block", block)
+            rng = np.random.default_rng(n)
+            for size in (1, 2, 7, 20, n - 1):
+                C = rng.choice(n, size, replace=False)
+                outside = np.setdiff1d(np.arange(n), C)
+                diam = D[np.ix_(C, C)].max() if size > 1 else 0.0
+                want = stable_opt._ratio(float(diam), float(D[np.ix_(C, outside)].min()))
+                cells.clear()
+                q0 = sp.query_counter
+                assert beta(sp, C) == want
+                assert sp.query_counter - q0 == (size * size if size > 1 else 0) + size * (n - size)
+                assert len(cells) == (2 if size > 1 else 1) * -(-size // 3)
+                assert max(cells) <= bound
+
 
 def _prim_mst_weight(D):
     """Independent check: Prim's algorithm, total weight only."""
