@@ -238,7 +238,8 @@ class _Table(_Columns):
     while a search moves points, merges clusters and splits them; one
     subclass per objective (``TABLES``).
 
-    Built from one ``space.pairs()`` read, an exactly symmetric table.
+    Built on ``space.pairs()``, an exactly symmetric read-only table that a
+    coordinate space keeps for its next read (the verifier's, say).
     Columns are the clusters in creation order, moved by the column step of
     ``_Columns``, which fast's ``EpochState`` shares.  Member arrays keep
     insertion order (a moved point is appended, a merge concatenates), which

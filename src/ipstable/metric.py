@@ -24,6 +24,7 @@ output is bit-identical to scipy's ``shortest_path(method="FW")``.
 from __future__ import annotations
 
 import threading
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,6 +52,20 @@ _BLOCK_CHUNK_ELEMS = 1 << 16
 # Rows per block of the shortest-path closure's upper-triangle update.
 _CLOSURE_ROWS = 64
 
+# The last table pairs() built for a coordinate space, read-only:
+# (weak reference to that space, table), or None.  Read and written under
+# _kept_lock, which a collected space's weakref callback also takes.
+_kept = None
+_kept_lock = threading.RLock()
+
+
+def _release(ref) -> None:
+    """Weakref callback: empty the slot when its space is collected."""
+    global _kept
+    with _kept_lock:
+        if _kept is not None and _kept[0] is ref:
+            _kept = None
+
 
 class MetricSpace:
     """Immutable point set with a distance oracle and a query counter.
@@ -61,8 +76,15 @@ class MetricSpace:
     coordinates it computes the block in bounded row chunks, so its
     temporaries stay small whatever the block size.  Every accessor
     rejects an index outside ``0..n-1`` with IndexError before it charges
-    the counter.  The instance is safe to share across threads; the query
-    counter is updated under a lock.
+    the counter.
+
+    :meth:`pairs` returns a read-only table for both backings.  A coordinate
+    space's table is kept in one process-wide slot until another coordinate
+    space reads its own or the space is collected, so at most one n x n
+    table is held beyond its callers.
+
+    The instance is safe to share across threads; the query counter and the
+    kept table are updated under locks.
     """
 
     def __init__(self, *, matrix=None, coords=None, norm="l2", validate=True):
@@ -78,8 +100,9 @@ class MetricSpace:
                 _validate_table(mat)
             # one length per pair, d(min(i, j), max(i, j)); the diagonal and
             # any -0.0 become +0.0 (x / -0.0 is -inf)
-            mat = np.triu(mat, 1)
-            mat += mat.T
+            mat = np.array(mat, order="C")
+            mat += 0.0
+            _mirror_upper(mat)
             mat.flags.writeable = False
             self._matrix = mat
             self._xt = None
@@ -162,26 +185,30 @@ class MetricSpace:
         """The symmetric n x n table d(min(i, j), max(i, j)), 0 on the diagonal;
         charges n(n-1)/2 queries, one per unordered pair.
 
-        A table-backed space returns its stored read-only table.  Otherwise
-        only the upper triangle is evaluated, in row tiles of at most
-        ``_BLOCK_CHUNK_ELEMS`` cells; each tile's values equal :meth:`full`'s,
-        and the lower triangle is mirrored from it in place.
+        The table is read-only for both backings.  A table-backed space
+        returns its stored table.  A coordinate space evaluates only the
+        upper triangle, in row tiles of at most ``_BLOCK_CHUNK_ELEMS`` cells
+        whose values equal :meth:`full`'s, and mirrors the lower triangle
+        from it in place.  It keeps that table until another coordinate
+        space's ``pairs()`` empties the slot, before building its own, or
+        the space is collected; until then a later call returns the kept
+        table, and still charges.
         """
+        global _kept
         n = self.n
         self.charge(n * (n - 1) // 2)
         if self._matrix is not None:
             return self._matrix
-        idx = np.arange(n)
-        out = np.empty((n, n))
-        step = max(1, _BLOCK_CHUNK_ELEMS // n)
-        for lo in range(0, n, step):
-            hi = min(n, lo + step)
-            out[lo:hi, lo:] = self._eval_block(idx[lo:hi], idx[lo:])
-            out[lo:hi, :lo] = out[:lo, lo:hi].T
-            tile = out[lo:hi, lo:hi]
-            np.copyto(tile, tile.T, where=np.tri(hi - lo, k=-1, dtype=bool))
-        np.fill_diagonal(out, 0.0)
-        return out
+        with _kept_lock:
+            if _kept is not None and _kept[0]() is self:
+                return _kept[1]
+            _kept = None  # the previous space's table goes before this one is built
+            idx = np.arange(n)
+            out = np.empty((n, n))
+            _mirror_upper(out, lambda lo, hi: self._eval_block(idx[lo:hi], idx[lo:]))
+            out.flags.writeable = False
+            _kept = (weakref.ref(self, _release), out)
+            return out
 
     def peek_block(self, rows, cols) -> np.ndarray:
         """Distance block without touching the counter.
@@ -255,6 +282,28 @@ class MetricSpace:
         return out
 
 
+def _mirror_upper(out: np.ndarray, fill=None) -> None:
+    """Make the square ``out`` exactly symmetric from its upper triangle, in
+    place, with +0.0 on the diagonal.
+
+    Rows go in blocks of at most ``_BLOCK_CHUNK_ELEMS`` cells, top to bottom;
+    ``fill(lo, hi)``, when given, first returns block ``[lo, hi)``'s upper
+    part ``out[lo:hi, lo:]``.  A block's lower cells are copied from the
+    upper cells of the rows above it, already final, and from its own
+    square, so no second n x n array is made.
+    """
+    n = len(out)
+    step = max(1, _BLOCK_CHUNK_ELEMS // max(1, n))
+    for lo in range(0, n, step):
+        hi = min(n, lo + step)
+        if fill is not None:
+            out[lo:hi, lo:] = fill(lo, hi)
+        out[lo:hi, :lo] = out[:lo, lo:hi].T
+        tile = out[lo:hi, lo:hi]
+        np.copyto(tile, tile.T, where=np.tri(hi - lo, k=-1, dtype=bool))
+    np.fill_diagonal(out, 0.0)
+
+
 def _sum_terms(at_cols, at_rows, fold, res, bufs) -> None:
     """``res`` = the sum over d of the terms ``fold(at_cols[d] - at_rows[d])``,
     added in the order numpy's pairwise sum adds a contiguous axis.
@@ -315,17 +364,27 @@ def _overflows(pts: np.ndarray, norm: str) -> bool:
 
 
 def _validate_table(mat: np.ndarray) -> None:
-    """Reject tables that are not symmetric non-negative metrics."""
+    """Reject tables that are not symmetric non-negative metrics.
+
+    Each cell check runs over the whole table before the next one starts, in
+    row tiles of at most ``_BLOCK_CHUNK_ELEMS`` cells, so its temporaries
+    stay small whatever n is.  Symmetry compares each upper cell with its
+    mirror; the test reads the same for (i, j) and (j, i), so the upper
+    triangle decides it.
+    """
     n = mat.shape[0]
-    if np.any(~np.isfinite(mat)):
+    step = max(1, _BLOCK_CHUNK_ELEMS // max(1, n))
+    tiles = [(lo, min(n, lo + step)) for lo in range(0, n, step)]
+    if not all(np.isfinite(mat[lo:hi]).all() for lo, hi in tiles):
         raise ValueError("distance table contains non-finite values")
-    if np.any(mat < 0):
+    if any((mat[lo:hi] < 0).any() for lo, hi in tiles):
         raise ValueError("distance table contains negative values")
     if np.any(np.diag(mat) != 0):
         raise ValueError("distance table has non-zero diagonal entries")
-    scale = np.maximum(np.abs(mat), np.abs(mat.T))
-    if np.any(np.abs(mat - mat.T) > TRIANGLE_RTOL * scale):
-        raise ValueError("distance table is not symmetric")
+    for lo, hi in tiles:
+        upper, lower = mat[lo:hi, lo:], mat[lo:, lo:hi].T
+        if np.any(np.abs(upper - lower) > TRIANGLE_RTOL * np.maximum(np.abs(upper), np.abs(lower))):
+            raise ValueError("distance table is not symmetric")
     if n <= _TRIANGLE_EXHAUSTIVE_LIMIT:
         for x in range(n):
             through = mat[:, x : x + 1] + mat[x : x + 1, :]
@@ -394,7 +453,7 @@ def rng_from_seed(seed: int) -> np.random.Generator:
 def _shortest_path_closure(d: np.ndarray) -> None:
     """Floyd–Warshall closure, in place, of the symmetric non-negative table
     whose upper triangle ``d`` holds, inf for a missing edge; ``d`` is zero
-    on and below the diagonal.
+    on the diagonal, and its cells below the diagonal are ignored.
 
     The closed table stays exactly symmetric at every step: the candidate
     ``d[i,k] + d[k,j]`` is the same float sum as ``d[j,k] + d[k,i]``.  So
@@ -403,8 +462,9 @@ def _shortest_path_closure(d: np.ndarray) -> None:
     during step k, as ``d[k,k] = 0``.  Every upper cell thus takes the same
     ``min(d_ij, d_ik + d_kj)`` sequence as the k-i-j loop over the full
     table (scipy's ``shortest_path(method="FW")``), and the result is
-    bit-identical to it.  Cells below the diagonal stay 0 (a minimum with 0),
-    so adding the transpose mirrors the upper triangle into them.
+    bit-identical to it.  No candidate is read from a cell below the
+    diagonal, and ``_mirror_upper`` overwrites those cells with the upper
+    triangle at the end.
 
     A block's candidates ``vec[i] + vec[j]`` come from one product
     ``[vec, 1] @ [1; vec]``, about three times faster than a broadcast add.
@@ -429,7 +489,7 @@ def _shortest_path_closure(d: np.ndarray) -> None:
             cand = tmp[: b - a, : n - a]
             np.matmul(lhs[a:b], rhs[:, a:], out=cand)
             np.minimum(blk, cand, out=blk)
-    d += d.T
+    _mirror_upper(d)
 
 
 def generate(spec: GenSpec) -> Generated:
@@ -443,12 +503,12 @@ def generate(spec: GenSpec) -> Generated:
 
     if spec.kind == "random_shortest_path":
         n = spec.n
-        upper = 1.0 - rng.random((n, n))  # values in (0, 1]
+        table = 1.0 - rng.random((n, n))  # edge weights in (0, 1] above the diagonal
         # scipy's dense-graph reader, which defined these instances, takes a
         # weight within 1e-8 of 0 for a missing edge (one draw in 10^8);
         # such an edge stays missing, so every seed keeps its instance
-        upper[upper <= 1e-8] = np.inf
-        table = np.triu(upper, 1)
+        table[table <= 1e-8] = np.inf
+        np.fill_diagonal(table, 0.0)
         _shortest_path_closure(table)
         return Generated(MetricSpace.from_matrix(table, validate=False))
 

@@ -7,8 +7,10 @@ fast-estimate or dp-tree) for the given benchmark seeds twice, once on this
 checkout and once on OTHER_CHECKOUT, each in its own interpreter with that
 checkout's ``src`` and ``perfbench`` first on the path.  For each job it
 compares the output assignment, the status and the distance queries the job
-made.  Prints one line per differing job and a summary; exits 0 when every
-job agrees and 1 otherwise.
+made, and the ``verify_stability`` report of the output that the benchmark
+makes right after the job: the bits of ``alpha_achieved``, the witness and
+``passed``.  Prints one line per differing job and a summary; exits 0 when
+every job agrees and 1 otherwise.
 
 Use it to check that a change meant to leave the searches' outputs alone
 (a speed-up, a refactor) really does.
@@ -30,6 +32,7 @@ WORKLOADS = ("exact-search", "fast-estimate", "dp-tree")
 def dump(workload: str, seeds: list[int]) -> None:
     """Run the pools on the checkout first on the path; print a JSON record per job."""
     import ipstable
+    from ipstable.clustering import verify_stability
     from workloads import build_pool
 
     jobs = {}
@@ -38,10 +41,15 @@ def dump(workload: str, seeds: list[int]) -> None:
             for job in draw:
                 before = job.space.query_counter
                 clustering, status = job.call()
+                queries = job.space.query_counter - before
+                report = verify_stability(job.space, clustering, job.objective, job.alpha)
                 jobs[f"{seed}:{job.name}"] = {
                     "assignment": clustering.assignment.tolist(),
                     "status": status,
-                    "queries": job.space.query_counter - before,
+                    "queries": queries,
+                    "alpha_achieved": report.alpha_achieved.hex(),
+                    "witness": report.witness and list(report.witness),
+                    "passed": report.passed,
                 }
     json.dump({"library": ipstable.__file__, "jobs": jobs}, sys.stdout)
 
@@ -77,7 +85,7 @@ def main(argv=None) -> int:
         if fields:
             differ += 1
             print(f"DIFFERS {name}: {', '.join(fields)}")
-    print(f"{len(names) - differ} of {len(names)} jobs identical (assignment, status, queries)")
+    print(f"{len(names) - differ} of {len(names)} jobs identical (assignment, status, queries, verify report)")
     return 1 if differ else 0
 
 

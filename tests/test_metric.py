@@ -1,8 +1,12 @@
+import gc
 import hashlib
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
+import weakref
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -11,10 +15,12 @@ from hypothesis import given, strategies as st
 from scipy.sparse.csgraph import shortest_path
 
 from ipstable import metric
+from ipstable.clustering import verify_stability
+from ipstable.local_search import LsConfig, natural_local_search
 from ipstable.metric import GenSpec, MetricSpace, generate, load_matrix_csv, save_matrix_csv
 from ipstable.stable_opt import beta_clustering
 
-from conftest import random_matrix_space, random_space
+from conftest import perturbed_planted, random_matrix_space, random_space
 from reference import distance
 
 
@@ -285,16 +291,109 @@ class TestTableLoad:
             assert np.array_equal(sp.row(i), D[i]) and not np.signbit(sp.row(i)).any()
 
     def test_pairs_returns_the_stored_table(self):
-        sp = random_matrix_space(20, seed=2)
-        before = sp.query_counter
-        first, second = sp.pairs(), sp.pairs()
-        assert first is second and not first.flags.writeable
-        assert sp.query_counter - before == 2 * (20 * 19 // 2)
-        with pytest.raises(ValueError, match="read-only"):
-            first[0, 1] = 1.0
+        # a coordinate space keeps the table it built for its next read
+        for sp in (random_matrix_space(20, seed=2), random_space(20, seed=2)):
+            before = sp.query_counter
+            first = sp.pairs()
+            assert sp.query_counter - before == 20 * 19 // 2
+            second = sp.pairs()
+            assert first is second and not first.flags.writeable
+            assert sp.query_counter - before == 2 * (20 * 19 // 2)
+            assert np.array_equal(first, sp.block(np.arange(20), np.arange(20)))
+            with pytest.raises(ValueError, match="read-only"):
+                first[0, 1] = 1.0
+
+
+class TestKeptTable:
+    """A coordinate space's ``pairs()`` table is kept until another space
+    reads its own or the space is collected."""
+
+    def test_pairs_on_another_space_releases_the_kept_table(self):
+        first, second = random_space(30, seed=1), random_space(30, seed=2)
+        kept = weakref.ref(first.pairs())
+        gc.collect()
+        assert kept() is not None
+        table = second.pairs()
+        gc.collect()
+        assert kept() is None
+        assert second.pairs() is table and first.pairs() is not table
+
+    def test_collecting_the_space_releases_the_kept_table(self):
+        sp = random_space(30, seed=4)
+        kept = weakref.ref(sp.pairs())
+        gc.collect()
+        assert kept() is not None
+        del sp
+        gc.collect()
+        assert kept() is None
+
+    def test_threads_each_read_their_own_space(self):
+        spaces = [random_space(40 + i, seed=i) for i in range(3)]
+        want = [sp.block(np.arange(sp.n), np.arange(sp.n)) for sp in spaces]
+
+        def read(i):
+            return all(np.array_equal(spaces[i % 3].pairs(), want[i % 3]) for _ in range(20))
+
+        with ThreadPoolExecutor(3) as pool:
+            assert all(pool.map(read, range(12)))
+
+    def test_verifier_after_a_search_evaluates_no_distance(self, monkeypatch):
+        space, _, start = perturbed_planted(90, 3, 0.01, seed=2, moves=6)
+        out, trace = natural_local_search(space, 3, LsConfig(initial=start))
+        assert trace.steps
+        cells = []
+        kernel = MetricSpace._eval_block
+
+        def counted(self, rows, cols):
+            cells.append(len(rows) * len(cols))
+            return kernel(self, rows, cols)
+
+        monkeypatch.setattr(MetricSpace, "_eval_block", counted)
+        before = space.query_counter
+        alpha = 2 * math.log2(space.n)
+        report = verify_stability(space, out, "avg", alpha)
+        assert sum(cells) == 0 and space.query_counter - before == 90 * 89 // 2
+        fresh = verify_stability(MetricSpace.from_points(space.coords), out, "avg", alpha)
+        assert sum(cells) == 90 * 90
+        assert report.alpha_achieved.hex() == fresh.alpha_achieved.hex()
+        assert (report.witness, report.passed) == (fresh.witness, fresh.passed)
+        assert report.per_point.tobytes() == fresh.per_point.tobytes()
 
 
 class TestValidation:
+    def test_tiled_checks_keep_their_order_and_slack(self, monkeypatch):
+        # 3-row tiles over 12 points: each check runs over every tile before the next
+        monkeypatch.setattr(metric, "_BLOCK_CHUNK_ELEMS", 3 * 12)
+        base = random_space(12, seed=1).full()
+
+        def load(*edits):
+            mat = base.copy()
+            for (i, j), value in edits:
+                mat[i, j] = value
+            return MetricSpace.from_matrix(mat)
+
+        with pytest.raises(ValueError, match="non-finite"):
+            load(((0, 1), -1.0), ((11, 10), math.nan))
+        with pytest.raises(ValueError, match="negative"):
+            load(((0, 1), 2 * base[0, 1]), ((10, 11), -1.0))
+        for cell in ((0, 11), (11, 0), (10, 11), (4, 5)):
+            with pytest.raises(ValueError, match="symmetric"):
+                load((cell, base[cell] * (1 + 1e-8)))
+            load((cell, base[cell] * (1 + 1e-10)))  # within the loader's 1e-9
+
+    def test_validation_temporaries_stay_within_row_tiles(self, monkeypatch):
+        # the sampled triangle check's triples are not tiled; a small sample keeps them out of the peak
+        monkeypatch.setattr(metric, "_TRIANGLE_SAMPLED_TRIPLES", 1000)
+        table = random_space(600, seed=4).full()
+        tracemalloc.start()
+        try:
+            metric._validate_table(table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a few tiles of at most _BLOCK_CHUNK_ELEMS float64 cells; one n x n temporary is 2.9 MB
+        assert peak <= 6 * 8 * metric._BLOCK_CHUNK_ELEMS
+
     def test_rejects_asymmetric(self):
         mat = np.array([[0.0, 1.0], [2.0, 0.0]])
         with pytest.raises(ValueError, match="symmetric"):
