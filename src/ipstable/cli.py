@@ -12,7 +12,7 @@ from pathlib import Path
 
 from .algorithms import ALGORITHMS
 from .clustering import TABLES, Clustering, check_start, strict_json, verify_stability
-from .local_search import CAP_EXCEEDED
+from .local_search import CAP_EXCEEDED, DEFAULT_MAX_STEPS
 from .metric import (
     GenSpec,
     MetricSpace,
@@ -200,7 +200,7 @@ def cmd_bench(args) -> int:
                     space = generate(spec).space
                     before = space.query_counter
                     t0 = time.perf_counter()
-                    _, trace = ALGORITHMS[alg].run(space, k, seed, 10**6)
+                    _, trace = ALGORITHMS[alg].run(space, k, seed, DEFAULT_MAX_STEPS)
                     elapsed = 0.0 if args.no_time else time.perf_counter() - t0
                     queries = space.query_counter - before
                     steps = sum(v for v in trace.counts.values() if isinstance(v, int))
@@ -238,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--alg", required=True, choices=ALGORITHMS)
     c.add_argument("--alpha", type=float, default=None, help="natural only; default: the search's own (2 log n, base 2)")
     c.add_argument("--seed", type=int, default=None)
-    c.add_argument("--max-steps", type=int, default=10**6, help="step cap of natural, mergesplit, median and max")
+    c.add_argument("--max-steps", type=int, default=DEFAULT_MAX_STEPS, help="step cap of natural, mergesplit, median and max")
     c.add_argument("--out", required=True)
     c.add_argument("--no-time", action="store_true", help="zero the wall-time field for byte-stable output")
     c.set_defaults(func=cmd_cluster)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .metric import _BLOCK_CHUNK_ELEMS, MetricSpace
+from .metric import MetricSpace, _row_tiles
 
 __all__ = ["Clustering", "StabilityReport", "verify_stability"]
 
@@ -313,21 +313,21 @@ class _Table(_Columns):
         points ``rows``: ``tile`` is ``D[members[c]][:, at]``, member-major,
         so column j holds point at[j]'s distances to the members, gathered
         from the members' contiguous rows (the table is exactly symmetric).
-        A tile covers ``_BLOCK_CHUNK_ELEMS // |C|`` points, at least two, so
-        no n x |C| block is built.
+        The tiles are the points' row tiles of width |C| (:func:`_row_tiles`),
+        so no n x |C| block is built.
 
         Summed along axis 0, a tile adds the members left to right, as a
         running sum does, unless it covers one point: numpy sums that one
-        pairwise.  So a tile covers one point only when the read does; a
-        one-point remainder joins the tile before it."""
+        pairwise.  So a cut between row tiles is kept only where both sides
+        hold two points: a tile covers one point only when the read does, and
+        a one-point remainder joins the tile before it."""
         m = self.members[c]
         count = self.n if rows is None else len(rows)
-        step = max(2, _BLOCK_CHUNK_ELEMS // len(m))
         start = 0
-        while start < count:
-            stop = start + step
-            if stop == count - 1:
-                stop = count
+        for tile in _row_tiles(count, len(m)):
+            stop = tile.stop
+            if stop < count and (stop - start < 2 or count - stop < 2):
+                continue
             if rows is None:
                 at = slice(start, stop)
                 yield at, self.D[m, at]

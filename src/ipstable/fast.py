@@ -24,11 +24,11 @@ i.i.d. over the cluster members, so the estimator is computed from a
 multinomial draw of the per-member sample counts rather than a length-t
 loop.  The distribution per query point is identical; the query counter is
 charged t per query point, matching the sampled evaluations.  The query
-points are processed in row chunks of at most ``_BLOCK_CHUNK_ELEMS`` cells
-(the distance kernel's bound) over the cluster, one row when the cluster is
-larger, so a call holds four chunk-sized arrays whatever |S| x |C| is.
-``multinomial`` draws the rows of its probability table in order, so the
-random stream, and every estimate, is the same for any chunk size.
+points are processed in the row tiles of width |C| that bound every tiled
+read (see the README), so a call holds four tile-sized arrays whatever
+|S| x |C| is.  ``multinomial`` draws the rows of its probability table in
+order, so the random stream, and every estimate, is the same for any tile
+height.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ import numpy as np
 from .clustering import Clustering, _Columns, check_start
 from .local_search import CONVERGED, LsTrace
 from .merge_split import SplitResult, _split_core, kcenter_init
-from .metric import _BLOCK_CHUNK_ELEMS, MetricSpace, rng_from_seed
+from .metric import MetricSpace, _row_tiles, rng_from_seed
 
 __all__ = [
     "calc_central_point",
@@ -124,17 +124,15 @@ def calc_average(
     scale = 1.0 / (t * (1.0 - eps_prime))
 
     est = np.empty(len(S))
-    chunk = max(1, _BLOCK_CHUNK_ELEMS // len(C))
-    for lo in range(0, len(S), chunk):
-        sl = slice(lo, min(lo + chunk, len(S)))
-        ds_chunk = d_s[sl]
-        lam = avg_star / (avg_star + ds_chunk)
+    for sl in _row_tiles(len(S), len(C)):
+        ds_tile = d_s[sl]
+        lam = avg_star / (avg_star + ds_tile)
         mu = lam[:, None] * pw
         mu += (1.0 - lam)[:, None] * inv_m
         mu /= mu.sum(axis=1, keepdims=True)
         counts = rng.multinomial(t, mu)
         # mu is spent once drawn: its buffer takes the denominators
-        denom = np.add(w, ds_chunk[:, None], out=mu)
+        denom = np.add(w, ds_tile[:, None], out=mu)
         bad = denom == 0
         if bad.any() and counts[bad].any():
             # zero denominators carry zero sampling mass outside the
@@ -144,7 +142,7 @@ def calc_average(
         block = space.peek_block(S[sl], C)
         block /= denom
         block *= counts
-        est[sl] = (avg_star + ds_chunk) * scale * block.sum(axis=1)
+        est[sl] = (avg_star + ds_tile) * scale * block.sum(axis=1)
     return est
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clustering import Clustering, _MedianTable, check_max_steps, check_start
-from .local_search import LsTrace, Step, search
+from .local_search import DEFAULT_MAX_STEPS, LsTrace, Step, search
 from .merge_split import kcenter_init
 from .metric import MetricSpace
 from .potential import SQRT_MEDIAN_SCALE
@@ -37,7 +37,7 @@ class MedianConfig:
 
     c: float = 2.0
     alpha_base: float = 10.25
-    max_steps: int = 10**6
+    max_steps: int = DEFAULT_MAX_STEPS
     seed: int = 0  # unused: the search and its k-center start are deterministic
 
     def __post_init__(self):

@@ -18,7 +18,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .clustering import Clustering, _AvgTable, check_max_steps, check_start
-from .local_search import DEFAULT_SLACK, LsTrace, Step, search
+from .local_search import DEFAULT_MAX_STEPS, DEFAULT_SLACK, LsTrace, Step, search
 from .metric import MetricSpace, rng_from_seed
 
 __all__ = ["SplitResult", "kcenter_init", "merge_split_ls"]
@@ -105,7 +105,7 @@ def merge_split_ls(
     space: MetricSpace,
     k: int,
     seed: int = 0,
-    max_steps: int = 10**6,
+    max_steps: int = DEFAULT_MAX_STEPS,
     initial: Optional[Clustering] = None,
 ) -> tuple[Clustering, LsTrace]:
     """Merge-and-split local search; returns a 4*log2(n)-stable clustering for avg.

@@ -44,19 +44,25 @@ TRIANGLE_RTOL = 1e-9
 _TRIANGLE_EXHAUSTIVE_LIMIT = 64
 _TRIANGLE_SAMPLED_TRIPLES = 100_000
 
-# Coordinate blocks are computed in row chunks whose (<= 8, rows, cols) term
-# and running-sum buffers hold at most this many float64 elements together
-# (512 KiB); so are the row chunks of a table gather.
+# The cells in one row tile of _row_tiles (512 KiB as float64), the bound on
+# every temporary that a tiled read makes.
 _BLOCK_CHUNK_ELEMS = 1 << 16
-
-# Rows per block of the shortest-path closure's upper-triangle update.
-_CLOSURE_ROWS = 64
 
 # The last table pairs() built for a coordinate space, read-only:
 # (weak reference to that space, table), or None.  Read and written under
 # _kept_lock, which a collected space's weakref callback also takes.
 _kept = None
 _kept_lock = threading.RLock()
+
+
+def _row_tiles(count: int, width: int) -> list:
+    """Slices over ``range(count)`` of ``_BLOCK_CHUNK_ELEMS // width`` rows
+    each (at least one; the last may be shorter), the bound read at call
+    time: every tiled loop of the package walks its rows in these."""
+    step = max(1, _BLOCK_CHUNK_ELEMS // max(1, width))
+    if count <= step:  # most reads: one tile, without the comprehension's cost
+        return [slice(0, count)] if count else []
+    return [slice(lo, min(count, lo + step)) for lo in range(0, count, step)]
 
 
 def _release(ref) -> None:
@@ -73,7 +79,7 @@ class MetricSpace:
     Backed either by an explicit distance table, stored exactly symmetric as
     its upper triangle mirrored, or by a coordinate array with an L2/L1
     norm.  Every distance read goes through one block kernel; for
-    coordinates it computes the block in bounded row chunks, so its
+    coordinates it computes the block in bounded row tiles, so its
     temporaries stay small whatever the block size.  Every accessor
     rejects an index outside ``0..n-1`` with IndexError before it charges
     the counter.
@@ -187,9 +193,8 @@ class MetricSpace:
 
         The table is read-only for both backings.  A table-backed space
         returns its stored table.  A coordinate space evaluates only the
-        upper triangle, in row tiles of at most ``_BLOCK_CHUNK_ELEMS`` cells
-        whose values equal :meth:`full`'s, and mirrors the lower triangle
-        from it in place.  It keeps that table until another coordinate
+        upper triangle, in the row tiles of :func:`_row_tiles`, whose values
+        equal :meth:`full`'s, and mirrors the lower triangle from it in place.  It keeps that table until another coordinate
         space's ``pairs()`` empties the slot, before building its own, or
         the space is collected; until then a later call returns the kept
         table, and still charges.
@@ -205,7 +210,7 @@ class MetricSpace:
             _kept = None  # the previous space's table goes before this one is built
             idx = np.arange(n)
             out = np.empty((n, n))
-            _mirror_upper(out, lambda lo, hi: self._eval_block(idx[lo:hi], idx[lo:]))
+            _mirror_upper(out, lambda t: self._eval_block(idx[t], idx[t.start :]))
             out.flags.writeable = False
             _kept = (weakref.ref(self, _release), out)
             return out
@@ -241,8 +246,9 @@ class MetricSpace:
         A table is gathered by two ``take`` calls, each of whose
         intermediates holds at most ``_BLOCK_CHUNK_ELEMS`` cells: the columns
         first when that intermediate is the smaller one and fits, else the
-        rows, in chunks.  Columns listing every point in order (``full()``'s)
-        are not gathered, so that read makes no second n x n array.
+        rows, in row tiles.  Columns listing every point in order
+        (``full()``'s) are not gathered, so that read makes no second n x n
+        array.
 
         A coordinate cell is the norm of ``coords[col] - coords[row]``, its
         per-dimension terms summed in the order numpy's pairwise sum gives a
@@ -250,7 +256,7 @@ class MetricSpace:
         single-row reduction ``(diff * diff).sum(axis=-1)`` bit for bit,
         whatever the block it is read in.  The terms come dimension by
         dimension from the ``(dim, n)`` coordinates, up to 8 at a time, for
-        row chunks whose buffers hold at most ``_BLOCK_CHUNK_ELEMS`` elements.
+        row tiles whose buffers hold at most ``_BLOCK_CHUNK_ELEMS`` elements.
         """
         if self._matrix is not None:
             table, n = self._matrix, self.n
@@ -259,10 +265,9 @@ class MetricSpace:
             if len(cols) < len(rows) and n * len(cols) <= _BLOCK_CHUNK_ELEMS:
                 return table.take(cols, axis=1).take(rows, axis=0)
             out = np.empty((len(rows), len(cols)))
-            step = max(1, _BLOCK_CHUNK_ELEMS // n)
             # the indices are checked, so "clip" clips nothing; "raise" would buffer out
-            for lo in range(0, len(rows), step):
-                table.take(rows[lo : lo + step], axis=0).take(cols, axis=1, out=out[lo : lo + step], mode="clip")
+            for t in _row_tiles(len(rows), n):
+                table.take(rows[t], axis=0).take(cols, axis=1, out=out[t], mode="clip")
             return out
         dim = len(self._xt)
         at_cols = self._xt.take(cols, axis=1)[:, None, :]
@@ -272,11 +277,10 @@ class MetricSpace:
         group = min(dim, 8)
         # a term buffer and running sums; one term is its own sum, 8 their own running sums
         nbufs = (dim != 1) + (dim > 8)
-        step = max(1, min(len(rows), _BLOCK_CHUNK_ELEMS // max(1, nbufs * group * len(cols))))
-        bufs = np.empty((nbufs, group, step, len(cols)))
-        for lo in range(0, len(rows), step):
-            hi = min(len(rows), lo + step)
-            _sum_terms(at_cols, at_rows[:, lo:hi], fold, out[lo:hi], bufs[:, :, : hi - lo])
+        tiles = _row_tiles(len(rows), nbufs * group * len(cols))
+        bufs = np.empty((nbufs, group, tiles[0].stop if tiles else 0, len(cols)))
+        for t in tiles:
+            _sum_terms(at_cols, at_rows[:, t], fold, out[t], bufs[:, :, : t.stop - t.start])
         if self.norm == "l2":
             np.sqrt(out, out=out)
         return out
@@ -286,18 +290,17 @@ def _mirror_upper(out: np.ndarray, fill=None) -> None:
     """Make the square ``out`` exactly symmetric from its upper triangle, in
     place, with +0.0 on the diagonal.
 
-    Rows go in blocks of at most ``_BLOCK_CHUNK_ELEMS`` cells, top to bottom;
-    ``fill(lo, hi)``, when given, first returns block ``[lo, hi)``'s upper
-    part ``out[lo:hi, lo:]``.  A block's lower cells are copied from the
-    upper cells of the rows above it, already final, and from its own
-    square, so no second n x n array is made.
+    Rows go in the row tiles of :func:`_row_tiles`, top to bottom;
+    ``fill(t)``, when given, first returns tile ``t``'s upper part
+    ``out[t, t.start:]``.  A tile's lower cells are copied from the upper
+    cells of the rows above it, already final, and from its own square, so
+    no second n x n array is made.
     """
     n = len(out)
-    step = max(1, _BLOCK_CHUNK_ELEMS // max(1, n))
-    for lo in range(0, n, step):
-        hi = min(n, lo + step)
+    for t in _row_tiles(n, n):
+        lo, hi = t.start, t.stop
         if fill is not None:
-            out[lo:hi, lo:] = fill(lo, hi)
+            out[t, lo:] = fill(t)
         out[lo:hi, :lo] = out[:lo, lo:hi].T
         tile = out[lo:hi, lo:hi]
         np.copyto(tile, tile.T, where=np.tri(hi - lo, k=-1, dtype=bool))
@@ -367,22 +370,22 @@ def _validate_table(mat: np.ndarray) -> None:
     """Reject tables that are not symmetric non-negative metrics.
 
     Each cell check runs over the whole table before the next one starts, in
-    row tiles of at most ``_BLOCK_CHUNK_ELEMS`` cells, so its temporaries
-    stay small whatever n is.  Symmetry compares each upper cell with its
-    mirror; the test reads the same for (i, j) and (j, i), so the upper
-    triangle decides it.
+    the row tiles of :func:`_row_tiles`, so its temporaries stay small
+    whatever n is.  Symmetry compares each upper cell with its mirror; the
+    test reads the same for (i, j) and (j, i), so the upper triangle decides
+    it.  Above 64 points, sampled triples are drawn and checked tile by tile:
+    a Philox stream drawn in parts gives the triples of one whole draw.
     """
     n = mat.shape[0]
-    step = max(1, _BLOCK_CHUNK_ELEMS // max(1, n))
-    tiles = [(lo, min(n, lo + step)) for lo in range(0, n, step)]
-    if not all(np.isfinite(mat[lo:hi]).all() for lo, hi in tiles):
+    tiles = _row_tiles(n, n)
+    if not all(np.isfinite(mat[t]).all() for t in tiles):
         raise ValueError("distance table contains non-finite values")
-    if any((mat[lo:hi] < 0).any() for lo, hi in tiles):
+    if any((mat[t] < 0).any() for t in tiles):
         raise ValueError("distance table contains negative values")
     if np.any(np.diag(mat) != 0):
         raise ValueError("distance table has non-zero diagonal entries")
-    for lo, hi in tiles:
-        upper, lower = mat[lo:hi, lo:], mat[lo:, lo:hi].T
+    for t in tiles:
+        upper, lower = mat[t, t.start :], mat[t.start :, t].T
         if np.any(np.abs(upper - lower) > TRIANGLE_RTOL * np.maximum(np.abs(upper), np.abs(lower))):
             raise ValueError("distance table is not symmetric")
     if n <= _TRIANGLE_EXHAUSTIVE_LIMIT:
@@ -392,12 +395,10 @@ def _validate_table(mat: np.ndarray) -> None:
                 raise ValueError(f"triangle inequality violated via point {x}")
     else:
         rng = np.random.Generator(np.random.Philox(0))
-        triples = rng.integers(0, n, size=(_TRIANGLE_SAMPLED_TRIPLES, 3))
-        i, x, j = triples.T
-        lhs = mat[i, j]
-        rhs = mat[i, x] + mat[x, j]
-        if np.any(lhs > rhs * (1.0 + TRIANGLE_RTOL)):
-            raise ValueError("triangle inequality violated (sampled check)")
+        for t in _row_tiles(_TRIANGLE_SAMPLED_TRIPLES, 3):
+            i, x, j = rng.integers(0, n, size=(t.stop - t.start, 3)).T
+            if np.any(mat[i, j] > (mat[i, x] + mat[x, j]) * (1.0 + TRIANGLE_RTOL)):
+                raise ValueError("triangle inequality violated (sampled check)")
 
 
 # -- generators ---------------------------------------------------------------
@@ -458,7 +459,8 @@ def _shortest_path_closure(d: np.ndarray) -> None:
     The closed table stays exactly symmetric at every step: the candidate
     ``d[i,k] + d[k,j]`` is the same float sum as ``d[j,k] + d[k,i]``.  So
     each step k reads its column from the upper triangle and updates only
-    ``d[a:b, a:]`` for row blocks ``[a, b)``; row and column k do not change
+    ``d[a:b, a:]`` for the row tiles ``[a, b)`` of :func:`_row_tiles`, whose
+    height changes no bit; row and column k do not change
     during step k, as ``d[k,k] = 0``.  Every upper cell thus takes the same
     ``min(d_ij, d_ik + d_kj)`` sequence as the k-i-j loop over the full
     table (scipy's ``shortest_path(method="FW")``), and the result is
@@ -472,23 +474,23 @@ def _shortest_path_closure(d: np.ndarray) -> None:
     ``1 * vec[j]``, both exact (inf stays inf), so every evaluation order,
     with or without a fused multiply-add, rounds it once, to the float
     ``vec[i] + vec[j]``.
-    O(n^3) time; O(n) memory besides the table.
+    O(n^3) time; O(n) memory and one row tile besides the table.
     """
     n = len(d)
     lhs = np.ones((n, 2))  # column 0 is vec
     rhs = np.ones((2, n))  # row 1 is vec
     vec = rhs[1]
-    tmp = np.empty((min(n, _CLOSURE_ROWS), n))
+    tiles = _row_tiles(n, n)
+    tmp = np.empty((tiles[0].stop, n))
     for k in range(n):
         vec[:k] = d[:k, k]
         vec[k:] = d[k, k:]
         lhs[:, 0] = vec
-        for a in range(0, n, _CLOSURE_ROWS):
-            b = min(n, a + _CLOSURE_ROWS)
-            blk = d[a:b, a:]
-            cand = tmp[: b - a, : n - a]
-            np.matmul(lhs[a:b], rhs[:, a:], out=cand)
-            np.minimum(blk, cand, out=blk)
+        for t in tiles:
+            a = t.start
+            cand = tmp[: t.stop - a, : n - a]
+            np.matmul(lhs[t], rhs[:, a:], out=cand)
+            np.minimum(d[t, a:], cand, out=d[t, a:])
     _mirror_upper(d)
 
 

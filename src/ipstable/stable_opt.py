@@ -26,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .clustering import Clustering, check_start
-from .metric import _BLOCK_CHUNK_ELEMS, MetricSpace
+from .metric import MetricSpace, _row_tiles
 
 __all__ = [
     "beta",
@@ -50,10 +50,10 @@ def _ratio(diam: float, sep: float) -> float:
 def beta(space: MetricSpace, C) -> float:
     """diameter(C) / min distance from C to X \\ C; 0 for C = X, 0/0 -> 0.
 
-    The blocks C x C and C x (X \\ C) are read in row tiles of at most
-    ``_BLOCK_CHUNK_ELEMS`` cells, as :func:`create_tree` reads its cross
-    blocks; max and min are exact in any order, and the tiles charge
-    |C|^2 + |C|(n - |C|) queries, as the whole blocks would."""
+    The blocks C x C and C x (X \\ C) are read in the row tiles of width n
+    that bound every tiled read (see the README), as :func:`create_tree`
+    reads its cross blocks; max and min are exact in any order, and the
+    tiles charge |C|^2 + |C|(n - |C|) queries, as the whole blocks would."""
     C = np.asarray(C, dtype=np.intp)
     if len(C) == 0:
         raise ValueError("cluster must be non-empty")
@@ -63,9 +63,8 @@ def beta(space: MetricSpace, C) -> float:
         return 0.0
     outside = np.nonzero(~inside)[0]
     diam, sep = 0.0, math.inf
-    step = max(1, _BLOCK_CHUNK_ELEMS // space.n)
-    for lo in range(0, len(C), step):
-        rows = C[lo : lo + step]
+    for tile in _row_tiles(len(C), space.n):
+        rows = C[tile]
         if len(C) > 1:
             diam = max(diam, float(space.block(rows, C).max()))
         sep = min(sep, float(space.block(rows, outside).min()))
@@ -164,8 +163,8 @@ def create_tree(D: np.ndarray, mst_edges) -> SplitTree:
     children's and of the cross block between them; the cross blocks cover
     each pair once.  The block is gathered from ``D`` with the smaller side
     on the rows, since each row is copied whole first, so ``D`` must be
-    symmetric, as :meth:`MetricSpace.pairs` is.  Its max is taken over row
-    chunks whose copied rows hold at most ``_BLOCK_CHUNK_ELEMS`` cells.
+    symmetric, as :meth:`MetricSpace.pairs` is.  Its max is taken over the
+    row tiles of width n that bound every tiled read (see the README).
     """
     n = len(D)
     if len(mst_edges) != n - 1:
@@ -197,15 +196,14 @@ def create_tree(D: np.ndarray, mst_edges) -> SplitTree:
     order = np.empty(n, dtype=np.intp)
     order[start[:n]] = np.arange(n)
 
-    step = max(1, _BLOCK_CHUNK_ELEMS // n)
     diameter = [0.0] * n
     for l, r in zip(left, right):
         small, large = (l, r) if size[l] <= size[r] else (r, l)
         rows = order[start[small] : start[small] + size[small]]
         cols = order[start[large] : start[large] + size[large]]
         d = max(diameter[l], diameter[r])
-        for lo in range(0, len(rows), step):
-            d = max(d, float(D.take(rows[lo : lo + step], 0).take(cols, 1).max()))
+        for tile in _row_tiles(len(rows), n):
+            d = max(d, float(D.take(rows[tile], 0).take(cols, 1).max()))
         diameter.append(d)
     return SplitTree(left, right, weight, diameter, size, start, order)
 

@@ -2,17 +2,19 @@
 
 import argparse
 import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.sparse.csgraph import shortest_path
 
-from ipstable import ALGORITHMS, Clustering, MetricSpace, cli, verify_stability
+from ipstable import ALGORITHMS, Clustering, MetricSpace, cli, metric, verify_stability
 from ipstable.clustering import TABLES
-from ipstable.local_search import LsConfig, max_ip_local_search, max_ip_signatures, natural_local_search
+from ipstable.local_search import DEFAULT_MAX_STEPS, LsConfig, max_ip_local_search, max_ip_signatures, natural_local_search
 from ipstable.median_ip import median_ip_cluster
 from ipstable.merge_split import merge_split_ls
+from ipstable.metric import GenSpec, generate
 from ipstable.potential import edge_order
 from ipstable.stable_opt import beta_clustering
 
@@ -202,3 +204,64 @@ def test_max_certificate_holds_on_a_table_skewed_within_the_tolerance():
     out, trace = max_ip_local_search(space, 2, LsConfig(initial=Clustering(start, 2)))
     _check_signature_certificate(space, start, out, trace.steps)
     assert verify_stability(space, out, "max", 1.0).passed
+
+
+def _spy_row_tiles(monkeypatch):
+    """Route every module's ``_row_tiles`` through a spy; returns the set of
+    the names of the functions that called it."""
+    callers = set()
+    real = metric._row_tiles
+
+    def spy(count, width):
+        callers.add(sys._getframe(1).f_code.co_name)
+        return real(count, width)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "ipstable" and getattr(module, "_row_tiles", None) is real:
+            monkeypatch.setattr(module, "_row_tiles", spy)
+    return callers
+
+
+def _runs_and_reports(make):
+    """Every algorithm's output, trace counts and queries on a fresh space,
+    the exact searches' also from ``make``'s start when it gives one, and
+    each objective's verifier report on every output, as bytes."""
+    runs = [(name, lambda sp, alg=alg: alg.run(sp, 3, 1, DEFAULT_MAX_STEPS)) for name, alg in ALGORITHMS.items()]
+    start = make()[1]
+    if start is not None:
+        runs += [
+            ("natural from start", lambda sp: natural_local_search(sp, 3, LsConfig(initial=start))),
+            ("mergesplit from start", lambda sp: merge_split_ls(sp, 3, 1, initial=start)),
+            ("median from start", lambda sp: median_ip_cluster(sp, 3, initial=start)),
+            ("max from start", lambda sp: max_ip_local_search(sp, 3, LsConfig(initial=start))),
+        ]
+    out = []
+    for name, run in runs:
+        space = make()[0]
+        got, trace = run(space)
+        out.append((name, got.assignment.tobytes(), trace.counts, space.query_counter))
+        for objective in ("avg", "median", "max"):
+            r = verify_stability(space, got, objective)
+            out.append((r.alpha_achieved.hex(), r.witness, r.per_point.tobytes(), r.passed))
+    space = make()[0]
+    idx = np.arange(space.n)
+    out.append(space.peek_block(idx, idx).tobytes())
+    return out
+
+
+@pytest.mark.parametrize("bound", [3 * 90, 1])
+def test_a_shrunk_tile_bound_changes_no_output(bound, monkeypatch):
+    # With every row tile a few rows high, or one (two points for the
+    # objective table), each algorithm and each verifier reads the same
+    # bits, charges the same queries and takes the same steps.  The spy shows
+    # that the table fill, the estimator, the split tree, the kernel, the
+    # mirror and the shortest-path closure all read through the walk.
+    makers = (
+        lambda: perturbed_planted(90, 3, 0.01, seed=2, moves=6)[::2],
+        lambda: (generate(GenSpec("random_shortest_path", n=90, seed=2)).space, None),
+    )
+    want = [_runs_and_reports(make) for make in makers]
+    callers = _spy_row_tiles(monkeypatch)
+    monkeypatch.setattr(metric, "_BLOCK_CHUNK_ELEMS", bound)
+    assert [_runs_and_reports(make) for make in makers] == want
+    assert {"_tiles", "calc_average", "create_tree", "_eval_block", "_mirror_upper", "_shortest_path_closure"} <= callers

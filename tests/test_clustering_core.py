@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from ipstable import clustering
+from ipstable import clustering, metric
 from ipstable.clustering import (
     TABLES,
     Clustering,
@@ -389,7 +389,7 @@ class TestObjectiveTable:
         # column here has more.  The other table tests compare a table with
         # its own fill, so only this one sees a change of bits.
         bound = 300
-        monkeypatch.setattr(clustering, "_BLOCK_CHUNK_ELEMS", bound)
+        monkeypatch.setattr(metric, "_BLOCK_CHUNK_ELEMS", bound)
         monkeypatch.setattr(clustering, "WINDOW_CAP", 8)  # median's moves refill rows in tiles too
         space = random_space(151, seed=9)
         n = space.n

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ipstable import fast, merge_split
+from ipstable import fast, merge_split, metric
 from ipstable.clustering import Clustering, verify_stability
 from ipstable.fast import (
     IP_STABLE,
@@ -159,7 +159,7 @@ class TestCalcAverage:
         C, S = np.arange(0, 60, 3), np.arange(60)
         runs = []
         for rows in (1, 7, len(S)):
-            monkeypatch.setattr(fast, "_BLOCK_CHUNK_ELEMS", rows * len(C))
+            monkeypatch.setattr(metric, "_BLOCK_CHUNK_ELEMS", rows * len(C))
             rng = rng_from_seed(9)
             est = calc_average(sp, C, S, 0.2, rng)
             runs.append((est.tobytes(), repr(rng.bit_generator.state)))  # Philox: small arrays

@@ -381,9 +381,8 @@ class TestValidation:
                 load((cell, base[cell] * (1 + 1e-8)))
             load((cell, base[cell] * (1 + 1e-10)))  # within the loader's 1e-9
 
-    def test_validation_temporaries_stay_within_row_tiles(self, monkeypatch):
-        # the sampled triangle check's triples are not tiled; a small sample keeps them out of the peak
-        monkeypatch.setattr(metric, "_TRIANGLE_SAMPLED_TRIPLES", 1000)
+    def test_validation_temporaries_stay_within_row_tiles(self):
+        # the cell checks and the sampled triangle check's triples alike
         table = random_space(600, seed=4).full()
         tracemalloc.start()
         try:
@@ -391,8 +390,25 @@ class TestValidation:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # a few tiles of at most _BLOCK_CHUNK_ELEMS float64 cells; one n x n temporary is 2.9 MB
+        # a few tiles of at most _BLOCK_CHUNK_ELEMS float64 cells; one n x n
+        # temporary is 2.9 MB, and the 100,000 triples drawn at once 2.4 MB
         assert peak <= 6 * 8 * metric._BLOCK_CHUNK_ELEMS
+
+    def test_sampled_triangle_check_rejects_in_any_tiles(self, monkeypatch):
+        # above 64 points the triples come from one Philox(0) stream, drawn a
+        # tile at a time; breaking the triangle of the last triple that one
+        # whole draw gives is caught whatever the tiles are
+        n = 300
+        table = random_space(n, seed=6).full()
+        triples = np.random.Generator(np.random.Philox(0)).integers(0, n, size=(metric._TRIANGLE_SAMPLED_TRIPLES, 3))
+        i, x, j = next(t for t in triples[::-1] if len(set(t)) == 3)
+        bad = table.copy()
+        bad[i, j] = bad[j, i] = 3 * table.max()
+        for chunk in (metric._BLOCK_CHUNK_ELEMS, 3 * 1000):
+            monkeypatch.setattr(metric, "_BLOCK_CHUNK_ELEMS", chunk)
+            with pytest.raises(ValueError, match="sampled check"):
+                MetricSpace.from_matrix(bad)
+            MetricSpace.from_matrix(table)
 
     def test_rejects_asymmetric(self):
         mat = np.array([[0.0, 1.0], [2.0, 0.0]])
@@ -443,6 +459,16 @@ def _triangle_ok(space, exhaustive_limit=64, samples=100_000):
     return not np.any(D[i, j] > (D[i, x] + D[x, j]) * (1 + 1e-9))
 
 
+def _assert_closure_matches_scipy(n, seed):
+    # scipy is the reference only
+    rng = metric.rng_from_seed(seed)
+    upper = np.triu(1.0 - rng.random((n, n)), 1)
+    want = shortest_path(upper + upper.T, method="FW", directed=False)
+    np.fill_diagonal(want, 0.0)
+    got = generate(GenSpec("random_shortest_path", n=n, seed=seed)).space.full()
+    assert np.array_equal(got, want)
+
+
 class TestGenerate:
     @pytest.mark.parametrize("kind", ["euclidean_mixture", "random_shortest_path", "planted_separated"])
     def test_triangle_inequality(self, kind):
@@ -465,13 +491,14 @@ class TestGenerate:
         (65, 16621), (130, 7224), (300, 871),
     ])
     def test_shortest_path_closure_matches_scipy(self, n, seed):
-        # n crosses the closure's 64-row blocks; scipy is the reference only
-        rng = metric.rng_from_seed(seed)
-        upper = np.triu(1.0 - rng.random((n, n)), 1)
-        want = shortest_path(upper + upper.T, method="FW", directed=False)
-        np.fill_diagonal(want, 0.0)
-        got = generate(GenSpec("random_shortest_path", n=n, seed=seed)).space.full()
-        assert np.array_equal(got, want)
+        # n = 300 crosses the closure's row tiles at the default bound (218 rows)
+        _assert_closure_matches_scipy(n, seed)
+
+    @pytest.mark.parametrize("n, rows", [(2, 1), (20, 1), (65, 7), (130, 64)])
+    def test_shortest_path_closure_in_shrunk_row_tiles(self, n, rows, monkeypatch):
+        # tiles of `rows` rows, the last one partial; the tile height changes no bit
+        monkeypatch.setattr(metric, "_BLOCK_CHUNK_ELEMS", rows * n)
+        _assert_closure_matches_scipy(n, seed=n)
 
     def test_library_imports_no_scipy(self):
         code = ("import sys, ipstable, ipstable.cli; "

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ipstable import stable_opt
+from ipstable import metric, stable_opt
 from ipstable.clustering import Clustering, verify_stability
 from ipstable.metric import GenSpec, MetricSpace, generate
 from ipstable.stable_opt import (
@@ -62,7 +62,7 @@ class TestBeta:
         for sp in (random_space(40, seed=3), random_matrix_space(35, seed=4)):
             n, D = sp.n, sp.pairs()
             bound = 3 * n
-            monkeypatch.setattr(stable_opt, "_BLOCK_CHUNK_ELEMS", bound)
+            monkeypatch.setattr(metric, "_BLOCK_CHUNK_ELEMS", bound)
             cells = []
             read = sp.block
 
@@ -258,7 +258,7 @@ class TestCreateTree:
     @pytest.mark.parametrize("chunk_cells", [1, 40])
     def test_diameter_read_in_row_chunks(self, chunk_cells, monkeypatch):
         # one row per chunk, or 40 // n rows: the max over the chunks is the block's
-        monkeypatch.setattr(stable_opt, "_BLOCK_CHUNK_ELEMS", chunk_cells)
+        monkeypatch.setattr(metric, "_BLOCK_CHUNK_ELEMS", chunk_cells)
         for sp in _tied_and_random_spaces():
             table = sp.peek_block(np.arange(sp.n), np.arange(sp.n))
             tree = _tree(sp)
