@@ -18,7 +18,10 @@ The shortest-path generator closes its table with a Floyd–Warshall written
 in numpy.  The table stays exactly symmetric at every step, since
 ``d[i,k] + d[k,j]`` and ``d[j,k] + d[k,i]`` are the same float sum, so the
 closure updates the upper triangle alone and mirrors it at the end; its
-output is bit-identical to scipy's ``shortest_path(method="FW")``.
+output is bit-identical to scipy's ``shortest_path(method="FW")``.  It
+updates the upper part of each row tile packed contiguously at the front of
+the tile's own rows in the table's buffer, so it needs O(n) memory and one
+row tile besides the table.
 """
 
 from __future__ import annotations
@@ -453,8 +456,9 @@ def rng_from_seed(seed: int) -> np.random.Generator:
 
 def _shortest_path_closure(d: np.ndarray) -> None:
     """Floyd–Warshall closure, in place, of the symmetric non-negative table
-    whose upper triangle ``d`` holds, inf for a missing edge; ``d`` is zero
-    on the diagonal, and its cells below the diagonal are ignored.
+    whose upper triangle the C-contiguous ``d`` holds, inf for a missing
+    edge; ``d`` is zero on the diagonal, and its cells below the diagonal
+    are ignored.
 
     The closed table stays exactly symmetric at every step: the candidate
     ``d[i,k] + d[k,j]`` is the same float sum as ``d[j,k] + d[k,i]``.  So
@@ -468,6 +472,15 @@ def _shortest_path_closure(d: np.ndarray) -> None:
     diagonal, and ``_mirror_upper`` overwrites those cells with the upper
     triangle at the end.
 
+    The steps run on packed tiles: before the first, each tile's upper part
+    ``d[a:b, a:]`` is moved, row by row in ascending order, to the front of
+    the tile's own rows in ``d``'s buffer, as one contiguous
+    ``(b - a) x (n - a)`` array.  A row's new place starts at or before its
+    old one and ends before the next row's old one begins, so each move is a
+    one-row copy.  Every update thus runs on contiguous memory, about twice
+    as fast as on the strided staircase; after the last step the rows move
+    back in descending order.
+
     A block's candidates ``vec[i] + vec[j]`` come from one product
     ``[vec, 1] @ [1; vec]``, about three times faster than a broadcast add.
     Each cell is the sum of the two products ``vec[i] * 1`` and
@@ -477,20 +490,35 @@ def _shortest_path_closure(d: np.ndarray) -> None:
     O(n^3) time; O(n) memory and one row tile besides the table.
     """
     n = len(d)
+    flat = d.reshape(-1)  # a view: d is C-contiguous
+    packed = []  # (a, b, tile a:b's upper part as a contiguous array in d's buffer)
+    for t in _row_tiles(n, n):
+        a, b = t.start, t.stop
+        packed.append((a, b, flat[a * n : a * n + (b - a) * (n - a)].reshape(b - a, n - a)))
+    for a, b, p in packed[1:]:  # the first tile starts at 0, already packed
+        for r in range(b - a):
+            p[r] = d[a + r, a:]
     lhs = np.ones((n, 2))  # column 0 is vec
     rhs = np.ones((2, n))  # row 1 is vec
     vec = rhs[1]
-    tiles = _row_tiles(n, n)
-    tmp = np.empty((tiles[0].stop, n))
+    tmp = np.empty(packed[0][2].size)
+    home = 0  # the tile holding row k
     for k in range(n):
-        vec[:k] = d[:k, k]
-        vec[k:] = d[k, k:]
+        while packed[home][1] <= k:
+            home += 1
+        for a, b, p in packed[:home]:
+            vec[a:b] = p[:, k - a]
+        a, _, p = packed[home]
+        vec[a:k] = p[: k - a, k - a]
+        vec[k:] = p[k - a, k - a :]
         lhs[:, 0] = vec
-        for t in tiles:
-            a = t.start
-            cand = tmp[: t.stop - a, : n - a]
-            np.matmul(lhs[t], rhs[:, a:], out=cand)
-            np.minimum(d[t, a:], cand, out=d[t, a:])
+        for a, b, p in packed:
+            cand = tmp[: p.size].reshape(p.shape)
+            np.matmul(lhs[a:b], rhs[:, a:], out=cand)
+            np.minimum(p, cand, out=p)
+    for a, b, p in packed[1:]:
+        for r in reversed(range(b - a)):
+            d[a + r, a:] = p[r]
     _mirror_upper(d)
 
 

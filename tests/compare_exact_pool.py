@@ -5,12 +5,15 @@
 Runs every job of the given workload's pools (exact-search, the default,
 fast-estimate or dp-tree) for the given benchmark seeds twice, once on this
 checkout and once on OTHER_CHECKOUT, each in its own interpreter with that
-checkout's ``src`` and ``perfbench`` first on the path.  For each job it
-compares the output assignment, the status and the distance queries the job
-made, and the ``verify_stability`` report of the output that the benchmark
-makes right after the job: the bits of ``alpha_achieved``, the witness and
-``passed``.  Prints one line per differing job and a summary; exits 0 when
-every job agrees and 1 otherwise.
+checkout's ``src`` and ``perfbench`` first on the path.  For each seed it
+compares the pool's ``workloads.fingerprint``, a digest of every instance
+and start, so that a generator change shows as differing instances and not
+only as differing jobs.  For each job it compares the output assignment,
+the status and the distance queries the job made, and the
+``verify_stability`` report of the output that the benchmark makes right
+after the job: the bits of ``alpha_achieved``, the witness and ``passed``.
+Prints one line per differing seed or job and a summary; exits 0 when every
+fingerprint and every job agree and 1 otherwise.
 
 Use it to check that a change meant to leave the searches' outputs alone
 (a speed-up, a refactor) really does.
@@ -30,14 +33,17 @@ WORKLOADS = ("exact-search", "fast-estimate", "dp-tree")
 
 
 def dump(workload: str, seeds: list[int]) -> None:
-    """Run the pools on the checkout first on the path; print a JSON record per job."""
+    """Run the pools on the checkout first on the path; print each seed's
+    fingerprint and a record per job as JSON."""
     import ipstable
     from ipstable.clustering import verify_stability
-    from workloads import build_pool
+    from workloads import build_pool, fingerprint
 
-    jobs = {}
+    fingerprints, jobs = {}, {}
     for seed in seeds:
-        for draw in build_pool(workload, seed):
+        pool = build_pool(workload, seed)
+        fingerprints[seed] = fingerprint(pool)
+        for draw in pool:
             for job in draw:
                 before = job.space.query_counter
                 clustering, status = job.call()
@@ -51,7 +57,7 @@ def dump(workload: str, seeds: list[int]) -> None:
                     "witness": report.witness and list(report.witness),
                     "passed": report.passed,
                 }
-    json.dump({"library": ipstable.__file__, "jobs": jobs}, sys.stdout)
+    json.dump({"library": ipstable.__file__, "fingerprints": fingerprints, "jobs": jobs}, sys.stdout)
 
 
 def run_checkout(root: Path, workload: str, seeds: list[int]) -> dict:
@@ -77,6 +83,10 @@ def main(argv=None) -> int:
     mine = run_checkout(HERE, args.workload, args.seeds)
     theirs = run_checkout(Path(args.other).resolve(), args.workload, args.seeds)
     print(f"this:  {mine['library']}\nother: {theirs['library']}")
+    seeds = sorted(mine["fingerprints"].keys() | theirs["fingerprints"].keys(), key=int)
+    moved = [seed for seed in seeds if mine["fingerprints"].get(seed) != theirs["fingerprints"].get(seed)]
+    for seed in moved:
+        print(f"DIFFERS seed {seed}: instances differ (workloads.fingerprint)")
     names = sorted(mine["jobs"].keys() | theirs["jobs"].keys())
     differ = 0
     for name in names:
@@ -85,8 +95,9 @@ def main(argv=None) -> int:
         if fields:
             differ += 1
             print(f"DIFFERS {name}: {', '.join(fields)}")
+    print(f"{len(seeds) - len(moved)} of {len(seeds)} seeds' instances identical (fingerprint)")
     print(f"{len(names) - differ} of {len(names)} jobs identical (assignment, status, queries, verify report)")
-    return 1 if differ else 0
+    return 1 if differ or moved else 0
 
 
 if __name__ == "__main__":

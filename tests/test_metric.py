@@ -494,11 +494,28 @@ class TestGenerate:
         # n = 300 crosses the closure's row tiles at the default bound (218 rows)
         _assert_closure_matches_scipy(n, seed)
 
-    @pytest.mark.parametrize("n, rows", [(2, 1), (20, 1), (65, 7), (130, 64)])
-    def test_shortest_path_closure_in_shrunk_row_tiles(self, n, rows, monkeypatch):
+    @pytest.mark.parametrize("n, rows, seed", [
+        (2, 1, 2), (20, 1, 20), (65, 7, 65), (130, 64, 130),
+        (64, 7, 64),  # the last tile is one row
+        (65, 7, 16621),  # a weight within 1e-8 of 0, at (38, 45), is a missing edge (inf) in a packed tile
+    ])
+    def test_shortest_path_closure_in_shrunk_row_tiles(self, n, rows, seed, monkeypatch):
         # tiles of `rows` rows, the last one partial; the tile height changes no bit
         monkeypatch.setattr(metric, "_BLOCK_CHUNK_ELEMS", rows * n)
-        _assert_closure_matches_scipy(n, seed=n)
+        _assert_closure_matches_scipy(n, seed)
+
+    def test_shortest_path_closure_packs_its_tiles_in_place(self):
+        n = 600
+        table = np.triu(1.0 - metric.rng_from_seed(3).random((n, n)), 1)
+        tracemalloc.start()
+        try:
+            metric._shortest_path_closure(table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one row tile (0.52 MB) and O(n) vectors beside the 2.88 MB table;
+        # packing the tiles into a fresh n^2 / 2 array would take 1.44 MB
+        assert peak <= 1_000_000
 
     def test_library_imports_no_scipy(self):
         code = ("import sys, ipstable, ipstable.cli; "
