@@ -494,13 +494,17 @@ class TestGenerate:
         # n = 300 crosses the closure's row tiles at the default bound (218 rows)
         _assert_closure_matches_scipy(n, seed)
 
+    @pytest.mark.parametrize("n, rows", [(2, 1), (20, 1), (65, 7), (130, 64)])
+    def test_shortest_path_closure_in_shrunk_row_tiles(self, n, rows, monkeypatch):
+        # tiles of `rows` rows, the last one partial; the tile height changes no bit
+        monkeypatch.setattr(metric, "_BLOCK_CHUNK_ELEMS", rows * n)
+        _assert_closure_matches_scipy(n, seed=n)
+
     @pytest.mark.parametrize("n, rows, seed", [
-        (2, 1, 2), (20, 1, 20), (65, 7, 65), (130, 64, 130),
         (64, 7, 64),  # the last tile is one row
         (65, 7, 16621),  # a weight within 1e-8 of 0, at (38, 45), is a missing edge (inf) in a packed tile
     ])
-    def test_shortest_path_closure_in_shrunk_row_tiles(self, n, rows, seed, monkeypatch):
-        # tiles of `rows` rows, the last one partial; the tile height changes no bit
+    def test_shortest_path_closure_in_packed_tile_edge_cases(self, n, rows, seed, monkeypatch):
         monkeypatch.setattr(metric, "_BLOCK_CHUNK_ELEMS", rows * n)
         _assert_closure_matches_scipy(n, seed)
 
