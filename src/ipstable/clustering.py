@@ -246,14 +246,14 @@ class _Table(_Columns):
     is the order the randomized split permutes.
 
     A subclass fills a column from the distance table (``_fill``), updates
-    the two columns a move of p touches from p's row ``D[p]`` alone
-    (``_move``), and reads f for every row (``_f``) and the members' own
-    values (``_own_of``) from a column.  Every read of a column's member
-    block, a fill's or a partial refill's, goes through ``_tiles``: the
-    members' rows, in tiles of bounded size.  Each name a subclass adds to
-    ``_carried`` is a list with one entry per column, ``None`` until filled.
-    A merge or a split deletes the columns it replaces and fills each new
-    one afresh from the distance table (``_renew``).
+    the two columns a move of p touches from p's row alone (``_move``), and
+    reads f for every row (``_f``) and the members' own values (``_own_of``)
+    from a column.  Every read of a column's member block, a fill's or a
+    partial refill's, goes through ``_tiles``: the members' rows, in tiles of
+    bounded size; every other read of ``D`` goes through ``_dist``.  Each
+    name a subclass adds to ``_carried`` is a list with one entry per column,
+    ``None`` until filled.  A merge or a split deletes the columns it
+    replaces and fills each new one afresh from the distance table (``_renew``).
 
     The envy state is kept with the table.  ``_foreign`` (n x k, column-major)
     holds f(p, C_c) in column c, with each point's own entry set to inf;
@@ -295,9 +295,13 @@ class _Table(_Columns):
         self.sizes[dst] += 1
         self.members[src] = self.members[src][self.members[src] != p]
         self.members[dst] = np.concatenate((self.members[dst], [p]))
-        self._move(src, dst, self.D[p])
+        self._move(src, dst, self._dist(p))
         self._refresh(src)
         self._refresh(dst)
+
+    def _dist(self, rows, cols=slice(None)) -> np.ndarray:
+        """``D[rows, cols]``: a moved point's row, or a search's own read."""
+        return self.D[rows, cols]
 
     def _move_max(self, at_src: np.ndarray, at_dst: np.ndarray, src: int, dist: np.ndarray) -> None:
         """Update two columns of row maxima, source ``at_src`` and target

@@ -7,17 +7,20 @@ err one-sidedly: avg <= est <= (1+eps)*avg with high probability.
 
 ``epoch`` runs one phase of the local search on cached estimates, tracking
 per-cluster additive error budgets and swap counts; clusters whose caches
-drift too far are re-estimated.  Its state keeps one column per cluster in
-creation order, as the exact searches' objective table does; the cached
-estimates are one n x k table.  Each swap takes the violator found by one
-O(n*k) scan of that table, which makes no query.  One estimated potential
-is cached per column: a re-estimate sets it at no extra cost, and a swap or
-a merge-and-split unsets it for every column whose members changed, so the
-potential check after a re-estimate samples only those clusters.  An epoch
-either certifies 16*log2(n) stability or ends early having cut the true
-potential below 3/4 of its input value.  ``fast_ls`` chains epochs until an
-epoch's output potential, read from its cache, is at least 7/8 of its input
-estimate.
+drift too far are re-estimated.  It runs the exact searches' loop,
+``local_search.search``, on its state, which keeps one column per cluster
+in creation order, as their objective table does; the cached estimates are
+one n x k table.  The state's ``most_envious`` re-estimates the queued
+columns, then returns the violator found by one O(n*k) scan of that table,
+which makes no query, with ratio inf, or ratio 0, which ends the loop, once
+none remains or the potential has dropped; each swap is a ``Step`` of the
+trace.  One estimated potential is cached per column: a re-estimate sets it
+at no extra cost, and a swap or a merge-and-split unsets it for every
+column whose members changed, so the potential check after a re-estimate
+samples only those clusters.  An epoch either certifies 16*log2(n)
+stability or ends early having cut the true potential below 3/4 of its
+input value.  ``fast_ls`` chains epochs until an epoch's output potential,
+read from its cache, is at least 7/8 of its input estimate.
 
 Implementation note on sampling: per query point the t mixed samples are
 i.i.d. over the cluster members, so the estimator is computed from a
@@ -39,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clustering import Clustering, _Columns, check_start
-from .local_search import CONVERGED, LsTrace
+from .local_search import CONVERGED, LsTrace, Step, search
 from .merge_split import SplitResult, _split_core, kcenter_init
 from .metric import MetricSpace, _row_tiles, rng_from_seed
 
@@ -187,13 +190,14 @@ class EpochState(_Columns):
     over.  ``est`` is the n x k column-major table of cached estimates;
     ``error``, ``num_swaps``, ``size_hat`` and ``phi`` (the cached potential)
     are lists indexed by column, ``None`` until a column's first estimate.
-    ``sizes`` is kept on every swap, and ``recompute`` is the queue of
-    columns awaiting re-estimation."""
+    ``sizes`` is kept on every swap, ``recompute`` is the queue of columns
+    awaiting re-estimation, and ``status`` is how the epoch ends."""
 
     _carried = ("est", "error", "num_swaps", "size_hat", "phi")
 
-    def __init__(self, clustering: Clustering, eps: float, alpha: float):
+    def __init__(self, space: MetricSpace, clustering: Clustering, rng, eps: float, alpha: float, audit=None):
         n, k = clustering.n, clustering.k
+        self.space, self.rng, self.audit = space, rng, audit
         self.n, self.eps, self.alpha = n, eps, alpha
         self.assign = clustering.assignment.copy()
         self.sizes = clustering.sizes()
@@ -202,6 +206,7 @@ class EpochState(_Columns):
         self.recompute = list(range(k))
         self.phi_hat = self.t_star = 0.0
         self.counts = {"swap": 0, "recompute": 0, "merge_split": 0}
+        self.status = IP_STABLE
 
     def members(self, c: int) -> np.ndarray:
         """The points of column c, ascending."""
@@ -216,15 +221,47 @@ class EpochState(_Columns):
         self.recompute = [int(self.assign[p]) for p in queued] + list(range(first, self.k))
         return first
 
-    def potential(self, space: MetricSpace, rng: np.random.Generator) -> float:
+    def potential(self) -> float:
         """Sum of the cached potentials in column order; only columns without
         one are estimated (each is a one-sided (1+eps)-estimate)."""
-        total = 0.0
         for c in range(self.k):
             if self.phi[c] is None:
-                self.phi[c] = calc_potential(space, [self.members(c)], self.eps, rng)
-            total += self.phi[c]
-        return total
+                self.phi[c] = calc_potential(self.space, [self.members(c)], self.eps, self.rng)
+        return sum(self.phi)
+
+    def most_envious(self) -> tuple[int, int, float]:
+        """The epoch's turn of ``search``.  Each queued column is one iteration
+        (re-estimate, potential check, merge trigger), and so is the scan
+        after the queue drains: (p, dst, inf) for ``find_violator``'s pick,
+        or a zero ratio, which stops ``search``, when there is none or the
+        potential dropped (``status`` then says ``potential_dropped``)."""
+        while True:
+            iteration = self.counts["recompute"] + self.counts["swap"] + 1
+            if iteration > EPOCH_STEP_CAP:
+                raise RuntimeError("epoch exceeded its internal step cap; constants are off")
+            if self.audit is not None:
+                self.audit.every_iteration(self.space, self, iteration)
+            if not self.recompute:
+                break
+            c = self.recompute.pop(0)
+            self.counts["recompute"] += 1
+            members = self.members(c)
+            self.est[:, c] = est_c = calc_average(self.space, members, np.arange(self.n), self.eps, self.rng)
+            self.error[c], self.size_hat[c], self.num_swaps[c] = 0.0, len(members), 0
+            self.phi[c] = math.log2(len(members)) * float(est_c[members].sum())
+            if self.audit is not None:
+                self.audit.after_recompute(self.space, self, c)
+            if self.potential() < (1.0 + self.eps) / 2.0 * self.phi_hat:
+                self.status = POTENTIAL_DROPPED
+                return 0, 0, 0.0
+            for other in (o for o in range(self.k) if o != c):
+                om = self.members(other)
+                lhs = min(len(members), len(om)) / len(om) * float(est_c[om].sum())
+                if lhs < self.t_star:
+                    _merge_and_split(self, c, other)
+                    break
+        found = self.find_violator()
+        return (0, 0, 0.0) if found is None else (*found, math.inf)
 
     def find_violator(self):
         """(p, dst) for the cached violator with the lowest foreign/own ratio,
@@ -257,6 +294,7 @@ class EpochResult:
     status: str
     counts: dict
     state: EpochState
+    steps: list  # the epoch's swaps in order, as ``Step``s
 
 
 def epoch(
@@ -265,71 +303,29 @@ def epoch(
     rng: np.random.Generator,
     audit=None,
 ) -> EpochResult:
-    """One epoch of the fast local search.
+    """One epoch of the fast local search, ``search`` on an ``EpochState``.
 
     Returns ``ip_stable`` when no cached violator remains (the clustering is
     then 16*log2(n)-stable for avg), or ``potential_dropped`` as soon as a
     re-estimate shows the potential fell below half its starting estimate
     (the true potential is then below 3/4 of the input's).  That check sums
-    ``st.phi``, one cached estimate per column: a re-estimate of column c
-    sets ``phi[c] = log2|C| * sum of est[:, c] over C``, swaps unset the
-    entries of their two columns, a merge-and-split's new columns start
-    unset, and the check estimates only the columns left unset.
+    the cached potentials ``st.phi``, estimating only the columns left unset.
     """
     n = space.n
     if clustering.n != n:
         raise ValueError("clustering does not match the space")
-    k = clustering.k
-    st = EpochState(clustering, eps=EPOCH_EPS, alpha=16.0 * math.log2(max(n, 2)))
-
-    all_points = np.arange(n)
-    st.phi_hat = st.potential(space, rng)
-    st.t_star = st.phi_hat / (24.0 * k * math.log2(max(n, 2)) ** 2)
-
-    iteration = 0
-    while True:
-        iteration += 1
-        if iteration > EPOCH_STEP_CAP:
-            raise RuntimeError("epoch exceeded its internal step cap; constants are off")
-        if audit is not None:
-            audit.every_iteration(space, st, iteration)
-
-        if st.recompute:
-            c = st.recompute.pop(0)
-            st.counts["recompute"] += 1
-            members = st.members(c)
-            st.est[:, c] = calc_average(space, members, all_points, st.eps, rng)
-            est_c = st.est[:, c]
-            st.error[c] = 0.0
-            st.size_hat[c] = len(members)
-            st.num_swaps[c] = 0
-            st.phi[c] = math.log2(len(members)) * float(est_c[members].sum())
-            if audit is not None:
-                audit.after_recompute(space, st, c)
-
-            if st.potential(space, rng) < (1.0 + st.eps) / 2.0 * st.phi_hat:
-                return EpochResult(st.clustering(), POTENTIAL_DROPPED, st.counts, st)
-
-            for other in range(st.k):
-                if other == c:
-                    continue
-                om = st.members(other)
-                lhs = min(len(members), len(om)) / len(om) * float(est_c[om].sum())
-                if lhs < st.t_star:
-                    _merge_and_split(space, st, c, other, rng)
-                    break
-        else:
-            found = st.find_violator()
-            if found is None:
-                return EpochResult(st.clustering(), IP_STABLE, st.counts, st)
-            p, dst = found
-            src = int(st.assign[p])
-            if audit is not None:
-                audit.before_swap(space, st, p, src, dst)
-            _swap(st, p, src, dst)
+    st = EpochState(space, clustering, rng, EPOCH_EPS, 16.0 * math.log2(max(n, 2)), audit)
+    st.phi_hat = st.potential()
+    st.t_star = st.phi_hat / (24.0 * clustering.k * math.log2(max(n, 2)) ** 2)
+    # the queue starts full, so the state's cap check fires before search's
+    out, trace = search(st, st.alpha, EPOCH_STEP_CAP, lambda p, src, dst: _swap(st, p, src, dst))
+    return EpochResult(out, st.status, st.counts, st, trace.steps)
 
 
-def _swap(st: EpochState, p: int, src: int, dst: int) -> None:
+def _swap(st: EpochState, p: int, src: int, dst: int) -> Step:
+    """The epoch's step: ``audit.before_swap``, then move p from src to dst."""
+    if st.audit is not None:
+        st.audit.before_swap(st.space, st, p, src, dst)
     st.counts["swap"] += 1
     st.assign[p] = dst
     st.sizes[src] -= 1
@@ -341,13 +337,14 @@ def _swap(st: EpochState, p: int, src: int, dst: int) -> None:
         st.num_swaps[c] += 1
         if st.error[c] > st.t_star / (100.0 * st.alpha * sz) or st.num_swaps[c] > st.size_hat[c] / 2.0:
             st.recompute.append(c)  # the queue is empty when a swap runs
+    return Step("swap", p, src, dst)
 
 
-def _merge_and_split(space: MetricSpace, st: EpochState, c: int, other: int, rng) -> None:
+def _merge_and_split(st: EpochState, c: int, other: int) -> None:
     """Merge columns c and other, then split the column the split core picks."""
     st.counts["merge_split"] += 1
     st._replace((c, other), [np.flatnonzero(np.isin(st.assign, (c, other)))])
-    result = _fast_split_core(space, [(j, st.members(j)) for j in range(st.k)], rng)
+    result = _fast_split_core(st.space, [(j, st.members(j)) for j in range(st.k)], st.rng)
     st._replace((result.cluster_id,), [result.half_a, result.half_b])
 
 
@@ -358,19 +355,18 @@ def fast_ls(space: MetricSpace, k: int, seed: int = 0) -> tuple[Clustering, LsTr
     rng = rng_from_seed(seed)
     current = kcenter_init(space, k)
     counts = {"swap": 0, "recompute": 0, "merge_split": 0, "epoch": 0}
-    statuses = []
-    epoch_cap = max(16, 8 * math.ceil(math.log2(n)))
-    while True:
-        counts["epoch"] += 1
-        if counts["epoch"] > epoch_cap:
-            raise RuntimeError("fast_ls exceeded its epoch cap; constants are off")
+    statuses, steps = [], []
+    for _ in range(max(16, 8 * math.ceil(math.log2(n)))):
         result = epoch(space, current, rng)
         statuses.append(result.status)
+        steps += result.steps
         for key, val in result.counts.items():
             counts[key] += val
         current = result.clustering
         # the output potential from the epoch's cache against its input estimate
-        if result.state.potential(space, rng) >= 7.0 / 8.0 * result.state.phi_hat:
+        if result.state.potential() >= 7.0 / 8.0 * result.state.phi_hat:
             break
-    counts["epoch_statuses"] = statuses
-    return current, LsTrace(status=CONVERGED, counts=counts, alpha=result.state.alpha)
+    else:
+        raise RuntimeError("fast_ls exceeded its epoch cap; constants are off")
+    counts["epoch"], counts["epoch_statuses"] = len(statuses), statuses
+    return current, LsTrace(CONVERGED, steps, counts, result.state.alpha)

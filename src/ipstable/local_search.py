@@ -14,9 +14,9 @@ step condition itself proves the decrease, so the search builds no
 signature; ``max_ip_signatures`` rebuilds a run's signatures from its output
 and its steps when something asks for them.
 
-``search`` is that loop, shared with the merge-and-split searches of
-``merge_split`` and ``median_ip``, which differ only in the step they take.
-It computes no certificate; mergesplit's step, which reads the potential,
+``search`` is that loop, shared with ``merge_split``, ``median_ip`` and
+``fast.epoch``, which differ in their state and the step they take.  It
+computes no certificate; mergesplit's step, which reads the potential,
 records it.
 """
 
@@ -28,7 +28,7 @@ from typing import Callable, Iterator, Optional
 
 import numpy as np
 
-from .clustering import Clustering, _AvgTable, _MaxTable, _Table, check_max_steps, check_start
+from .clustering import Clustering, _AvgTable, _Columns, _MaxTable, _Table, check_max_steps, check_start
 from .metric import MetricSpace
 from .potential import MaxIpSignature, edge_order, signature_from_order
 
@@ -95,17 +95,17 @@ class LsTrace:
 
 
 def search(
-    table: _Table,
+    table: _Columns,
     alpha: float,
     max_steps: int,
     step: Callable[[int, int, int], Step],
     kinds: tuple = ("swap",),
     slack: float = 1.0,
 ) -> tuple[Clustering, LsTrace]:
-    """The exact search loop: while the most envious point's ratio exceeds
+    """The search loop: while the ratio of ``table.most_envious()`` exceeds
     ``alpha * slack``, call ``step(point, source, target)`` and record the
     ``Step`` it returns.  The trace certifies ``alpha``; ``counts`` holds one
-    entry per kind.
+    entry per kind.  ``table`` is an objective table or fast's ``EpochState``.
     """
     trace = LsTrace(status=CONVERGED, counts=dict.fromkeys(kinds, 0), alpha=alpha)
     for _ in range(max_steps):

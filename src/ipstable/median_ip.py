@@ -77,7 +77,7 @@ def _split_sharpest(table: _MedianTable) -> None:
     best = max((c for c, m in enumerate(table.members) if len(m) > 1), key=lambda c: (table.diameter_of(c), -c))
     m = np.sort(table.members[best])
     r = int(np.argmax(table.row_max(best)[m] == table.diameter_of(best)))
-    i, j = m[r], m[np.argmax(table.D[m[r], m])]
+    i, j = m[r], m[np.argmax(table._dist(m[r], m))]
     detach = i if table._own[i] >= table._own[j] else j
     table.split(best, m[m != detach], np.array([detach], dtype=np.intp))
 

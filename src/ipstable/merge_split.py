@@ -119,7 +119,7 @@ def merge_split_ls(
     table = _AvgTable(space, initial if initial is not None else kcenter_init(space, k))
 
     def pair_phi(idx: np.ndarray) -> float:
-        return math.log2(len(idx)) / len(idx) * float(table.D[np.ix_(idx, idx)].sum())
+        return math.log2(len(idx)) / len(idx) * float(table._dist(*np.ix_(idx, idx)).sum())
 
     def step(p, src, dst):
         phi = table.phi()  # the last step's phi_after, summed from cached terms

@@ -435,8 +435,9 @@ class TestColumnStep:
     keep every cached value, the queue follows its columns."""
 
     def state(self):
-        # five columns with distinct values everywhere
-        st = EpochState(Clustering(np.array([3, 0, 1, 4, 2, 1, 0, 3, 4, 1, 2, 0]), 5), 0.1, 20.0)
+        # five columns with distinct values everywhere; the column step reads
+        # no space and draws nothing
+        st = EpochState(None, Clustering(np.array([3, 0, 1, 4, 2, 1, 0, 3, 4, 1, 2, 0]), 5), None, 0.1, 20.0)
         st.est[:] = np.arange(12 * 5).reshape(12, 5) / 7.0
         st.error = [0.5 + c for c in range(5)]
         st.num_swaps = [10 + c for c in range(5)]
@@ -481,13 +482,13 @@ class TestColumnStep:
         # a swap on columns that a merge-and-split renumbered changes the
         # books exactly as on a state built fresh from the post-split labels
         space = line_space(np.arange(12.0) ** 2)
-        st = EpochState(Clustering(np.array([3, 0, 1, 4, 2, 1, 0, 3, 4, 1, 2, 0]), 5), 0.1, 20.0)
+        st = EpochState(space, Clustering(np.array([3, 0, 1, 4, 2, 1, 0, 3, 4, 1, 2, 0]), 5), rng_from_seed(0), 0.1, 20.0)
         st.recompute = []
         for c in range(st.k):
             _estimate(space, st, c)
         st.t_star = 100.0 * st.alpha  # a column is queued once its error exceeds 1/|C|
         columns = [frozenset(st.members(c)) for c in range(st.k)]
-        fast._merge_and_split(space, st, 1, 3, rng_from_seed(0))
+        fast._merge_and_split(st, 1, 3)
         assert st.counts["merge_split"] == 1 and st.recompute
         while st.recompute:  # the epoch's re-estimates of the queued columns
             _estimate(space, st, st.recompute.pop(0))
@@ -500,7 +501,7 @@ class TestColumnStep:
         st.est[p, src], st.est[p, dst] = 5.0, 0.5
 
         # every column estimated afresh: the survivors' carried books must match
-        fresh = EpochState(Clustering(st.assign, st.k), st.eps, st.alpha)
+        fresh = EpochState(space, Clustering(st.assign, st.k), st.rng, st.eps, st.alpha)
         fresh.recompute, fresh.t_star = [], st.t_star
         for c in range(fresh.k):
             _estimate(space, fresh, c)
@@ -718,6 +719,117 @@ class TestSwapChoice:
         assert res.counts["merge_split"] >= 1
         assert audit.swaps == res.counts["swap"]
         assert res.status == IP_STABLE and audit.empty_scans >= 1
+
+
+def _replay(start, steps):
+    """The labels that ``steps``' moves make of ``start``, each checked to
+    leave the cluster it records."""
+    labels = start.assignment.copy()
+    for step in steps:
+        assert step.kind == "swap" and labels[step.point] == step.source
+        labels[step.point] = step.target
+    return labels
+
+
+class TestSteps:
+    """An epoch's swaps are the ``Step``s of ``search``'s trace."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_epoch_steps_replay_to_its_output(self, seed):
+        sp, _, bad = perturbed_planted(120, 4, 0.01, seed=seed, moves=4)
+        res = epoch(sp, bad, rng_from_seed(seed))
+        assert res.counts["swap"] == 2 and res.counts["merge_split"] == 0
+        assert len(res.steps) == res.counts["swap"]
+        assert np.array_equal(_replay(bad, res.steps), res.clustering.assignment)
+
+    def test_fast_ls_steps_are_every_epochs_swaps(self, monkeypatch):
+        # an adversarial start: five epochs, eight swaps, no merge-and-split
+        sp, _, bad = perturbed_planted(60, 4, 0.001, seed=5, moves=8)
+        monkeypatch.setattr(fast, "kcenter_init", lambda space, k: bad)
+        out, trace = fast_ls(sp, 4, seed=0)
+        assert trace.counts["epoch"] >= 2 and trace.counts["merge_split"] == 0
+        assert len(trace.steps) == trace.counts["swap"] >= 2
+        assert np.array_equal(_replay(bad, trace.steps), out.assignment)
+
+
+class PotentialCheckAuditor:
+    """Reads the sum each passed potential check compared, at the iteration
+    after its re-estimate: the check leaves every column's cached potential
+    set, and only a merge-and-split since then unsets one (that check is
+    skipped)."""
+
+    def __init__(self):
+        self.passed = []
+        self.checked = False
+        self.merge_splits = 0
+
+    def after_recompute(self, space, st, cid):
+        self.checked = True
+
+    def before_swap(self, space, st, p, src, dst):
+        pass
+
+    def every_iteration(self, space, st, iteration):
+        if self.checked and st.counts["merge_split"] == self.merge_splits:
+            self.passed.append(sum(st.phi))
+        self.checked, self.merge_splits = False, st.counts["merge_split"]
+
+
+class MergeTriggerAuditor:
+    """After each re-estimate of a column c, computes every other column's
+    pull lhs = min(|C|, |C'|) / |C'| * (sum of est[C', c]) against the
+    paper's t* = phi_hat / (24 k log2^2 n), written here, and checks at the
+    next hook that the epoch merged c exactly when some pull is below t*
+    (unless its potential check ended the epoch first)."""
+
+    def __init__(self, k):
+        self.k = k
+        self.pulls = []  # lhs / t* for every pair the trigger compares
+        self.expect = None  # the merge-and-split count the next hook must see
+
+    def after_recompute(self, space, st, cid):
+        t_star = st.phi_hat / (24.0 * self.k * math.log2(st.n) ** 2)
+        m, lhs = st.members(cid), []
+        for other in range(st.k):
+            om = st.members(other)
+            if other != cid:
+                lhs.append(min(len(m), len(om)) / len(om) * float(st.est[om, cid].sum()))
+        self.pulls += [value / t_star for value in lhs]
+        self.expect = st.counts["merge_split"] + any(value < t_star for value in lhs)
+
+    def before_swap(self, space, st, p, src, dst):
+        self.every_iteration(space, st, None)
+
+    def every_iteration(self, space, st, iteration):
+        if self.expect is not None:
+            assert st.counts["merge_split"] == self.expect
+            self.expect = None
+
+
+class TestPaperBounds:
+    """The epoch's two decisions that no output check reaches, against
+    bounds written from the paper's formulas rather than read from the state."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_potential_check_at_half_of_one_plus_eps(self, seed):
+        # two swaps; six checks pass, the lowest at about 0.59 phi_hat, and the seventh reads 0.31
+        sp, _, bad = perturbed_planted(120, 4, 0.01, seed=seed, moves=4)
+        audit = PotentialCheckAuditor()
+        res = epoch(sp, bad, rng_from_seed(seed), audit=audit)
+        bound = (1 + 0.1) / 2 * res.state.phi_hat
+        assert res.status == POTENTIAL_DROPPED
+        assert len(audit.passed) == res.counts["recompute"] - 1  # every check but the last
+        assert min(audit.passed) >= bound
+        assert sum(res.state.phi) < bound
+
+    def test_merge_trigger_at_t_star(self):
+        # the gadget's pair and clump pull each other at about 3/4 of t*
+        sp, bad = merge_heavy_instance(width=1.9)
+        audit = MergeTriggerAuditor(bad.k)
+        res = epoch(sp, bad, rng_from_seed(0), audit=audit)
+        assert res.status == IP_STABLE and audit.expect is None
+        assert res.counts["merge_split"] == 1
+        assert [pull for pull in audit.pulls if pull < 1] == pytest.approx([0.745], abs=0.05)
 
 
 class TestFastLs:

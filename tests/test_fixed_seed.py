@@ -7,7 +7,8 @@ a tight alpha so the searches take steps there too.  The merge-heavy cases
 take one merge-and-split step each, and each exact search splits the older
 of two clusters that tie on the split key; the fast epoch's merge-and-split
 is pinned on the first of them.  The gadget line takes four merge-and-split
-steps in each exact search; its 628-digit assignments are pinned by digest.
+steps in each exact search and seven in the fast epoch; its 628-digit
+assignments are pinned by digest.
 """
 
 import hashlib
@@ -135,6 +136,14 @@ def test_gadget_line():
     out, trace = median_ip_cluster(sp, 9, initial=start)
     assert trace.counts == {"swap": 0, "merge_split": 4}
     assert _digest(out) == "3029057f57b593837983c95c16b68e430a602a072083a009db160b8576c0dd36"
+
+    # the fast epoch takes seven merge-and-split steps and no swap
+    sp, start = gadget_line(600, 4)
+    res = epoch(sp, start, rng_from_seed(0))
+    assert res.status == IP_STABLE
+    assert res.counts == {"swap": 0, "recompute": 19, "merge_split": 7}
+    assert _digest(res.clustering) == "ec7fc41f2c749acc6558ab9f3262d5ed27b338372adcd75fe39a91685c272bfb"
+    assert sp.query_counter == 11754292465358
 
 
 def test_median_on_asymmetric_table():
