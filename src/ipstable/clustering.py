@@ -206,6 +206,7 @@ class _Columns:
     (unwritten in an array, ``None`` in a list)."""
 
     _carried: tuple[str, ...] = ()
+    slack = 1.0  # multiplies alpha in the search's stop test
 
     @property
     def k(self) -> int:
@@ -394,6 +395,7 @@ class _AvgTable(_Table):
 
     objective = "avg"
     _carried = _Table._carried + ("_phi",)
+    slack = 1.0 + 1e-12  # summed averages round: exactly tied ones must not ping-pong
 
     def _fill(self, c: int) -> None:
         for at, tile in self._tiles(c):

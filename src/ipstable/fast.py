@@ -41,8 +41,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clustering import Clustering, _Columns, check_start
-from .local_search import CONVERGED, LsTrace, Step, search
+from .clustering import Clustering, _Columns
+from .local_search import CONVERGED, LsTrace, Step, _begin, search
 from .merge_split import SplitResult, _split_core, kcenter_init
 from .metric import MetricSpace, _row_tiles, rng_from_seed
 
@@ -351,9 +351,8 @@ def _merge_and_split(st: EpochState, c: int, other: int) -> None:
 def fast_ls(space: MetricSpace, k: int, seed: int = 0) -> tuple[Clustering, LsTrace]:
     """Chain epochs from a k-center start until the potential stops dropping."""
     n = space.n
-    check_start(n, k)
     rng = rng_from_seed(seed)
-    current = kcenter_init(space, k)
+    current = _begin(space, k, None, kcenter_init)
     counts = {"swap": 0, "recompute": 0, "merge_split": 0, "epoch": 0}
     statuses, steps = [], []
     for _ in range(max(16, 8 * math.ceil(math.log2(n)))):

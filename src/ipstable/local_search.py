@@ -36,9 +36,6 @@ __all__ = [
     "LsConfig", "LsTrace", "Step", "natural_local_search", "max_ip_local_search", "avg_potentials", "max_ip_signatures",
 ]
 
-# Multiplies the right-hand side of the avg envy comparison so exactly-tied
-# averages do not ping-pong under floating rounding.
-DEFAULT_SLACK = 1.0 + 1e-12
 DEFAULT_MAX_STEPS = 10**6
 
 CONVERGED = "converged"
@@ -100,17 +97,16 @@ def search(
     max_steps: int,
     step: Callable[[int, int, int], Step],
     kinds: tuple = ("swap",),
-    slack: float = 1.0,
 ) -> tuple[Clustering, LsTrace]:
     """The search loop: while the ratio of ``table.most_envious()`` exceeds
-    ``alpha * slack``, call ``step(point, source, target)`` and record the
+    ``alpha * table.slack``, call ``step(point, source, target)`` and record the
     ``Step`` it returns.  The trace certifies ``alpha``; ``counts`` holds one
     entry per kind.  ``table`` is an objective table or fast's ``EpochState``.
     """
     trace = LsTrace(status=CONVERGED, counts=dict.fromkeys(kinds, 0), alpha=alpha)
     for _ in range(max_steps):
         p, dst, ratio = table.most_envious()
-        if not ratio > alpha * slack:
+        if not ratio > alpha * table.slack:
             break
         rec = step(p, int(table.assign[p]), dst)
         trace.counts[rec.kind] += 1
@@ -120,10 +116,14 @@ def search(
     return table.clustering(), trace
 
 
-def _table(space: MetricSpace, k: int, config: LsConfig, table_class: type[_Table]) -> _Table:
-    check_start(space.n, k, config.initial)
-    start = config.initial if config.initial is not None else Clustering(np.arange(space.n) % k, k)
-    return table_class(space, start)
+def _begin(space: MetricSpace, k: int, initial: Optional[Clustering], default=None, max_steps=1) -> Clustering:
+    """A search's start, ``initial`` or else ``default(space, k)`` (round-robin
+    if None); k and ``initial`` are checked, then ``max_steps``, before any read."""
+    check_start(space.n, k, initial)
+    check_max_steps(max_steps)
+    if initial is not None:
+        return initial
+    return Clustering(np.arange(space.n) % k, k) if default is None else default(space, k)
 
 
 def _swap(table: _Table) -> Callable[[int, int, int], Step]:
@@ -138,9 +138,9 @@ def _swap(table: _Table) -> Callable[[int, int, int], Step]:
 
 def natural_local_search(space: MetricSpace, k: int, config: LsConfig) -> tuple[Clustering, LsTrace]:
     """Move envious points until the clustering is alpha-stable for avg."""
-    table = _table(space, k, config, _AvgTable)
+    table = _AvgTable(space, _begin(space, k, config.initial))
     alpha = config.alpha if config.alpha is not None else 2.0 * math.log2(space.n)
-    return search(table, alpha, config.max_steps, _swap(table), slack=DEFAULT_SLACK)
+    return search(table, alpha, config.max_steps, _swap(table))
 
 
 def max_ip_local_search(space: MetricSpace, k: int, config: LsConfig) -> tuple[Clustering, LsTrace]:
@@ -161,7 +161,7 @@ def max_ip_local_search(space: MetricSpace, k: int, config: LsConfig) -> tuple[C
     """
     if config.alpha not in (None, 1.0):
         raise ValueError("max runs at alpha = 1 only")
-    table = _table(space, k, config, _MaxTable)
+    table = _MaxTable(space, _begin(space, k, config.initial))
     return search(table, 1.0, config.max_steps, _swap(table))
 
 

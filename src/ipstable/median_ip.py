@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clustering import Clustering, _MedianTable, check_max_steps, check_start
-from .local_search import DEFAULT_MAX_STEPS, LsTrace, Step, search
+from .clustering import Clustering, _MedianTable, check_max_steps
+from .local_search import DEFAULT_MAX_STEPS, LsTrace, Step, _begin, search
 from .merge_split import kcenter_init
 from .metric import MetricSpace
 from .potential import SQRT_MEDIAN_SCALE
@@ -97,8 +97,7 @@ def median_ip_cluster(
     computes no potential; its steps record their moves and thresholds.
     """
     n = space.n
-    check_start(n, k, initial)
-    table = _MedianTable(space, initial if initial is not None else kcenter_init(space, k))
+    table = _MedianTable(space, _begin(space, k, initial, kcenter_init))
 
     def step(p, src, dst):
         gain = math.sqrt(max(table.diameter_of(c) for c in range(table.k)) / 2.0) * SQRT_MEDIAN_SCALE

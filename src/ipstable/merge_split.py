@@ -17,8 +17,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .clustering import Clustering, _AvgTable, check_max_steps, check_start
-from .local_search import DEFAULT_MAX_STEPS, DEFAULT_SLACK, LsTrace, Step, search
+from .clustering import Clustering, _AvgTable
+from .local_search import DEFAULT_MAX_STEPS, LsTrace, Step, _begin, search
 from .metric import MetricSpace, rng_from_seed
 
 __all__ = ["SplitResult", "kcenter_init", "merge_split_ls"]
@@ -113,10 +113,8 @@ def merge_split_ls(
     Starts from the greedy k-center clustering unless ``initial`` overrides it.
     """
     n = space.n
-    check_start(n, k, initial)
-    check_max_steps(max_steps)
     rng = rng_from_seed(seed)
-    table = _AvgTable(space, initial if initial is not None else kcenter_init(space, k))
+    table = _AvgTable(space, _begin(space, k, initial, kcenter_init, max_steps))
 
     def pair_phi(idx: np.ndarray) -> float:
         return math.log2(len(idx)) / len(idx) * float(table._dist(*np.ix_(idx, idx)).sum())
@@ -135,4 +133,4 @@ def merge_split_ls(
         table.split(result.cluster_id, result.half_a, result.half_b)
         return Step("merge_split", p, src, dst, phi, table.phi(), threshold)
 
-    return search(table, 4.0 * math.log2(n), max_steps, step, ("swap", "merge_split"), DEFAULT_SLACK)
+    return search(table, 4.0 * math.log2(n), max_steps, step, ("swap", "merge_split"))

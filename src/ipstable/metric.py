@@ -5,7 +5,10 @@ Every algorithm in this package accesses distances exclusively through a
 evaluations the algorithm requested.  Batched accessors charge the counter
 by the number of evaluations in the batch; repeated requests for the same
 pair count every time, because the counter measures oracle traffic, not
-distinct pairs.
+distinct pairs.  :meth:`MetricSpace.pairs` reads each unordered pair
+once; a coordinate space keeps that table as an attribute, so a search and
+its verifier share one read, and the module drops the one holder's table
+(it keeps a weak reference to that space) before another space builds one.
 
 Coordinates are stored dimension-major, as one ``(dim, n)`` array, and the
 block kernel builds each cell from per-dimension terms, up to 8 dimensions
@@ -51,11 +54,11 @@ _TRIANGLE_SAMPLED_TRIPLES = 100_000
 # every temporary that a tiled read makes.
 _BLOCK_CHUNK_ELEMS = 1 << 16
 
-# The last table pairs() built for a coordinate space, read-only:
-# (weak reference to that space, table), or None.  Read and written under
-# _kept_lock, which a collected space's weakref callback also takes.
-_kept = None
-_kept_lock = threading.RLock()
+# A weak reference to the coordinate space whose ``_pairs`` holds a table,
+# or None, under _holder_lock; every query counter counts under _count_lock.
+_holder = None
+_holder_lock = threading.Lock()
+_count_lock = threading.Lock()
 
 
 def _row_tiles(count: int, width: int) -> list:
@@ -66,14 +69,6 @@ def _row_tiles(count: int, width: int) -> list:
     if count <= step:  # most reads: one tile, without the comprehension's cost
         return [slice(0, count)] if count else []
     return [slice(lo, min(count, lo + step)) for lo in range(0, count, step)]
-
-
-def _release(ref) -> None:
-    """Weakref callback: empty the slot when its space is collected."""
-    global _kept
-    with _kept_lock:
-        if _kept is not None and _kept[0] is ref:
-            _kept = None
 
 
 class MetricSpace:
@@ -87,20 +82,17 @@ class MetricSpace:
     rejects an index outside ``0..n-1`` with IndexError before it charges
     the counter.
 
-    :meth:`pairs` returns a read-only table for both backings.  A coordinate
-    space's table is kept in one process-wide slot until another coordinate
-    space reads its own or the space is collected, so at most one n x n
-    table is held beyond its callers.
-
-    The instance is safe to share across threads; the query counter and the
-    kept table are updated under locks.
+    :meth:`pairs` returns a read-only table for both backings; a coordinate
+    space keeps its own until another builds one, so at most one is kept.
+    Safe to share across threads: the counter and the kept table change
+    under module locks, so a space holds no lock, and copies and pickles.
     """
 
     def __init__(self, *, matrix=None, coords=None, norm="l2", validate=True):
         if (matrix is None) == (coords is None):
             raise ValueError("provide exactly one of matrix= or coords=")
-        self._lock = threading.Lock()
         self._queries = 0
+        self._pairs = None
         if matrix is not None:
             mat = np.asarray(matrix, dtype=np.float64)
             if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
@@ -166,7 +158,7 @@ class MetricSpace:
         """
         if m < 0:
             raise ValueError("charge must be non-negative")
-        with self._lock:
+        with _count_lock:
             self._queries += m
 
     # -- distance access ------------------------------------------------------
@@ -197,26 +189,34 @@ class MetricSpace:
         The table is read-only for both backings.  A table-backed space
         returns its stored table.  A coordinate space evaluates only the
         upper triangle, in the row tiles of :func:`_row_tiles`, whose values
-        equal :meth:`full`'s, and mirrors the lower triangle from it in place.  It keeps that table until another coordinate
-        space's ``pairs()`` empties the slot, before building its own, or
-        the space is collected; until then a later call returns the kept
-        table, and still charges.
+        equal :meth:`full`'s, and mirrors the lower triangle from it in
+        place.  It keeps that table, and a later call returns it, still
+        charging, until another coordinate space's ``pairs()`` drops it
+        before building its own; it goes with the space otherwise.
         """
-        global _kept
+        global _holder
         n = self.n
         self.charge(n * (n - 1) // 2)
         if self._matrix is not None:
             return self._matrix
-        with _kept_lock:
-            if _kept is not None and _kept[0]() is self:
-                return _kept[1]
-            _kept = None  # the previous space's table goes before this one is built
-            idx = np.arange(n)
-            out = np.empty((n, n))
-            _mirror_upper(out, lambda t: self._eval_block(idx[t], idx[t.start :]))
-            out.flags.writeable = False
-            _kept = (weakref.ref(self, _release), out)
-            return out
+        with _holder_lock:
+            if self._pairs is None:
+                held = _holder and _holder()
+                if held is not None:
+                    held._pairs = None  # the previous space's table goes before this one is built
+                idx = np.arange(n)
+                out = np.empty((n, n))
+                _mirror_upper(out, lambda t: self._eval_block(idx[t], idx[t.start :]))
+                out.flags.writeable = False
+                self._pairs, _holder = out, weakref.ref(self)
+            return self._pairs
+
+    def __getstate__(self):  # a copy or an unpickled space builds its own table
+        return {**self.__dict__, "_pairs": None}
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        (self._xt if self._matrix is None else self._matrix).flags.writeable = False
 
     def peek_block(self, rows, cols) -> np.ndarray:
         """Distance block without touching the counter.

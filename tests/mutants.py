@@ -14,6 +14,9 @@ mutant no longer points at the code), 1 if any mutant survived, else 0.
 The first twelve are the constants and comparisons behind the paper's
 guarantees that ROADMAP item 18 lists; M13 is a bug the searches and the
 verifier would share, as both read the objective table's ``_own_of``.
+M14 lowers the constant that ``sample_count`` says may only be raised;
+M15 to M17 weaken the alphas that fast's epoch, natural and mergesplit
+certify.
 """
 
 from __future__ import annotations
@@ -70,6 +73,18 @@ MUTANTS = [
     ("M13", "src/ipstable/clustering.py",
      "return self.table[m, c] / (self.sizes[c] - 1)",
      "return self.table[m, c] / self.sizes[c]"),
+    ("M14", "src/ipstable/fast.py",
+     "return math.ceil(12.0 * math.log(3.0 * n**3) / (eps_prime * eps_prime))",
+     "return math.ceil(6.0 * math.log(3.0 * n**3) / (eps_prime * eps_prime))"),
+    ("M15", "src/ipstable/fast.py",
+     "st = EpochState(space, clustering, rng, EPOCH_EPS, 16.0 * math.log2(max(n, 2)), audit)",
+     "st = EpochState(space, clustering, rng, EPOCH_EPS, 32.0 * math.log2(max(n, 2)), audit)"),
+    ("M16", "src/ipstable/local_search.py",
+     "alpha = config.alpha if config.alpha is not None else 2.0 * math.log2(space.n)",
+     "alpha = config.alpha if config.alpha is not None else 4.0 * math.log2(space.n)"),
+    ("M17", "src/ipstable/merge_split.py",
+     'return search(table, 4.0 * math.log2(n), max_steps, step, ("swap", "merge_split"))',
+     'return search(table, 8.0 * math.log2(n), max_steps, step, ("swap", "merge_split"))'),
 ]
 
 TIER1 = [sys.executable, "-m", "pytest", "-q", "-x", "--continue-on-collection-errors", "-p", "no:cacheprovider"]

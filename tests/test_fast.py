@@ -1,6 +1,7 @@
 import copy
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from ipstable.fast import (
     calc_average,
     calc_central_point,
     calc_potential,
+    EpochResult,
     EpochState,
     epoch,
     fast_ls,
@@ -437,7 +439,8 @@ class TestColumnStep:
     def state(self):
         # five columns with distinct values everywhere; the column step reads
         # no space and draws nothing
-        st = EpochState(None, Clustering(np.array([3, 0, 1, 4, 2, 1, 0, 3, 4, 1, 2, 0]), 5), None, 0.1, 20.0)
+        space = line_space(np.arange(12.0) ** 2)
+        st = EpochState(space, Clustering(np.array([3, 0, 1, 4, 2, 1, 0, 3, 4, 1, 2, 0]), 5), rng_from_seed(0), 0.1, 20.0)
         st.est[:] = np.arange(12 * 5).reshape(12, 5) / 7.0
         st.error = [0.5 + c for c in range(5)]
         st.num_swaps = [10 + c for c in range(5)]
@@ -452,6 +455,17 @@ class TestColumnStep:
         for name in ("error", "num_swaps", "size_hat", "phi"):
             value = getattr(after, name)[new]
             assert type(value) is type(getattr(before, name)[old]) and value == getattr(before, name)[old]
+
+    def test_state_deep_copies(self):
+        st = self.state()
+        st.space.pairs()
+        dup = copy.deepcopy(st)
+        assert dup.space is not st.space and dup.space.coords.tobytes() == st.space.coords.tobytes()
+        assert dup.space.pairs().tobytes() == st.space.pairs().tobytes()
+        assert dup.rng.random(4).tobytes() == st.rng.random(4).tobytes()
+        for old in range(5):
+            self.assert_carried(st, dup, old, old)
+        assert dup.recompute == st.recompute and dup.recompute is not st.recompute
 
     def test_merge_then_split(self):
         before = self.state()
@@ -807,8 +821,9 @@ class MergeTriggerAuditor:
 
 
 class TestPaperBounds:
-    """The epoch's two decisions that no output check reaches, against
-    bounds written from the paper's formulas rather than read from the state."""
+    """The decisions that no output check reaches, the epoch's and
+    ``fast_ls``'s, against bounds written from the paper's formulas rather
+    than read from the state."""
 
     @pytest.mark.parametrize("seed", range(3))
     def test_potential_check_at_half_of_one_plus_eps(self, seed):
@@ -830,6 +845,37 @@ class TestPaperBounds:
         assert res.status == IP_STABLE and audit.expect is None
         assert res.counts["merge_split"] == 1
         assert [pull for pull in audit.pulls if pull < 1] == pytest.approx([0.745], abs=0.05)
+
+    def test_swap_budget_is_half_the_estimated_size(self):
+        # t* = inf switches the error budget off, so a swap queues a column
+        # exactly when the column's swap count passes size_hat / 2
+        st = EpochState(line_space(np.arange(14.0)), Clustering(np.repeat([0, 1], [6, 8]), 2), rng_from_seed(0), 0.1, 20.0)
+        st.recompute, st.t_star = [], math.inf
+        st.est[:] = 1.0
+        st.error, st.num_swaps, st.size_hat = [0.0, 0.0], [0, 0], [6, 8]
+        for swaps in range(1, 11):  # point 0 goes back and forth: each swap counts on both columns
+            src = 1 - swaps % 2
+            fast._swap(st, 0, src, 1 - src)
+            assert st.recompute == [c for c in (src, 1 - src) if swaps > [6, 8][c] / 2]
+            st.recompute = []
+
+    def test_fast_ls_stops_once_an_epoch_keeps_seven_eighths(self, monkeypatch):
+        # scripted epochs whose outputs keep 0.80 and then 0.90 of their input
+        # estimates: fast_ls stops after the first that keeps at least 7/8
+        assert 0.80 < 7 / 8 < 0.90
+        kept = iter([0.80, 0.90])
+        calls = []
+
+        def scripted(space, clustering, rng):
+            calls.append(clustering)
+            share = next(kept)
+            state = SimpleNamespace(phi_hat=64.0, alpha=16 * math.log2(space.n), potential=lambda: share * 64.0)
+            return EpochResult(clustering, POTENTIAL_DROPPED, {"swap": 0, "recompute": 0, "merge_split": 0}, state, [])
+
+        monkeypatch.setattr(fast, "epoch", scripted)
+        out, trace = fast_ls(random_space(30, seed=1), 3)
+        assert len(calls) == trace.counts["epoch"] == 2
+        assert trace.counts["epoch_statuses"] == [POTENTIAL_DROPPED] * 2 and out == calls[0]
 
 
 class TestFastLs:

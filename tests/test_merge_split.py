@@ -139,6 +139,25 @@ class TestMergeSplitLs:
                 checked[rec.kind] += 1
         assert checked["swap"] >= 1 and checked["merge_split"] >= 1
 
+    @pytest.mark.parametrize("below, kind", [(False, "swap"), (True, "merge_split")])
+    def test_violator_swaps_at_the_threshold_and_merges_below(self, monkeypatch, below, kind):
+        # T = Phi / (4 k log2 n) / (5 n log2 n): the first violator's own
+        # average is scripted to T exactly, or to the float just below it
+        sp, _, start = perturbed_planted(60, 4, 0.01, seed=1, moves=5)
+        real_search = merge_split.search
+
+        def one_step(table, alpha, max_steps, step, *rest):
+            def tied(p, src, dst):
+                threshold = table.phi() / (4 * 4 * math.log2(60)) / (5 * 60 * math.log2(60))
+                table._own[p] = np.nextafter(threshold, 0) if below else threshold
+                return step(p, src, dst)
+
+            return real_search(table, alpha, 1, tied, *rest)
+
+        monkeypatch.setattr(merge_split, "search", one_step)
+        _, trace = merge_split_ls(sp, 4, seed=1, initial=start)
+        assert [rec.kind for rec in trace.steps] == [kind]
+
     def test_stable_start_counts_zero_steps(self):
         sp = line_space([0, 1, 10, 11])
         out, trace = merge_split_ls(sp, 2, initial=Clustering([0, 0, 1, 1], 2))

@@ -1,7 +1,9 @@
+import copy
 import gc
 import hashlib
 import math
 import os
+import pickle
 import subprocess
 import sys
 import tracemalloc
@@ -358,6 +360,32 @@ class TestKeptTable:
         assert report.alpha_achieved.hex() == fresh.alpha_achieved.hex()
         assert (report.witness, report.passed) == (fresh.witness, fresh.passed)
         assert report.per_point.tobytes() == fresh.per_point.tobytes()
+
+
+class TestCopies:
+    """A space holds no lock, so it deep-copies and pickles.  The copy reads
+    the same bits; it keeps no table until it reads one, and its table and
+    coordinates are read-only."""
+
+    @pytest.mark.parametrize("clone", [copy.deepcopy, lambda sp: pickle.loads(pickle.dumps(sp))], ids=["deepcopy", "pickle"])
+    @pytest.mark.parametrize("make", [random_space, random_matrix_space], ids=["coords", "table"])
+    def test_copy_reads_the_same_bits(self, make, clone):
+        sp = make(30, seed=5)
+        kept = sp.pairs()
+        dup = clone(sp)
+        assert (dup.n, dup.query_counter) == (sp.n, sp.query_counter)
+        assert sp.pairs() is kept  # copying drops no table
+        if sp.coords is None:
+            assert dup.coords is None
+        else:
+            assert dup.coords.tobytes() == sp.coords.tobytes() and not dup.coords.flags.writeable
+        table = dup.pairs()
+        assert table is not kept and table.tobytes() == kept.tobytes()
+        assert not table.flags.writeable and dup.pairs() is table
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 1] = 1.0
+        assert (sp.query_counter, dup.query_counter) == (2 * 435, 3 * 435)  # each call charges
+        assert sp.pairs().tobytes() == kept.tobytes()
 
 
 class TestValidation:
