@@ -249,12 +249,13 @@ class _Table(_Columns):
     A subclass fills a column from the distance table (``_fill``), updates
     the two columns a move of p touches from p's row alone (``_move``), and
     reads f for every row (``_f``) and the members' own values (``_own_of``)
-    from a column.  Every read of a column's member block, a fill's or a
-    partial refill's, goes through ``_tiles``: the members' rows, in tiles of
-    bounded size; every other read of ``D`` goes through ``_dist``.  Each
-    name a subclass adds to ``_carried`` is a list with one entry per column,
-    ``None`` until filled.  A merge or a split deletes the columns it
-    replaces and fills each new one afresh from the distance table (``_renew``).
+    from a column.  Every read of a column's member block, a fill's, a
+    partial refill's or a diameter's, goes through ``_tiles``: the members'
+    rows, in tiles of bounded size; every other read of ``D`` goes through
+    ``_dist``.  Each name a subclass adds to ``_carried`` is a list with one
+    entry per column, ``None`` until filled.  A merge or a split deletes the
+    columns it replaces and fills each new one afresh from the distance
+    table (``_renew``).
 
     The envy state is kept with the table.  ``_foreign`` (n x k, column-major)
     holds f(p, C_c) in column c, with each point's own entry set to inf;
@@ -303,15 +304,6 @@ class _Table(_Columns):
     def _dist(self, rows, cols=slice(None)) -> np.ndarray:
         """``D[rows, cols]``: a moved point's row, or a search's own read."""
         return self.D[rows, cols]
-
-    def _move_max(self, at_src: np.ndarray, at_dst: np.ndarray, src: int, dist: np.ndarray) -> None:
-        """Update two columns of row maxima, source ``at_src`` and target
-        ``at_dst``, for a move whose distance row is ``dist``: the target
-        takes the elementwise maximum, the source is recomputed on the rows
-        whose maximum left."""
-        np.maximum(at_dst, dist, out=at_dst)
-        for at, tile in self._tiles(src, np.flatnonzero(dist == at_src)):
-            at_src[at] = tile.max(axis=0)
 
     def _tiles(self, c: int, rows: np.ndarray | None = None):
         """Yield ``(at, tile)`` over every point (``rows`` None) or over the
@@ -438,7 +430,10 @@ class _MaxTable(_Table):
             self.table[at, c] = tile.max(axis=0)
 
     def _move(self, src: int, dst: int, dist: np.ndarray) -> None:
-        self._move_max(self.table[:, src], self.table[:, dst], src, dist)
+        at_src, at_dst = self.table[:, src], self.table[:, dst]
+        np.maximum(at_dst, dist, out=at_dst)
+        for at, tile in self._tiles(src, np.flatnonzero(dist == at_src)):
+            at_src[at] = tile.max(axis=0)
 
     def _own_of(self, c: int, m: np.ndarray) -> np.ndarray:
         return self.table[m, c]  # the self-distance 0 never determines a max over >= 2 points
@@ -453,33 +448,34 @@ class _MedianTable(_Table):
     in all.  Column c of the table is read from the window at the median's
     rank, and a member's own value at that rank shifted by its self-zero.
 
-    Beside them ``_rowmax[c]`` (an n-vector) holds each row's largest
-    distance to column c, kept on a move as max's table is, and
-    ``_diameter`` caches ``diameter_of``.  A move deletes d(r, p) from each
+    Beside them ``_diameter[c]`` holds column c's largest inner distance; a
+    move raises the target's to p's largest distance there when that is
+    larger and unsets the source's (``diameter_of`` reads it afresh) when p's
+    largest distance to the rest equals it.  A move deletes d(r, p) from each
     source row's window and inserts it into each target row's (``_insert``),
     each an O(n x w) edit; a row whose median ranks leave its window is
     refilled from the distance table, and a whole column once its window has
     narrowed below ``WINDOW_FLOOR`` (``_recentre``).  Every stored value is
-    an entry of the distance table picked by the same rank rule as a fresh
-    fill, so the table equals a fresh one exactly."""
+    an entry of the distance table picked by the same rank rule, or the same
+    maximum, as a fresh fill's, so the table equals a fresh one exactly."""
 
     objective = "median"
-    _carried = _Table._carried + ("_sorted", "_lo", "_rowmax", "_diameter")
+    _carried = _Table._carried + ("_sorted", "_lo", "_diameter")
 
     def _fill(self, c: int) -> None:
-        """Fill column c's window and row maxima from the distance table, and
+        """Fill column c's window and diameter from the distance table, and
         read the column from the window: of each row's sorted distances to the
         members, at most ``WINDOW_CAP`` ranks centred on the median, sorted
-        tile by tile."""
-        size = len(self.members[c])
-        width = min(size, WINDOW_CAP)
-        first = (size - width) // 2
-        window, rowmax = np.empty((width, self.n)), np.empty(self.n)
+        tile by tile; the diameter is the last rank's largest over the members."""
+        m = self.members[c]
+        width = min(len(m), WINDOW_CAP)
+        first = (len(m) - width) // 2
+        window, top = np.empty((width, self.n)), np.empty(self.n)
         for at, ranked in self._tiles(c):
             ranked.sort(axis=0)
             window[:, at] = ranked[first : first + width]
-            rowmax[at] = ranked[-1]
-        self._sorted[c], self._rowmax[c] = window, rowmax
+            top[at] = ranked[-1]
+        self._sorted[c], self._diameter[c] = window, float(top[m].max())
         self._lo[c] = np.full(self.n, first)
         self._read_median(c)
 
@@ -523,26 +519,24 @@ class _MedianTable(_Table):
         lo[rows] = first
 
     def _move(self, src: int, dst: int, dist: np.ndarray) -> None:
-        self._move_max(self._rowmax[src], self._rowmax[dst], src, dist)
+        if dist[self.members[src]].max() == self._diameter[src]:  # p ended a farthest pair
+            self._diameter[src] = None
+        if self._diameter[dst] is not None:
+            self._diameter[dst] = max(self._diameter[dst], float(dist[self.members[dst]].max()))
         self._sorted[src] = _delete_sorted(self._sorted[src], dist)
         self._insert(dst, dist)
         for c in (src, dst):
             self._recentre(c)
             self._read_median(c)
-        self._diameter[src] = self._diameter[dst] = None
 
     def _own_of(self, c: int, m: np.ndarray) -> np.ndarray:
         return self._sorted[c][len(m) // 2 - self._lo[c][m], m]  # the median's rank shifted by the self-zero
 
-    def row_max(self, c: int) -> np.ndarray:
-        """Each point's largest distance to column c (live: read it, do not write it)."""
-        return self._rowmax[c]
-
     def diameter_of(self, c: int) -> float:
-        """The largest distance within column c, the largest ``row_max`` over
-        its members (0 for a singleton); cached."""
+        """The largest distance within column c (0 for a singleton); an unset
+        one is read from the members' block."""
         if self._diameter[c] is None:
-            self._diameter[c] = float(self._rowmax[c][self.members[c]].max())
+            self._diameter[c] = float(max(tile.max() for _, tile in self._tiles(c, self.members[c])))
         return self._diameter[c]
 
 

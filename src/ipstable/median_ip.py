@@ -71,13 +71,17 @@ def _split_sharpest(table: _MedianTable) -> None:
     to the older one): of its farthest pair i < j, detach the endpoint with
     the larger median distance to the rest of the cluster (ties to i).  The
     pair is the first largest block entry in row-major order over sorted
-    members: the first row whose maximum over the cluster (``row_max``) is
+    members: the first row whose maximum over the cluster (from its tiles) is
     the diameter, then that row's first largest entry, which lies at or after
     that row, as the table is symmetric.  The medians are the table's own."""
     best = max((c for c, m in enumerate(table.members) if len(m) > 1), key=lambda c: (table.diameter_of(c), -c))
     m = np.sort(table.members[best])
-    r = int(np.argmax(table.row_max(best)[m] == table.diameter_of(best)))
-    i, j = m[r], m[np.argmax(table._dist(m[r], m))]
+    for at, tile in table._tiles(best, m):
+        hit = np.flatnonzero(tile.max(axis=0) == table.diameter_of(best))
+        if len(hit):
+            break
+    i = at[hit[0]]
+    j = m[np.argmax(table._dist(i, m))]
     detach = i if table._own[i] >= table._own[j] else j
     table.split(best, m[m != detach], np.array([detach], dtype=np.intp))
 
@@ -92,9 +96,9 @@ def median_ip_cluster(
 
     Starts from the greedy k-center clustering unless ``initial`` overrides it.
     The objective table is the search's only state: the medians are read
-    from its windows of each row's sorted distances, and the diameters behind
-    the split gain and the split itself from its row maxima.  The search
-    computes no potential; its steps record their moves and thresholds.
+    from its windows of each row's sorted distances, and the split gain and
+    the split from its one cached diameter per cluster.  The search computes
+    no potential; its steps record their moves and thresholds.
     """
     n = space.n
     table = _MedianTable(space, _begin(space, k, initial, kcenter_init))

@@ -16,7 +16,9 @@ guarantees that ROADMAP item 18 lists; M13 is a bug the searches and the
 verifier would share, as both read the objective table's ``_own_of``.
 M14 lowers the constant that ``sample_count`` says may only be raised;
 M15 to M17 weaken the alphas that fast's epoch, natural and mergesplit
-certify.
+certify.  M18 and M19 break the median table's kept diameters, which set
+the median search's split gain and its split: a move's source keeps its
+diameter when it should drop it, and a move's target never grows it.
 """
 
 from __future__ import annotations
@@ -85,6 +87,12 @@ MUTANTS = [
     ("M17", "src/ipstable/merge_split.py",
      'return search(table, 4.0 * math.log2(n), max_steps, step, ("swap", "merge_split"))',
      'return search(table, 8.0 * math.log2(n), max_steps, step, ("swap", "merge_split"))'),
+    ("M18", "src/ipstable/clustering.py",
+     "if dist[self.members[src]].max() == self._diameter[src]:  # p ended a farthest pair",
+     "if dist[self.members[src]].max() < self._diameter[src]:  # p ended a farthest pair"),
+    ("M19", "src/ipstable/clustering.py",
+     "self._diameter[dst] = max(self._diameter[dst], float(dist[self.members[dst]].max()))",
+     "pass"),
 ]
 
 TIER1 = [sys.executable, "-m", "pytest", "-q", "-x", "--continue-on-collection-errors", "-p", "no:cacheprovider"]

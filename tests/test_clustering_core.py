@@ -274,7 +274,7 @@ def _assert_matches_fresh(space, table):
     for name in type(table)._carried:
         held = getattr(table, name)
         assert (held.shape[1] if isinstance(held, np.ndarray) else len(held)) == table.k
-    own_state = {"avg": {"_phi"}, "max": set(), "median": {"_sorted", "_lo", "_rowmax", "_diameter"}}
+    own_state = {"avg": {"_phi"}, "max": set(), "median": {"_sorted", "_lo", "_diameter"}}
     assert own_state[table.objective] <= set(type(table)._carried)
     for objective, names in own_state.items():
         assert all(hasattr(table, name) == (objective == table.objective) for name in names)
@@ -297,8 +297,11 @@ def _assert_matches_fresh(space, table):
         assert np.array_equal(table._own, fresh._own)
         assert table.most_envious() == most_envious(space, table.clustering(), table.objective)
     if table.objective == "median":
+        # each diameter a move kept is unset or the members' block maximum, bit for bit
+        for c, m in enumerate(table.members):
+            kept = table._diameter[c]
+            assert kept is None or kept == float(space.pairs()[np.ix_(m, m)].max())
         assert [table.diameter_of(c) for c in range(table.k)] == [fresh.diameter_of(c) for c in range(table.k)]
-        assert np.array_equal(table._rowmax, fresh._rowmax)
         # each window holds its rows' sorted distances at their ranks, bit for bit
         for c, m in enumerate(table.members):
             window, lo = table._sorted[c], table._lo[c]
@@ -411,9 +414,10 @@ class TestObjectiveTable:
             if objective == "avg":
                 table._fill(c)  # the moves' running sums, refilled from the members
                 got, want = table.table[:, c], gather_sums(space, m)
+            elif objective == "max":
+                got, want = table.table[:, c], gather_maxima(space, m)
             else:
-                got = table.table[:, c] if objective == "max" else table.row_max(c)
-                want = gather_maxima(space, m)
+                got, want = np.float64(table.diameter_of(c)), gather_maxima(space, m)[m].max()
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_phi_fills_missing_terms_and_sums_in_order(self):

@@ -859,6 +859,18 @@ class TestPaperBounds:
             assert st.recompute == [c for c in (src, 1 - src) if swaps > [6, 8][c] / 2]
             st.recompute = []
 
+    def test_split_halves_must_shed_a_fifth_over_log2_n(self, monkeypatch, rng):
+        # estimated potentials scripted: the whole cluster's is 1, and the
+        # first attempt's halves shed 1/(5.5 log2 n) of it, the second's
+        # 1/(3 log2 n); the paper's factor 1/(5 log2 n) lies between
+        n = 64
+        log_n = math.log2(n)
+        assert 1 / (5.5 * log_n) < 1 / (5 * log_n) < 1 / (3 * log_n)
+        halves = iter(share for shed in (1 / (5.5 * log_n), 1 / (3 * log_n)) for share in 2 * [(1 - shed) / 2])
+        monkeypatch.setattr(fast, "_estimated_phi", lambda space, m, eps, rng: 1.0 if len(m) == n else next(halves))
+        result = fast._fast_split_core(random_space(n, seed=0), [(0, np.arange(n))], rng)
+        assert result.attempts == 2
+
     def test_fast_ls_stops_once_an_epoch_keeps_seven_eighths(self, monkeypatch):
         # scripted epochs whose outputs keep 0.80 and then 0.90 of their input
         # estimates: fast_ls stops after the first that keeps at least 7/8

@@ -108,6 +108,19 @@ class TestMedianMergeBound:
             )
             assert inc <= median_merge_bound(sp, C, C2, p) * (1 + 1e-9) + 1e-12
 
+    @pytest.mark.parametrize("share, kind", [(0.499, "merge_split"), (0.5, "swap")])
+    def test_merges_below_half_the_split_gain(self, monkeypatch, share, kind):
+        # the split gain sqrt(d_max / 2) / (2 - sqrt 2), d_max the start's
+        # largest inner distance; a merge cost scripted to a share of it
+        # merges below half the gain and swaps at half
+        space, _, start = perturbed_planted(60, 4, 0.01, seed=0, moves=3)
+        D = space.pairs()
+        gain = math.sqrt(max(D[np.ix_(m, m)].max() for m in start.members()) / 2) / (2 - math.sqrt(2))
+        monkeypatch.setattr(median_ip, "_merge_cost", lambda n, med_a, med_b: share * gain)
+        _, trace = median_ip_cluster(space, 4, MedianConfig(max_steps=1), initial=start)
+        assert [rec.kind for rec in trace.steps] == [kind]
+        assert trace.steps[0].threshold == gain / 2
+
 
 def _random_clusterings(count, seed):
     """(space, clustering) pairs on coordinate and shortest-path spaces."""

@@ -107,6 +107,20 @@ class TestSplit:
             split(sp, Clustering([0, 0, 1], 2), rng)
 
 
+class TestSplitAcceptFactor:
+    def test_halves_must_shed_a_quarter_over_log2_n(self, rng):
+        # potentials scripted: the cluster's is 1, and the first attempt's
+        # halves shed 1/(6 log2 n) of it, the second's 1/(3 log2 n); the
+        # paper's factor 1/(4 log2 n) lies between
+        n = 64
+        log_n = math.log2(n)
+        assert 1 / (6 * log_n) < 1 / (4 * log_n) < 1 / (3 * log_n)
+        halves = iter(share for shed in (1 / (6 * log_n), 1 / (3 * log_n)) for share in 2 * [(1 - shed) / 2])
+        phi = lambda idx: next(halves)
+        result = merge_split._split_core(n, [(0, np.arange(n), 1.0)], phi, split_accept_factor(n), rng)
+        assert result.attempts == 2
+
+
 class TestMergeSplitLs:
     def test_output_verifies_at_4log2n(self):
         for seed in range(6):
