@@ -440,24 +440,26 @@ class _MaxTable(_Table):
 
 
 class _MedianTable(_Table):
-    """median: every column keeps a window of each row's sorted distances to
+    """median: every column keeps a window of its rows' sorted distances to
     its members, rank-major (``_sorted[c]``, w x n, so a rank is one
-    contiguous n-vector): the ranks ``_lo[c][r]`` to ``_lo[c][r] + w`` of
-    row r, all |C| ranks while |C| <= ``WINDOW_CAP``, and at most
-    ``WINDOW_CAP`` around the median above it, O(n x k x WINDOW_CAP) floats
-    in all.  Column c of the table is read from the window at the median's
-    rank, and a member's own value at that rank shifted by its self-zero.
+    contiguous n-vector): ranks ``_lo[c]`` to ``_lo[c] + w - 1`` of every
+    row, one rank range per column, all |C| ranks while |C| <= ``WINDOW_CAP``
+    and at most ``WINDOW_CAP`` around the median above it, O(n x k x
+    WINDOW_CAP) floats in all.  Column c of the table is the window's rank
+    row at the median's rank, and a member's own value is read at that rank
+    shifted by its self-zero.
 
     Beside them ``_diameter[c]`` holds column c's largest inner distance; a
     move raises the target's to p's largest distance there when that is
     larger and unsets the source's (``diameter_of`` reads it afresh) when p's
     largest distance to the rest equals it.  A move deletes d(r, p) from each
-    source row's window and inserts it into each target row's (``_insert``),
-    each an O(n x w) edit; a row whose median ranks leave its window is
-    refilled from the distance table, and a whole column once its window has
-    narrowed below ``WINDOW_FLOOR`` (``_recentre``).  Every stored value is
-    an entry of the distance table picked by the same rank rule, or the same
-    maximum, as a fresh fill's, so the table equals a fresh one exactly."""
+    source row's window, which keeps its first rank, and inserts it into
+    each target row's (``_insert``), each an O(n x w) edit decided by scalar
+    tests; a column whose window no longer holds the median's two ranks, or
+    has narrowed below ``WINDOW_FLOOR``, is refilled whole from the distance
+    table.  Every stored value is an entry of the distance table picked by
+    the same rank rule, or the same maximum, as a fresh fill's, so the table
+    equals a fresh one exactly."""
 
     objective = "median"
     _carried = _Table._carried + ("_sorted", "_lo", "_diameter")
@@ -475,48 +477,31 @@ class _MedianTable(_Table):
             ranked.sort(axis=0)
             window[:, at] = ranked[first : first + width]
             top[at] = ranked[-1]
-        self._sorted[c], self._diameter[c] = window, float(top[m].max())
-        self._lo[c] = np.full(self.n, first)
+        self._sorted[c], self._lo[c], self._diameter[c] = window, first, float(top[m].max())
         self._read_median(c)
 
     def _read_median(self, c: int) -> None:
-        """Read column c from its window."""
-        rank = (len(self.members[c]) + 1) // 2 - 1
-        self.table[:, c] = self._sorted[c][rank - self._lo[c], np.arange(self.n)]
+        """Read column c from its window's rank row at the median's rank."""
+        self.table[:, c] = self._sorted[c][(len(self.members[c]) + 1) // 2 - 1 - self._lo[c]]
 
     def _insert(self, c: int, vals: np.ndarray) -> None:
-        """Insert vals[r] into row r of column c's window, one rank wider.
-        Once the window is ``WINDOW_CAP`` wide, or where vals[r] lies outside
-        it on some row, each row drops one end instead: the left where
-        vals[r] lies below the window, the right where above it, else the end
+        """Insert vals[r] into row r of column c's window, one rank wider, then
+        drop the ends that some row cannot hold: the first rank if vals lies
+        below some row's first rank and the window starts above rank 0, the
+        last if vals lies above some row's last rank and the window ends below
+        the top rank.  A window still wider than ``WINDOW_CAP`` drops the end
         farther from the median's two ranks."""
         block, lo = self._sorted[c], self._lo[c]
         size, width = len(self.members[c]), len(block)  # size counts the inserted point
         out = _insert_sorted(block, vals)
-        below = (vals < block[0]) & (lo > 0)
-        above = (vals > block[-1]) & (lo + width < size - 1)
-        if width < WINDOW_CAP and not (below | above).any():
-            self._sorted[c] = out
-            return
-        drop_left = below | ~above & (2 * lo + width < (size + 1) // 2 - 1 + size // 2)
-        self._sorted[c] = np.where(drop_left, out[1:], out[:-1])
-        self._lo[c] = lo + drop_left
-
-    def _recentre(self, c: int) -> None:
-        """Refill from the distance table the rows of column c's window that
-        no longer hold the median's two ranks, at the window's width; the
-        whole column once a window has narrowed below ``WINDOW_FLOOR``."""
-        block, lo = self._sorted[c], self._lo[c]
-        size, width = len(self.members[c]), len(block)
-        if width < min(size, WINDOW_FLOOR):
-            self._fill(c)
-            return
-        rows = np.flatnonzero((lo > (size + 1) // 2 - 1) | (lo + width <= size // 2))
-        first = (size - width) // 2
-        for at, ranked in self._tiles(c, rows):
-            ranked.sort(axis=0)
-            block[:, at] = ranked[first : first + width]
-        lo[rows] = first
+        first = int(lo > 0 and (vals < block[0]).any())
+        stop = width if lo + width < size - 1 and (vals > block[-1]).any() else width + 1
+        if stop - first > WINDOW_CAP:
+            if 2 * lo + width < (size + 1) // 2 - 1 + size // 2:
+                first = 1
+            else:
+                stop = width
+        self._sorted[c], self._lo[c] = out[first:stop], lo + first
 
     def _move(self, src: int, dst: int, dist: np.ndarray) -> None:
         if dist[self.members[src]].max() == self._diameter[src]:  # p ended a farthest pair
@@ -526,11 +511,14 @@ class _MedianTable(_Table):
         self._sorted[src] = _delete_sorted(self._sorted[src], dist)
         self._insert(dst, dist)
         for c in (src, dst):
-            self._recentre(c)
-            self._read_median(c)
+            size, width, lo = len(self.members[c]), len(self._sorted[c]), self._lo[c]
+            if width < min(size, WINDOW_FLOOR) or lo > (size + 1) // 2 - 1 or lo + width <= size // 2:
+                self._fill(c)  # the window lost a median rank, or is too narrow to keep
+            else:
+                self._read_median(c)
 
     def _own_of(self, c: int, m: np.ndarray) -> np.ndarray:
-        return self._sorted[c][len(m) // 2 - self._lo[c][m], m]  # the median's rank shifted by the self-zero
+        return self._sorted[c][len(m) // 2 - self._lo[c], m]  # the median's rank shifted by the self-zero
 
     def diameter_of(self, c: int) -> float:
         """The largest distance within column c (0 for a singleton); an unset
@@ -538,6 +526,13 @@ class _MedianTable(_Table):
         if self._diameter[c] is None:
             self._diameter[c] = float(max(tile.max() for _, tile in self._tiles(c, self.members[c])))
         return self._diameter[c]
+
+    def widest(self) -> float:
+        """The largest diameter over the columns, reading only the unset ones."""
+        for c, kept in enumerate(self._diameter):
+            if kept is None:
+                self.diameter_of(c)
+        return max(self._diameter)
 
 
 TABLES = {"avg": _AvgTable, "median": _MedianTable, "max": _MaxTable}

@@ -104,7 +104,7 @@ def median_ip_cluster(
     table = _MedianTable(space, _begin(space, k, initial, kcenter_init))
 
     def step(p, src, dst):
-        gain = math.sqrt(max(table.diameter_of(c) for c in range(table.k)) / 2.0) * SQRT_MEDIAN_SCALE
+        gain = math.sqrt(table.widest() / 2.0) * SQRT_MEDIAN_SCALE
         # p's median to its own cluster src counts p's own zero
         if _merge_cost(n, table.table[p, src], table.table[p, dst]) < gain / 2.0:
             table.merge(src, dst)

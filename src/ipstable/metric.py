@@ -88,7 +88,7 @@ class MetricSpace:
     under module locks, so a space holds no lock, and copies and pickles.
     """
 
-    def __init__(self, *, matrix=None, coords=None, norm="l2", validate=True):
+    def __init__(self, *, matrix=None, coords=None, norm="l2", validate=True, copy=True):
         if (matrix is None) == (coords is None):
             raise ValueError("provide exactly one of matrix= or coords=")
         self._queries = 0
@@ -100,8 +100,9 @@ class MetricSpace:
             if validate:
                 _validate_table(mat)
             # one length per pair, d(min(i, j), max(i, j)); the diagonal and
-            # any -0.0 become +0.0 (x / -0.0 is -inf)
-            mat = np.array(mat, order="C")
+            # any -0.0 become +0.0 (x / -0.0 is -inf); a handed-over table
+            # is edited in place
+            mat = np.array(mat, order="C") if copy else np.ascontiguousarray(mat)
             mat += 0.0
             _mirror_upper(mat)
             mat.flags.writeable = False
@@ -130,8 +131,12 @@ class MetricSpace:
     # -- construction helpers -------------------------------------------------
 
     @classmethod
-    def from_matrix(cls, matrix, validate=True) -> "MetricSpace":
-        return cls(matrix=matrix, validate=validate)
+    def from_matrix(cls, matrix, validate=True, copy=True) -> "MetricSpace":
+        """A space backed by the distance table ``matrix``.  With ``copy``
+        False the caller hands over a writeable float64 array: the space
+        mirrors it in place and keeps it read-only as its table, without a
+        second n x n copy."""
+        return cls(matrix=matrix, validate=validate, copy=copy)
 
     @classmethod
     def from_points(cls, coords, norm="l2") -> "MetricSpace":
@@ -533,14 +538,15 @@ def generate(spec: GenSpec) -> Generated:
 
     if spec.kind == "random_shortest_path":
         n = spec.n
-        table = 1.0 - rng.random((n, n))  # edge weights in (0, 1] above the diagonal
+        table = rng.random((n, n))
+        np.subtract(1.0, table, out=table)  # edge weights in (0, 1] above the diagonal
         # scipy's dense-graph reader, which defined these instances, takes a
         # weight within 1e-8 of 0 for a missing edge (one draw in 10^8);
         # such an edge stays missing, so every seed keeps its instance
         table[table <= 1e-8] = np.inf
         np.fill_diagonal(table, 0.0)
         _shortest_path_closure(table)
-        return Generated(MetricSpace.from_matrix(table, validate=False))
+        return Generated(MetricSpace.from_matrix(table, validate=False, copy=False))
 
     # planted_separated: k groups of intra diameter <= 1 spaced so that the
     # inter-group minimum distance is 1/separation, hence beta <= separation.
@@ -579,8 +585,7 @@ def _require_data(path, skiprows: int) -> None:
 def load_matrix_csv(path) -> MetricSpace:
     """Header-free n x n CSV distance table; validated on load."""
     _require_data(path, 0)
-    mat = np.loadtxt(path, delimiter=",", ndmin=2)
-    return MetricSpace.from_matrix(mat)
+    return MetricSpace.from_matrix(np.loadtxt(path, delimiter=",", ndmin=2), copy=False)
 
 
 def load_points_csv(path, norm="l2") -> MetricSpace:

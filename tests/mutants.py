@@ -19,6 +19,10 @@ M15 to M17 weaken the alphas that fast's epoch, natural and mergesplit
 certify.  M18 and M19 break the median table's kept diameters, which set
 the median search's split gain and its split: a move's source keeps its
 diameter when it should drop it, and a move's target never grows it.
+M20 to M22 break the rule that keeps every median window at one rank
+range per column: an insert keeps the last rank when some row's value lies
+above its window, drops the first rank without raising the range, and a
+window that lost the median's ranks is not refilled.
 """
 
 from __future__ import annotations
@@ -93,6 +97,15 @@ MUTANTS = [
     ("M19", "src/ipstable/clustering.py",
      "self._diameter[dst] = max(self._diameter[dst], float(dist[self.members[dst]].max()))",
      "pass"),
+    ("M20", "src/ipstable/clustering.py",
+     "stop = width if lo + width < size - 1 and (vals > block[-1]).any() else width + 1",
+     "stop = width + 1"),
+    ("M21", "src/ipstable/clustering.py",
+     "self._sorted[c], self._lo[c] = out[first:stop], lo + first",
+     "self._sorted[c], self._lo[c] = out[first:stop], lo"),
+    ("M22", "src/ipstable/clustering.py",
+     "if width < min(size, WINDOW_FLOOR) or lo > (size + 1) // 2 - 1 or lo + width <= size // 2:",
+     "if width < min(size, WINDOW_FLOOR):"),
 ]
 
 TIER1 = [sys.executable, "-m", "pytest", "-q", "-x", "--continue-on-collection-errors", "-p", "no:cacheprovider"]

@@ -305,10 +305,9 @@ def _assert_matches_fresh(space, table):
         # each window holds its rows' sorted distances at their ranks, bit for bit
         for c, m in enumerate(table.members):
             window, lo = table._sorted[c], table._lo[c]
-            assert (lo >= 0).all() and (lo + len(window) <= len(m)).all()
+            assert 0 <= lo and lo + len(window) <= len(m)
             ranked = np.sort(space.pairs()[:, m], axis=1)
-            ranks = lo + np.arange(len(window))[:, None]
-            assert np.array_equal(window.view(np.uint64), ranked[np.arange(space.n), ranks].view(np.uint64))
+            assert np.array_equal(window.view(np.uint64), ranked[:, lo : lo + len(window)].T.view(np.uint64))
     ratio = table.most_envious()[2]
     alpha = verify_stability(space, fresh.clustering(), table.objective).alpha_achieved
     assert ratio == pytest.approx(alpha, rel=1e-9) or ratio == alpha
@@ -381,6 +380,25 @@ class TestObjectiveTable:
             p = int(rng.integers(300))
             table.move(p, 1 - table.assign[p])
             _assert_matches_fresh(space, table)
+
+    def test_insert_past_both_ends_of_a_wide_window(self):
+        # 200 members on a line, wider than WINDOW_CAP; p = -300 joins them.
+        # d(r, p) lies below the window of p's own row and of -600's, inside
+        # -100's and above every member's, so the window drops both ends:
+        # one rank narrower, one rank higher
+        space = line_space(list(range(200)) + [-300, -100, -600])
+        table = TABLES["median"](space, Clustering([0] * 200 + [1] * 3, 2))
+        window, lo = table._sorted[0], table._lo[0]
+        assert len(window) == clustering.WINDOW_CAP and lo > 0
+        dist = space.pairs()[200]
+        below, above = dist < window[0], dist > window[-1]
+        assert below.any() and above.any() and (~below & ~above).any()
+        table.move(200, 0)
+        window = table._sorted[0]
+        assert table._lo[0] == lo + 1 and len(window) == clustering.WINDOW_CAP - 1
+        ranked = np.sort(space.pairs()[:, table.members[0]], axis=1)
+        assert np.array_equal(window.view(np.uint64), ranked[:, lo + 1 : lo + clustering.WINDOW_CAP].T.view(np.uint64))
+        _assert_matches_fresh(space, table)
 
     @pytest.mark.parametrize("objective", ["avg", "max", "median"])
     def test_columns_equal_the_column_gather_bit_for_bit(self, objective, monkeypatch):
@@ -459,7 +477,7 @@ class TestObjectiveTable:
             table.merge(0, 1)
             merged = table.members[-1]
             assert np.array_equal(table._sorted[-1], np.sort(table.D[:, merged], axis=1).T)
-            assert not table._lo[-1].any()
+            assert table._lo[-1] == 0
             _assert_matches_fresh(space, table)
             table.move(int(merged[0]), 0)  # the merged window keeps serving moves
             _assert_matches_fresh(space, table)

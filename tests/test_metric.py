@@ -305,6 +305,31 @@ class TestTableLoad:
             with pytest.raises(ValueError, match="read-only"):
                 first[0, 1] = 1.0
 
+    def test_generator_and_loader_hand_over_their_table(self, tmp_path, monkeypatch):
+        # the shortest-path generator's closed table and loadtxt's array become
+        # the space's table, not a second n x n copy; a given table is copied
+        made = []
+        closure, loadtxt = metric._shortest_path_closure, np.loadtxt
+
+        def closing(d):
+            made.append(d)
+            closure(d)
+
+        def reading(*args, **kwargs):
+            made.append(loadtxt(*args, **kwargs))
+            return made[-1]
+
+        monkeypatch.setattr(metric, "_shortest_path_closure", closing)
+        monkeypatch.setattr(np, "loadtxt", reading)
+        sp = generate(GenSpec("random_shortest_path", n=30, seed=1)).space
+        path = tmp_path / "mat.csv"
+        save_matrix_csv(path, sp)
+        loaded = load_matrix_csv(path)
+        assert sp.pairs() is made[0] and loaded.pairs() is made[1]
+        assert np.array_equal(loaded.pairs(), sp.pairs()) and not made[1].flags.writeable
+        given = np.array(made[1])
+        assert not np.shares_memory(MetricSpace.from_matrix(given).pairs(), given)
+
 
 class TestKeptTable:
     """A coordinate space's ``pairs()`` table is kept until another space
