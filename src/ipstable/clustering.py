@@ -164,12 +164,21 @@ def check_max_steps(max_steps: int) -> None:
         raise ValueError("max_steps must be at least 1")
 
 
-# A median column wider than WINDOW_CAP keeps each row's sorted distances at
-# WINDOW_CAP ranks only, around the median; one whose window a move has
-# narrowed below WINDOW_FLOOR (at least 2, the median's two ranks) is
-# filled afresh.  Both are read at call time.
+# A median column of |C| points keeps _window_width(|C|) ranks of each row's
+# sorted distances around the median, and is filled afresh once a move has
+# narrowed it below a quarter of that (at least 2, the median's two ranks).
+# A move edits a window in O(n x w) and a refill, O(n x |C| log |C|), comes
+# about once per w moves, so w near 2.5 sqrt|C| balances the two: 2.5 is
+# near the measured cost of a fill's entry over an edit's, and factors from
+# 2 to 4 time alike.  Both constants are read at call time.
 WINDOW_CAP = 64
 WINDOW_FLOOR = 16
+
+
+def _window_width(size: int) -> int:
+    """The ranks a median window over a column of ``size`` points holds when
+    filled, and at most while a move grows it."""
+    return min(size, WINDOW_CAP, max(WINDOW_FLOOR, math.ceil(2.5 * math.sqrt(size))))
 
 
 def _delete_sorted(block: np.ndarray, vals: np.ndarray) -> np.ndarray:
@@ -443,11 +452,12 @@ class _MedianTable(_Table):
     """median: every column keeps a window of its rows' sorted distances to
     its members, rank-major (``_sorted[c]``, w x n, so a rank is one
     contiguous n-vector): ranks ``_lo[c]`` to ``_lo[c] + w - 1`` of every
-    row, one rank range per column, all |C| ranks while |C| <= ``WINDOW_CAP``
-    and at most ``WINDOW_CAP`` around the median above it, O(n x k x
-    WINDOW_CAP) floats in all.  Column c of the table is the window's rank
-    row at the median's rank, and a member's own value is read at that rank
-    shifted by its self-zero.
+    row, one rank range per column, at most ``_window_width(|C|)`` ranks
+    around the median (all |C| while |C| <= ``WINDOW_FLOOR``, about 2.5
+    sqrt|C| above it, at most ``WINDOW_CAP``), O(n x k x WINDOW_CAP) floats
+    in all.  Column c of the table is the window's rank row at the median's
+    rank, and a member's own value is read at that rank shifted by its
+    self-zero.
 
     Beside them ``_diameter[c]`` holds column c's largest inner distance; a
     move raises the target's to p's largest distance there when that is
@@ -456,10 +466,10 @@ class _MedianTable(_Table):
     source row's window, which keeps its first rank, and inserts it into
     each target row's (``_insert``), each an O(n x w) edit decided by scalar
     tests; a column whose window no longer holds the median's two ranks, or
-    has narrowed below ``WINDOW_FLOOR``, is refilled whole from the distance
-    table.  Every stored value is an entry of the distance table picked by
-    the same rank rule, or the same maximum, as a fresh fill's, so the table
-    equals a fresh one exactly."""
+    has narrowed below a quarter of ``_window_width(|C|)``, is refilled
+    whole from the distance table.  Every stored value is an entry of the
+    distance table picked by the same rank rule, or the same maximum, as a
+    fresh fill's, so the table equals a fresh one exactly."""
 
     objective = "median"
     _carried = _Table._carried + ("_sorted", "_lo", "_diameter")
@@ -467,10 +477,10 @@ class _MedianTable(_Table):
     def _fill(self, c: int) -> None:
         """Fill column c's window and diameter from the distance table, and
         read the column from the window: of each row's sorted distances to the
-        members, at most ``WINDOW_CAP`` ranks centred on the median, sorted
+        members, ``_window_width(|C|)`` ranks centred on the median, sorted
         tile by tile; the diameter is the last rank's largest over the members."""
         m = self.members[c]
-        width = min(len(m), WINDOW_CAP)
+        width = _window_width(len(m))
         first = (len(m) - width) // 2
         window, top = np.empty((width, self.n)), np.empty(self.n)
         for at, ranked in self._tiles(c):
@@ -489,14 +499,14 @@ class _MedianTable(_Table):
         drop the ends that some row cannot hold: the first rank if vals lies
         below some row's first rank and the window starts above rank 0, the
         last if vals lies above some row's last rank and the window ends below
-        the top rank.  A window still wider than ``WINDOW_CAP`` drops the end
+        the top rank.  A window still wider than ``_window_width`` drops the end
         farther from the median's two ranks."""
         block, lo = self._sorted[c], self._lo[c]
         size, width = len(self.members[c]), len(block)  # size counts the inserted point
         out = _insert_sorted(block, vals)
         first = int(lo > 0 and (vals < block[0]).any())
         stop = width if lo + width < size - 1 and (vals > block[-1]).any() else width + 1
-        if stop - first > WINDOW_CAP:
+        if stop - first > _window_width(size):
             if 2 * lo + width < (size + 1) // 2 - 1 + size // 2:
                 first = 1
             else:
@@ -512,7 +522,7 @@ class _MedianTable(_Table):
         self._insert(dst, dist)
         for c in (src, dst):
             size, width, lo = len(self.members[c]), len(self._sorted[c]), self._lo[c]
-            if width < min(size, WINDOW_FLOOR) or lo > (size + 1) // 2 - 1 or lo + width <= size // 2:
+            if width < min(size, max(2, _window_width(size) // 4)) or lo > (size + 1) // 2 - 1 or lo + width <= size // 2:
                 self._fill(c)  # the window lost a median rank, or is too narrow to keep
             else:
                 self._read_median(c)

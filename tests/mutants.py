@@ -22,7 +22,9 @@ diameter when it should drop it, and a move's target never grows it.
 M20 to M22 break the rule that keeps every median window at one rank
 range per column: an insert keeps the last rank when some row's value lies
 above its window, drops the first rank without raising the range, and a
-window that lost the median's ranks is not refilled.
+window that lost the median's ranks is not refilled.  M23 lets the width
+rule, ``_window_width``, narrow a small column's window below
+``WINDOW_FLOOR``.
 """
 
 from __future__ import annotations
@@ -104,8 +106,11 @@ MUTANTS = [
      "self._sorted[c], self._lo[c] = out[first:stop], lo + first",
      "self._sorted[c], self._lo[c] = out[first:stop], lo"),
     ("M22", "src/ipstable/clustering.py",
-     "if width < min(size, WINDOW_FLOOR) or lo > (size + 1) // 2 - 1 or lo + width <= size // 2:",
-     "if width < min(size, WINDOW_FLOOR):"),
+     "if width < min(size, max(2, _window_width(size) // 4)) or lo > (size + 1) // 2 - 1 or lo + width <= size // 2:",
+     "if width < min(size, max(2, _window_width(size) // 4)):"),
+    ("M23", "src/ipstable/clustering.py",
+     "return min(size, WINDOW_CAP, max(WINDOW_FLOOR, math.ceil(2.5 * math.sqrt(size))))",
+     "return min(size, WINDOW_CAP, max(2, math.ceil(2.5 * math.sqrt(size))))"),
 ]
 
 TIER1 = [sys.executable, "-m", "pytest", "-q", "-x", "--continue-on-collection-errors", "-p", "no:cacheprovider"]

@@ -369,35 +369,53 @@ class TestObjectiveTable:
         self.test_operations_match_fresh_table("median")
         self.test_merged_column_is_a_fresh_fill("median")
 
+    def test_window_width_grows_as_the_root_of_the_cluster(self):
+        # about 2.5 sqrt|C| ranks, never fewer than WINDOW_FLOOR nor more
+        # than WINDOW_CAP or |C|
+        sizes = [1, 16, 40, 41, 303, 636, 5000]
+        want = [min(size, 64, max(16, math.ceil(2.5 * math.sqrt(size)))) for size in sizes]
+        assert want == [1, 16, 16, 17, 44, 64, 64]
+        assert [clustering._window_width(size) for size in sizes] == want
+        # a 303-point column's fill: 44 ranks centred on the median's rank,
+        # 151, each row's bit for bit a fresh sort's
+        space = random_space(310, seed=3)
+        table = TABLES["median"](space, Clustering((np.arange(310) < 7).astype(int), 2))
+        m, window, lo = table.members[0], table._sorted[0], table._lo[0]
+        assert len(m) == 303 and len(window) == 44 and lo == (303 - 44) // 2 and lo + 44 // 2 == 151
+        ranked = np.sort(space.pairs()[:, m], axis=1)
+        assert np.array_equal(window.view(np.uint64), ranked[:, lo : lo + 44].T.view(np.uint64))
+        assert np.array_equal(table.table[:, 0], ranked[:, 151])
+
     def test_wide_median_columns_match_fresh_table(self):
-        # two columns of about 150 points on a tied integer line, each wider
-        # than the unpatched WINDOW_CAP
+        # two columns of about 150 points on a tied integer line, each
+        # filled at its rule's width, a window narrower than the column
         space = line_space(np.random.default_rng(7).integers(0, 20, size=300))
         rng = np.random.default_rng(8)
         table = TABLES["median"](space, Clustering(np.arange(300) % 2, 2))
-        assert all(len(window) == clustering.WINDOW_CAP for window in table._sorted)
+        widths = [clustering._window_width(len(m)) for m in table.members]
+        assert [len(window) for window in table._sorted] == widths and max(widths) < 150
         for _ in range(300):
             p = int(rng.integers(300))
             table.move(p, 1 - table.assign[p])
             _assert_matches_fresh(space, table)
 
     def test_insert_past_both_ends_of_a_wide_window(self):
-        # 200 members on a line, wider than WINDOW_CAP; p = -300 joins them.
-        # d(r, p) lies below the window of p's own row and of -600's, inside
-        # -100's and above every member's, so the window drops both ends:
-        # one rank narrower, one rank higher
+        # 200 members on a line, a window of their rule's width; p = -300
+        # joins them.  d(r, p) lies below the window of p's own row and of
+        # -600's, inside -100's and above every member's, so the window drops
+        # both ends: one rank narrower, one rank higher
         space = line_space(list(range(200)) + [-300, -100, -600])
         table = TABLES["median"](space, Clustering([0] * 200 + [1] * 3, 2))
-        window, lo = table._sorted[0], table._lo[0]
-        assert len(window) == clustering.WINDOW_CAP and lo > 0
+        window, lo, width = table._sorted[0], table._lo[0], clustering._window_width(200)
+        assert len(window) == width < 200 and lo > 0
         dist = space.pairs()[200]
         below, above = dist < window[0], dist > window[-1]
         assert below.any() and above.any() and (~below & ~above).any()
         table.move(200, 0)
         window = table._sorted[0]
-        assert table._lo[0] == lo + 1 and len(window) == clustering.WINDOW_CAP - 1
+        assert table._lo[0] == lo + 1 and len(window) == width - 1
         ranked = np.sort(space.pairs()[:, table.members[0]], axis=1)
-        assert np.array_equal(window.view(np.uint64), ranked[:, lo + 1 : lo + clustering.WINDOW_CAP].T.view(np.uint64))
+        assert np.array_equal(window.view(np.uint64), ranked[:, lo + 1 : lo + width].T.view(np.uint64))
         _assert_matches_fresh(space, table)
 
     @pytest.mark.parametrize("objective", ["avg", "max", "median"])

@@ -325,7 +325,8 @@ class TestMedianIpCluster:
 
     def test_memory_stays_near_the_distance_table(self):
         # row-sorted n x |C| blocks would hold about the table again; the
-        # windows hold O(n x k x WINDOW_CAP)
+        # windows hold about 2.5 sqrt|C| ranks of each row, O(n x k x
+        # WINDOW_CAP) floats at most
         n = 500
         sp = random_space(n, seed=1, k=4, dim=4)
         tracemalloc.start()
