@@ -186,9 +186,7 @@ def _delete_sorted(block: np.ndarray, vals: np.ndarray) -> np.ndarray:
     block: rank j keeps block[j] where that is below vals, else takes
     block[j + 1].  On a window of ranks it deletes from the whole row, keeping
     the window's first rank."""
-    out = block[1:].copy()
-    np.copyto(out, block[:-1], where=block[:-1] < vals)
-    return out
+    return np.where(block[:-1] < vals, block[:-1], block[1:])
 
 
 def _insert_sorted(block: np.ndarray, vals: np.ndarray) -> np.ndarray:

@@ -3,7 +3,8 @@
     python tests/mutants.py [--scratch DIR] [--only M7 M9 ...]
 
 Each mutant in ``MUTANTS`` is (name, file, old line, new line).  For each,
-the script copies ``src``, ``tests`` and ``pyproject.toml`` into a fresh
+the script copies ``src``, ``tests``, ``perfbench`` (whose pools
+``tests/test_outputs.py`` reads) and ``pyproject.toml`` into a fresh
 directory under DIR (a temporary directory by default), replaces the one
 line of the file whose stripped text is the old line by the new line, with
 the old line's indentation, and runs the tier-1 suite there with ``-x``.
@@ -24,7 +25,8 @@ range per column: an insert keeps the last rank when some row's value lies
 above its window, drops the first rank without raising the range, and a
 window that lost the median's ranks is not refilled.  M23 lets the width
 rule, ``_window_width``, narrow a small column's window below
-``WINDOW_FLOOR``.
+``WINDOW_FLOOR``.  M24 raises dp's certified beta by one ulp: only the
+output digests of ``tests/test_outputs.py`` pin it to the bit.
 """
 
 from __future__ import annotations
@@ -111,6 +113,9 @@ MUTANTS = [
     ("M23", "src/ipstable/clustering.py",
      "return min(size, WINDOW_CAP, max(WINDOW_FLOOR, math.ceil(2.5 * math.sqrt(size))))",
      "return min(size, WINDOW_CAP, max(2, math.ceil(2.5 * math.sqrt(size))))"),
+    ("M24", "src/ipstable/stable_opt.py",
+     "return max(beta(space, m) for m in clustering.members())",
+     "return max(beta(space, m) for m in clustering.members()) * (1.0 + 2.0**-52)"),
 ]
 
 TIER1 = [sys.executable, "-m", "pytest", "-q", "-x", "--continue-on-collection-errors", "-p", "no:cacheprovider"]
@@ -134,7 +139,7 @@ def run(name: str, file: str, old: str, new: str, scratch: Path) -> str:
     copy = scratch / name
     shutil.rmtree(copy, ignore_errors=True)
     ignore = shutil.ignore_patterns("__pycache__", ".pytest_cache", ".hypothesis")
-    for part in ("src", "tests"):
+    for part in ("src", "tests", "perfbench"):
         shutil.copytree(ROOT / part, copy / part, ignore=ignore)
     shutil.copy(ROOT / "pyproject.toml", copy)
     if not mutate(copy / file, old, new):
